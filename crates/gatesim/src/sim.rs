@@ -4,10 +4,11 @@
 //!
 //! * **Event-driven** (the default, [`SimKernel::EventDriven`]): per-net
 //!   combinational fanout lists and a topological levelization are built
-//!   once at construction; each cycle only the gates whose fan-in
-//!   actually changed are re-evaluated, driven by a dirty queue keyed by
-//!   level. Toggle counting falls out of the events themselves — no
-//!   per-cycle snapshot of the value vector.
+//!   once per netlist and shared by every instance over it; each cycle
+//!   only the gates whose fan-in actually changed are re-evaluated,
+//!   driven by a dirty queue keyed by level. Toggle counting falls out
+//!   of the events themselves — no per-cycle snapshot of the value
+//!   vector.
 //! * **Oblivious** ([`SimKernel::Oblivious`], forced process-wide with
 //!   `GATESIM_OBLIVIOUS=1`): the reference path — every combinational
 //!   gate is re-evaluated every cycle in topological order and toggles
@@ -42,7 +43,7 @@
 //! to the last mantissa bit. The differential fuzz suite and the golden
 //! reports enforce this.
 
-use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
+use crate::netlist::{Gate, GateKind, NetId, Netlist, ValidateNetlistError};
 use crate::power::{CapacitanceMap, EnergyReport, PowerConfig};
 use crate::simd::{toggle_word_w, LaneWord, Wide};
 use std::collections::HashMap;
@@ -190,12 +191,17 @@ impl SimKernel {
     ///   committed window length approaches one cycle, which forfeits
     ///   the lane packing's advantage — stay [`SimKernel::EventDriven`].
     pub fn choose(forced: Option<SimKernel>, netlist: &Netlist) -> Self {
-        if let Some(k) = forced {
-            return k;
-        }
-        if netlist.dff_count() == 0 {
+        forced.unwrap_or_else(|| {
+            SimKernel::for_structure(netlist.dff_count(), netlist.sequential_feedback())
+        })
+    }
+
+    /// The unforced branch of [`SimKernel::choose`], from the two
+    /// structural facts it reads (a [`SimPlan`] caches both).
+    fn for_structure(dff_count: usize, sequential_feedback: bool) -> Self {
+        if dff_count == 0 {
             SimKernel::Simd
-        } else if !netlist.sequential_feedback() {
+        } else if !sequential_feedback {
             SimKernel::WordParallel
         } else {
             SimKernel::EventDriven
@@ -245,12 +251,121 @@ pub struct WindowRun {
     pub energy_j: f64,
 }
 
+/// Everything simulator construction derives from the netlist alone —
+/// independent of the [`PowerConfig`] and of the kernel — computed once
+/// and shared by [`Arc`] among every instance over that netlist (the
+/// synthesis memo keeps one per synthesized transition). Immutable:
+/// instances copy `reset_values` into their own state and never write
+/// back.
+#[derive(Debug)]
+pub(crate) struct SimPlan {
+    netlist: Arc<Netlist>,
+    /// Validated topological order of the combinational gates.
+    order: Vec<NetId>,
+    /// Per-gate combinational level (0 for sources, constants, DFFs).
+    levels: Vec<u32>,
+    max_level: u32,
+    /// For each net, the combinational gates that read it.
+    comb_fanout: Vec<Vec<u32>>,
+    /// Primary-input gate indices, ascending.
+    input_ids: Vec<u32>,
+    /// `(gate index, D-input net)` per DFF, ascending by gate index.
+    dffs: Vec<(u32, u32)>,
+    /// Net values after the reset settle: DFFs at their init values,
+    /// inputs low, one combinational pass, then constants forced.
+    reset_values: Vec<bool>,
+    /// The reset settle evaluates combinational gates *before* forcing
+    /// constants high, so gates downstream of a `Const1` hold stale
+    /// values until the first cycle's settle — a quirk the oblivious
+    /// diff charges as first-cycle toggles. These are the `Const1`
+    /// fanouts, deduplicated in scheduling order, that the event-driven
+    /// and windowed kernels queue at construction to reproduce it.
+    const1_fanout: Vec<u32>,
+    /// [`Netlist::sequential_feedback`], read by the kernel choice.
+    sequential_feedback: bool,
+}
+
+impl SimPlan {
+    /// Validates `netlist` and derives the plan.
+    pub(crate) fn new(netlist: Arc<Netlist>) -> Result<Self, ValidateNetlistError> {
+        let order = netlist.validate()?;
+        let (levels, max_level) = netlist.comb_levels(&order);
+        let comb_fanout = netlist.comb_fanout_adjacency();
+        let n = netlist.gate_count();
+        let mut input_ids = Vec::new();
+        let mut dffs = Vec::new();
+        let mut reset_values = vec![false; n];
+        for (i, g) in netlist.gates().iter().enumerate() {
+            match g.kind {
+                GateKind::Input => input_ids.push(i as u32),
+                GateKind::Dff(init) => {
+                    dffs.push((i as u32, g.inputs[0].0));
+                    reset_values[i] = init;
+                }
+                _ => {}
+            }
+        }
+        settle_full(&netlist, &order, &mut reset_values);
+        let mut const1_fanout = Vec::new();
+        let mut seen = vec![false; n];
+        for (i, g) in netlist.gates().iter().enumerate() {
+            if g.kind == GateKind::Const1 {
+                for &target in &comb_fanout[i] {
+                    if !std::mem::replace(&mut seen[target as usize], true) {
+                        const1_fanout.push(target);
+                    }
+                }
+            }
+        }
+        let sequential_feedback = netlist.sequential_feedback();
+        Ok(SimPlan {
+            netlist,
+            order,
+            levels,
+            max_level,
+            comb_fanout,
+            input_ids,
+            dffs,
+            reset_values,
+            const1_fanout,
+            sequential_feedback,
+        })
+    }
+
+    /// The netlist the plan was derived from.
+    pub(crate) fn netlist(&self) -> &Arc<Netlist> {
+        &self.netlist
+    }
+
+    /// Validated topological order of the combinational gates.
+    pub(crate) fn order(&self) -> &[NetId] {
+        &self.order
+    }
+
+    /// Primary-input gate indices, ascending.
+    pub(crate) fn input_ids(&self) -> &[u32] {
+        &self.input_ids
+    }
+
+    /// `(gate index, D-input net)` per DFF, ascending by gate index.
+    pub(crate) fn dffs(&self) -> &[(u32, u32)] {
+        &self.dffs
+    }
+
+    /// Net values after the reset settle.
+    pub(crate) fn reset_values(&self) -> &[bool] {
+        &self.reset_values
+    }
+}
+
 /// A simulation instance bound to one netlist.
 ///
-/// The netlist is held behind an [`Arc`], so many simulator instances
-/// (e.g. one per design-space exploration point) share a single
-/// immutable structure; per-instance state (values, toggles, energy) is
-/// always private to the instance.
+/// The netlist and everything derived from it alone (topological order,
+/// levels, fanout, reset state) are held behind an [`Arc`], so many
+/// simulator instances (e.g. one per design-space exploration point)
+/// share a single immutable structure; per-instance state (values,
+/// toggles, energy, the capacitance map of the instance's
+/// [`PowerConfig`]) is always private to the instance.
 ///
 /// # Examples
 ///
@@ -272,8 +387,7 @@ pub struct WindowRun {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    netlist: Arc<Netlist>,
-    order: Vec<NetId>,
+    plan: Arc<SimPlan>,
     caps: CapacitanceMap,
     config: PowerConfig,
     kernel: SimKernel,
@@ -284,20 +398,11 @@ pub struct Simulator {
     cycle: u64,
     gate_evals: u64,
     gate_events: u64,
-    // Event-driven machinery (empty under the oblivious kernel).
-    /// Per-gate combinational level (0 for sources, constants, DFFs).
-    levels: Vec<u32>,
-    max_level: u32,
-    /// For each net, the combinational gates that read it.
-    comb_fanout: Vec<Vec<u32>>,
+    // Event-driven machinery (unused under the oblivious kernel).
     /// Dirty queue: one bucket of gate indices per level.
     level_queue: Vec<Vec<u32>>,
     /// Dedupe flags for `level_queue`.
     in_queue: Vec<bool>,
-    /// Primary-input gate indices, ascending.
-    input_ids: Vec<u32>,
-    /// `(gate index, D-input net)` per DFF, ascending by gate index.
-    dffs: Vec<(u32, u32)>,
     /// DFF output nets that changed at the previous clock edge; their
     /// combinational fanout must re-evaluate at the next cycle's settle.
     pending_edge: Vec<u32>,
@@ -349,8 +454,7 @@ impl Simulator {
     /// malformed, or its [`ValidateNetlistError::Kernel`] variant if
     /// `GATESIM_KERNEL` names an unknown kernel.
     pub fn new(netlist: &Netlist, config: PowerConfig) -> Result<Self, ValidateNetlistError> {
-        let kernel = SimKernel::auto_select(netlist)?;
-        Self::with_kernel(Arc::new(netlist.clone()), config, kernel)
+        Self::with_shared(Arc::new(netlist.clone()), config)
     }
 
     /// Builds a simulator over an already-shared netlist without cloning
@@ -367,8 +471,9 @@ impl Simulator {
         netlist: Arc<Netlist>,
         config: PowerConfig,
     ) -> Result<Self, ValidateNetlistError> {
-        let kernel = SimKernel::auto_select(&netlist)?;
-        Self::with_kernel(netlist, config, kernel)
+        let forced = SimKernel::env_override()?;
+        let plan = SimPlan::new(netlist)?;
+        Ok(Self::from_plan(Arc::new(plan), config, forced))
     }
 
     /// Builds a simulator with an explicitly chosen kernel (differential
@@ -382,40 +487,38 @@ impl Simulator {
         config: PowerConfig,
         kernel: SimKernel,
     ) -> Result<Self, ValidateNetlistError> {
-        let order = netlist.validate()?;
-        let caps = CapacitanceMap::new(&netlist, &config);
-        let n = netlist.gate_count();
-        let (levels, max_level) = netlist.comb_levels(&order);
-        let comb_fanout = netlist.comb_fanout_adjacency();
-        let mut input_ids = Vec::new();
-        let mut dffs = Vec::new();
-        for (i, g) in netlist.gates().iter().enumerate() {
-            match g.kind {
-                GateKind::Input => input_ids.push(i as u32),
-                GateKind::Dff(_) => dffs.push((i as u32, g.inputs[0].0)),
-                _ => {}
-            }
-        }
+        let plan = SimPlan::new(netlist)?;
+        Ok(Self::from_plan(Arc::new(plan), config, Some(kernel)))
+    }
+
+    /// Builds an instance over a shared plan — the one construction
+    /// path behind every public constructor, and all a synthesis-memo
+    /// hit pays: per-instance vectors (values copied from the plan's
+    /// reset state) and a capacitance map for `config`. `forced` is the
+    /// kernel to run, or `None` for [`SimKernel::choose`]'s structural
+    /// rule over the plan's cached facts.
+    pub(crate) fn from_plan(
+        plan: Arc<SimPlan>,
+        config: PowerConfig,
+        forced: Option<SimKernel>,
+    ) -> Self {
+        let kernel = forced
+            .unwrap_or_else(|| SimKernel::for_structure(plan.dffs.len(), plan.sequential_feedback));
+        let caps = CapacitanceMap::new(&plan.netlist, &config);
+        let n = plan.netlist.gate_count();
         let mut sim = Simulator {
-            netlist,
-            order,
             caps,
             config,
             kernel,
-            values: vec![false; n],
+            values: plan.reset_values.clone(),
             inputs: vec![false; n],
             report: EnergyReport::default(),
             toggles: vec![0; n],
             cycle: 0,
             gate_evals: 0,
             gate_events: 0,
-            levels,
-            max_level,
-            comb_fanout,
-            level_queue: vec![Vec::new(); max_level as usize + 1],
+            level_queue: vec![Vec::new(); plan.max_level as usize + 1],
             in_queue: vec![false; n],
-            input_ids,
-            dffs,
             pending_edge: Vec::new(),
             toggled: Vec::new(),
             edge_sample: Vec::new(),
@@ -431,42 +534,33 @@ impl Simulator {
             active_toggle: Vec::new(),
             window_len: 0,
             gate_eval_slots: 0,
+            plan,
         };
-        // Settle reset state without charging energy.
-        for (i, g) in sim.netlist.gates().iter().enumerate() {
-            if let GateKind::Dff(init) = g.kind {
-                sim.values[i] = init;
-            }
-        }
-        sim.settle_full();
         if sim.kernel != SimKernel::Oblivious {
-            // The full reset settle evaluates combinational gates *before*
-            // forcing constants high, so gates downstream of a `Const1`
-            // hold stale values until the first cycle's settle — a quirk
-            // the oblivious diff charges as first-cycle toggles. Schedule
-            // those fanouts now so the event-driven and word-parallel
-            // kernels reproduce it exactly (both drain this queue at
-            // their first settle).
-            for (i, g) in sim.netlist.gates().iter().enumerate() {
-                if g.kind == GateKind::Const1 {
-                    for k in 0..sim.comb_fanout[i].len() {
-                        let target = sim.comb_fanout[i][k];
-                        Self::sched(
-                            &mut sim.level_queue,
-                            &mut sim.in_queue,
-                            &sim.levels,
-                            target,
-                        );
-                    }
-                }
+            // Reproduce the constant-init quirk (see
+            // `SimPlan::const1_fanout`): the event-driven and windowed
+            // kernels drain this queue at their first settle.
+            for &target in &sim.plan.const1_fanout {
+                Self::sched(
+                    &mut sim.level_queue,
+                    &mut sim.in_queue,
+                    &sim.plan.levels,
+                    target,
+                );
             }
         }
-        Ok(sim)
+        sim
     }
 
     /// The shared netlist this simulator evaluates.
     pub fn netlist(&self) -> &Arc<Netlist> {
-        &self.netlist
+        &self.plan.netlist
+    }
+
+    /// The shared plan this instance was built from.
+    #[cfg(test)]
+    pub(crate) fn plan(&self) -> &Arc<SimPlan> {
+        &self.plan
     }
 
     /// The kernel this instance was built with.
@@ -513,7 +607,7 @@ impl Simulator {
     /// Panics if `net` is not an `Input` gate.
     pub fn set_input(&mut self, net: NetId, value: bool) {
         assert_eq!(
-            self.netlist.gates()[net.0 as usize].kind,
+            self.plan.netlist.gates()[net.0 as usize].kind,
             GateKind::Input,
             "{net} is not a primary input"
         );
@@ -627,7 +721,7 @@ impl Simulator {
             for (off, cyc) in changes[pos..pos + chunk].iter().enumerate() {
                 for &(net, v) in cyc {
                     assert_eq!(
-                        self.netlist.gates()[net.0 as usize].kind,
+                        self.plan.netlist.gates()[net.0 as usize].kind,
                         GateKind::Input,
                         "{net} is not a primary input"
                     );
@@ -715,7 +809,7 @@ impl Simulator {
         );
         let i = net.0 as usize;
         assert!(
-            !self.netlist.gates()[i].kind.is_sequential(),
+            !self.plan.netlist.gates()[i].kind.is_sequential(),
             "{net} is a DFF output; window lanes only cover combinational nets"
         );
         if self.lane_epoch[i] == self.epoch {
@@ -776,84 +870,56 @@ impl Simulator {
         }
     }
 
-    /// Evaluates the combinational gate at `idx` against current values.
-    fn eval_gate(&self, idx: usize) -> bool {
-        let g = &self.netlist.gates()[idx];
-        match g.kind {
-            GateKind::Buf => self.values[g.inputs[0].0 as usize],
-            GateKind::Not => !self.values[g.inputs[0].0 as usize],
-            GateKind::And => g.inputs.iter().all(|&i| self.values[i.0 as usize]),
-            GateKind::Or => g.inputs.iter().any(|&i| self.values[i.0 as usize]),
-            GateKind::Nand => !g.inputs.iter().all(|&i| self.values[i.0 as usize]),
-            GateKind::Nor => !g.inputs.iter().any(|&i| self.values[i.0 as usize]),
-            GateKind::Xor => g
-                .inputs
-                .iter()
-                .fold(false, |acc, &i| acc ^ self.values[i.0 as usize]),
-            GateKind::Xnor => !g
-                .inputs
-                .iter()
-                .fold(false, |acc, &i| acc ^ self.values[i.0 as usize]),
-            GateKind::Mux => {
-                let sel = self.values[g.inputs[0].0 as usize];
-                if sel {
-                    self.values[g.inputs[1].0 as usize]
-                } else {
-                    self.values[g.inputs[2].0 as usize]
-                }
-            }
-            GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff(_) => {
-                unreachable!("not a combinational gate")
-            }
-        }
-    }
-
     /// Event-driven cycle: wake only the gates whose fan-in changed,
     /// sweep the dirty buckets in ascending level order (each gate is
     /// evaluated at most once, after all its fan-ins are final), then
     /// charge the toggled nets in the oblivious kernel's accumulation
     /// order.
     fn step_event(&mut self) -> f64 {
+        // Slices and iterators over the plan, not `plan.field[k]` reads
+        // in the loops: the optimizer cannot prove that the stores below
+        // leave memory behind the `Arc` alone, so it would reload each
+        // `Vec` header per iteration.
+        let plan = &*self.plan;
+        let (fanout, levels) = (&plan.comb_fanout[..], &plan.levels[..]);
+        let gates = plan.netlist.gates();
         // DFF outputs that changed at the previous edge drive this
         // cycle's settle, alongside any changed primary inputs.
         let pending = std::mem::take(&mut self.pending_edge);
         for &q in &pending {
-            for k in 0..self.comb_fanout[q as usize].len() {
-                let g = self.comb_fanout[q as usize][k];
-                Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, g);
+            for &g in &fanout[q as usize] {
+                Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
             }
         }
         self.pending_edge = pending;
         self.pending_edge.clear();
 
         self.toggled.clear();
-        for k in 0..self.input_ids.len() {
-            let i = self.input_ids[k] as usize;
+        for &i in &plan.input_ids {
+            let i = i as usize;
             if self.values[i] != self.inputs[i] {
                 self.values[i] = self.inputs[i];
                 self.toggled.push(i as u32);
-                for j in 0..self.comb_fanout[i].len() {
-                    let g = self.comb_fanout[i][j];
-                    Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, g);
+                for &g in &fanout[i] {
+                    Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
                 }
             }
         }
 
         // Levelized settle: a gate only ever wakes fanouts at strictly
         // higher levels, so one ascending pass drains everything.
-        for lvl in 1..=self.max_level as usize {
+        for lvl in 1..=plan.max_level as usize {
             let mut bucket = std::mem::take(&mut self.level_queue[lvl]);
             for &g in &bucket {
                 self.in_queue[g as usize] = false;
                 self.gate_evals += 1;
                 self.gate_eval_slots += 1;
-                let v = self.eval_gate(g as usize);
+                let v = eval_gate(&gates[g as usize], &self.values);
                 if v != self.values[g as usize] {
                     self.values[g as usize] = v;
                     self.toggled.push(g);
-                    for k in 0..self.comb_fanout[g as usize].len() {
-                        let succ = self.comb_fanout[g as usize][k];
-                        Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, succ);
+                    for &succ in &fanout[g as usize] {
+                        Self::sched(&mut self.level_queue, &mut self.in_queue, levels, succ);
                     }
                 }
             }
@@ -875,12 +941,10 @@ impl Simulator {
         // Clock edge: sample all D inputs first (DFF-to-DFF chains shift
         // simultaneously), then commit in ascending gate order.
         self.edge_sample.clear();
-        for k in 0..self.dffs.len() {
-            let d = self.dffs[k].1;
+        for &(_, d) in &plan.dffs {
             self.edge_sample.push(self.values[d as usize]);
         }
-        for k in 0..self.dffs.len() {
-            let q = self.dffs[k].0;
+        for (k, &(q, _)) in plan.dffs.iter().enumerate() {
             let v = self.edge_sample[k];
             if self.values[q as usize] != v {
                 self.toggles[q as usize] += 1;
@@ -900,15 +964,15 @@ impl Simulator {
     fn step_oblivious(&mut self) -> f64 {
         let before = self.values.clone();
         // 1. Apply inputs.
-        for (i, g) in self.netlist.gates().iter().enumerate() {
+        for (i, g) in self.plan.netlist.gates().iter().enumerate() {
             if g.kind == GateKind::Input {
                 self.values[i] = self.inputs[i];
             }
         }
         // 2. Settle combinational logic.
-        self.settle_full();
-        self.gate_evals += self.order.len() as u64;
-        self.gate_eval_slots += self.order.len() as u64;
+        settle_full(&self.plan.netlist, &self.plan.order, &mut self.values);
+        self.gate_evals += self.plan.order.len() as u64;
+        self.gate_eval_slots += self.plan.order.len() as u64;
         // 3. Energy from toggles against the previous settled state.
         let mut energy = self.caps.clock_energy_per_cycle_j();
         for (i, (&now, &was)) in self.values.iter().zip(&before).enumerate() {
@@ -922,6 +986,7 @@ impl Simulator {
         //    output that changes switches its net's capacitance too (its
         //    downstream effect is charged at the next cycle's settle).
         let sampled: Vec<(usize, bool)> = self
+            .plan
             .netlist
             .gates()
             .iter()
@@ -945,23 +1010,6 @@ impl Simulator {
         self.cycle += 1;
         self.report.per_cycle_j.push(energy);
         energy
-    }
-
-    /// Propagates values through all combinational gates (topological
-    /// order), leaving DFF outputs and inputs untouched.
-    fn settle_full(&mut self) {
-        for idx in 0..self.order.len() {
-            let id = self.order[idx];
-            self.values[id.0 as usize] = self.eval_gate(id.0 as usize);
-        }
-        // Constants hold their values.
-        for (i, g) in self.netlist.gates().iter().enumerate() {
-            match g.kind {
-                GateKind::Const0 => self.values[i] = false,
-                GateKind::Const1 => self.values[i] = true,
-                _ => {}
-            }
-        }
     }
 
     /// Runs one speculative window under whichever windowed kernel this
@@ -997,7 +1045,7 @@ impl Simulator {
     where
         Wide<W>: LaneWord,
     {
-        let g = &self.netlist.gates()[idx];
+        let g = &self.plan.netlist.gates()[idx];
         match g.kind {
             GateKind::Buf => self.lane_of_w::<W>(g.inputs[0].0 as usize),
             GateKind::Not => self.lane_of_w::<W>(g.inputs[0].0 as usize).not(),
@@ -1073,6 +1121,9 @@ impl Simulator {
     where
         Wide<W>: LaneWord,
     {
+        // Slices and iterators over the plan, as in `step_event`.
+        let plan = &*self.plan;
+        let (fanout, levels) = (&plan.comb_fanout[..], &plan.levels[..]);
         let bits = <Wide<W> as LaneWord>::BITS;
         let b = budget.min(bits as u64) as u32;
         let mask = Wide::<W>::low_mask(b);
@@ -1086,16 +1137,15 @@ impl Simulator {
             self.lane_epoch[iu] = self.epoch;
             if w.and(mask) != Wide::splat(self.values[iu]).and(mask) {
                 self.active.push(i);
-                for k in 0..self.comb_fanout[iu].len() {
-                    let g = self.comb_fanout[iu][k];
-                    Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, g);
+                for &g in &fanout[iu] {
+                    Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
                 }
             }
         }
         // Held inputs that changed since the last committed cycle
         // toggle at window cycle 0 and hold.
-        for k in 0..self.input_ids.len() {
-            let i = self.input_ids[k] as usize;
+        for &i in &plan.input_ids {
+            let i = i as usize;
             if self.lane_epoch[i] == self.epoch {
                 continue; // scheduled above
             }
@@ -1103,9 +1153,8 @@ impl Simulator {
                 lane_set::<W>(&mut self.lanes, i, Wide::splat(self.inputs[i]));
                 self.lane_epoch[i] = self.epoch;
                 self.active.push(i as u32);
-                for j in 0..self.comb_fanout[i].len() {
-                    let g = self.comb_fanout[i][j];
-                    Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, g);
+                for &g in &fanout[i] {
+                    Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
                 }
             }
         }
@@ -1113,7 +1162,7 @@ impl Simulator {
         // construction-time constant-quirk seeds already queued).
         let pending = std::mem::take(&mut self.word_pending);
         for &g in &pending {
-            Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, g);
+            Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
         }
         self.word_pending = pending;
         self.word_pending.clear();
@@ -1121,7 +1170,7 @@ impl Simulator {
         // Levelized word settle: each dirty gate is evaluated exactly
         // once, as one word op covering every cycle of the window.
         let mut window_evals = 0u64;
-        for lvl in 1..=self.max_level as usize {
+        for lvl in 1..=plan.max_level as usize {
             let mut bucket = std::mem::take(&mut self.level_queue[lvl]);
             for &g in &bucket {
                 self.in_queue[g as usize] = false;
@@ -1132,9 +1181,8 @@ impl Simulator {
                     lane_set::<W>(&mut self.lanes, g as usize, w);
                     self.lane_epoch[g as usize] = self.epoch;
                     self.active.push(g);
-                    for k in 0..self.comb_fanout[g as usize].len() {
-                        let succ = self.comb_fanout[g as usize][k];
-                        Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, succ);
+                    for &succ in &fanout[g as usize] {
+                        Self::sched(&mut self.level_queue, &mut self.in_queue, levels, succ);
                     }
                 }
             }
@@ -1145,8 +1193,7 @@ impl Simulator {
         // Longest exact prefix: the speculation (flops hold) is valid
         // through the first cycle whose edge would change a flop.
         let mut m = b;
-        for k in 0..self.dffs.len() {
-            let (q, d) = self.dffs[k];
+        for &(q, d) in &plan.dffs {
             let viol = self
                 .lane_of_w::<W>(d as usize)
                 .xor(Wide::splat(self.values[q as usize]))
@@ -1186,8 +1233,7 @@ impl Simulator {
         // Sample every D at the edge cycle before any state is written
         // (DFF-to-DFF chains shift simultaneously).
         self.edge_sample.clear();
-        for k in 0..self.dffs.len() {
-            let d = self.dffs[k].1;
+        for &(_, d) in &plan.dffs {
             self.edge_sample
                 .push(self.lane_of_w::<W>(d as usize).bit(m - 1));
         }
@@ -1201,8 +1247,7 @@ impl Simulator {
                 }
             }
             if j + 1 == m {
-                for k in 0..self.dffs.len() {
-                    let q = self.dffs[k].0;
+                for (k, &(q, _)) in plan.dffs.iter().enumerate() {
                     if self.edge_sample[k] != self.values[q as usize] {
                         energy += self.config.switch_energy_j(self.caps.cap_ff(q));
                     }
@@ -1223,21 +1268,67 @@ impl Simulator {
             self.gate_events += pc;
             self.values[i] = lane_get::<W>(&self.lanes, i).bit(m - 1);
         }
-        for k in 0..self.dffs.len() {
-            let q = self.dffs[k].0 as usize;
+        for (k, &(q, _)) in plan.dffs.iter().enumerate() {
+            let q = q as usize;
             let v = self.edge_sample[k];
             if self.values[q] != v {
                 self.toggles[q] += 1;
                 self.gate_events += 1;
                 self.values[q] = v;
-                for j in 0..self.comb_fanout[q].len() {
-                    self.word_pending.push(self.comb_fanout[q][j]);
-                }
+                self.word_pending.extend_from_slice(&fanout[q]);
             }
         }
         self.cycle += m as u64;
         self.window_len = m as u64;
         (m as u64, stopped)
+    }
+}
+
+/// Evaluates combinational gate `g` against the net `values`.
+fn eval_gate(g: &Gate, values: &[bool]) -> bool {
+    match g.kind {
+        GateKind::Buf => values[g.inputs[0].0 as usize],
+        GateKind::Not => !values[g.inputs[0].0 as usize],
+        GateKind::And => g.inputs.iter().all(|&i| values[i.0 as usize]),
+        GateKind::Or => g.inputs.iter().any(|&i| values[i.0 as usize]),
+        GateKind::Nand => !g.inputs.iter().all(|&i| values[i.0 as usize]),
+        GateKind::Nor => !g.inputs.iter().any(|&i| values[i.0 as usize]),
+        GateKind::Xor => g
+            .inputs
+            .iter()
+            .fold(false, |acc, &i| acc ^ values[i.0 as usize]),
+        GateKind::Xnor => !g
+            .inputs
+            .iter()
+            .fold(false, |acc, &i| acc ^ values[i.0 as usize]),
+        GateKind::Mux => {
+            let sel = values[g.inputs[0].0 as usize];
+            if sel {
+                values[g.inputs[1].0 as usize]
+            } else {
+                values[g.inputs[2].0 as usize]
+            }
+        }
+        GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff(_) => {
+            unreachable!("not a combinational gate")
+        }
+    }
+}
+
+/// Propagates values through all combinational gates (topological
+/// `order`), leaving DFF outputs and inputs untouched, then forces the
+/// constants to their values.
+fn settle_full(netlist: &Netlist, order: &[NetId], values: &mut [bool]) {
+    let gates = netlist.gates();
+    for &id in order {
+        values[id.0 as usize] = eval_gate(&gates[id.0 as usize], values);
+    }
+    for (i, g) in gates.iter().enumerate() {
+        match g.kind {
+            GateKind::Const0 => values[i] = false,
+            GateKind::Const1 => values[i] = true,
+            _ => {}
+        }
     }
 }
 

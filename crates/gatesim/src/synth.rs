@@ -35,7 +35,7 @@ use crate::bus::{
 };
 use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
 use crate::power::PowerConfig;
-use crate::sim::Simulator;
+use crate::sim::{SimKernel, SimPlan, Simulator};
 use cfsm::{BinOp, Cfsm, EventId, Expr, Stmt, Terminator, TransitionId, UnOp, VarId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -219,13 +219,14 @@ struct Ports {
     mem_wdata: Bus,
 }
 
-/// The immutable product of synthesizing one transition: the netlist and
-/// its port map. Shared via the global synthesis memo, so every
-/// exploration point (and every simulator instance) evaluating the same
-/// behavioral spec at the same synthesis parameters holds one copy.
+/// The immutable product of synthesizing one transition: the simulation
+/// plan (the netlist plus everything derived from it alone) and the port
+/// map. Shared via the global synthesis memo, so every exploration point
+/// (and every simulator instance) evaluating the same behavioral spec at
+/// the same synthesis parameters holds one copy.
 #[derive(Debug)]
 struct SynthesizedTransition {
-    netlist: Arc<Netlist>,
+    plan: Arc<SimPlan>,
     ports: Ports,
     gate_count: usize,
     segment_count: usize,
@@ -269,9 +270,10 @@ pub fn synth_cache_stats() -> (u64, u64) {
     (cache.hits, cache.misses)
 }
 
-/// Empties the global synthesis memo and zeroes its counters. Only
-/// benchmarks isolating cold-vs-warm synthesis need this; correctness
-/// never depends on the cache's contents.
+/// Empties the global synthesis memo — netlists and the simulation plans
+/// built from them — and zeroes its counters. Only benchmarks isolating
+/// cold-vs-warm synthesis need this; correctness never depends on the
+/// cache's contents.
 pub fn clear_synth_cache() {
     let mut cache = lock_synth_cache();
     cache.map.clear();
@@ -285,8 +287,10 @@ pub fn clear_synth_cache() {
 /// reset between firings), so the energy of a firing depends on the
 /// previous datapath contents — the source of the per-path energy
 /// variance that motivates the paper's caching thresholds (Fig. 4).
-/// The netlist itself lives behind an [`Arc`] in the synthesis memo;
-/// only the simulator state (values, toggles, energy) is per-instance.
+/// The netlist and its simulation plan live behind an [`Arc`] in the
+/// synthesis memo; only the simulator state (values, toggles, energy,
+/// the capacitance map of the instance's [`PowerConfig`]) is
+/// per-instance.
 #[derive(Debug)]
 pub struct HwTransition {
     shared: Arc<SynthesizedTransition>,
@@ -543,7 +547,7 @@ impl HwTransition {
 
     /// The shared synthesized netlist this instance simulates.
     pub fn netlist(&self) -> &Arc<Netlist> {
-        &self.shared.netlist
+        self.shared.plan.netlist()
     }
 
     /// `(gate_evals, gate_events)` of this instance's simulator so far.
@@ -812,10 +816,12 @@ fn or_all(nl: &mut Netlist, nets: Vec<NetId>) -> NetId {
 }
 
 /// Memoizing front end: looks the transition up in the global synthesis
-/// cache and only runs structural synthesis on a miss. Every instance —
-/// across repeated `synthesize` calls and across parallel exploration
-/// workers — shares one `Arc<Netlist>`; the simulator (and with it all
-/// mutable state) is built fresh per instance.
+/// cache and only runs structural synthesis — and builds the simulation
+/// plan — on a miss. Every instance, across repeated `synthesize` calls
+/// and across parallel exploration workers, shares one `Arc<SimPlan>`;
+/// the simulator's mutable state is built fresh per instance, and its
+/// kernel is chosen per instance, so `GATESIM_KERNEL` applies on a warm
+/// memo too.
 fn synthesize_transition(
     t: &cfsm::Transition,
     n_vars: usize,
@@ -847,7 +853,8 @@ fn synthesize_transition(
             Arc::clone(cache.map.entry(key).or_insert(built))
         }
     };
-    let sim = Simulator::with_shared(Arc::clone(&shared.netlist), power.clone())?;
+    let forced = SimKernel::env_override().map_err(ValidateNetlistError::from)?;
+    let sim = Simulator::from_plan(Arc::clone(&shared.plan), power.clone(), forced);
     Ok(HwTransition {
         shared,
         sim,
@@ -855,8 +862,9 @@ fn synthesize_transition(
     })
 }
 
-/// Structural synthesis proper: builds the netlist and port map for one
-/// transition (no simulator state; the result is immutable and shared).
+/// Structural synthesis proper: builds the netlist, its simulation plan,
+/// and the port map for one transition (no simulator state; the result
+/// is immutable and shared).
 fn build_transition(
     t: &cfsm::Transition,
     n_vars: usize,
@@ -1110,7 +1118,7 @@ fn build_transition(
 
     let gate_count = nl.gate_count();
     Ok(SynthesizedTransition {
-        netlist: Arc::new(nl),
+        plan: Arc::new(SimPlan::new(Arc::new(nl))?),
         ports: Ports {
             start,
             load,
@@ -1138,6 +1146,17 @@ mod tests {
 
     fn power() -> PowerConfig {
         PowerConfig::date2000_defaults()
+    }
+
+    /// Serializes the tests that assert what the process-wide memo
+    /// holds (shared plans, counters) against the one that clears it;
+    /// the other tests never depend on the memo's contents.
+    static MEMO_LOCK: Mutex<()> = Mutex::new(());
+
+    fn memo_lock() -> std::sync::MutexGuard<'static, ()> {
+        MEMO_LOCK
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     fn synth_single(body: Cfg, n_vars: usize) -> HwCfsm {
@@ -1376,6 +1395,7 @@ mod tests {
 
     #[test]
     fn resynthesis_shares_one_netlist() {
+        let _memo = memo_lock();
         let body = Cfg::straight_line(vec![Stmt::Assign {
             var: VarId(0),
             expr: Expr::add(Expr::Var(VarId(0)), Expr::Const(7)),
@@ -1385,26 +1405,95 @@ mod tests {
         let ta = a.transition(TransitionId(0));
         let tb = b.transition(TransitionId(0));
         assert!(Arc::ptr_eq(ta.netlist(), tb.netlist()));
-        // And the shared netlist also backs each instance's simulator.
+        // One simulation plan too: a memo hit rebuilds nothing derived
+        // from the netlist, and each instance's simulator runs on it.
+        assert!(Arc::ptr_eq(&ta.shared.plan, &tb.shared.plan));
+        assert!(Arc::ptr_eq(ta.sim.plan(), tb.sim.plan()));
+        assert!(Arc::ptr_eq(ta.sim.plan(), &ta.shared.plan));
         assert_eq!(ta.gate_count(), tb.gate_count());
     }
 
     #[test]
     fn memoized_instances_have_independent_state() {
+        let _memo = memo_lock();
+        // Reads, writes, and emits memory so every observable of a
+        // firing depends on the simulator state it starts from.
+        let body = Cfg::straight_line(vec![
+            Stmt::MemRead {
+                var: VarId(1),
+                addr: Expr::Var(VarId(0)),
+            },
+            Stmt::Assign {
+                var: VarId(0),
+                expr: Expr::bin(BinOp::Xor, Expr::Var(VarId(0)), Expr::Var(VarId(1))),
+            },
+            Stmt::Emit {
+                event: EventId(1),
+                value: Some(Expr::add(Expr::Var(VarId(0)), Expr::Const(3))),
+            },
+            Stmt::MemWrite {
+                addr: Expr::Const(4),
+                value: Expr::Var(VarId(0)),
+            },
+        ]);
+        let fire = |hw: &mut HwCfsm, v0: i64, read: i64| {
+            let run = hw
+                .transition_mut(TransitionId(0))
+                .run(&[v0, 0], &|_| 0, &[read]);
+            (
+                run.energy_j.to_bits(),
+                run.cycles,
+                run.vars_out,
+                run.emitted,
+                run.mem_ops,
+                hw.gate_stats(),
+            )
+        };
+        let mut a = synth_single(body.clone(), 2);
+        let mut b = synth_single(body.clone(), 2);
+        // Drive only `a`; `b`'s simulator state must be untouched.
+        let first_a = fire(&mut a, 0x7FFF, 0x1234);
+        let first_b = fire(&mut b, 0x7FFF, 0x1234);
+        assert_eq!(first_a, first_b);
+        assert!(first_a.5 .1 > 0, "the firing toggled nets");
+        // Several more firings move `a`'s datapath away from reset...
+        for k in 1..6 {
+            fire(&mut a, 0x0F0F * k, 0x5A5A ^ k);
+        }
+        // ...yet a third instance built now, on the same shared plan,
+        // starts from the pristine reset state: its first firing is bit
+        // for bit the first instance's first firing.
+        let mut c = synth_single(body, 2);
+        assert!(Arc::ptr_eq(
+            &a.transition(TransitionId(0)).shared.plan,
+            &c.transition(TransitionId(0)).shared.plan
+        ));
+        assert_eq!(fire(&mut c, 0x7FFF, 0x1234), first_a);
+    }
+
+    #[test]
+    fn clearing_the_memo_drops_plans_with_netlists() {
+        let _memo = memo_lock();
         let body = Cfg::straight_line(vec![Stmt::Assign {
             var: VarId(0),
-            expr: Expr::bin(BinOp::Xor, Expr::Var(VarId(0)), Expr::Const(0x55)),
+            expr: Expr::add(Expr::Var(VarId(0)), Expr::Const(4321)),
         }]);
-        let mut a = synth_single(body.clone(), 1);
-        let mut b = synth_single(body, 1);
-        // Drive only `a`; `b`'s simulator state must be untouched.
-        let ra = a.transition_mut(TransitionId(0)).run(&[0x7FFF], &|_| 0, &[]);
-        let rb = b.transition_mut(TransitionId(0)).run(&[0x7FFF], &|_| 0, &[]);
-        assert_eq!(ra.vars_out, rb.vars_out);
-        // The driven instance has accumulated gate activity; both report
-        // it independently.
-        assert!(a.gate_stats().1 > 0);
-        assert!(b.gate_stats().1 > 0);
+        let first = synth_single(body.clone(), 1);
+        let t0 = first.transition(TransitionId(0));
+        let old_plan = Arc::downgrade(&t0.shared.plan);
+        let old_netlist = Arc::downgrade(t0.netlist());
+        clear_synth_cache();
+        // `first` still holds its plan, so a fresh allocation is the only
+        // way the next synthesis can differ by pointer.
+        let second = synth_single(body, 1);
+        let t1 = second.transition(TransitionId(0));
+        assert!(!Arc::ptr_eq(&t0.shared.plan, &t1.shared.plan));
+        assert!(!Arc::ptr_eq(t0.netlist(), t1.netlist()));
+        // With its last instance gone, nothing — the memo included —
+        // keeps the old plan or netlist alive.
+        drop(first);
+        assert!(old_plan.upgrade().is_none());
+        assert!(old_netlist.upgrade().is_none());
     }
 
     #[test]
@@ -1427,6 +1516,7 @@ mod tests {
 
     #[test]
     fn cache_stats_observe_hits() {
+        let _memo = memo_lock();
         let body = Cfg::straight_line(vec![Stmt::Assign {
             var: VarId(0),
             expr: Expr::add(Expr::Var(VarId(0)), Expr::Const(12345)),

@@ -29,6 +29,7 @@
 
 use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
 use crate::power::{CapacitanceMap, EnergyReport, PowerConfig};
+use crate::sim::SimPlan;
 use crate::simd::LaneWord;
 use std::sync::Arc;
 
@@ -268,19 +269,18 @@ fn sweep_run<W: LaneWord>(
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiLaneSim<W: LaneWord> {
-    netlist: Arc<Netlist>,
+    /// Topological order, input and DFF lists, and reset state — the
+    /// same plan a scalar [`crate::Simulator`] is built from.
+    plan: Arc<SimPlan>,
     caps: CapacitanceMap,
     lanes: usize,
     lane_mask: W,
     compiled: CompiledOps,
-    input_ids: Vec<u32>,
     /// One bit per net: is it a primary input? `set_input` validates
     /// against this instead of indexing the full gate array — the check
     /// runs per (lane, change) in the hot driving loop, and the bitmap
     /// stays cache-resident where the gate records do not.
     input_mask: Vec<u64>,
-    /// `(gate index, D-input net)` per DFF, ascending by gate index.
-    dffs: Vec<(u32, u32)>,
     values: Vec<W>,
     inputs: Vec<W>,
     /// One bit per net: toggled this step. The input-apply and eval
@@ -348,36 +348,28 @@ impl<W: LaneWord> MultiLaneSim<W> {
             "1..={} lanes per word",
             W::BITS
         );
-        let order = netlist.validate()?;
-        let caps = CapacitanceMap::new(&netlist, &config);
-        let compiled = compile(&netlist, &order);
-        let n = netlist.gate_count();
+        let plan = Arc::new(SimPlan::new(netlist)?);
+        let caps = CapacitanceMap::new(plan.netlist(), &config);
+        let compiled = compile(plan.netlist(), plan.order());
+        let n = plan.netlist().gate_count();
         let switch_e: Vec<f64> = (0..n)
             .map(|i| config.switch_energy_j(caps.cap_ff(i as u32)))
             .collect();
-        let mut input_ids = Vec::new();
         let mut input_mask = vec![0u64; n.div_ceil(64)];
-        let mut dffs = Vec::new();
-        for (i, g) in netlist.gates().iter().enumerate() {
-            match g.kind {
-                GateKind::Input => {
-                    input_ids.push(i as u32);
-                    input_mask[i / 64] |= 1u64 << (i % 64);
-                }
-                GateKind::Dff(_) => dffs.push((i as u32, g.inputs[0].0)),
-                _ => {}
-            }
+        for &i in plan.input_ids() {
+            input_mask[i as usize / 64] |= 1u64 << (i % 64);
         }
-        let mut sim = MultiLaneSim {
-            netlist,
+        // Every stream starts from the scalar reset state, constant-init
+        // quirk included (see `SimPlan`).
+        let values = plan.reset_values().iter().map(|&v| W::splat(v)).collect();
+        Ok(MultiLaneSim {
+            plan,
             caps,
             lanes,
             lane_mask: W::low_mask(lanes as u32),
             compiled,
-            input_ids,
             input_mask,
-            dffs,
-            values: vec![W::ZERO; n],
+            values,
             inputs: vec![W::ZERO; n],
             toggled_mask: vec![0; n.div_ceil(64)],
             toggle_scratch: vec![W::ZERO; n],
@@ -394,33 +386,12 @@ impl<W: LaneWord> MultiLaneSim<W> {
             cycle: 0,
             gate_evals: 0,
             gate_eval_slots: 0,
-        };
-        // Reset settle, mirroring the scalar construction exactly: DFFs
-        // at their init values, one combinational pass *before* the
-        // constants are forced (the seed's constant-init quirk — gates
-        // downstream of a `Const1` hold stale values until the first
-        // cycle charges them as toggles).
-        for (i, g) in sim.netlist.gates().iter().enumerate() {
-            if let GateKind::Dff(init) = g.kind {
-                sim.values[i] = W::splat(init);
-            }
-        }
-        for op in &sim.compiled.ops {
-            sim.values[op.out as usize] = eval_op(op, &sim.compiled.args, &sim.values);
-        }
-        for (i, g) in sim.netlist.gates().iter().enumerate() {
-            match g.kind {
-                GateKind::Const0 => sim.values[i] = W::ZERO,
-                GateKind::Const1 => sim.values[i] = W::ONES,
-                _ => {}
-            }
-        }
-        Ok(sim)
+        })
     }
 
     /// The shared netlist this simulator evaluates.
     pub fn netlist(&self) -> &Arc<Netlist> {
-        &self.netlist
+        self.plan.netlist()
     }
 
     /// Number of independent streams in flight.
@@ -468,7 +439,7 @@ impl<W: LaneWord> MultiLaneSim<W> {
         assert!(lane < self.lanes, "lane {lane} out of range");
         let mut count = self.toggle_wraps[net.0 as usize * self.lanes + lane];
         if W::BITS != 64 {
-            let n = self.netlist.gate_count();
+            let n = self.plan.netlist().gate_count();
             for k in 0..TOGGLE_PLANES {
                 count +=
                     (self.toggle_planes[k * n + net.0 as usize].bit(lane as u32) as u64) << k;
@@ -521,7 +492,7 @@ impl<W: LaneWord> MultiLaneSim<W> {
         // is already in toggle units.
         let mut total: u64 = self.toggle_wraps.iter().sum();
         if W::BITS != 64 {
-            let n = self.netlist.gate_count();
+            let n = self.plan.netlist().gate_count();
             for k in 0..TOGGLE_PLANES {
                 let bits: u64 = self.toggle_planes[k * n..(k + 1) * n]
                     .iter()
@@ -536,8 +507,8 @@ impl<W: LaneWord> MultiLaneSim<W> {
     /// Simulates one clock cycle of every stream in lockstep.
     pub fn step(&mut self) {
         // 1. Apply inputs, diffing against the old settled values.
-        for k in 0..self.input_ids.len() {
-            let i = self.input_ids[k] as usize;
+        for &i in self.plan.input_ids() {
+            let i = i as usize;
             let v = self.inputs[i];
             let t = v.xor(self.values[i]).and(self.lane_mask);
             self.values[i] = v;
@@ -641,12 +612,11 @@ impl<W: LaneWord> MultiLaneSim<W> {
         //    committed in ascending gate order, charging each edge as
         //    it commits and recording the toggle for the counter pass.
         self.edge_sample.clear();
-        for k in 0..self.dffs.len() {
-            let d = self.dffs[k].1;
+        for &(_, d) in self.plan.dffs() {
             self.edge_sample.push(self.values[d as usize]);
         }
-        for k in 0..self.dffs.len() {
-            let q = self.dffs[k].0 as usize;
+        for k in 0..self.plan.dffs().len() {
+            let q = self.plan.dffs()[k].0 as usize;
             let v = self.edge_sample[k];
             let t = v.xor(self.values[q]).and(self.lane_mask);
             if !t.is_zero() {
@@ -726,7 +696,7 @@ impl<W: LaneWord> MultiLaneSim<W> {
             }
             return;
         }
-        let n = self.netlist.gate_count();
+        let n = self.plan.netlist().gate_count();
         for k in 0..TOGGLE_PLANES {
             let row = &mut self.toggle_planes[k * n..(k + 1) * n];
             let mut live = 0u64;

@@ -112,6 +112,20 @@ fn every_kernel_reproduces_the_default_snapshot_on_all_systems() {
                         metrics.gate_evals > 0,
                         "{system}: kernel {name} reported no gate work"
                     );
+                    // The default run warmed the synthesis memo, so this
+                    // instance was built from a shared plan. The forced
+                    // kernel must still be the one that ran: the
+                    // oblivious sweep evaluates every gate every cycle,
+                    // strictly more than the event-driven default.
+                    if name == "oblivious" {
+                        assert!(
+                            metrics.gate_evals > want_metrics.gate_evals,
+                            "{system}: forced oblivious kernel did not run on a warm memo \
+                             ({} evals vs the default's {})",
+                            metrics.gate_evals,
+                            want_metrics.gate_evals
+                        );
+                    }
                 }
             }
         }
