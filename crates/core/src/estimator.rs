@@ -152,12 +152,22 @@ pub trait PowerEstimator: fmt::Debug {
     /// `(gate_evals, gate_events)` of the backend's simulator, when it
     /// has one. The master diffs this around each detailed firing to
     /// surface the gate kernel's work through the trace layer.
-    /// `gate_evals` counts kernel work units and varies by selected
-    /// kernel (a word-parallel evaluation covers up to 64 cycles);
-    /// `gate_events` counts committed per-cycle output changes and is
-    /// kernel-invariant. Defaults to `None` (no gate-level model).
+    /// `gate_evals` counts kernel work units actually performed: it
+    /// varies by selected kernel (a word-parallel evaluation covers up
+    /// to 64 cycles), and a firing the exact firing memo answered adds
+    /// none. `gate_events` counts committed per-cycle output changes
+    /// and is kernel- and memo-invariant (a memo hit adds the stored
+    /// firing's count). Defaults to `None` (no gate-level model).
     fn gate_stats(&self) -> Option<(u64, u64)> {
         None
+    }
+
+    /// Cumulative count of firings the backend's exact firing memo
+    /// answered without simulating (see [`gatesim::FiringMemoScope`]),
+    /// diffed by the master like [`PowerEstimator::gate_stats`].
+    /// Defaults to 0 (no memo).
+    fn gate_memo_hits(&self) -> u64 {
+        0
     }
 
     /// Provenance of the energies this backend produces when it answers
@@ -253,6 +263,10 @@ impl PowerEstimator for HwEstimator {
 
     fn gate_stats(&self) -> Option<(u64, u64)> {
         Some(self.hw.gate_stats())
+    }
+
+    fn gate_memo_hits(&self) -> u64 {
+        self.hw.memo_hits()
     }
 }
 

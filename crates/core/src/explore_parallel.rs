@@ -201,6 +201,12 @@ pub struct SweepReport<T> {
 /// returns `(point, eval_ms)` pairs in index order. `eval` returning
 /// `Ok(None)` marks an absent (skipped) point; an `Err` cancels indices
 /// above it and the lowest-indexed error is propagated (see module docs).
+///
+/// The sweep holds a [`gatesim::FiringMemoScope`] throughout, and each
+/// worker one on its own thread: the points replay the same hardware
+/// firings, so each distinct firing is simulated once and later points
+/// copy its result bit for bit. The caller's scope keeps the memo until
+/// the sweep returns.
 fn run_indexed<T, F>(
     total: usize,
     workers: NonZeroUsize,
@@ -211,6 +217,7 @@ where
     F: Fn(usize) -> Result<Option<T>, BuildEstimatorError> + Sync,
 {
     type Slot<T> = Option<Result<Option<(T, f64)>, BuildEstimatorError>>;
+    let _memo = gatesim::FiringMemoScope::enter();
     let workers = workers.get().min(total.max(1));
     let next = AtomicUsize::new(0);
     let min_err = AtomicUsize::new(usize::MAX);
@@ -219,24 +226,27 @@ where
         for _ in 0..workers {
             let tx = tx.clone();
             let (next, min_err, eval) = (&next, &min_err, &eval);
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                // Indices are claimed in increasing order, so once one is
-                // past the end or above a known failure, all later claims
-                // would be too: stop this worker.
-                if i >= total || i > min_err.load(Ordering::Acquire) {
-                    break;
-                }
-                let t0 = Instant::now();
-                let out = match eval(i) {
-                    Ok(point) => Ok(point.map(|p| (p, t0.elapsed().as_secs_f64() * 1e3))),
-                    Err(e) => {
-                        min_err.fetch_min(i, Ordering::AcqRel);
-                        Err(e)
+            s.spawn(move || {
+                let _memo = gatesim::FiringMemoScope::enter();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    // Indices are claimed in increasing order, so once one
+                    // is past the end or above a known failure, all later
+                    // claims would be too: stop this worker.
+                    if i >= total || i > min_err.load(Ordering::Acquire) {
+                        break;
                     }
-                };
-                if tx.send((i, out)).is_err() {
-                    break;
+                    let t0 = Instant::now();
+                    let out = match eval(i) {
+                        Ok(point) => Ok(point.map(|p| (p, t0.elapsed().as_secs_f64() * 1e3))),
+                        Err(e) => {
+                            min_err.fetch_min(i, Ordering::AcqRel);
+                            Err(e)
+                        }
+                    };
+                    if tx.send((i, out)).is_err() {
+                        break;
+                    }
                 }
             });
         }

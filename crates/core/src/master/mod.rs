@@ -886,6 +886,7 @@ impl CoSimulator {
             now: t,
         };
         let stats_before = self.estimators[idx].gate_stats();
+        let hits_before = self.estimators[idx].gate_memo_hits();
         let est = &mut self.estimators[idx];
         let inputs = FiringInputs {
             transition: fr.transition,
@@ -906,15 +907,29 @@ impl CoSimulator {
             firing_wall = t0.map(|t0| t0.elapsed());
             c
         });
+        let accel_wall = accel_t0.map(|t0| t0.elapsed());
+        // Gate-level activity behind this firing (zero when a layer
+        // answered without touching the simulator; zero evaluations but
+        // the stored events when the firing memo answered).
+        let (evals, events) = match (stats_before, self.estimators[idx].gate_stats()) {
+            (Some(before), Some(after)) => (
+                after.0.saturating_sub(before.0),
+                after.1.saturating_sub(before.1),
+            ),
+            _ => (0, 0),
+        };
+        let memo_hits = self.estimators[idx]
+            .gate_memo_hits()
+            .saturating_sub(hits_before);
         if prof_on {
-            let accel_wall = accel_t0.map(|t0| t0.elapsed());
             if let Some(wall) = firing_wall {
                 self.profiler.record(SpanKind::EstimatorFiring, Some(wall));
-                if ctx.is_hw {
-                    // A detailed HW firing *is* a gate-kernel run: the
-                    // same wall time, aggregated under its own kind so
-                    // kernel work is visible without double bookkeeping
-                    // in the simulator.
+                if evals > 0 {
+                    // A detailed firing that evaluated gates is a
+                    // gate-kernel run: the same wall time, aggregated
+                    // under its own kind so kernel work is visible
+                    // without double bookkeeping in the simulator. A
+                    // firing the memo answered ran no kernel.
                     self.profiler.record(SpanKind::GateSimKernel, Some(wall));
                 }
             }
@@ -924,21 +939,14 @@ impl CoSimulator {
             CostSource::Detailed => self.detailed_calls += 1,
             _ => self.accelerated_calls += 1,
         }
-        // Gate-level activity behind this firing (zero when a layer
-        // answered without touching the simulator).
-        if let (Some(before), Some(after)) =
-            (stats_before, self.estimators[idx].gate_stats())
-        {
-            let evals = after.0.saturating_sub(before.0);
-            let events = after.1.saturating_sub(before.1);
-            if evals > 0 || events > 0 {
-                self.tracer.emit(|| TraceRecord::GateActivity {
-                    at: t,
-                    process: p.0,
-                    evals,
-                    events,
-                });
-            }
+        if evals > 0 || events > 0 || memo_hits > 0 {
+            self.tracer.emit(|| TraceRecord::GateActivity {
+                at: t,
+                process: p.0,
+                evals,
+                events,
+                memo_hits,
+            });
         }
         (cost, source)
     }

@@ -22,7 +22,8 @@
 //!   word kernels to 128/256/512 lanes per op, and the width-erased
 //!   [`SimdLaneSim`] multi-stream simulator;
 //! * [`HwCfsm`] — CFSM transitions synthesized to FSMDs plus the
-//!   run protocol the co-simulation master uses.
+//!   run protocol the co-simulation master uses, with an exact memo of
+//!   repeated firings for design-space sweeps ([`FiringMemoScope`]).
 //!
 //! # Examples
 //!
@@ -49,6 +50,7 @@
 pub mod analysis;
 pub mod blif;
 pub mod bus;
+mod memo;
 mod netlist;
 mod power;
 mod sim;
@@ -62,5 +64,6 @@ pub use sim::{ParseKernelError, SimKernel, Simulator, WindowRun};
 pub use simd::{LaneWord, SimdLaneSim, Wide, W128, W256, W512};
 pub use word::{LaneSim, MultiLaneSim};
 pub use synth::{
-    clear_synth_cache, synth_cache_stats, HwCfsm, HwRun, HwTransition, SynthConfig, SynthError,
+    clear_synth_cache, firing_memo_stats, synth_cache_stats, FiringMemoScope, FiringMemoStats,
+    HwCfsm, HwRun, HwTransition, SynthConfig, SynthError,
 };

@@ -634,6 +634,121 @@ impl Simulator {
             .fold(0u64, |acc, (i, &n)| acc | ((self.value(n) as u64) << i))
     }
 
+    /// Whether no cycle has been simulated yet, so the constant-init
+    /// quirk's seeds (see `SimPlan::const1_fanout`) are still queued.
+    fn is_fresh(&self) -> bool {
+        self.cycle == 0
+    }
+
+    /// Appends the compact state the firing memo keys an event-driven
+    /// instance on: the [`PowerConfig`] bits, the fresh flag, every DFF
+    /// value, which DFFs changed at the last clock edge, and every
+    /// primary input's settled and forced value.
+    ///
+    /// Exact because after any cycle the combinational nets are a full
+    /// settle of the pre-edge flops (the DFF values with the changed
+    /// ones flipped back) and the input nets, and the dirty queue is
+    /// empty — except on a fresh instance, whose reset state is fixed.
+    /// Together with the inputs a firing forces later, these bits
+    /// determine the instance's whole future.
+    pub(crate) fn pack_memo_key(&self, key: &mut Vec<u64>) {
+        debug_assert_eq!(self.kernel, SimKernel::EventDriven);
+        let plan = &*self.plan;
+        // Destructured, so a new power parameter cannot miss the key.
+        let PowerConfig {
+            vdd,
+            cap_per_fanout_ff,
+            clock_cap_per_dff_ff,
+        } = self.config;
+        key.extend([
+            vdd.to_bits(),
+            cap_per_fanout_ff.to_bits(),
+            clock_cap_per_dff_ff.to_bits(),
+            u64::from(self.is_fresh()),
+        ]);
+        push_bits(key, plan.dffs.iter().map(|&(q, _)| self.values[q as usize]));
+        self.pack_edge(key);
+        push_bits(key, plan.input_ids.iter().map(|&i| self.values[i as usize]));
+        push_bits(key, plan.input_ids.iter().map(|&i| self.inputs[i as usize]));
+    }
+
+    /// Words [`Simulator::pack_memo_post`] appends.
+    pub(crate) fn memo_post_words(&self) -> usize {
+        let plan = &*self.plan;
+        self.values.len().div_ceil(64)
+            + plan.input_ids.len().div_ceil(64)
+            + plan.dffs.len().div_ceil(64)
+    }
+
+    /// Appends the state a memo hit restores after a firing: every net
+    /// value, the forced inputs, and which DFFs changed at the last edge.
+    pub(crate) fn pack_memo_post(&self, out: &mut Vec<u64>) {
+        push_bits(out, self.values.iter().copied());
+        push_bits(
+            out,
+            self.plan.input_ids.iter().map(|&i| self.inputs[i as usize]),
+        );
+        self.pack_edge(out);
+    }
+
+    /// Restores a state written by [`Simulator::pack_memo_post`] in place
+    /// of simulating the `cycles` it summarizes, and books those cycles
+    /// and their `events` net changes. Gate evaluations stay unbooked
+    /// (none were performed), as do the per-net toggle counters and the
+    /// per-cycle energy history.
+    pub(crate) fn restore_memo_post(&mut self, post: &[u64], cycles: u64, events: u64) {
+        debug_assert_eq!(self.kernel, SimKernel::EventDriven);
+        if self.is_fresh() {
+            // The restored state already includes the quirk's settle.
+            for bucket in &mut self.level_queue {
+                for &g in bucket.iter() {
+                    self.in_queue[g as usize] = false;
+                }
+                bucket.clear();
+            }
+        }
+        let plan = &*self.plan;
+        let (values, rest) = post.split_at(self.values.len().div_ceil(64));
+        let (inputs, edge) = rest.split_at(plan.input_ids.len().div_ceil(64));
+        for (chunk, &w) in self.values.chunks_mut(64).zip(values) {
+            for (j, v) in chunk.iter_mut().enumerate() {
+                *v = (w >> j) & 1 == 1;
+            }
+        }
+        for (k, &i) in plan.input_ids.iter().enumerate() {
+            self.inputs[i as usize] = bit_at(inputs, k);
+        }
+        self.pending_edge.clear();
+        for (k, &(q, _)) in plan.dffs.iter().enumerate() {
+            if bit_at(edge, k) {
+                self.pending_edge.push(q);
+            }
+        }
+        self.cycle += cycles;
+        self.gate_events += events;
+    }
+
+    /// Appends one bit per DFF: whether its output changed at the last
+    /// clock edge (`pending_edge` lists those outputs in DFF order).
+    fn pack_edge(&self, out: &mut Vec<u64>) {
+        let mut changed = self.pending_edge.iter().peekable();
+        push_bits(
+            out,
+            self.plan
+                .dffs
+                .iter()
+                .map(|&(q, _)| changed.next_if_eq(&&q).is_some()),
+        );
+        debug_assert!(changed.next().is_none(), "pending_edge not in DFF order");
+    }
+
+    /// Drops the per-cycle energy history, keeping its capacity. For
+    /// owners that read each cycle's energy as it is produced and need
+    /// no history beyond it.
+    pub(crate) fn clear_history(&mut self) {
+        self.report.per_cycle_j.clear();
+    }
+
     /// Simulates one clock cycle with the currently forced inputs and
     /// returns the cycle's energy in joules.
     ///
@@ -1330,6 +1445,29 @@ fn settle_full(netlist: &Netlist, order: &[NetId], values: &mut [bool]) {
             _ => {}
         }
     }
+}
+
+/// Appends `bits` packed 64 to a word: bit `k % 64` of word `k / 64`.
+fn push_bits(out: &mut Vec<u64>, bits: impl Iterator<Item = bool>) {
+    let mut word = 0u64;
+    let mut k = 0u32;
+    for b in bits {
+        word |= u64::from(b) << k;
+        k += 1;
+        if k == 64 {
+            out.push(word);
+            word = 0;
+            k = 0;
+        }
+    }
+    if k > 0 {
+        out.push(word);
+    }
+}
+
+/// Bit `k` of words packed by [`push_bits`].
+fn bit_at(words: &[u64], k: usize) -> bool {
+    (words[k / 64] >> (k % 64)) & 1 == 1
 }
 
 /// Reads net `i`'s lane word from the flat window lane buffer.

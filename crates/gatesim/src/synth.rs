@@ -33,13 +33,17 @@ use crate::bus::{
     adder, bitwise, bitwise_not, const_bus, equal, input_bus, less_than_signed, mask_to_width,
     multiplier, negate, nonzero, shift_left_const, shift_right_const, sign_extend, Bus,
 };
+use crate::memo::{hash_key, FiringMemo};
 use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
 use crate::power::PowerConfig;
 use crate::sim::{SimKernel, SimPlan, Simulator};
 use cfsm::{BinOp, Cfsm, EventId, Expr, Stmt, Terminator, TransitionId, UnOp, VarId};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Synthesis parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,17 +223,19 @@ struct Ports {
     mem_wdata: Bus,
 }
 
-/// The immutable product of synthesizing one transition: the simulation
-/// plan (the netlist plus everything derived from it alone) and the port
-/// map. Shared via the global synthesis memo, so every exploration point
-/// (and every simulator instance) evaluating the same behavioral spec at
-/// the same synthesis parameters holds one copy.
+/// The product of synthesizing one transition: the simulation plan (the
+/// netlist plus everything derived from it alone), the port map, and the
+/// transition's exact firing memo. Shared via the global synthesis memo,
+/// so every exploration point (and every simulator instance) evaluating
+/// the same behavioral spec at the same synthesis parameters holds one
+/// copy. Everything but the memo is immutable.
 #[derive(Debug)]
 struct SynthesizedTransition {
     plan: Arc<SimPlan>,
     ports: Ports,
     gate_count: usize,
     segment_count: usize,
+    memo: Mutex<FiringMemo>,
 }
 
 /// The global synthesis memo plus its hit/miss counters.
@@ -270,15 +276,105 @@ pub fn synth_cache_stats() -> (u64, u64) {
     (cache.hits, cache.misses)
 }
 
-/// Empties the global synthesis memo — netlists and the simulation plans
-/// built from them — and zeroes its counters. Only benchmarks isolating
-/// cold-vs-warm synthesis need this; correctness never depends on the
-/// cache's contents.
+/// Empties the global synthesis memo — netlists, the simulation plans
+/// built from them, and the firing memos with their storage — and zeroes
+/// its counters, those of [`firing_memo_stats`] included. Only
+/// benchmarks isolating cold-vs-warm synthesis need this; correctness
+/// never depends on the cache's contents.
 pub fn clear_synth_cache() {
     let mut cache = lock_synth_cache();
     cache.map.clear();
     cache.hits = 0;
     cache.misses = 0;
+}
+
+fn lock_memo(memo: &Mutex<FiringMemo>) -> MutexGuard<'_, FiringMemo> {
+    // Every update leaves the memo valid (an entry is linked into the
+    // index only once complete), so a panicked holder harms nothing.
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Live [`FiringMemoScope`]s, process-wide.
+static FIRING_MEMO_SCOPES: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Live [`FiringMemoScope`]s entered on this thread.
+    static THREAD_MEMO_SCOPES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Whether firings on this thread consult their transition's memo.
+fn firing_memo_in_scope() -> bool {
+    THREAD_MEMO_SCOPES.with(|n| n.get() > 0)
+}
+
+/// Keeps the exact firing memo in use on the current thread for as long
+/// as it lives.
+///
+/// While a scope is alive on a thread, every event-driven
+/// [`HwTransition`] fired on that thread looks each firing up in its
+/// synthesized transition's memo and, on a hit, copies the stored
+/// post-firing state into its simulator instead of stepping; a miss is
+/// simulated and stored. Results are bit-identical either way, and
+/// firings on threads without a scope keep simulating. Design-space
+/// sweeps hold one on each worker for their duration, since their points
+/// replay the same firings. When the last scope in the process drops,
+/// every memo is emptied in place, keeping its storage for the next
+/// sweep.
+#[derive(Debug)]
+#[must_use = "the firing memo is consulted only while the scope is alive"]
+pub struct FiringMemoScope {
+    /// Not `Send`: the scope counts on the thread that entered it.
+    _thread: PhantomData<*const ()>,
+}
+
+impl FiringMemoScope {
+    /// Opens a scope on the current thread.
+    pub fn enter() -> Self {
+        FIRING_MEMO_SCOPES.fetch_add(1, Ordering::SeqCst);
+        THREAD_MEMO_SCOPES.with(|n| n.set(n.get() + 1));
+        FiringMemoScope {
+            _thread: PhantomData,
+        }
+    }
+}
+
+impl Drop for FiringMemoScope {
+    fn drop(&mut self) {
+        THREAD_MEMO_SCOPES.with(|n| n.set(n.get() - 1));
+        if FIRING_MEMO_SCOPES.fetch_sub(1, Ordering::SeqCst) == 1 {
+            let cache = lock_synth_cache();
+            for t in cache.map.values() {
+                lock_memo(&t.memo).empty();
+            }
+        }
+    }
+}
+
+/// Counters of the exact firing memo, summed over the transitions in
+/// the synthesis memo (see [`firing_memo_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FiringMemoStats {
+    /// Firings answered from a memo.
+    pub hits: u64,
+    /// Memo lookups that found no entry, so the firing was simulated.
+    pub misses: u64,
+    /// Bytes of entries held now (zero while no [`FiringMemoScope`] is
+    /// alive in the process).
+    pub bytes: usize,
+}
+
+/// Hits and misses of the firing memos since process start (or the last
+/// [`clear_synth_cache`]), and the bytes their entries hold now.
+pub fn firing_memo_stats() -> FiringMemoStats {
+    let cache = lock_synth_cache();
+    cache.map.values().fold(FiringMemoStats::default(), |s, t| {
+        let m = lock_memo(&t.memo);
+        FiringMemoStats {
+            hits: s.hits + m.hits(),
+            misses: s.misses + m.misses(),
+            bytes: s.bytes + m.bytes(),
+        }
+    })
 }
 
 /// One synthesized, simulatable transition.
@@ -296,6 +392,10 @@ pub struct HwTransition {
     shared: Arc<SynthesizedTransition>,
     sim: Simulator,
     width: usize,
+    /// Scratch for the firing memo's key, reused across firings.
+    memo_key: Vec<u64>,
+    /// Firings answered by the firing memo.
+    memo_hits: u64,
 }
 
 /// The result of running one transition on the gate-level simulator.
@@ -317,9 +417,32 @@ pub struct HwRun {
 const MAX_RUN_CYCLES: u64 = 50_000_000;
 
 impl HwTransition {
+    /// A fresh instance over a shared synthesized transition, running
+    /// the `forced` kernel or else [`SimKernel::choose`]'s structural one.
+    fn instantiate(
+        shared: Arc<SynthesizedTransition>,
+        power: &PowerConfig,
+        forced: Option<SimKernel>,
+        width: usize,
+    ) -> Self {
+        let sim = Simulator::from_plan(Arc::clone(&shared.plan), power.clone(), forced);
+        HwTransition {
+            shared,
+            sim,
+            width,
+            memo_key: Vec::new(),
+            memo_hits: 0,
+        }
+    }
+
     /// Runs the transition: `vars_in` are the live variable values,
     /// `event_value` supplies triggering event values, `mem_reads` the
     /// ordered functional read data (from the behavioral execution).
+    ///
+    /// Inside a [`FiringMemoScope`] on the calling thread, an
+    /// event-driven instance answers a firing it finds in the
+    /// transition's memo by copying the stored post-firing state instead
+    /// of stepping (bit-identical results).
     ///
     /// # Panics
     ///
@@ -331,20 +454,65 @@ impl HwTransition {
         event_value: &dyn Fn(EventId) -> i64,
         mem_reads: &[i64],
     ) -> HwRun {
-        if self.sim.kernel().is_windowed() {
-            return self.run_word(vars_in, event_value, mem_reads);
+        let w = self.width;
+        let ports = &self.shared.ports;
+        // Load-cycle inputs.
+        self.sim.set_input(ports.start, false);
+        self.sim.set_input(ports.load, true);
+        for (v, bus) in ports.var_in.iter().enumerate() {
+            self.sim
+                .set_input_bus(bus.nets(), mask_to_width(vars_in[v], w));
         }
+        for (&e, bus) in &ports.ev_in {
+            self.sim
+                .set_input_bus(bus.nets(), mask_to_width(event_value(e), w));
+        }
+        let run = match self.sim.kernel() {
+            k if k.is_windowed() => self.run_word(mem_reads),
+            SimKernel::EventDriven if firing_memo_in_scope() => self.run_memoized(mem_reads),
+            _ => self.run_scalar(mem_reads),
+        };
+        // The run protocols read each cycle's energy as it is produced;
+        // nothing needs the history afterwards.
+        self.sim.clear_history();
+        run
+    }
+
+    /// [`HwTransition::run_scalar`] behind the transition's firing memo:
+    /// the key is the simulator's compact state
+    /// ([`Simulator::pack_memo_key`], after the load-cycle inputs are
+    /// forced) plus the width-masked `mem_reads`.
+    fn run_memoized(&mut self, mem_reads: &[i64]) -> HwRun {
+        let mut key = std::mem::take(&mut self.memo_key);
+        key.clear();
+        self.sim.pack_memo_key(&mut key);
+        key.push(mem_reads.len() as u64);
+        key.extend(mem_reads.iter().map(|&r| mask_to_width(r, self.width)));
+        let hash = hash_key(&key);
+        let hit = lock_memo(&self.shared.memo).lookup(hash, &key, &mut self.sim);
+        let run = match hit {
+            Some(run) => {
+                self.memo_hits += 1;
+                run
+            }
+            None => {
+                let events = self.sim.gate_events();
+                let run = self.run_scalar(mem_reads);
+                let events = self.sim.gate_events() - events;
+                lock_memo(&self.shared.memo).admit(hash, &key, &run, events, &self.sim);
+                run
+            }
+        };
+        self.memo_key = key;
+        run
+    }
+
+    /// The scalar run protocol from the load cycle on, with the load
+    /// cycle's inputs already forced by [`HwTransition::run`].
+    fn run_scalar(&mut self, mem_reads: &[i64]) -> HwRun {
         let w = self.width;
         let sim = &mut self.sim;
         // Load cycle.
-        sim.set_input(self.shared.ports.start, false);
-        sim.set_input(self.shared.ports.load, true);
-        for (v, bus) in self.shared.ports.var_in.iter().enumerate() {
-            sim.set_input_bus(bus.nets(), mask_to_width(vars_in[v], w));
-        }
-        for (&e, bus) in &self.shared.ports.ev_in {
-            sim.set_input_bus(bus.nets(), mask_to_width(event_value(e), w));
-        }
         let mut energy = sim.step();
         let mut cycles = 1u64;
         // Start handshake cycle.
@@ -429,24 +597,12 @@ impl HwTransition {
     /// through the window lanes (all of them are combinational nets).
     /// Per-cycle energies are re-folded from the report so the float
     /// accumulation order matches the scalar `energy += step()` chain.
-    fn run_word(
-        &mut self,
-        vars_in: &[i64],
-        event_value: &dyn Fn(EventId) -> i64,
-        mem_reads: &[i64],
-    ) -> HwRun {
+    fn run_word(&mut self, mem_reads: &[i64]) -> HwRun {
         let w = self.width;
         let sim = &mut self.sim;
-        // Load cycle, then the start handshake cycle: single scalar
-        // steps (one-cycle windows are bit-identical to scalar steps).
-        sim.set_input(self.shared.ports.start, false);
-        sim.set_input(self.shared.ports.load, true);
-        for (v, bus) in self.shared.ports.var_in.iter().enumerate() {
-            sim.set_input_bus(bus.nets(), mask_to_width(vars_in[v], w));
-        }
-        for (&e, bus) in &self.shared.ports.ev_in {
-            sim.set_input_bus(bus.nets(), mask_to_width(event_value(e), w));
-        }
+        // Load cycle (inputs forced by `run`), then the start handshake
+        // cycle: single scalar steps (one-cycle windows are bit-identical
+        // to scalar steps).
         let mut energy = sim.step();
         let mut cycles = 1u64;
         sim.set_input(self.shared.ports.load, false);
@@ -525,7 +681,9 @@ impl HwTransition {
     /// integration architecture changes component power "even though the
     /// HW and SW parts are unchanged" (§5.3); this is that mechanism.
     pub fn idle_step(&mut self, cycles: u64) -> f64 {
-        self.sim.run(cycles)
+        let energy = self.sim.run(cycles);
+        self.sim.clear_history();
+        energy
     }
 
     /// Clock-tree energy per idle cycle, joules (the analytic equivalent
@@ -551,8 +709,17 @@ impl HwTransition {
     }
 
     /// `(gate_evals, gate_events)` of this instance's simulator so far.
+    /// `gate_evals` counts gate evaluations actually performed, so a
+    /// firing the memo answered adds none; `gate_events` counts net value
+    /// changes and is kernel- and memo-invariant (a memo hit adds the
+    /// stored firing's count).
     pub fn gate_stats(&self) -> (u64, u64) {
         (self.sim.gate_evals(), self.sim.gate_events())
+    }
+
+    /// Firings of this instance answered by the firing memo.
+    pub fn memo_hits(&self) -> u64 {
+        self.memo_hits
     }
 }
 
@@ -643,12 +810,17 @@ impl HwCfsm {
     }
 
     /// Total `(gate_evals, gate_events)` across all transitions'
-    /// simulators.
+    /// simulators (see [`HwTransition::gate_stats`]).
     pub fn gate_stats(&self) -> (u64, u64) {
         self.transitions.iter().fold((0, 0), |(evals, events), t| {
             let (e, v) = t.gate_stats();
             (evals + e, events + v)
         })
+    }
+
+    /// Total firings answered by the firing memo across all transitions.
+    pub fn memo_hits(&self) -> u64 {
+        self.transitions.iter().map(HwTransition::memo_hits).sum()
     }
 
     /// Total gates across all transitions.
@@ -854,12 +1026,12 @@ fn synthesize_transition(
         }
     };
     let forced = SimKernel::env_override().map_err(ValidateNetlistError::from)?;
-    let sim = Simulator::from_plan(Arc::clone(&shared.plan), power.clone(), forced);
-    Ok(HwTransition {
+    Ok(HwTransition::instantiate(
         shared,
-        sim,
-        width: config.width,
-    })
+        power,
+        forced,
+        config.width,
+    ))
 }
 
 /// Structural synthesis proper: builds the netlist, its simulation plan,
@@ -1136,6 +1308,7 @@ fn build_transition(
         },
         gate_count,
         segment_count: n_segs,
+        memo: Mutex::default(),
     })
 }
 
@@ -1160,6 +1333,10 @@ mod tests {
     }
 
     fn synth_single(body: Cfg, n_vars: usize) -> HwCfsm {
+        synth_with(body, n_vars, &power())
+    }
+
+    fn synth_with(body: Cfg, n_vars: usize, power: &PowerConfig) -> HwCfsm {
         let mut b = Cfsm::builder("t");
         let s = b.state("s");
         for v in 0..n_vars {
@@ -1167,7 +1344,43 @@ mod tests {
         }
         b.transition(s, vec![EventId(0)], None, body, s);
         let m = b.finish().expect("valid machine");
-        HwCfsm::synthesize(&m, &SynthConfig::with_width(16), &power()).expect("synthesizable")
+        HwCfsm::synthesize(&m, &SynthConfig::with_width(16), power).expect("synthesizable")
+    }
+
+    /// Reads, writes, and emits memory, so every observable of a firing
+    /// depends on the simulator state it starts from. `k` makes the body
+    /// (and so its synthesized transition and firing memo) distinct.
+    fn stateful_body(k: i64) -> Cfg {
+        Cfg::straight_line(vec![
+            Stmt::MemRead {
+                var: VarId(1),
+                addr: Expr::Var(VarId(0)),
+            },
+            Stmt::Assign {
+                var: VarId(0),
+                expr: Expr::bin(BinOp::Xor, Expr::Var(VarId(0)), Expr::Var(VarId(1))),
+            },
+            Stmt::Emit {
+                event: EventId(1),
+                value: Some(Expr::add(Expr::Var(VarId(0)), Expr::Const(k))),
+            },
+            Stmt::MemWrite {
+                addr: Expr::Const(4),
+                value: Expr::Var(VarId(0)),
+            },
+        ])
+    }
+
+    /// One firing of a `stateful_body` transition with the energy as bits.
+    fn fire_bits(t: &mut HwTransition, v0: i64, read: i64) -> (u64, HwRun) {
+        let run = t.run(&[v0, 0], &|_| 0, &[read]);
+        (run.energy_j.to_bits(), run)
+    }
+
+    /// `(hits, misses, bytes)` of one transition's firing memo.
+    fn memo_of(t: &HwTransition) -> (u64, u64, usize) {
+        let m = lock_memo(&t.shared.memo);
+        (m.hits(), m.misses(), m.bytes())
     }
 
     #[test]
@@ -1416,26 +1629,7 @@ mod tests {
     #[test]
     fn memoized_instances_have_independent_state() {
         let _memo = memo_lock();
-        // Reads, writes, and emits memory so every observable of a
-        // firing depends on the simulator state it starts from.
-        let body = Cfg::straight_line(vec![
-            Stmt::MemRead {
-                var: VarId(1),
-                addr: Expr::Var(VarId(0)),
-            },
-            Stmt::Assign {
-                var: VarId(0),
-                expr: Expr::bin(BinOp::Xor, Expr::Var(VarId(0)), Expr::Var(VarId(1))),
-            },
-            Stmt::Emit {
-                event: EventId(1),
-                value: Some(Expr::add(Expr::Var(VarId(0)), Expr::Const(3))),
-            },
-            Stmt::MemWrite {
-                addr: Expr::Const(4),
-                value: Expr::Var(VarId(0)),
-            },
-        ]);
+        let body = stateful_body(3);
         let fire = |hw: &mut HwCfsm, v0: i64, read: i64| {
             let run = hw
                 .transition_mut(TransitionId(0))
@@ -1526,5 +1720,196 @@ mod tests {
         let _second = synth_single(body, 1);
         let (hits_after, _) = synth_cache_stats();
         assert!(hits_after > hits_before);
+    }
+
+    #[test]
+    fn memoized_firings_match_simulated_ones_bit_for_bit() {
+        let _memo = memo_lock();
+        let body = stateful_body(11);
+        // Few distinct values, so the seeded sequence revisits states;
+        // idle steps in between move the state off the firing path.
+        let mut rng = detrand::Rng::new(50);
+        let steps: Vec<(i64, i64, u64)> = (0..50)
+            .map(|_| {
+                (
+                    *rng.choose(&[0, 0x7FFF, 0x1234]),
+                    *rng.choose(&[0x55, 0xAA]),
+                    *rng.choose(&[0, 0, 1, 7]),
+                )
+            })
+            .collect();
+        let replay = |hw: &mut HwCfsm| {
+            let mut out = Vec::new();
+            for &(v0, read, idle) in &steps {
+                let (bits, run) = fire_bits(hw.transition_mut(TransitionId(0)), v0, read);
+                let idle_bits = hw.transition_mut(TransitionId(0)).idle_step(idle).to_bits();
+                out.push((bits, run, idle_bits, hw.gate_stats().1));
+            }
+            out
+        };
+        // Outside any scope every firing is simulated.
+        let mut plain = synth_single(body.clone(), 2);
+        let want = replay(&mut plain);
+        assert_eq!(plain.memo_hits(), 0);
+
+        let _scope = FiringMemoScope::enter();
+        let mut first = synth_single(body.clone(), 2);
+        assert_eq!(replay(&mut first), want);
+        assert!(first.memo_hits() > 0, "the sequence revisits states");
+        let mut second = synth_single(body, 2);
+        assert_eq!(replay(&mut second), want);
+        assert_eq!(
+            second.memo_hits(),
+            50,
+            "the first pass admitted every firing"
+        );
+        // Evaluations count work done: only the idle steps evaluated.
+        assert!(second.gate_stats().0 < plain.gate_stats().0);
+    }
+
+    #[test]
+    fn firings_differing_in_any_key_part_miss() {
+        let _memo = memo_lock();
+        let body = stateful_body(22);
+        let _scope = FiringMemoScope::enter();
+        let fresh = |power: &PowerConfig| synth_with(body.clone(), 2, power);
+        let t0 = TransitionId(0);
+        let mut base = fresh(&power());
+        let (base_bits, _) = fire_bits(base.transition_mut(t0), 0x100, 0x5A);
+        let (hits, misses, _) = memo_of(base.transition(t0));
+        // The identical fresh firing hits...
+        let mut same = fresh(&power());
+        assert_eq!(fire_bits(same.transition_mut(t0), 0x100, 0x5A).0, base_bits);
+        assert_eq!(same.memo_hits(), 1);
+        // ...and each single difference misses: one forced input bit,
+        // one read value, the power parameters, and a settled instance
+        // whose flops and inputs equal the fresh ones (idle cycles from
+        // reset move neither, only the constant-init quirk settles).
+        let mut bit = fresh(&power());
+        fire_bits(bit.transition_mut(t0), 0x101, 0x5A);
+        let mut read = fresh(&power());
+        fire_bits(read.transition_mut(t0), 0x100, 0x5B);
+        let mut volts = fresh(&PowerConfig {
+            vdd: 1.8,
+            ..power()
+        });
+        fire_bits(volts.transition_mut(t0), 0x100, 0x5A);
+        let mut settled = fresh(&power());
+        settled.transition_mut(t0).idle_step(2);
+        let (settled_bits, _) = fire_bits(settled.transition_mut(t0), 0x100, 0x5A);
+        assert_ne!(
+            settled_bits, base_bits,
+            "the quirk's settle is part of the fresh firing"
+        );
+        for hw in [&bit, &read, &volts, &settled] {
+            assert_eq!(hw.memo_hits(), 0);
+        }
+        let (hits_now, misses_now, _) = memo_of(base.transition(t0));
+        assert_eq!((hits_now, misses_now), (hits + 1, misses + 4));
+    }
+
+    #[test]
+    fn admission_stops_at_the_byte_budget() {
+        let _memo = memo_lock();
+        let body = stateful_body(33);
+        let t0 = TransitionId(0);
+        let mut plain = synth_single(body.clone(), 2);
+        let want: Vec<u64> = (0..600)
+            .map(|k| fire_bits(plain.transition_mut(t0), k, k ^ 0x3C).0)
+            .collect();
+        let _scope = FiringMemoScope::enter();
+        let mut hw = synth_single(body, 2);
+        let mut refused = 0;
+        let mut held = 0;
+        for (k, &bits) in (0..600).zip(&want) {
+            // Distinct inputs every time: every firing misses.
+            assert_eq!(fire_bits(hw.transition_mut(t0), k, k ^ 0x3C).0, bits);
+            let (_, _, bytes) = memo_of(hw.transition(t0));
+            let capacity = lock_memo(&hw.transition(t0).shared.memo).capacity_bytes();
+            assert!(bytes <= crate::memo::BUDGET_BYTES && capacity <= crate::memo::BUDGET_BYTES);
+            if bytes == held {
+                refused += 1;
+            }
+            held = bytes;
+        }
+        assert_eq!(hw.memo_hits(), 0);
+        assert!(refused > 0, "the budget filled ({held} bytes held)");
+    }
+
+    #[test]
+    fn the_last_scope_empties_the_memo_and_clearing_frees_it() {
+        let _memo = memo_lock();
+        let body = stateful_body(44);
+        let t0 = TransitionId(0);
+        let outer = FiringMemoScope::enter();
+        let inner = FiringMemoScope::enter();
+        let mut hw = synth_single(body, 2);
+        fire_bits(hw.transition_mut(t0), 1, 2);
+        fire_bits(hw.transition_mut(t0), 3, 4);
+        let (_, misses, held) = memo_of(hw.transition(t0));
+        assert!(held > 0 && misses >= 2);
+        drop(inner);
+        assert_eq!(memo_of(hw.transition(t0)).2, held, "a scope is still alive");
+        drop(outer);
+        // Emptied in place: no entries, the storage kept, counters kept.
+        assert_eq!(memo_of(hw.transition(t0)), (0, misses, 0));
+        assert!(lock_memo(&hw.transition(t0).shared.memo).capacity_bytes() >= held);
+        assert_eq!(firing_memo_stats().bytes, 0);
+        assert!(firing_memo_stats().misses >= misses);
+        let memo = Arc::downgrade(&hw.transition(t0).shared);
+        clear_synth_cache();
+        assert_eq!(firing_memo_stats(), FiringMemoStats::default());
+        drop(hw);
+        assert!(
+            memo.upgrade().is_none(),
+            "the memo went with its transition"
+        );
+    }
+
+    #[test]
+    fn threads_without_a_scope_keep_simulating() {
+        let _memo = memo_lock();
+        let body = stateful_body(66);
+        let t0 = TransitionId(0);
+        let _scope = FiringMemoScope::enter();
+        let mut scoped = synth_single(body.clone(), 2);
+        let (want, _) = fire_bits(scoped.transition_mut(t0), 0x66, 0x11);
+        // The firing is admitted, yet a thread holding no scope of its
+        // own simulates it and leaves the memo untouched.
+        let before = memo_of(scoped.transition(t0));
+        let (got, hits) = std::thread::spawn(move || {
+            let mut other = synth_single(body, 2);
+            let (bits, _) = fire_bits(other.transition_mut(t0), 0x66, 0x11);
+            (bits, other.memo_hits())
+        })
+        .join()
+        .expect("firing thread");
+        assert_eq!((got, hits), (want, 0));
+        assert_eq!(memo_of(scoped.transition(t0)), before);
+    }
+
+    #[test]
+    fn forced_kernels_never_consult_the_memo() {
+        let _memo = memo_lock();
+        let body = stateful_body(55);
+        let t0 = TransitionId(0);
+        let _scope = FiringMemoScope::enter();
+        let mut event = synth_single(body, 2);
+        let (want, _) = fire_bits(event.transition_mut(t0), 0x77, 0x33);
+        let shared = Arc::clone(&event.transition(t0).shared);
+        // The event-driven firing was admitted, so a consulting instance
+        // would hit on this fresh firing.
+        for kernel in [
+            SimKernel::Oblivious,
+            SimKernel::WordParallel,
+            SimKernel::Simd,
+        ] {
+            let mut t = HwTransition::instantiate(Arc::clone(&shared), &power(), Some(kernel), 16);
+            let before = memo_of(&t);
+            assert_eq!(fire_bits(&mut t, 0x77, 0x33).0, want, "{kernel:?}");
+            assert_eq!(memo_of(&t), before, "{kernel:?} consulted the memo");
+            assert_eq!(t.memo_hits(), 0);
+            assert!(t.gate_stats().0 > 0, "{kernel:?} simulated");
+        }
     }
 }

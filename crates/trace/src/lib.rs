@@ -205,13 +205,15 @@ pub enum TraceRecord {
         process: u32,
     },
     /// Gate-level simulation activity behind one detailed firing: how
-    /// many combinational gates the power simulator evaluated and how
-    /// many net-value events it observed.
+    /// many combinational gates the power simulator evaluated, how many
+    /// net-value events it observed, and how many firings the exact
+    /// firing memo answered without simulating.
     ///
-    /// `evals` counts kernel *work units* and so depends on the
-    /// selected gate-simulation kernel (a word-parallel evaluation
-    /// covers up to 64 cycles in one unit); `events` counts committed
-    /// per-cycle gate output changes and is kernel-invariant — it is
+    /// `evals` counts kernel *work units* actually performed and so
+    /// depends on the selected gate-simulation kernel (a word-parallel
+    /// evaluation covers up to 64 cycles in one unit) and on the memo
+    /// (a hit evaluates nothing); `events` counts committed per-cycle
+    /// gate output changes and is kernel- and memo-invariant — it is
     /// the number to compare across `GATESIM_KERNEL` selections.
     GateActivity {
         /// Simulation time, cycles.
@@ -219,10 +221,12 @@ pub enum TraceRecord {
         /// Process index.
         process: u32,
         /// Combinational gate evaluations performed (kernel work
-        /// units; kernel-dependent).
+        /// units; kernel- and memo-dependent).
         evals: u64,
-        /// Net value changes observed (kernel-invariant).
+        /// Net value changes observed (kernel- and memo-invariant).
         events: u64,
+        /// Firings answered by the firing memo.
+        memo_hits: u64,
     },
     /// A component's power-management state changed (gate closed after
     /// the idle timeout, or the component woke to fire).
@@ -336,9 +340,9 @@ impl TraceRecord {
             TraceRecord::KernelEvent { at, process } => {
                 format!("{{\"kind\":\"{kind}\",\"at\":{at},\"process\":{process}}}")
             }
-            TraceRecord::GateActivity { at, process, evals, events } => format!(
+            TraceRecord::GateActivity { at, process, evals, events, memo_hits } => format!(
                 "{{\"kind\":\"{kind}\",\"at\":{at},\"process\":{process},\"evals\":{evals},\
-                 \"events\":{events}}}"
+                 \"events\":{events},\"memo_hits\":{memo_hits}}}"
             ),
             TraceRecord::PowerTransition { at, process, from, to } => format!(
                 "{{\"kind\":\"{kind}\",\"at\":{at},\"process\":{process},\"from\":\"{from}\",\
@@ -457,12 +461,17 @@ pub struct MetricsSink {
     /// Combinational gate evaluations behind observed detailed
     /// firings. Kernel work units: the word-parallel kernel covers up
     /// to 64 cycles per evaluation, so this aggregate depends on the
-    /// selected gate-simulation kernel.
+    /// selected gate-simulation kernel, and firings the firing memo
+    /// answered add none.
     pub gate_evals: u64,
     /// Gate-level net value changes behind observed detailed firings.
     /// Kernel-invariant: identical under every `GATESIM_KERNEL`
     /// selection, so cross-kernel runs stay comparable on this column.
+    /// Memo-invariant too.
     pub gate_events: u64,
+    /// Detailed hardware firings the exact firing memo answered without
+    /// simulating (they add to `gate_events`, not to `gate_evals`).
+    pub gate_memo_hits: u64,
     /// Power-management state transitions observed.
     pub power_transitions: u64,
     /// Power-state residency settled by observed transitions: cycles
@@ -565,7 +574,8 @@ impl MetricsSink {
              \"bus_grants\": {}, \"bus_words\": {}, \
              \"icache_batches\": {}, \"icache_fetches\": {}, \"faults_injected\": {}, \
              \"watchdog_trips\": {}, \"gate_evals\": {}, \"gate_events\": {}, \
-             \"power_transitions\": {}, \"state_cycles\": {{{residency}}}}}",
+             \"gate_memo_hits\": {}, \"power_transitions\": {}, \
+             \"state_cycles\": {{{residency}}}}}",
             self.records,
             self.firings,
             self.detailed_calls,
@@ -582,6 +592,7 @@ impl MetricsSink {
             self.watchdog_trips,
             self.gate_evals,
             self.gate_events,
+            self.gate_memo_hits,
             self.power_transitions,
         )
     }
@@ -623,9 +634,15 @@ impl TraceSink for MetricsSink {
             TraceRecord::FaultInjected { .. } => self.faults_injected += 1,
             TraceRecord::WatchdogTrip { .. } => self.watchdog_trips += 1,
             TraceRecord::KernelEvent { .. } => self.kernel_events += 1,
-            TraceRecord::GateActivity { evals, events, .. } => {
+            TraceRecord::GateActivity {
+                evals,
+                events,
+                memo_hits,
+                ..
+            } => {
                 self.gate_evals += evals;
                 self.gate_events += events;
+                self.gate_memo_hits += memo_hits;
             }
             TraceRecord::PowerTransition { at, process, from, to } => {
                 self.power_transitions += 1;
@@ -1180,7 +1197,13 @@ mod tests {
             },
             TraceRecord::FaultInjected { at: 6, description: "freeze \"p\"".into() },
             TraceRecord::WatchdogTrip { at: 9, reason: "cycle budget".into() },
-            TraceRecord::GateActivity { at: 2, process: 1, evals: 120, events: 45 },
+            TraceRecord::GateActivity {
+                at: 2,
+                process: 1,
+                evals: 120,
+                events: 45,
+                memo_hits: 3,
+            },
         ]
     }
 
@@ -1213,11 +1236,13 @@ mod tests {
         assert_eq!(m.watchdog_trips, 1);
         assert_eq!(m.gate_evals, 120);
         assert_eq!(m.gate_events, 45);
+        assert_eq!(m.gate_memo_hits, 3);
         assert!((m.sampled_energy_j - 2e-9).abs() < 1e-20);
         let json = m.to_json();
         assert!(json.contains("\"detailed_calls\": 1"), "{json}");
         assert!(json.contains("\"cache\": 1"), "{json}");
         assert!(json.contains("\"gate_evals\": 120"), "{json}");
+        assert!(json.contains("\"gate_memo_hits\": 3"), "{json}");
     }
 
     #[test]
@@ -1237,6 +1262,7 @@ mod tests {
         // Escaping: the quoted fault description must stay one line and
         // escape its inner quotes.
         assert!(text.contains("freeze \\\"p\\\""));
+        assert!(text.contains("\"events\":45,\"memo_hits\":3}"), "{text}");
     }
 
     #[test]
@@ -1365,7 +1391,7 @@ mod tests {
              \"bus_grants\": 0, \"bus_words\": 0, \
              \"icache_batches\": 0, \"icache_fetches\": 0, \"faults_injected\": 0, \
              \"watchdog_trips\": 0, \"gate_evals\": 0, \"gate_events\": 0, \
-             \"power_transitions\": 0, \"state_cycles\": {\"active\": 0, \
+             \"gate_memo_hits\": 0, \"power_transitions\": 0, \"state_cycles\": {\"active\": 0, \
              \"dvfs\": 0, \"clock_gated\": 0, \"power_gated\": 0}}";
         assert_eq!(MetricsSink::new().to_json(), expected);
     }

@@ -700,7 +700,13 @@ mod tests {
     fn anomalies_and_counters_are_collected() {
         let mut sink = PowerTimelineSink::new(TimelineConfig::new(100, 1_000.0));
         sink.record(&TraceRecord::FiringStart { at: 5, process: 0, transition: 0 });
-        sink.record(&TraceRecord::GateActivity { at: 7, process: 0, evals: 12, events: 3 });
+        sink.record(&TraceRecord::GateActivity {
+            at: 7,
+            process: 0,
+            evals: 12,
+            events: 3,
+            memo_hits: 0,
+        });
         sink.record(&TraceRecord::BusGrant {
             at: 110,
             master: 0,

@@ -1,0 +1,225 @@
+//! The exact firing memo against unmemoized co-simulation, bit for bit.
+//!
+//! Every parallel sweep holds a `gatesim::FiringMemoScope`, so a hardware
+//! firing that an earlier point already simulated from the same state
+//! and inputs is answered by copying the stored result. These tests
+//! require every memoized point to equal a standalone co-simulation of
+//! the same configuration — run outside any scope, so it simulates every
+//! firing — down to the golden snapshot, at several worker counts and
+//! under fault injection, and require that the memo really answered
+//! firings.
+
+use co_estimation::{
+    explore_bus_architecture_parallel, explore_stimulus_seeds, explore_stimulus_seeds_parallel,
+    permutations, CoSimConfig, CoSimulator, ExploreOptions, FaultPlan, SocDescription,
+    StimulusJitter,
+};
+use soctrace::{MetricsSink, SharedSink};
+use std::sync::{Mutex, MutexGuard};
+use systems::producer_consumer::{self, ProducerConsumerParams};
+use systems::tcpip::{self, TcpIpParams};
+
+/// Serializes the tests: the memo counters they compare are
+/// process-wide, and a sweep in one test could otherwise serve another
+/// test's firings from the shared memos.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn fig7_soc() -> SocDescription {
+    tcpip::build(&TcpIpParams::fig7_defaults()).expect("valid params")
+}
+
+fn fig7_procs(soc: &SocDescription) -> Vec<cfsm::ProcId> {
+    ["create_pack", "ip_check", "checksum"]
+        .iter()
+        .map(|n| soc.network.process_by_name(n).expect("process exists"))
+        .collect()
+}
+
+/// One bus-sweep point run on its own: `perm` gets descending
+/// priorities, as the sweep assigns them.
+fn standalone_bus_point(
+    soc: &SocDescription,
+    config: &CoSimConfig,
+    perm: &[cfsm::ProcId],
+    dma: u32,
+    sink: Option<SharedSink<MetricsSink>>,
+) -> co_estimation::CoSimReport {
+    let mut variant = soc.clone();
+    let n = perm.len() as u8;
+    for (rank, &p) in perm.iter().enumerate() {
+        variant.set_priority(p, n - rank as u8);
+    }
+    let mut sim =
+        CoSimulator::new(variant, config.with_dma_block_size(dma)).expect("system builds");
+    if let Some(sink) = sink {
+        sim.attach_trace(Box::new(sink));
+    }
+    sim.run()
+}
+
+#[test]
+fn memoized_bus_sweep_points_equal_standalone_runs() {
+    let _serial = serial();
+    let soc = fig7_soc();
+    let procs = fig7_procs(&soc);
+    let dmas = [1u32, 4, 32];
+    let plain = CoSimConfig::date2000_defaults();
+    let faulted = plain.with_faults(
+        FaultPlan::new()
+            .drop_event(1, "CHK_GO")
+            .stall_bus(2_000, 1_500)
+            .corrupt_energy(1, "ip_check", 3.0),
+    );
+    for (name, config) in [("plain", &plain), ("faulted", &faulted)] {
+        let mut expected = Vec::new();
+        for perm in permutations(&procs) {
+            for &dma in &dmas {
+                let report = standalone_bus_point(&soc, config, &perm, dma, None);
+                expected.push((perm.clone(), dma, report.golden_snapshot()));
+            }
+        }
+        assert_eq!(expected.len(), 18, "6 orders x 3 DMA sizes");
+        for workers in [1usize, 3] {
+            let before = gatesim::firing_memo_stats();
+            let sweep = explore_bus_architecture_parallel(
+                &soc,
+                config,
+                &procs,
+                &dmas,
+                &ExploreOptions::with_workers(workers),
+            )
+            .expect("sweep");
+            let after = gatesim::firing_memo_stats();
+            assert_eq!(sweep.points.len(), expected.len());
+            for (i, (p, (perm, dma, want))) in sweep.points.iter().zip(&expected).enumerate() {
+                let n = perm.len() as u8;
+                let priorities: Vec<_> = perm
+                    .iter()
+                    .enumerate()
+                    .map(|(rank, &q)| (q, n - rank as u8))
+                    .collect();
+                assert_eq!((&p.priorities, p.dma_block_size), (&priorities, *dma));
+                if let Some(diff) = co_estimation::snapshot_diff(want, &p.report.golden_snapshot())
+                {
+                    panic!("{name}, workers = {workers}: point {i} drifted:\n{diff}");
+                }
+            }
+            if name == "faulted" {
+                assert!(sweep
+                    .points
+                    .iter()
+                    .all(|p| p.report.anomalies.faults_injected() > 0));
+            }
+            assert!(
+                after.hits > before.hits,
+                "{name}, workers = {workers}: the memo answered no firing"
+            );
+            assert_eq!(after.bytes, 0, "the sweep's end emptied the memo");
+        }
+    }
+}
+
+#[test]
+fn memoized_stimulus_sweep_points_equal_standalone_runs() {
+    let _serial = serial();
+    let soc = producer_consumer::build(&ProducerConsumerParams::default()).expect("valid params");
+    let seeds = [1u64, 2, 3, 4, 5, 6];
+    let jitter = StimulusJitter::default();
+    let plain = CoSimConfig::date2000_defaults();
+    let faulted = plain.with_faults(
+        FaultPlan::new()
+            .drop_event(1, "BYTE_DONE")
+            .stall_bus(3_000, 1_500)
+            .corrupt_energy(1, "consumer", 3.0),
+    );
+    for (name, config) in [("plain", &plain), ("faulted", &faulted)] {
+        // A one-seed serial sweep is one standalone co-simulation of that
+        // seed's stimulus variant.
+        let expected: Vec<String> = seeds
+            .iter()
+            .map(|&seed| {
+                let solo = explore_stimulus_seeds(&soc, config, &[seed], &jitter).expect("run");
+                solo[0].report.golden_snapshot()
+            })
+            .collect();
+        for workers in [1usize, 3] {
+            let before = gatesim::firing_memo_stats();
+            let sweep = explore_stimulus_seeds_parallel(
+                &soc,
+                config,
+                &seeds,
+                &jitter,
+                &ExploreOptions::with_workers(workers),
+            )
+            .expect("sweep");
+            let after = gatesim::firing_memo_stats();
+            assert_eq!(sweep.points.len(), seeds.len());
+            for (p, want) in sweep.points.iter().zip(&expected) {
+                if let Some(diff) = co_estimation::snapshot_diff(want, &p.report.golden_snapshot())
+                {
+                    panic!(
+                        "{name}, workers = {workers}: seed {} drifted:\n{diff}",
+                        p.seed
+                    );
+                }
+            }
+            assert!(
+                after.hits > before.hits,
+                "{name}, workers = {workers}: the memo answered no firing"
+            );
+        }
+    }
+}
+
+#[test]
+fn fig7_sweep_serves_most_firings_with_invariant_gate_events() {
+    let _serial = serial();
+    let soc = fig7_soc();
+    let procs = fig7_procs(&soc);
+    let dmas = [1u32, 2, 4, 8, 16, 32, 64, 128];
+    let config = CoSimConfig::date2000_defaults();
+
+    // The sweep engine: nearly every hardware firing repeats one an
+    // earlier point already simulated.
+    let before = gatesim::firing_memo_stats();
+    let sweep =
+        explore_bus_architecture_parallel(&soc, &config, &procs, &dmas, &ExploreOptions::serial())
+            .expect("sweep");
+    assert_eq!(sweep.points.len(), 48);
+    let after = gatesim::firing_memo_stats();
+    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+    assert!(
+        hits * 100 >= (hits + misses) * 95,
+        "the memo served {hits} of {} hardware firings",
+        hits + misses
+    );
+
+    // The same points with metrics attached, standalone and then inside
+    // one scope: gate events are memo-invariant, evaluations count only
+    // the work done, and the hits match the firings the memo answered.
+    let run_all = || {
+        let sink = SharedSink::new(MetricsSink::new());
+        for perm in permutations(&procs) {
+            for &dma in &dmas {
+                standalone_bus_point(&soc, &config, &perm, dma, Some(sink.clone()));
+            }
+        }
+        sink.into_inner()
+    };
+    let standalone = run_all();
+    let memoized = {
+        let _scope = gatesim::FiringMemoScope::enter();
+        run_all()
+    };
+    assert_eq!(standalone.gate_memo_hits, 0);
+    assert_eq!(memoized.gate_events, standalone.gate_events);
+    assert_eq!(memoized.gate_memo_hits, hits);
+    assert!(memoized.gate_evals < standalone.gate_evals);
+    assert_eq!(memoized.detailed_calls, standalone.detailed_calls);
+}

@@ -374,4 +374,19 @@ fn parallel_sweep_profiles_every_point_without_perturbing_results() {
     );
     assert_eq!(profile.stats(SpanKind::MasterRun).count, points);
     assert!(profile.stats(SpanKind::EstimatorFiring).count > 0);
+    // Every firing is detailed here, and the sweep memoizes hardware
+    // firings: one the memo answered ran no gate kernel, so it books
+    // no kernel span.
+    let hw_firings: u64 = sweep
+        .points
+        .iter()
+        .flat_map(|p| &p.report.processes)
+        .filter(|proc| proc.mapping == cfsm::Implementation::Hw)
+        .map(|proc| proc.firings)
+        .sum();
+    let kernel_spans = profile.stats(SpanKind::GateSimKernel).count;
+    assert!(
+        0 < kernel_spans && kernel_spans < hw_firings,
+        "{kernel_spans} kernel spans for {hw_firings} detailed hardware firings"
+    );
 }
