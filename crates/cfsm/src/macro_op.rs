@@ -82,6 +82,42 @@ impl MacroOp {
     pub fn from_mnemonic(s: &str) -> Option<MacroOp> {
         ALL_MACRO_OPS.iter().copied().find(|m| m.mnemonic() == s)
     }
+
+    /// The op's position in [`ALL_MACRO_OPS`], for tables indexed densely
+    /// by macro-op instead of by mnemonic.
+    pub const fn index(self) -> usize {
+        match self {
+            MacroOp::Avv => 0,
+            MacroOp::Aemit => 1,
+            MacroOp::TivarT => 2,
+            MacroOp::TivarF => 3,
+            MacroOp::MemRead => 4,
+            MacroOp::MemWrite => 5,
+            MacroOp::Unary(u) => match u {
+                UnOp::Neg => 6,
+                UnOp::Not => 7,
+                UnOp::LNot => 8,
+            },
+            MacroOp::Binary(b) => match b {
+                BinOp::Add => 9,
+                BinOp::Sub => 10,
+                BinOp::Mul => 11,
+                BinOp::Div => 12,
+                BinOp::Rem => 13,
+                BinOp::And => 14,
+                BinOp::Or => 15,
+                BinOp::Xor => 16,
+                BinOp::Shl => 17,
+                BinOp::Shr => 18,
+                BinOp::Eq => 19,
+                BinOp::Ne => 20,
+                BinOp::Lt => 21,
+                BinOp::Le => 22,
+                BinOp::Gt => 23,
+                BinOp::Ge => 24,
+            },
+        }
+    }
 }
 
 impl fmt::Display for MacroOp {
@@ -139,6 +175,14 @@ mod tests {
             assert_eq!(MacroOp::from_mnemonic(m.mnemonic()), Some(m));
         }
         assert_eq!(MacroOp::from_mnemonic("BOGUS"), None);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all_macro_ops() {
+        for (i, &m) in ALL_MACRO_OPS.iter().enumerate() {
+            assert_eq!(m.index(), i, "{m}");
+            assert_eq!(ALL_MACRO_OPS[m.index()], m);
+        }
     }
 
     #[test]

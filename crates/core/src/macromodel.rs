@@ -50,6 +50,11 @@ pub const ACTIVATION_ENTRY: &str = "ACTIV";
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ParameterFile {
     entries: BTreeMap<String, MacroCost>,
+    /// The macro-op entries of `entries` by [`MacroOp::index`], so
+    /// pricing a trace needs no lookup by mnemonic.
+    by_op: [Option<MacroCost>; ALL_MACRO_OPS.len()],
+    /// The [`ACTIVATION_ENTRY`] of `entries`.
+    activation: Option<MacroCost>,
 }
 
 /// Errors from [`ParameterFile::from_text`].
@@ -85,12 +90,18 @@ impl ParameterFile {
 
     /// Sets the cost of one macro-operation mnemonic.
     pub fn set(&mut self, mnemonic: impl Into<String>, cost: MacroCost) {
-        self.entries.insert(mnemonic.into(), cost);
+        let mnemonic = mnemonic.into();
+        if mnemonic == ACTIVATION_ENTRY {
+            self.activation = Some(cost);
+        } else if let Some(op) = MacroOp::from_mnemonic(&mnemonic) {
+            self.by_op[op.index()] = Some(cost);
+        }
+        self.entries.insert(mnemonic, cost);
     }
 
     /// Looks up a macro-operation's cost.
     pub fn cost(&self, op: MacroOp) -> Option<MacroCost> {
-        self.entries.get(op.mnemonic()).copied()
+        self.by_op[op.index()]
     }
 
     /// Number of characterized operations.
@@ -121,7 +132,7 @@ impl ParameterFile {
             cycles += c.time_cycles;
             nj += c.energy_nj;
         }
-        if let Some(a) = self.entries.get(ACTIVATION_ENTRY) {
+        if let Some(a) = self.activation {
             cycles += a.time_cycles;
             nj += a.energy_nj;
         }
@@ -147,9 +158,11 @@ impl ParameterFile {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseParameterError`] naming the offending line.
+    /// Returns a [`ParseParameterError`] naming the offending line; an
+    /// energy that is negative or not finite is a
+    /// [`ParseParameterError::BadNumber`].
     pub fn from_text(text: &str) -> Result<Self, ParseParameterError> {
-        let mut pf = ParameterFile::new();
+        let mut entries = BTreeMap::new();
         for (i, line) in text.lines().enumerate() {
             let n = i + 1;
             let line = line.trim();
@@ -166,7 +179,7 @@ impl ParameterFile {
                     if parts.next().is_some() {
                         return Err(ParseParameterError::BadLine(n));
                     }
-                    let entry = pf.entries.entry(name.to_string()).or_insert(MacroCost {
+                    let entry = entries.entry(name).or_insert(MacroCost {
                         time_cycles: 0,
                         size_bytes: 0,
                         energy_nj: 0.0,
@@ -185,7 +198,9 @@ impl ParameterFile {
                         ".energy" => {
                             entry.energy_nj = value
                                 .parse()
-                                .map_err(|_| ParseParameterError::BadNumber(n))?
+                                .ok()
+                                .filter(|e: &f64| e.is_finite() && *e >= 0.0)
+                                .ok_or(ParseParameterError::BadNumber(n))?
                         }
                         _ => unreachable!(),
                     }
@@ -194,6 +209,10 @@ impl ParameterFile {
                     return Err(ParseParameterError::UnknownDirective(n, other.to_string()))
                 }
             }
+        }
+        let mut pf = ParameterFile::new();
+        for (name, cost) in entries {
+            pf.set(name, cost);
         }
         Ok(pf)
     }
@@ -291,137 +310,17 @@ pub fn characterize_sw(power: &PowerModel) -> ParameterFile {
 /// width and exercised with pseudo-random vectors; the mean per-evaluation
 /// switched energy becomes the `.energy` entry. `.time` is one cycle per
 /// operation slice (the FSMD executes each block slice in a cycle).
+///
+/// The energies come from [`gatesim::macro_op_energies`], which
+/// characterizes once per width and power configuration and memoizes
+/// the result with synthesis; this builds the parameter file around them.
 pub fn characterize_hw(
     synth: &gatesim::SynthConfig,
     power: &gatesim::PowerConfig,
 ) -> ParameterFile {
-    use gatesim::bus::{self, Bus};
-    use gatesim::{Netlist, Simulator};
-
-    let w = synth.width;
+    let energies = gatesim::macro_op_energies(synth, power);
     let mut pf = ParameterFile::new();
-    // A deterministic LCG for stimulus (no external randomness).
-    let mut seed = 0x1234_5678_9abc_def0u64;
-    let mut next = move || {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        seed >> 16
-    };
-    let mean_energy = |build: &dyn Fn(&mut Netlist, &Bus, &Bus) -> Bus,
-                       rng: &mut dyn FnMut() -> u64| {
-        let mut nl = Netlist::new();
-        let a = bus::input_bus(&mut nl, w);
-        let b = bus::input_bus(&mut nl, w);
-        let _ = build(&mut nl, &a, &b);
-        // The op netlists are built from fixed templates; if one ever
-        // fails validation, characterize the op as free rather than
-        // panic (the parameter file stays usable).
-        let Ok(mut sim) = Simulator::new(&nl, power.clone()) else {
-            return 0.0;
-        };
-        let rounds = 64;
-        let mut total = 0.0;
-        for _ in 0..rounds {
-            sim.set_input_bus(a.nets(), rng() & bus::mask_to_width(-1, w));
-            sim.set_input_bus(b.nets(), rng() & bus::mask_to_width(-1, w));
-            total += sim.step();
-        }
-        total / rounds as f64
-    };
-
-    for &op in ALL_MACRO_OPS {
-        let energy_j = match op {
-            MacroOp::Binary(b) => {
-                use cfsm::BinOp::*;
-                match b {
-                    Add => mean_energy(
-                        &|nl, x, y| {
-                            let c0 = nl.constant(false);
-                            bus::adder(nl, x, y, c0).0
-                        },
-                        &mut next,
-                    ),
-                    Sub => mean_energy(&|nl, x, y| bus::subtractor(nl, x, y).0, &mut next),
-                    Mul => mean_energy(&|nl, x, y| bus::multiplier(nl, x, y), &mut next),
-                    And => mean_energy(
-                        &|nl, x, y| bus::bitwise(nl, gatesim::GateKind::And, x, y),
-                        &mut next,
-                    ),
-                    Or => mean_energy(
-                        &|nl, x, y| bus::bitwise(nl, gatesim::GateKind::Or, x, y),
-                        &mut next,
-                    ),
-                    Xor => mean_energy(
-                        &|nl, x, y| bus::bitwise(nl, gatesim::GateKind::Xor, x, y),
-                        &mut next,
-                    ),
-                    Eq | Ne => mean_energy(
-                        &|nl, x, y| {
-                            let e = bus::equal(nl, x, y);
-                            Bus(vec![e])
-                        },
-                        &mut next,
-                    ),
-                    Lt | Le | Gt | Ge => mean_energy(
-                        &|nl, x, y| {
-                            let e = bus::less_than_signed(nl, x, y);
-                            Bus(vec![e])
-                        },
-                        &mut next,
-                    ),
-                    Shl | Shr => mean_energy(
-                        &|nl, x, _| bus::shift_left_const(nl, x, 1),
-                        &mut next,
-                    ),
-                    // Division has no hardware implementation; charge the
-                    // multiplier's cost as a conservative stand-in (such
-                    // processes are normally mapped to software).
-                    Div | Rem => mean_energy(&|nl, x, y| bus::multiplier(nl, x, y), &mut next),
-                }
-            }
-            MacroOp::Unary(u) => {
-                use cfsm::UnOp::*;
-                match u {
-                    Neg => mean_energy(&|nl, x, _| bus::negate(nl, x), &mut next),
-                    Not => mean_energy(&|nl, x, _| bus::bitwise_not(nl, x), &mut next),
-                    LNot => mean_energy(
-                        &|nl, x, _| {
-                            let nz = bus::nonzero(nl, x);
-                            let b = nl.gate(gatesim::GateKind::Not, vec![nz]);
-                            Bus(vec![b])
-                        },
-                        &mut next,
-                    ),
-                }
-            }
-            // Register write / controller activity approximations: one
-            // word register's clock + data load.
-            MacroOp::Avv | MacroOp::MemRead | MacroOp::MemWrite => {
-                let mut nl = Netlist::new();
-                let d = bus::input_bus(&mut nl, w);
-                let en = nl.constant(true);
-                let _q = bus::register(&mut nl, &d, en, 0);
-                match Simulator::new(&nl, power.clone()) {
-                    Ok(mut sim) => {
-                        let rounds = 64;
-                        let mut total = 0.0;
-                        for _ in 0..rounds {
-                            sim.set_input_bus(d.nets(), next() & bus::mask_to_width(-1, w));
-                            total += sim.step();
-                        }
-                        total / rounds as f64
-                    }
-                    // Template netlists validate by construction; a
-                    // failure characterizes the op as free.
-                    Err(_) => 0.0,
-                }
-            }
-            MacroOp::Aemit | MacroOp::TivarT | MacroOp::TivarF => {
-                // A handful of control lines toggling.
-                power.switch_energy_j(8.0)
-            }
-        };
+    for (&op, &energy_j) in ALL_MACRO_OPS.iter().zip(energies.iter()) {
         pf.set(
             op.mnemonic(),
             MacroCost {
@@ -538,6 +437,31 @@ mod tests {
             ParameterFile::from_text(".time AVV 1 2"),
             Err(ParseParameterError::BadLine(1))
         ));
+        for energy in ["NaN", "inf", "-1"] {
+            assert_eq!(
+                ParameterFile::from_text(&format!(".time AVV 1\n.energy AVV {energy}")),
+                Err(ParseParameterError::BadNumber(2)),
+                "energy {energy}"
+            );
+        }
+    }
+
+    #[test]
+    fn dense_pricing_tracks_every_insert() {
+        let cost = |energy_nj| MacroCost {
+            time_cycles: 3,
+            size_bytes: 0,
+            energy_nj,
+        };
+        let mut pf = ParameterFile::new();
+        pf.set("AVV", cost(1.0));
+        pf.set(ACTIVATION_ENTRY, cost(0.5));
+        pf.set("AVV", cost(2.0));
+        assert_eq!(pf.estimate(&[MacroOp::Avv]), (6, 2.5 * 1e-9));
+        let parsed = ParameterFile::from_text(&pf.to_text()).expect("parses");
+        assert_eq!(parsed, pf);
+        assert_eq!(parsed.estimate(&[MacroOp::Avv]), (6, 2.5 * 1e-9));
+        assert_eq!(parsed.cost(MacroOp::Aemit), None);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!   [`SimdLaneSim`] multi-stream simulator;
 //! * [`HwCfsm`] — CFSM transitions synthesized to FSMDs plus the
 //!   run protocol the co-simulation master uses, with an exact memo of
-//!   repeated firings for design-space sweeps ([`FiringMemoScope`]).
+//!   repeated firings for design-space sweeps ([`FiringMemoScope`]);
+//! * [`macro_op_energies`] — the hardware macro-op characterization
+//!   behind the macro-model's parameter file, memoized with synthesis.
 //!
 //! # Examples
 //!
@@ -50,6 +52,7 @@
 pub mod analysis;
 pub mod blif;
 pub mod bus;
+mod characterize;
 mod memo;
 mod netlist;
 mod power;
@@ -58,6 +61,7 @@ pub mod simd;
 mod synth;
 pub mod word;
 
+pub use characterize::macro_op_energies;
 pub use netlist::{Gate, GateKind, NetId, Netlist, ValidateNetlistError};
 pub use power::{CapacitanceMap, EnergyReport, PowerConfig};
 pub use sim::{ParseKernelError, SimKernel, Simulator, WindowRun};

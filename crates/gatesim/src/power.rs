@@ -35,6 +35,21 @@ impl PowerConfig {
     pub fn switch_energy_j(&self, cap_ff: f64) -> f64 {
         0.5 * self.vdd * self.vdd * cap_ff * 1e-15
     }
+
+    /// Every parameter's bits, for memo keys. Destructured, so a new
+    /// parameter cannot be left out of a key.
+    pub(crate) fn key_bits(&self) -> [u64; 3] {
+        let PowerConfig {
+            vdd,
+            cap_per_fanout_ff,
+            clock_cap_per_dff_ff,
+        } = self;
+        [
+            vdd.to_bits(),
+            cap_per_fanout_ff.to_bits(),
+            clock_cap_per_dff_ff.to_bits(),
+        ]
+    }
 }
 
 impl Default for PowerConfig {

@@ -654,18 +654,8 @@ impl Simulator {
     pub(crate) fn pack_memo_key(&self, key: &mut Vec<u64>) {
         debug_assert_eq!(self.kernel, SimKernel::EventDriven);
         let plan = &*self.plan;
-        // Destructured, so a new power parameter cannot miss the key.
-        let PowerConfig {
-            vdd,
-            cap_per_fanout_ff,
-            clock_cap_per_dff_ff,
-        } = self.config;
-        key.extend([
-            vdd.to_bits(),
-            cap_per_fanout_ff.to_bits(),
-            clock_cap_per_dff_ff.to_bits(),
-            u64::from(self.is_fresh()),
-        ]);
+        key.extend(self.config.key_bits());
+        key.push(u64::from(self.is_fresh()));
         push_bits(key, plan.dffs.iter().map(|&(q, _)| self.values[q as usize]));
         self.pack_edge(key);
         push_bits(key, plan.input_ids.iter().map(|&i| self.values[i as usize]));

@@ -241,6 +241,9 @@ struct SynthesizedTransition {
 /// The global synthesis memo plus its hit/miss counters.
 struct SynthCache {
     map: HashMap<String, Arc<SynthesizedTransition>>,
+    /// Characterized macro-op energies ([`crate::macro_op_energies`]) by
+    /// datapath width and [`PowerConfig::key_bits`].
+    macro_ops: HashMap<(usize, [u64; 3]), Arc<[f64]>>,
     hits: u64,
     misses: u64,
 }
@@ -251,6 +254,7 @@ fn lock_synth_cache() -> std::sync::MutexGuard<'static, SynthCache> {
     let cache = SYNTH_CACHE.get_or_init(|| {
         Mutex::new(SynthCache {
             map: HashMap::new(),
+            macro_ops: HashMap::new(),
             hits: 0,
             misses: 0,
         })
@@ -277,15 +281,43 @@ pub fn synth_cache_stats() -> (u64, u64) {
 }
 
 /// Empties the global synthesis memo — netlists, the simulation plans
-/// built from them, and the firing memos with their storage — and zeroes
-/// its counters, those of [`firing_memo_stats`] included. Only
-/// benchmarks isolating cold-vs-warm synthesis need this; correctness
-/// never depends on the cache's contents.
+/// built from them, the firing memos with their storage, and the
+/// characterized macro-op tables — and zeroes its counters, those of
+/// [`firing_memo_stats`] included. Only benchmarks isolating
+/// cold-vs-warm set-up need this; correctness never depends on the
+/// cache's contents.
 pub fn clear_synth_cache() {
     let mut cache = lock_synth_cache();
     cache.map.clear();
+    cache.macro_ops.clear();
     cache.hits = 0;
     cache.misses = 0;
+}
+
+/// The memoized macro-op table for `width` and `power`, built by
+/// `characterize` on a miss.
+pub(crate) fn memoized_macro_op_energies(
+    width: usize,
+    power: &PowerConfig,
+    characterize: impl FnOnce() -> Arc<[f64]>,
+) -> Arc<[f64]> {
+    let key = (width, power.key_bits());
+    if let Some(table) = lock_synth_cache().macro_ops.get(&key) {
+        return Arc::clone(table);
+    }
+    // Characterized outside the lock, like a synthesis miss; the first
+    // insert wins so all callers share a single table.
+    let built = characterize();
+    Arc::clone(lock_synth_cache().macro_ops.entry(key).or_insert(built))
+}
+
+/// Serializes the tests that assert what the process-wide memo holds
+/// (shared plans, tables, counters) against those that clear it; the
+/// other tests never depend on the memo's contents.
+#[cfg(test)]
+pub(crate) fn memo_lock() -> MutexGuard<'static, ()> {
+    static MEMO_LOCK: Mutex<()> = Mutex::new(());
+    MEMO_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn lock_memo(memo: &Mutex<FiringMemo>) -> MutexGuard<'_, FiringMemo> {
@@ -1319,17 +1351,6 @@ mod tests {
 
     fn power() -> PowerConfig {
         PowerConfig::date2000_defaults()
-    }
-
-    /// Serializes the tests that assert what the process-wide memo
-    /// holds (shared plans, counters) against the one that clears it;
-    /// the other tests never depend on the memo's contents.
-    static MEMO_LOCK: Mutex<()> = Mutex::new(());
-
-    fn memo_lock() -> std::sync::MutexGuard<'static, ()> {
-        MEMO_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     fn synth_single(body: Cfg, n_vars: usize) -> HwCfsm {

@@ -181,3 +181,16 @@ fn parameter_file_round_trips_through_text() {
         assert_eq!(a.size_bytes, b.size_bytes, "{op}");
     }
 }
+
+#[test]
+fn hw_parameter_file_matches_the_committed_golden() {
+    // Pins every characterized hardware entry to its committed text,
+    // which renders each energy in its shortest round-tripping form, so
+    // a change to the characterization flow cannot move any value by
+    // even one ulp.
+    let pf = co_estimation::characterize_hw(
+        &SynthConfig::default(),
+        &PowerConfig::date2000_defaults(),
+    );
+    assert_eq!(pf.to_text(), include_str!("goldens/hw_parameter_file.txt"));
+}

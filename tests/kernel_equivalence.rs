@@ -6,15 +6,18 @@
 //!
 //! This is the system-level counterpart of the gatesim differential
 //! fuzz suite: it runs the whole co-estimation stack (master, bus,
-//! cache, synthesized hardware) under the `GATESIM_KERNEL` escape
-//! hatch. The suite owns its process (integration tests link
+//! cache, synthesized hardware, and the hardware cost tables the
+//! macro-model and the linear backend characterize) under the
+//! `GATESIM_KERNEL` escape hatch. The suite owns its process (integration tests link
 //! separately), but its `#[test]` fns share that process, so every
 //! environment mutation is serialized behind one lock.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use co_estimation::{CoSimConfig, CoSimulator, FaultPlan, SocDescription};
+use co_estimation::{
+    Acceleration, CoSimConfig, CoSimulator, EstimatorBackend, FaultPlan, SocDescription,
+};
 use desim::WatchdogConfig;
 use soctrace::{MetricsSink, SharedSink};
 use systems::automotive::{self, AutomotiveParams};
@@ -200,6 +203,38 @@ fn kernels_agree_under_a_nonempty_fault_plan() {
                 &snapshot, want,
                 "kernel {name} diverged under fault injection"
             ),
+        }
+    }
+}
+
+#[test]
+fn every_kernel_characterizes_the_same_cost_tables() {
+    // The macro-model layer and the linear backend price firings from
+    // hardware tables characterized by gate-level simulation. Clearing
+    // the synthesis memo inside each kernel's run makes that kernel
+    // characterize the tables itself rather than read the ones an
+    // earlier kernel left in the memo.
+    let defaults = CoSimConfig::date2000_defaults();
+    for (mode, config) in [
+        ("macromodel", defaults.with_accel(Acceleration::macromodel())),
+        ("linear", defaults.with_backend(EstimatorBackend::Linear)),
+    ] {
+        let mut baseline: Option<String> = None;
+        for (name, kernel) in KERNELS {
+            let snapshot = with_kernel(kernel, || {
+                gatesim::clear_synth_cache();
+                CoSimulator::new(small_tcpip(), config.clone())
+                    .expect("system builds")
+                    .run()
+                    .golden_snapshot()
+            });
+            match &baseline {
+                None => baseline = Some(snapshot),
+                Some(want) => assert_eq!(
+                    &snapshot, want,
+                    "{mode}: kernel {name} diverged from the default report"
+                ),
+            }
         }
     }
 }
