@@ -3,9 +3,9 @@
 //! `BENCH_explore.json` so the bench trajectory tracks design-space
 //! sweep throughput across PRs.
 //!
-//! Every parallel result is cross-checked bit-for-bit against the serial
-//! sweep before its timing is recorded — a benchmark entry only exists
-//! if the determinism contract held.
+//! Every multi-worker result is cross-checked bit-for-bit against the
+//! one-worker sweep before its timing is recorded — a benchmark entry
+//! only exists if the determinism contract held.
 //!
 //! Usage: `cargo run --release -p soc-bench --bin bench_explore [out.json]`
 
@@ -17,7 +17,7 @@
 use co_estimation::{
     Acceleration, CoSimConfig, ExplorationPoint, ExploreOptions, SamplingConfig,
 };
-use soc_bench::{fig7_parallel, fig7_profile_overhead, fig7_serial, run_with_metrics, table1_caching};
+use soc_bench::{fig7_parallel, fig7_profile_overhead, run_with_metrics, table1_caching};
 use std::time::Instant;
 use systems::tcpip::{self, TcpIpParams};
 
@@ -45,10 +45,10 @@ fn main() {
 
     // Warm-up run so first-touch costs (page faults, lazy init) do not
     // pollute the serial baseline.
-    let _ = fig7_serial(&params);
+    let _ = fig7_parallel(&params, &ExploreOptions::serial());
 
     let t0 = Instant::now();
-    let serial = fig7_serial(&params);
+    let serial = fig7_parallel(&params, &ExploreOptions::serial()).points;
     let serial_s = t0.elapsed().as_secs_f64();
     let points = serial.len();
     println!("serial: {points} points in {serial_s:.3} s ({:.1} points/s)", points as f64 / serial_s);

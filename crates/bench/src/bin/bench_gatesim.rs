@@ -1,15 +1,14 @@
 //! Gate-simulation kernel benchmark: the event-driven levelized kernel,
-//! the oblivious reference path, the word-parallel kernel (both the
-//! single-stream block engine and the 64-stream lockstep [`LaneSim`]),
-//! and the simd kernel (256-cycle windows plus the width-erased
-//! [`SimdLaneSim`] lockstep engine and the lane-scheduled Monte-Carlo
-//! sweep from `co-estimation`), on the synthesized TCP/IP checksum
-//! netlist, written as `BENCH_gatesim.json` so the perf trajectory
-//! tracks the hot inner loop across PRs.
+//! the oblivious reference path, the simd kernel's single-stream
+//! 256-cycle windows, the 64-stream lockstep [`LaneSim`], the
+//! width-erased [`SimdLaneSim`] lockstep engine and the lane-scheduled
+//! Monte-Carlo sweep from `co-estimation`, on the synthesized TCP/IP
+//! checksum netlist, written as `BENCH_gatesim.json` so the perf
+//! trajectory tracks the hot inner loop across PRs.
 //!
 //! A timing entry only exists if the kernels agreed bit for bit
 //! (per-cycle energy bit patterns and all output values) over the same
-//! stimulus first — including the word kernel driven through
+//! stimulus first — including the simd kernel driven through
 //! `run_block` with odd chunk sizes, and every `LaneSim`/`SimdLaneSim`
 //! lane against a scalar run of its stream. The full run also times the
 //! end-to-end Fig. 7 sweep under each kernel.
@@ -25,11 +24,11 @@
 
 use cfsm::TransitionId;
 use co_estimation::{
-    run_lane_sweep, run_lane_sweep_serial, CoSimConfig, LaneSweepConfig, LaneUnit,
+    run_lane_sweep, run_lane_sweep_serial, CoSimConfig, ExploreOptions, LaneSweepConfig, LaneUnit,
 };
 use detrand::Rng;
 use gatesim::{HwCfsm, LaneSim, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator};
-use soc_bench::{fig7_profile_overhead, fig7_serial};
+use soc_bench::{fig7_parallel, fig7_profile_overhead};
 use std::sync::Arc;
 use std::time::Instant;
 use systems::tcpip::{self, TcpIpParams};
@@ -132,22 +131,22 @@ fn timed(netlist: &Arc<Netlist>, kernel: SimKernel, stim: &[Vec<(NetId, bool)>])
     (t0.elapsed().as_secs_f64(), sim.gate_evals())
 }
 
-/// Drives the word kernel through `run_block` over a repeating pattern
-/// of odd chunk sizes (seams land everywhere relative to the 64-cycle
-/// lane width), returning per-cycle energy bit patterns, the final
-/// output-bus value, and the gate-event counter.
-fn observe_word_blocks(
+/// Drives the simd kernel through `run_block` over a repeating pattern
+/// of odd chunk sizes (seams land everywhere relative to the 64-lane
+/// words of its 256-cycle window), returning per-cycle energy bit
+/// patterns, the final output-bus value, and the gate-event counter.
+fn observe_simd_blocks(
     netlist: &Arc<Netlist>,
     stim: &[Vec<(NetId, bool)>],
 ) -> (Vec<u64>, u64, u64) {
     let mut sim = Simulator::with_kernel(
         Arc::clone(netlist),
         PowerConfig::date2000_defaults(),
-        SimKernel::WordParallel,
+        SimKernel::Simd,
     )
     .expect("valid netlist");
     let outputs: Vec<NetId> = netlist.outputs().iter().map(|(_, n)| *n).collect();
-    let chunks = [1usize, 7, 63, 64, 65, 100];
+    let chunks = [1usize, 7, 63, 64, 65, 100, 255, 256, 257];
     let mut at = 0usize;
     let mut k = 0usize;
     while at < stim.len() {
@@ -165,16 +164,16 @@ fn observe_word_blocks(
     (energy, sim.value_bus(&outputs), sim.gate_events())
 }
 
-/// Times the word kernel over the stimulus, driven in 64-cycle blocks.
-fn timed_word_blocks(netlist: &Arc<Netlist>, stim: &[Vec<(NetId, bool)>]) -> f64 {
+/// Times the simd kernel over the stimulus, driven in 256-cycle blocks.
+fn timed_simd_blocks(netlist: &Arc<Netlist>, stim: &[Vec<(NetId, bool)>]) -> f64 {
     let mut sim = Simulator::with_kernel(
         Arc::clone(netlist),
         PowerConfig::date2000_defaults(),
-        SimKernel::WordParallel,
+        SimKernel::Simd,
     )
     .expect("valid netlist");
     let t0 = Instant::now();
-    for block in stim.chunks(64) {
+    for block in stim.chunks(256) {
         sim.run_block(block);
     }
     t0.elapsed().as_secs_f64()
@@ -407,26 +406,23 @@ fn main() {
     println!("== bench_gatesim: tcpip checksum netlist ({gates} gates) ==\n");
 
     // Bitwise cross-check first: no timing without equivalence. The
-    // word kernel is checked twice — step-driven (1-cycle windows) and
+    // simd kernel is checked twice — step-driven (1-cycle windows) and
     // through `run_block` with odd chunk sizes.
     let check_cycles = if smoke { 2_000 } else { 5_000 };
     let check_stim = stimulus(&netlist, check_cycles, 0xBE9C);
     let (ev_trace, ev_evals, ev_events) = observe(&netlist, SimKernel::EventDriven, &check_stim);
     let (ob_trace, ob_evals, ob_events) = observe(&netlist, SimKernel::Oblivious, &check_stim);
-    let (wd_trace, _wd_evals, wd_events) = observe(&netlist, SimKernel::WordParallel, &check_stim);
     let (sd_trace, _sd_evals, sd_events) = observe(&netlist, SimKernel::Simd, &check_stim);
-    let (blk_energy, blk_bus, blk_events) = observe_word_blocks(&netlist, &check_stim);
-    let word_step_identical = wd_trace == ev_trace && wd_events == ev_events;
+    let (blk_energy, blk_bus, blk_events) = observe_simd_blocks(&netlist, &check_stim);
     let simd_step_identical = sd_trace == ev_trace && sd_events == ev_events;
-    let word_block_identical = blk_energy
+    let simd_block_identical = blk_energy
         == ev_trace.iter().map(|&(e, _)| e).collect::<Vec<u64>>()
         && Some(blk_bus) == ev_trace.last().map(|&(_, v)| v)
         && blk_events == ev_events;
     let bitwise_identical = ev_trace == ob_trace
         && ev_events == ob_events
-        && word_step_identical
         && simd_step_identical
-        && word_block_identical;
+        && simd_block_identical;
     assert!(bitwise_identical, "kernels diverged on the checksum netlist");
     assert!(
         ev_evals < ob_evals,
@@ -434,7 +430,7 @@ fn main() {
     );
     let ev_epc = ev_evals as f64 / check_cycles as f64;
     let ob_epc = ob_evals as f64 / check_cycles as f64;
-    println!("bitwise identical over {check_cycles} cycles (4 kernels + word blocks): {bitwise_identical}");
+    println!("bitwise identical over {check_cycles} cycles (3 kernels + simd blocks): {bitwise_identical}");
     println!(
         "gate evals/cycle: oblivious {ob_epc:.1}, event-driven {ev_epc:.1} \
          ({:.1}x reduction)\n",
@@ -447,7 +443,7 @@ fn main() {
     assert!(lanes_identical, "LaneSim lanes diverged from scalar runs");
     println!("LaneSim: {eq_lanes} lanes bit-identical to scalar runs over {eq_cycles} cycles");
 
-    // Lockstep-lane throughput: the word kernel's headline number. The
+    // Lockstep-lane throughput: the lane word's headline number. The
     // checksum netlist changes flop state on ~90% of cycles under this
     // stimulus, so single-stream windows stay short; 64 independent
     // streams in lockstep is where the 64x lane width pays off.
@@ -543,47 +539,49 @@ fn main() {
     let _ = timed(&netlist, SimKernel::EventDriven, &bench_stim);
     let (ob_s, _) = timed(&netlist, SimKernel::Oblivious, &bench_stim);
     let (ev_s, _) = timed(&netlist, SimKernel::EventDriven, &bench_stim);
-    let _ = timed_word_blocks(&netlist, &bench_stim); // warm-up
-    let wd_s = timed_word_blocks(&netlist, &bench_stim);
+    let _ = timed_simd_blocks(&netlist, &bench_stim); // warm-up
+    let ss_s = timed_simd_blocks(&netlist, &bench_stim);
     let ob_cps = bench_cycles as f64 / ob_s;
     let ev_cps = bench_cycles as f64 / ev_s;
-    let wd_cps = bench_cycles as f64 / wd_s;
+    let ss_cps = bench_cycles as f64 / ss_s;
     let speedup = ev_cps / ob_cps;
     // Honest number: a single sequential stream commits short windows
-    // whenever flop state changes, so this is NOT the word kernel's
-    // headline — the lockstep-lane speedup above is.
-    let wd_single_speedup = wd_cps / ev_cps;
+    // whenever flop state changes, so this is NOT the lane words'
+    // headline — the lockstep-lane speedups above are.
+    let ss_speedup = ss_cps / ev_cps;
     println!("oblivious:    {ob_s:.3} s ({ob_cps:.0} cycles/s)");
     println!("event-driven: {ev_s:.3} s ({ev_cps:.0} cycles/s)");
     println!(
-        "word (single stream, 64-cycle blocks): {wd_s:.3} s ({wd_cps:.0} cycles/s, \
-         {wd_single_speedup:.2}x vs event-driven)"
+        "simd (single stream, 256-cycle blocks): {ss_s:.3} s ({ss_cps:.0} cycles/s, \
+         {ss_speedup:.2}x vs event-driven)"
     );
     println!("kernel speedup: {speedup:.2}x\n");
 
-    // End-to-end: the Fig. 7 sweep (48 points) under each kernel, via
-    // the same escape hatch CI's differential runs use.
+    // End-to-end: the one-worker Fig. 7 sweep (48 points) under each
+    // kernel, via the same escape hatch CI's differential runs use. Only
+    // the event-driven default answers repeated firings from the sweep's
+    // firing memo; the forced kernels simulate every firing.
     let params = TcpIpParams::fig7_defaults();
-    let _ = fig7_serial(&params); // warm-up (page faults, synth memo)
-    std::env::set_var("GATESIM_OBLIVIOUS", "1");
+    let fig7 = || fig7_parallel(&params, &ExploreOptions::serial()).points;
+    let _ = fig7(); // warm-up (page faults, synth memo)
+    std::env::set_var("GATESIM_KERNEL", "oblivious");
     let t0 = Instant::now();
-    let oblivious_sweep = fig7_serial(&params);
+    let oblivious_sweep = fig7();
     let fig7_ob_s = t0.elapsed().as_secs_f64();
-    std::env::remove_var("GATESIM_OBLIVIOUS");
-    std::env::set_var("GATESIM_KERNEL", "word");
+    std::env::set_var("GATESIM_KERNEL", "simd");
     let t0 = Instant::now();
-    let word_sweep = fig7_serial(&params);
-    let fig7_wd_s = t0.elapsed().as_secs_f64();
+    let simd_sweep = fig7();
+    let fig7_sd_s = t0.elapsed().as_secs_f64();
     std::env::remove_var("GATESIM_KERNEL");
     let t0 = Instant::now();
-    let event_sweep = fig7_serial(&params);
+    let event_sweep = fig7();
     let fig7_ev_s = t0.elapsed().as_secs_f64();
     let fig7_identical = oblivious_sweep.len() == event_sweep.len()
-        && word_sweep.len() == event_sweep.len()
+        && simd_sweep.len() == event_sweep.len()
         && oblivious_sweep
             .iter()
             .zip(&event_sweep)
-            .zip(&word_sweep)
+            .zip(&simd_sweep)
             .all(|((a, b), c)| {
                 let want = b.report.golden_snapshot();
                 a.report.golden_snapshot() == want && c.report.golden_snapshot() == want
@@ -592,7 +590,7 @@ fn main() {
     let fig7_speedup = fig7_ob_s / fig7_ev_s;
     println!(
         "fig7 sweep (48 points): oblivious {fig7_ob_s:.3} s, event-driven {fig7_ev_s:.3} s, \
-         word {fig7_wd_s:.3} s"
+         simd {fig7_sd_s:.3} s"
     );
     println!("end-to-end speedup: {fig7_speedup:.2}x (bitwise identical: {fig7_identical})");
 
@@ -617,13 +615,13 @@ fn main() {
          \"gate_evals_per_cycle\": {ev_epc:.2}}},\n  \
          \"speedup\": {speedup:.3},\n  \"eval_reduction\": {:.3},\n  \
          \"bitwise_identical\": {bitwise_identical},\n  \
-         \"word_parallel\": {{\"single_stream\": {{\"wall_s\": {wd_s:.6}, \
-         \"cycles_per_sec\": {wd_cps:.1}, \"speedup_vs_event\": {wd_single_speedup:.3}}}, \
-         \"lane_throughput\": {{\"lanes\": {tp_lanes}, \"cycles_per_lane\": {tp_cycles}, \
+         \"word_parallel\": {{\"lane_throughput\": {{\"lanes\": {tp_lanes}, \"cycles_per_lane\": {tp_cycles}, \
          \"wall_s\": {lane_s:.6}, \"scalar_event_wall_s\": {lane_scalar_s:.6}, \
          \"lane_cycles_per_sec\": {lane_cps:.1}, \"speedup_vs_event\": {lane_speedup:.3}}}, \
          \"bitwise_identical\": {bitwise_identical}}},\n  \
-         \"simd\": {{\"lane_throughput\": {{\"lanes\": {sd_lanes}, \
+         \"simd\": {{\"single_stream\": {{\"wall_s\": {ss_s:.6}, \
+         \"cycles_per_sec\": {ss_cps:.1}, \"speedup_vs_event\": {ss_speedup:.3}}}, \
+         \"lane_throughput\": {{\"lanes\": {sd_lanes}, \
          \"cycles_per_lane\": {sd_cycles}, \"wall_s\": {sd_s:.6}, \
          \"scalar_event_wall_s\": {sd_scalar_s:.6}, \
          \"lane_cycles_per_sec\": {sd_cps:.1}, \"speedup_vs_event\": {sd_speedup:.3}, \
@@ -635,7 +633,7 @@ fn main() {
          \"speedup\": {mc_speedup:.3}, \"bitwise_identical\": true}}, \
          \"bitwise_identical\": {simd_lanes_identical}}},\n  \
          \"fig7_sweep\": {{\"oblivious_wall_s\": {fig7_ob_s:.6}, \
-         \"event_driven_wall_s\": {fig7_ev_s:.6}, \"word_wall_s\": {fig7_wd_s:.6}, \
+         \"event_driven_wall_s\": {fig7_ev_s:.6}, \"simd_wall_s\": {fig7_sd_s:.6}, \
          \"speedup\": {fig7_speedup:.3}, \
          \"bitwise_identical\": {fig7_identical}}},\n  \
          \"profiler_overhead\": {{\"detached_wall_s\": {detached_s:.6}, \

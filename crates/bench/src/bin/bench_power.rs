@@ -8,8 +8,9 @@
 //! * the disabled policy (`PowerPolicy::none()`) reproduces the plain
 //!   run **bit-identically** — the power layer must cost nothing when
 //!   off;
-//! * the serial and parallel policy sweeps agree **bitwise** at every
-//!   point, and every managed report passes `verify_provenance`.
+//! * every point of the parallel policy sweep equals a standalone run of
+//!   its policy **bitwise**, and every managed report passes
+//!   `verify_provenance`.
 //!
 //! Usage:
 //!   cargo run --release -p soc-bench --bin bench_power [out.json]
@@ -21,9 +22,8 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use co_estimation::{
-    explore_power_policies, explore_power_policies_parallel, CoSimConfig, CoSimulator,
-    ExploreOptions, GatingPolicy, LeakageModel, OperatingPoint, PowerPolicy, PowerPoint,
-    Provenance,
+    explore_power_policies_parallel, CoSimConfig, CoSimulator, ExploreOptions, GatingPolicy,
+    LeakageModel, OperatingPoint, PowerPolicy, PowerPoint, Provenance,
 };
 use systems::tcpip::{build, TcpIpParams};
 
@@ -121,23 +121,27 @@ fn main() {
     );
     println!("disabled-policy bit-identity: verified");
 
-    // Contract 2: serial and parallel sweeps agree bitwise, and every
-    // managed report keeps provenance an exact partition.
+    // Contract 2: every sweep point equals a standalone run of its
+    // policy bitwise, and every managed report keeps provenance an exact
+    // partition.
     let menu = policies();
-    let serial = explore_power_policies(&soc, &config, &menu).expect("serial sweep");
-    let parallel = explore_power_policies_parallel(
+    let points = explore_power_policies_parallel(
         &soc,
         &config,
         &menu,
         &ExploreOptions::with_workers(4),
     )
-    .expect("parallel sweep");
-    assert_eq!(serial.len(), parallel.points.len());
-    for (s, p) in serial.iter().zip(&parallel.points) {
+    .expect("policy sweep")
+    .points;
+    assert_eq!(points.len(), menu.len());
+    for (s, policy) in points.iter().zip(&menu) {
+        let solo = CoSimulator::new(soc.clone(), config.with_power_policy(policy.clone()))
+            .expect("valid soc")
+            .run();
         assert_eq!(
             s.report.golden_snapshot(),
-            p.report.golden_snapshot(),
-            "policy `{}`: serial and parallel sweeps diverged",
+            solo.golden_snapshot(),
+            "policy `{}`: the sweep point diverged from a standalone run",
             s.policy_name
         );
         s.report
@@ -150,12 +154,12 @@ fn main() {
         );
     }
     println!(
-        "serial-vs-parallel sweep: {} policies bitwise identical, provenance exact",
-        serial.len()
+        "sweep-vs-standalone: {} policies bitwise identical, provenance exact",
+        points.len()
     );
 
     // At least two techniques must actually save energy.
-    let saving: Vec<&PowerPoint> = serial
+    let saving: Vec<&PowerPoint> = points
         .iter()
         .filter(|pt| pt.net_saved_j() > 0.0)
         .collect();
@@ -175,7 +179,7 @@ fn main() {
         "{:>14} | {:>11} {:>9} | {:>10} {:>10} {:>10} {:>10}",
         "technique", "energy J", "cycles", "leak J", "dvfs J", "gate J", "net J"
     );
-    for pt in &serial {
+    for pt in &points {
         let p = pt.report.power.as_ref().expect("managed run");
         println!(
             "{:>14} | {:>11.4e} {:>9} | {:>10.3e} {:>10.3e} {:>10.3e} {:>10.3e}",
@@ -189,13 +193,13 @@ fn main() {
         );
     }
 
-    let rows: Vec<String> = serial.iter().map(technique_json).collect();
+    let rows: Vec<String> = points.iter().map(technique_json).collect();
     let json = format!(
         "{{\n  \"bench\": \"power\",\n  \"system\": \"tcpip\",\n  \
          \"leak_w_per_component\": {LEAK_W:e},\n  \
          \"baseline_energy_j\": {:e},\n  \
          \"disabled_policy_bit_identical\": true,\n  \
-         \"serial_parallel_bitwise_identical\": true,\n  \
+         \"sweep_standalone_bitwise_identical\": true,\n  \
          \"techniques\": [\n{}\n  ]\n}}\n",
         plain.total_energy_j(),
         rows.join(",\n"),

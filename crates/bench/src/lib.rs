@@ -514,8 +514,8 @@ pub fn ranks_agree(points: &[Fig6Point]) -> bool {
 
 /// Reproduces Fig. 7: the 6-permutation × 8-DMA-size exploration of the
 /// TCP/IP communication architecture (48 points), evaluated on the
-/// parallel sweep engine with the given options. The returned points are
-/// bit-for-bit identical to the serial sweep's at any worker count.
+/// sweep engine with the given options. The returned points are
+/// bit-for-bit identical at any worker count.
 pub fn fig7_parallel(
     params: &TcpIpParams,
     options: &ExploreOptions,
@@ -536,26 +536,9 @@ pub fn fig7_parallel(
 }
 
 /// Reproduces Fig. 7 with all the parallelism the host offers, returning
-/// just the 48 points (identical to the serial sweep's).
+/// just the 48 points (identical at any worker count).
 pub fn fig7(params: &TcpIpParams) -> Vec<ExplorationPoint> {
     fig7_parallel(params, &ExploreOptions::default()).points
-}
-
-/// The serial-reference Fig. 7 sweep (kept for differential testing and
-/// the throughput baseline of `bench_explore`).
-pub fn fig7_serial(params: &TcpIpParams) -> Vec<ExplorationPoint> {
-    let soc = tcpip::build(params).expect("valid params");
-    let procs: Vec<cfsm::ProcId> = ["create_pack", "ip_check", "checksum"]
-        .iter()
-        .map(|n| soc.network.process_by_name(n).expect("process exists"))
-        .collect();
-    co_estimation::explore_bus_architecture(
-        &soc,
-        &CoSimConfig::date2000_defaults(),
-        &procs,
-        &FIG7_DMA_SIZES,
-    )
-    .expect("exploration builds")
 }
 
 /// Renders sweep metrics as a one-line summary for the bench binaries.

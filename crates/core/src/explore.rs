@@ -3,13 +3,10 @@
 //! The co-estimation tool exists to be called *iteratively*: Fig. 7
 //! sweeps all meaningful assignments of bus/RTOS priorities and DMA
 //! block sizes for the TCP/IP subsystem (6 × 8 = 48 points) and picks the
-//! minimum-energy configuration. This module provides that sweep.
-//!
-//! The serial entry points here and the worker-pool entry points in
-//! [`crate::explore_parallel`] share the per-point evaluators
-//! [`eval_bus_point`] / [`eval_partition_point`], so both paths evaluate
-//! *exactly* the same configurations in the same enumeration order — the
-//! foundation of the parallel engine's determinism contract.
+//! minimum-energy configuration. This module holds the sweep points and
+//! the per-point evaluators ([`eval_bus_point`], [`eval_partition_point`],
+//! …); [`crate::explore_parallel`] enumerates each sweep's work list and
+//! runs it, serially or on a worker pool.
 
 use crate::config::{CoSimConfig, SocDescription};
 use crate::estimator::BuildEstimatorError;
@@ -113,7 +110,7 @@ pub fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
 
 /// Evaluates one point of the communication-architecture sweep: the
 /// given priority permutation (descending priorities along `perm`) at
-/// the given DMA block size. Shared by the serial and parallel sweeps.
+/// the given DMA block size.
 pub(crate) fn eval_bus_point(
     soc: &SocDescription,
     base: &CoSimConfig,
@@ -148,31 +145,6 @@ pub(crate) fn eval_bus_point(
     ))
 }
 
-/// Sweeps the communication-architecture design space: every priority
-/// permutation of `prioritized_procs` × every DMA size in `dma_sizes`.
-///
-/// Priorities are assigned in descending order along each permutation
-/// (first process gets the highest priority).
-///
-/// # Errors
-///
-/// Returns the first [`BuildEstimatorError`] encountered.
-pub fn explore_bus_architecture(
-    soc: &SocDescription,
-    base: &CoSimConfig,
-    prioritized_procs: &[ProcId],
-    dma_sizes: &[u32],
-) -> Result<Vec<ExplorationPoint>, BuildEstimatorError> {
-    let perms = permutations(prioritized_procs);
-    let mut points = Vec::with_capacity(perms.len() * dma_sizes.len());
-    for perm in &perms {
-        for &dma in dma_sizes {
-            points.push(eval_bus_point(soc, base, perm, dma, None, None)?.0);
-        }
-    }
-    Ok(points)
-}
-
 /// One evaluated HW/SW partition.
 #[derive(Debug, Clone)]
 pub struct PartitionPoint {
@@ -194,7 +166,7 @@ impl PartitionPoint {
 /// Evaluates the partition selected by `bits` (bit `k` set maps
 /// `movable[k]` to hardware). Returns `Ok(None)` when the hardware
 /// mapping is infeasible (synthesis failure), mirroring a real flow's
-/// infeasible designs. Shared by the serial and parallel sweeps.
+/// infeasible designs.
 pub(crate) fn eval_partition_point(
     soc: &SocDescription,
     config: &CoSimConfig,
@@ -248,33 +220,17 @@ pub(crate) fn check_partition_count(movable: &[ProcId]) -> Result<(), BuildEstim
     Ok(())
 }
 
-/// Evaluates every 2^n HW/SW partition of the given processes (§5.2
-/// mentions using the tool "to rank several different HW/SW
-/// partitions"). Processes not listed keep their original mapping.
-///
-/// Skips partitions whose hardware mapping fails to synthesize (e.g.
-/// processes using division) — such points are simply absent from the
-/// result, mirroring a real flow's infeasible designs.
-///
-/// # Errors
-///
-/// Propagates estimator-build failures that are not synthesis
-/// infeasibilities, and rejects more than 16 movable processes with
-/// [`BuildEstimatorError::InvalidParams`].
-pub fn explore_partitions(
-    soc: &SocDescription,
-    config: &CoSimConfig,
-    movable: &[ProcId],
-) -> Result<Vec<PartitionPoint>, BuildEstimatorError> {
-    check_partition_count(movable)?;
-    let n = movable.len();
-    let mut points = Vec::with_capacity(1 << n);
-    for bits in 0..(1u32 << n) {
-        if let Some((point, _)) = eval_partition_point(soc, config, movable, bits, None, None)? {
-            points.push(point);
-        }
+/// Guards the bus sweep's n! priority orders, checked before any is
+/// enumerated: 8 processes give 40 320 orders, and past 255 the `u8`
+/// priorities would wrap.
+pub(crate) fn check_priority_count(prioritized: &[ProcId]) -> Result<(), BuildEstimatorError> {
+    if prioritized.len() > 8 {
+        return Err(BuildEstimatorError::InvalidParams(format!(
+            "{} prioritized processes is too many for an exhaustive n! priority sweep (max 8)",
+            prioritized.len()
+        )));
     }
-    Ok(points)
+    Ok(())
 }
 
 /// One evaluated power-management policy.
@@ -307,7 +263,6 @@ impl PowerPoint {
 }
 
 /// Evaluates one power-management policy on the base configuration.
-/// Shared by the serial and parallel sweeps.
 pub(crate) fn eval_power_point(
     soc: &SocDescription,
     base: &CoSimConfig,
@@ -328,28 +283,6 @@ pub(crate) fn eval_power_point(
     ))
 }
 
-/// Sweeps power-management policies (operating-point assignments ×
-/// gating rules): one co-simulation per policy, in slice order. The
-/// exploration knob that widens §5.3's architecture sweep to the power
-/// axis.
-///
-/// # Errors
-///
-/// Returns the first [`BuildEstimatorError`] encountered — including
-/// policy-validation failures (unknown component names, out-of-range
-/// operating points).
-pub fn explore_power_policies(
-    soc: &SocDescription,
-    base: &CoSimConfig,
-    policies: &[crate::powermgmt::PowerPolicy],
-) -> Result<Vec<PowerPoint>, BuildEstimatorError> {
-    let mut points = Vec::with_capacity(policies.len());
-    for policy in policies {
-        points.push(eval_power_point(soc, base, policy, None, None)?.0);
-    }
-    Ok(points)
-}
-
 /// One evaluated fault scenario of a fault-matrix sweep.
 #[derive(Debug, Clone)]
 pub struct FaultPoint {
@@ -368,8 +301,7 @@ impl FaultPoint {
     }
 }
 
-/// Evaluates one fault scenario on the base configuration. Shared by
-/// the serial and parallel sweeps.
+/// Evaluates one fault scenario on the base configuration.
 pub(crate) fn eval_fault_point(
     soc: &SocDescription,
     base: &CoSimConfig,
@@ -389,28 +321,6 @@ pub(crate) fn eval_fault_point(
         },
         peak,
     ))
-}
-
-/// Sweeps a fault matrix: one co-simulation per `(label, plan)`
-/// scenario, in slice order. Each point is an independent run of the
-/// same system under a different declarative fault plan, so the sweep
-/// ranks the design's energy behaviour across its failure modes (the
-/// fault-injection counterpart of §5.3's architecture sweep).
-///
-/// # Errors
-///
-/// Returns the first [`BuildEstimatorError`] encountered — including
-/// fault plans naming unknown events or processes.
-pub fn explore_fault_matrix(
-    soc: &SocDescription,
-    base: &CoSimConfig,
-    scenarios: &[(String, FaultPlan)],
-) -> Result<Vec<FaultPoint>, BuildEstimatorError> {
-    let mut points = Vec::with_capacity(scenarios.len());
-    for (label, plan) in scenarios {
-        points.push(eval_fault_point(soc, base, label, plan, None, None)?.0);
-    }
-    Ok(points)
 }
 
 /// How a Monte-Carlo stimulus variant perturbs the base stimulus.
@@ -451,11 +361,13 @@ impl StimulusPoint {
     }
 }
 
-/// The deterministic stimulus variant of `seed`: every event's arrival
-/// time and payload perturbed by a `detrand` stream. Pure in `(soc,
-/// seed, jitter)`, so the serial and parallel sweeps (and any re-run)
-/// evaluate the identical schedule for a given seed.
-pub(crate) fn mc_stimulus_variant(
+/// The deterministic stimulus variant of `seed` that
+/// [`explore_stimulus_seeds_parallel`](crate::explore_stimulus_seeds_parallel)
+/// evaluates: every event's arrival time and payload perturbed by a
+/// `detrand` stream. Pure in `(soc, seed, jitter)`, so every worker
+/// count (and any standalone re-run) evaluates the identical schedule
+/// for a given seed.
+pub fn stimulus_variant(
     soc: &SocDescription,
     seed: u64,
     jitter: &StimulusJitter,
@@ -475,8 +387,7 @@ pub(crate) fn mc_stimulus_variant(
     variant
 }
 
-/// Evaluates one Monte-Carlo stimulus variant. Shared by the serial
-/// and parallel sweeps.
+/// Evaluates one Monte-Carlo stimulus variant.
 pub(crate) fn eval_stimulus_point(
     soc: &SocDescription,
     base: &CoSimConfig,
@@ -485,33 +396,10 @@ pub(crate) fn eval_stimulus_point(
     profile: Option<&ArcSharedSink<ProfileReport>>,
     timeline: Option<TimelineOptions>,
 ) -> Result<(StimulusPoint, Option<f64>), BuildEstimatorError> {
-    let variant = mc_stimulus_variant(soc, seed, jitter);
+    let variant = stimulus_variant(soc, seed, jitter);
     let mut sim = CoSimulator::new(variant, base.clone())?;
     let (report, peak) = run_point(&mut sim, profile, timeline, base.clock_hz);
     Ok((StimulusPoint { seed, report }, peak))
-}
-
-/// Monte-Carlo sweep over stimulus variants: one co-simulation per
-/// seed, each driving a deterministically jittered copy of the base
-/// stimulus. The spread of the per-point energies estimates how
-/// sensitive the design's power is to arrival times and payloads — the
-/// system-level sibling of the gate-level Monte-Carlo lanes in
-/// [`crate::run_lane_sweep`].
-///
-/// # Errors
-///
-/// Returns the first [`BuildEstimatorError`] encountered.
-pub fn explore_stimulus_seeds(
-    soc: &SocDescription,
-    base: &CoSimConfig,
-    seeds: &[u64],
-    jitter: &StimulusJitter,
-) -> Result<Vec<StimulusPoint>, BuildEstimatorError> {
-    let mut points = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        points.push(eval_stimulus_point(soc, base, seed, jitter, None, None)?.0);
-    }
-    Ok(points)
 }
 
 /// The minimum-energy point of an exploration.
@@ -522,6 +410,7 @@ pub fn minimum_energy(points: &[ExplorationPoint]) -> Option<&ExplorationPoint> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExploreOptions;
     use cfsm::{BinOp, Cfg, Cfsm, EventDef, EventOccurrence, Expr, Implementation, Network, Stmt};
 
     #[test]
@@ -604,14 +493,22 @@ mod tests {
         }
     }
 
+    fn serial_partitions(
+        soc: &SocDescription,
+        movable: &[ProcId],
+    ) -> Result<Vec<PartitionPoint>, BuildEstimatorError> {
+        let config = CoSimConfig::date2000_defaults();
+        crate::explore_partitions_parallel(soc, &config, movable, &ExploreOptions::serial())
+            .map(|sweep| sweep.points)
+    }
+
     #[test]
     fn partition_sweep_skips_infeasible_hw_mappings() {
         let soc = divider_soc();
         let divider = soc.network.process_by_name("divider").expect("exists");
-        let config = CoSimConfig::date2000_defaults();
         // Only the divider movable: HW mapping is infeasible, so exactly
         // 2^1 - 1 = 1 point survives — an absent point, not an error.
-        let points = explore_partitions(&soc, &config, &[divider]).expect("sweep succeeds");
+        let points = serial_partitions(&soc, &[divider]).expect("sweep succeeds");
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].label, "divider=SW");
     }
@@ -621,10 +518,9 @@ mod tests {
         let soc = divider_soc();
         let divider = soc.network.process_by_name("divider").expect("exists");
         let adder = soc.network.process_by_name("adder").expect("exists");
-        let config = CoSimConfig::date2000_defaults();
         // Both movable: the 2 partitions mapping the divider to HW are
         // skipped, so 2^2 - 2 = 2 points remain.
-        let points = explore_partitions(&soc, &config, &[divider, adder]).expect("sweep succeeds");
+        let points = serial_partitions(&soc, &[divider, adder]).expect("sweep succeeds");
         assert_eq!(points.len(), 2);
         assert!(points.iter().all(|p| p.label.contains("divider=SW")));
     }
@@ -633,8 +529,30 @@ mod tests {
     fn too_many_movable_processes_is_a_typed_error() {
         let soc = divider_soc();
         let p = soc.network.process_by_name("adder").expect("exists");
-        let movable = vec![p; 17];
-        let err = explore_partitions(&soc, &CoSimConfig::date2000_defaults(), &movable);
+        let err = serial_partitions(&soc, &[p; 17]);
         assert!(matches!(err, Err(BuildEstimatorError::InvalidParams(_))));
+    }
+
+    #[test]
+    fn too_many_prioritized_processes_is_a_typed_error() {
+        let soc = divider_soc();
+        let p = soc.network.process_by_name("adder").expect("exists");
+        let config = CoSimConfig::date2000_defaults();
+        let sweep = |procs: &[ProcId]| {
+            crate::explore_bus_architecture_parallel(
+                &soc,
+                &config,
+                procs,
+                &[4],
+                &ExploreOptions::serial(),
+            )
+        };
+        // 9! orders are rejected before any is enumerated.
+        let err = sweep(&[p; 9]);
+        assert!(matches!(err, Err(BuildEstimatorError::InvalidParams(_))));
+        // No prioritized process is one order: the base priorities.
+        let base = sweep(&[]).expect("empty order list sweeps");
+        assert_eq!(base.points.len(), 1);
+        assert!(base.points[0].priorities.is_empty());
     }
 }

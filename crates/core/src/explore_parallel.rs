@@ -1,5 +1,4 @@
-//! Parallel design-space exploration: the serial sweeps of
-//! [`crate::explore`], fanned out across a scoped worker pool.
+//! Design-space sweeps on a scoped worker pool.
 //!
 //! The paper's whole point of fast co-estimation is *iterative*
 //! architecture exploration (§5.3): a 48-point sweep is only as useful as
@@ -7,33 +6,37 @@
 //! so the engine enumerates the whole work list up front, hands indices
 //! to `std::thread::scope` workers through an atomic cursor, collects
 //! `(index, result)` pairs over an `mpsc` channel, and reassembles the
-//! output in index order.
+//! output in index order. Each sweep has one entry point;
+//! [`ExploreOptions::serial`] runs it on a single worker.
 //!
 //! # Determinism contract
 //!
-//! The reassembled `Vec` is **bit-for-bit identical** to the serial
-//! sweep's at every worker count:
+//! The reassembled `Vec` is **bit-for-bit identical** at every worker
+//! count, and each point equals a standalone [`crate::CoSimulator`] run
+//! of its configuration:
 //!
-//! * both paths share the per-point evaluators of [`crate::explore`], so
-//!   each index denotes exactly the same `(configuration, simulation)`;
-//! * each co-simulation is single-threaded and deterministic, so a point
-//!   computes the same report regardless of which worker runs it or when;
+//! * each index denotes exactly one `(configuration, simulation)`,
+//!   built by the per-point evaluators of [`crate::explore`];
+//! * each co-simulation is single-threaded and deterministic, and the
+//!   firing memo answers a repeated hardware firing with exactly the
+//!   bits it stored, so a point computes the same report regardless of
+//!   which worker runs it, when, or which points ran before it;
 //! * reassembly is by work-list index, so scheduling order never leaks
 //!   into the output.
 //!
-//! Errors keep the serial semantics too: workers record the lowest
+//! Errors follow enumeration order too: workers record the lowest
 //! work-list index that failed, stop claiming indices *above* it (indices
 //! below still run, since one of them could fail earlier in enumeration
-//! order), and the engine returns the lowest-indexed error — exactly the
-//! error the serial sweep would have returned, since every point before
-//! it evaluated cleanly.
+//! order), and the engine returns the lowest-indexed error — the error a
+//! one-by-one evaluation in enumeration order would hit first, since
+//! every point before it evaluated cleanly.
 
 use crate::config::{CoSimConfig, SocDescription};
 use crate::estimator::BuildEstimatorError;
 use crate::explore::{
-    check_partition_count, eval_bus_point, eval_fault_point, eval_partition_point,
-    eval_power_point, eval_stimulus_point, permutations, ExplorationPoint, FaultPoint,
-    PartitionPoint, PowerPoint, StimulusJitter, StimulusPoint,
+    check_partition_count, check_priority_count, eval_bus_point, eval_fault_point,
+    eval_partition_point, eval_power_point, eval_stimulus_point, permutations, ExplorationPoint,
+    FaultPoint, PartitionPoint, PowerPoint, StimulusJitter, StimulusPoint,
 };
 use crate::faults::FaultPlan;
 use crate::report::CoSimReport;
@@ -68,7 +71,7 @@ impl Default for TimelineOptions {
     }
 }
 
-/// How a parallel sweep should run.
+/// How a sweep should run.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
     /// Worker threads evaluating points. The engine clamps this to the
@@ -101,16 +104,11 @@ pub struct ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// One worker, base watchdog: the parallel engine degenerates to a
-    /// serial sweep (still channel-collected, still index-ordered).
+    /// One worker, base watchdog: the sweep evaluates its points one by
+    /// one in enumeration order (still channel-collected, still
+    /// index-ordered).
     pub fn serial() -> Self {
-        ExploreOptions {
-            workers: NonZeroUsize::MIN,
-            watchdog: None,
-            profile: None,
-            verify_first: false,
-            timeline: None,
-        }
+        ExploreOptions::with_workers(1)
     }
 
     /// A fixed worker count (clamped up to at least 1).
@@ -156,13 +154,7 @@ impl ExploreOptions {
 impl Default for ExploreOptions {
     /// All the parallelism the host offers (1 when it cannot tell).
     fn default() -> Self {
-        ExploreOptions {
-            workers: thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
-            watchdog: None,
-            profile: None,
-            verify_first: false,
-            timeline: None,
-        }
+        ExploreOptions::with_workers(thread::available_parallelism().map_or(1, NonZeroUsize::get))
     }
 }
 
@@ -187,11 +179,11 @@ pub struct SweepStats {
     pub point_peak_power_w: Vec<f64>,
 }
 
-/// A parallel sweep's result: the points (bit-identical to the serial
-/// sweep) plus the throughput metrics.
+/// A sweep's result: the points (bit-identical at every worker count)
+/// plus the throughput metrics.
 #[derive(Debug, Clone)]
 pub struct SweepReport<T> {
-    /// The evaluated points, in work-list (serial enumeration) order.
+    /// The evaluated points, in work-list (enumeration) order.
     pub points: Vec<T>,
     /// Sweep metrics.
     pub stats: SweepStats,
@@ -309,22 +301,22 @@ fn finish<T>(
     }
 }
 
-/// The parallel counterpart of
-/// [`explore_bus_architecture`](crate::explore_bus_architecture): same
-/// enumeration (every priority permutation × every DMA size), same
-/// bit-for-bit results, fanned out over `options.workers` threads.
-///
-/// # Errors
-///
-/// Returns the lowest-enumeration-order [`BuildEstimatorError`] — the
-/// same error the serial sweep returns.
-pub fn explore_bus_architecture_parallel(
+/// The steps every sweep shares around its work list of `total`
+/// points: the optional verify gate, the watchdog override, the worker
+/// pool, and the timing. `eval(config, i)` evaluates index `i` under
+/// the base configuration with the override applied.
+fn sweep<T, F>(
     soc: &SocDescription,
     base: &CoSimConfig,
-    prioritized_procs: &[ProcId],
-    dma_sizes: &[u32],
+    total: usize,
     options: &ExploreOptions,
-) -> Result<SweepReport<ExplorationPoint>, BuildEstimatorError> {
+    report_of: impl Fn(&T) -> &CoSimReport,
+    eval: F,
+) -> Result<SweepReport<T>, BuildEstimatorError>
+where
+    T: Send,
+    F: Fn(&CoSimConfig, usize) -> Result<Option<(T, Option<f64>)>, BuildEstimatorError> + Sync,
+{
     if options.verify_first {
         crate::verify::gate(crate::verify::verify_soc(soc))?;
     }
@@ -332,26 +324,55 @@ pub fn explore_bus_architecture_parallel(
         Some(w) => base.with_watchdog(w.clone()),
         None => base.clone(),
     };
-    let perms = permutations(prioritized_procs);
-    let total = perms.len() * dma_sizes.len();
     let t0 = Instant::now();
-    let (items, workers) = run_indexed(total, options.workers, |i| {
-        let perm = &perms[i / dma_sizes.len()];
-        let dma = dma_sizes[i % dma_sizes.len()];
-        eval_bus_point(soc, &config, perm, dma, options.profile.as_ref(), options.timeline)
-            .map(Some)
-    })?;
-    Ok(finish(items, t0, workers, |p| &p.report))
+    let (items, workers) = run_indexed(total, options.workers, |i| eval(&config, i))?;
+    Ok(finish(items, t0, workers, report_of))
 }
 
-/// The parallel counterpart of
-/// [`explore_partitions`](crate::explore_partitions): every 2^n HW/SW
-/// partition of `movable`, infeasible (unsynthesizable) points absent,
-/// results bit-for-bit identical to the serial sweep.
+/// Sweeps the communication-architecture design space (§5.3, Fig. 7):
+/// every priority permutation of `prioritized_procs` × every DMA size
+/// in `dma_sizes`, permutation-major, over `options.workers` threads.
+///
+/// Priorities are assigned in descending order along each permutation
+/// (first process gets the highest priority). An empty
+/// `prioritized_procs` is one order that keeps the base priorities.
 ///
 /// # Errors
 ///
-/// Rejects more than 16 movable processes, and propagates the
+/// Rejects more than 8 prioritized processes (8! = 40 320 orders) with
+/// [`BuildEstimatorError::InvalidParams`] before enumerating any order,
+/// and otherwise returns the lowest-enumeration-order
+/// [`BuildEstimatorError`].
+pub fn explore_bus_architecture_parallel(
+    soc: &SocDescription,
+    base: &CoSimConfig,
+    prioritized_procs: &[ProcId],
+    dma_sizes: &[u32],
+    options: &ExploreOptions,
+) -> Result<SweepReport<ExplorationPoint>, BuildEstimatorError> {
+    check_priority_count(prioritized_procs)?;
+    let perms = permutations(prioritized_procs);
+    let total = perms.len() * dma_sizes.len();
+    sweep(soc, base, total, options, |p: &ExplorationPoint| &p.report, |config, i| {
+        let perm = &perms[i / dma_sizes.len()];
+        let dma = dma_sizes[i % dma_sizes.len()];
+        eval_bus_point(soc, config, perm, dma, options.profile.as_ref(), options.timeline)
+            .map(Some)
+    })
+}
+
+/// Evaluates every 2^n HW/SW partition of `movable` (§5.2 mentions
+/// using the tool "to rank several different HW/SW partitions").
+/// Processes not listed keep their original mapping.
+///
+/// Partitions whose hardware mapping fails to synthesize (e.g.
+/// processes using division) are absent from the result, mirroring a
+/// real flow's infeasible designs.
+///
+/// # Errors
+///
+/// Rejects more than 16 movable processes with
+/// [`BuildEstimatorError::InvalidParams`], and propagates the
 /// lowest-enumeration-order build failure that is not a synthesis
 /// infeasibility.
 pub fn explore_partitions_parallel(
@@ -360,105 +381,77 @@ pub fn explore_partitions_parallel(
     movable: &[ProcId],
     options: &ExploreOptions,
 ) -> Result<SweepReport<PartitionPoint>, BuildEstimatorError> {
-    if options.verify_first {
-        crate::verify::gate(crate::verify::verify_soc(soc))?;
-    }
     check_partition_count(movable)?;
-    let config = match &options.watchdog {
-        Some(w) => base.with_watchdog(w.clone()),
-        None => base.clone(),
-    };
-    let total = 1usize << movable.len();
-    let t0 = Instant::now();
-    let (items, workers) = run_indexed(total, options.workers, |i| {
+    sweep(soc, base, 1 << movable.len(), options, |p: &PartitionPoint| &p.report, |config, i| {
         eval_partition_point(
             soc,
-            &config,
+            config,
             movable,
             i as u32,
             options.profile.as_ref(),
             options.timeline,
         )
-    })?;
-    Ok(finish(items, t0, workers, |p| &p.report))
+    })
 }
 
-/// The parallel counterpart of
-/// [`explore_power_policies`](crate::explore_power_policies): one
-/// co-simulation per policy, bit-for-bit identical to the serial sweep
-/// at every worker count (leakage spans settle in simulation order
-/// inside each single-threaded point, so worker scheduling cannot
-/// reorder any float accumulation).
+/// Sweeps power-management policies (operating-point assignments ×
+/// gating rules): one co-simulation per policy, in slice order — the
+/// exploration knob that widens §5.3's architecture sweep to the power
+/// axis. Leakage spans settle in simulation order inside each
+/// single-threaded point, so worker scheduling cannot reorder any float
+/// accumulation.
 ///
 /// # Errors
 ///
-/// Returns the lowest-enumeration-order [`BuildEstimatorError`] — the
-/// same error the serial sweep returns, including policy-validation
-/// failures.
+/// Returns the lowest-enumeration-order [`BuildEstimatorError`],
+/// including policy-validation failures (unknown component names,
+/// out-of-range operating points).
 pub fn explore_power_policies_parallel(
     soc: &SocDescription,
     base: &CoSimConfig,
     policies: &[crate::powermgmt::PowerPolicy],
     options: &ExploreOptions,
 ) -> Result<SweepReport<PowerPoint>, BuildEstimatorError> {
-    if options.verify_first {
-        crate::verify::gate(crate::verify::verify_soc(soc))?;
-    }
-    let config = match &options.watchdog {
-        Some(w) => base.with_watchdog(w.clone()),
-        None => base.clone(),
-    };
-    let t0 = Instant::now();
-    let (items, workers) = run_indexed(policies.len(), options.workers, |i| {
-        eval_power_point(soc, &config, &policies[i], options.profile.as_ref(), options.timeline)
+    sweep(soc, base, policies.len(), options, |p: &PowerPoint| &p.report, |config, i| {
+        eval_power_point(soc, config, &policies[i], options.profile.as_ref(), options.timeline)
             .map(Some)
-    })?;
-    Ok(finish(items, t0, workers, |p| &p.report))
+    })
 }
 
-/// The parallel counterpart of
-/// [`explore_fault_matrix`](crate::explore_fault_matrix): one
-/// co-simulation per fault scenario, bit-for-bit identical to the
-/// serial sweep at every worker count, with every point's provenance
-/// partition intact.
+/// Sweeps a fault matrix: one co-simulation per `(label, plan)`
+/// scenario, in slice order. Each point is an independent run of the
+/// same system under a different declarative fault plan, so the sweep
+/// ranks the design's energy behaviour across its failure modes (the
+/// fault-injection counterpart of §5.3's architecture sweep), with every
+/// point's provenance partition intact.
 ///
 /// # Errors
 ///
-/// Returns the lowest-enumeration-order [`BuildEstimatorError`] — the
-/// same error the serial sweep returns, including fault plans naming
-/// unknown events or processes.
+/// Returns the lowest-enumeration-order [`BuildEstimatorError`],
+/// including fault plans naming unknown events or processes.
 pub fn explore_fault_matrix_parallel(
     soc: &SocDescription,
     base: &CoSimConfig,
     scenarios: &[(String, FaultPlan)],
     options: &ExploreOptions,
 ) -> Result<SweepReport<FaultPoint>, BuildEstimatorError> {
-    if options.verify_first {
-        crate::verify::gate(crate::verify::verify_soc(soc))?;
-    }
-    let config = match &options.watchdog {
-        Some(w) => base.with_watchdog(w.clone()),
-        None => base.clone(),
-    };
-    let t0 = Instant::now();
-    let (items, workers) = run_indexed(scenarios.len(), options.workers, |i| {
+    sweep(soc, base, scenarios.len(), options, |p: &FaultPoint| &p.report, |config, i| {
         let (label, plan) = &scenarios[i];
-        eval_fault_point(soc, &config, label, plan, options.profile.as_ref(), options.timeline)
+        eval_fault_point(soc, config, label, plan, options.profile.as_ref(), options.timeline)
             .map(Some)
-    })?;
-    Ok(finish(items, t0, workers, |p| &p.report))
+    })
 }
 
-/// The parallel counterpart of
-/// [`explore_stimulus_seeds`](crate::explore_stimulus_seeds): one
-/// co-simulation per Monte-Carlo stimulus seed, bit-for-bit identical
-/// to the serial sweep at every worker count (each variant's jittered
-/// schedule is a pure function of its seed).
+/// Monte-Carlo sweep over stimulus variants: one co-simulation per
+/// seed, each driving [`stimulus_variant`](crate::stimulus_variant)'s
+/// deterministically jittered copy of the base stimulus. The spread of
+/// the per-point energies estimates how sensitive the design's power is
+/// to arrival times and payloads — the system-level sibling of the
+/// gate-level Monte-Carlo lanes in [`crate::run_lane_sweep`].
 ///
 /// # Errors
 ///
-/// Returns the lowest-enumeration-order [`BuildEstimatorError`] — the
-/// same error the serial sweep returns.
+/// Returns the lowest-enumeration-order [`BuildEstimatorError`].
 pub fn explore_stimulus_seeds_parallel(
     soc: &SocDescription,
     base: &CoSimConfig,
@@ -466,32 +459,22 @@ pub fn explore_stimulus_seeds_parallel(
     jitter: &StimulusJitter,
     options: &ExploreOptions,
 ) -> Result<SweepReport<StimulusPoint>, BuildEstimatorError> {
-    if options.verify_first {
-        crate::verify::gate(crate::verify::verify_soc(soc))?;
-    }
-    let config = match &options.watchdog {
-        Some(w) => base.with_watchdog(w.clone()),
-        None => base.clone(),
-    };
-    let t0 = Instant::now();
-    let (items, workers) = run_indexed(seeds.len(), options.workers, |i| {
+    sweep(soc, base, seeds.len(), options, |p: &StimulusPoint| &p.report, |config, i| {
         eval_stimulus_point(
             soc,
-            &config,
+            config,
             seeds[i],
             jitter,
             options.profile.as_ref(),
             options.timeline,
         )
         .map(Some)
-    })?;
-    Ok(finish(items, t0, workers, |p| &p.report))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore_bus_architecture, explore_partitions};
     use cfsm::{Cfg, Cfsm, EventDef, EventOccurrence, Expr, Implementation, Network, Stmt};
 
     /// A three-process SOC with shared-memory traffic so priorities and
@@ -548,14 +531,48 @@ mod tests {
             })
     }
 
+    /// The sweeps' oracle: one point's configuration run standalone,
+    /// outside any firing-memo scope, so it simulates every firing.
+    fn standalone(soc: SocDescription, config: CoSimConfig) -> String {
+        crate::master::CoSimulator::new(soc, config)
+            .expect("system builds")
+            .run()
+            .golden_snapshot()
+    }
+
+    fn assert_snapshots<T>(points: &[T], want: &[String], report_of: impl Fn(&T) -> &CoSimReport) {
+        assert_eq!(points.len(), want.len());
+        for (i, (p, w)) in points.iter().zip(want).enumerate() {
+            assert_eq!(&report_of(p).golden_snapshot(), w, "point {i} diverged");
+        }
+    }
+
     #[test]
-    fn parallel_bus_sweep_matches_serial_bitwise() {
+    fn bus_sweep_matches_standalone_runs_at_every_worker_count() {
         let soc = sweep_soc();
         let config = CoSimConfig::date2000_defaults();
         let procs: Vec<ProcId> = soc.network.process_ids().collect();
         let dmas = [2u32, 8, 32];
-        let serial = explore_bus_architecture(&soc, &config, &procs, &dmas).expect("serial");
-        for workers in [1usize, 2, 5] {
+        let mut want = Vec::new();
+        for perm in permutations(&procs) {
+            for &dma in &dmas {
+                let mut variant = soc.clone();
+                for (rank, &p) in perm.iter().enumerate() {
+                    variant.set_priority(p, (perm.len() - rank) as u8);
+                }
+                want.push(standalone(variant, config.with_dma_block_size(dma)));
+            }
+        }
+        let serial = explore_bus_architecture_parallel(
+            &soc,
+            &config,
+            &procs,
+            &dmas,
+            &ExploreOptions::serial(),
+        )
+        .expect("serial");
+        assert_snapshots(&serial.points, &want, |p| &p.report);
+        for workers in [2usize, 5] {
             let par = explore_bus_architecture_parallel(
                 &soc,
                 &config,
@@ -565,22 +582,35 @@ mod tests {
             )
             .expect("parallel");
             assert!(
-                points_bitwise_equal(&serial, &par.points),
+                points_bitwise_equal(&serial.points, &par.points),
                 "divergence at workers = {workers}"
             );
-            assert_eq!(par.stats.points, serial.len());
+            assert_eq!(par.stats.points, want.len());
             assert_eq!(par.stats.degraded, 0);
-            assert_eq!(par.stats.point_wall_ms.len(), serial.len());
+            assert_eq!(par.stats.point_wall_ms.len(), want.len());
             assert!(par.stats.wall_ms > 0.0 && par.stats.points_per_sec > 0.0);
         }
     }
 
     #[test]
-    fn parallel_partition_sweep_matches_serial() {
+    fn partition_sweep_matches_standalone_runs() {
         let soc = sweep_soc();
         let config = CoSimConfig::date2000_defaults();
         let movable: Vec<ProcId> = soc.network.process_ids().take(2).collect();
-        let serial = explore_partitions(&soc, &config, &movable).expect("serial");
+        let want: Vec<String> = (0..4u32)
+            .map(|bits| {
+                let mut variant = soc.clone();
+                for (k, &p) in movable.iter().enumerate() {
+                    let m = if bits >> k & 1 == 1 {
+                        Implementation::Hw
+                    } else {
+                        Implementation::Sw
+                    };
+                    variant.network.set_mapping(p, m);
+                }
+                standalone(variant, config.clone())
+            })
+            .collect();
         for workers in [1usize, 4] {
             let par = explore_partitions_parallel(
                 &soc,
@@ -588,23 +618,15 @@ mod tests {
                 &movable,
                 &ExploreOptions::with_workers(workers),
             )
-            .expect("parallel");
-            assert_eq!(par.points.len(), serial.len());
-            for (s, p) in serial.iter().zip(&par.points) {
-                assert_eq!(s.label, p.label);
-                assert_eq!(s.mapping, p.mapping);
-                assert_eq!(
-                    s.report.golden_snapshot(),
-                    p.report.golden_snapshot(),
-                    "partition `{}` diverged at workers = {workers}",
-                    s.label
-                );
-            }
+            .expect("sweep");
+            assert_snapshots(&par.points, &want, |p| &p.report);
+            assert_eq!(par.points[3].label, "alpha=HW beta=HW");
+            assert_eq!(par.points[3].mapping, vec![Implementation::Hw; 3]);
         }
     }
 
     #[test]
-    fn parallel_power_sweep_matches_serial_bitwise() {
+    fn power_sweep_matches_standalone_runs() {
         use crate::powermgmt::{GatingPolicy, LeakageModel, OperatingPoint, PowerPolicy};
         let soc = sweep_soc();
         let config = CoSimConfig::date2000_defaults();
@@ -619,8 +641,10 @@ mod tests {
                 .with_operating_point(OperatingPoint::new("low", 0.8, 0.5))
                 .dvfs("gamma", 0),
         ];
-        let serial =
-            crate::explore::explore_power_policies(&soc, &config, &policies).expect("serial");
+        let want: Vec<String> = policies
+            .iter()
+            .map(|p| standalone(soc.clone(), config.with_power_policy(p.clone())))
+            .collect();
         for workers in [1usize, 3] {
             let par = explore_power_policies_parallel(
                 &soc,
@@ -628,28 +652,16 @@ mod tests {
                 &policies,
                 &ExploreOptions::with_workers(workers),
             )
-            .expect("parallel");
-            assert_eq!(par.points.len(), serial.len());
-            for (s, p) in serial.iter().zip(&par.points) {
-                assert_eq!(s.policy_name, p.policy_name);
-                assert_eq!(
-                    s.report.golden_snapshot(),
-                    p.report.golden_snapshot(),
-                    "policy `{}` diverged at workers = {workers}",
-                    s.policy_name
-                );
-                assert_eq!(
-                    s.energy_j().to_bits(),
-                    p.energy_j().to_bits(),
-                    "policy `{}` energy diverged at workers = {workers}",
-                    s.policy_name
-                );
+            .expect("sweep");
+            assert_snapshots(&par.points, &want, |p| &p.report);
+            for (p, policy) in par.points.iter().zip(&policies) {
+                assert_eq!(p.policy_name, policy.name);
             }
         }
     }
 
     #[test]
-    fn parallel_fault_matrix_matches_serial_and_individual_runs() {
+    fn fault_matrix_matches_standalone_runs() {
         let soc = sweep_soc();
         let config = CoSimConfig::date2000_defaults();
         let scenarios: Vec<(String, FaultPlan)> = vec![
@@ -660,23 +672,10 @@ mod tests {
                 FaultPlan::new().duplicate_event(8_500, "ACK").stall_bus(9_000, 1_500),
             ),
         ];
-        let serial =
-            crate::explore::explore_fault_matrix(&soc, &config, &scenarios).expect("serial");
-        assert_eq!(serial.len(), scenarios.len());
-        for (point, (label, plan)) in serial.iter().zip(&scenarios) {
-            assert_eq!(&point.label, label);
-            // Each point is bitwise-equal to an individual run of the
-            // same scenario, and the provenance partition stays exact
-            // even on faulted trajectories.
-            let solo = crate::master::CoSimulator::new(
-                soc.clone(),
-                config.with_faults(plan.clone()),
-            )
-            .expect("system builds")
-            .run();
-            assert_eq!(point.report.golden_snapshot(), solo.golden_snapshot());
-            point.report.verify_provenance().expect("exact partition");
-        }
+        let want: Vec<String> = scenarios
+            .iter()
+            .map(|(_, plan)| standalone(soc.clone(), config.with_faults(plan.clone())))
+            .collect();
         for workers in [1usize, 3] {
             let par = explore_fault_matrix_parallel(
                 &soc,
@@ -684,47 +683,31 @@ mod tests {
                 &scenarios,
                 &ExploreOptions::with_workers(workers),
             )
-            .expect("parallel");
-            assert_eq!(par.points.len(), serial.len());
-            for (s, p) in serial.iter().zip(&par.points) {
-                assert_eq!(s.label, p.label);
-                assert_eq!(
-                    s.report.golden_snapshot(),
-                    p.report.golden_snapshot(),
-                    "scenario `{}` diverged at workers = {workers}",
-                    s.label
-                );
+            .expect("sweep");
+            assert_snapshots(&par.points, &want, |p| &p.report);
+            for (point, (label, _)) in par.points.iter().zip(&scenarios) {
+                assert_eq!(&point.label, label);
+                // The provenance partition stays exact even on faulted
+                // trajectories.
+                point.report.verify_provenance().expect("exact partition");
             }
         }
     }
 
     #[test]
-    fn parallel_stimulus_sweep_matches_serial_and_individual_runs() {
+    fn stimulus_sweep_matches_standalone_runs() {
         let soc = sweep_soc();
         let config = CoSimConfig::date2000_defaults();
         let jitter = StimulusJitter { time: 500, value: 3 };
         let seeds = [1u64, 2, 3, 4, 5];
-        let serial = crate::explore::explore_stimulus_seeds(&soc, &config, &seeds, &jitter)
-            .expect("serial");
-        assert_eq!(serial.len(), seeds.len());
+        let want: Vec<String> = seeds
+            .iter()
+            .map(|&seed| standalone(crate::stimulus_variant(&soc, seed, &jitter), config.clone()))
+            .collect();
         // Jitter genuinely perturbs the runs: not all seeds land on the
         // identical report.
-        let distinct: std::collections::BTreeSet<String> = serial
-            .iter()
-            .map(|p| p.report.golden_snapshot())
-            .collect();
+        let distinct: std::collections::BTreeSet<&String> = want.iter().collect();
         assert!(distinct.len() > 1, "jitter changed nothing");
-        for (point, &seed) in serial.iter().zip(&seeds) {
-            assert_eq!(point.seed, seed);
-            // Per-point report bitwise-equal to an individual run of the
-            // same variant, provenance exact.
-            let variant = crate::explore::mc_stimulus_variant(&soc, seed, &jitter);
-            let solo = crate::master::CoSimulator::new(variant, config.clone())
-                .expect("system builds")
-                .run();
-            assert_eq!(point.report.golden_snapshot(), solo.golden_snapshot());
-            point.report.verify_provenance().expect("exact partition");
-        }
         for workers in [1usize, 4] {
             let par = explore_stimulus_seeds_parallel(
                 &soc,
@@ -733,16 +716,11 @@ mod tests {
                 &jitter,
                 &ExploreOptions::with_workers(workers),
             )
-            .expect("parallel");
-            assert_eq!(par.points.len(), serial.len());
-            for (s, p) in serial.iter().zip(&par.points) {
-                assert_eq!(s.seed, p.seed);
-                assert_eq!(
-                    s.report.golden_snapshot(),
-                    p.report.golden_snapshot(),
-                    "seed {} diverged at workers = {workers}",
-                    s.seed
-                );
+            .expect("sweep");
+            assert_snapshots(&par.points, &want, |p| &p.report);
+            for (point, &seed) in par.points.iter().zip(&seeds) {
+                assert_eq!(point.seed, seed);
+                point.report.verify_provenance().expect("exact partition");
             }
         }
     }
@@ -752,8 +730,8 @@ mod tests {
         let soc = sweep_soc();
         let jitter = StimulusJitter::default();
         for seed in [0u64, 9, 0xFFFF_FFFF_FFFF_FFFF] {
-            let a = crate::explore::mc_stimulus_variant(&soc, seed, &jitter);
-            let b = crate::explore::mc_stimulus_variant(&soc, seed, &jitter);
+            let a = crate::stimulus_variant(&soc, seed, &jitter);
+            let b = crate::stimulus_variant(&soc, seed, &jitter);
             assert_eq!(a.stimulus, b.stimulus, "seed {seed}");
             // Times stay sorted so the schedule is a valid stimulus.
             assert!(a.stimulus.windows(2).all(|w| w[0].0 <= w[1].0));
@@ -782,15 +760,21 @@ mod tests {
     }
 
     #[test]
-    fn worker_errors_propagate_as_the_serial_error() {
+    fn worker_errors_propagate_as_the_single_worker_error() {
         let soc = sweep_soc();
         // A fault plan naming an unknown event fails CoSimulator::new
         // with a typed error at every point of the sweep.
         let config = CoSimConfig::date2000_defaults()
             .with_faults(crate::faults::FaultPlan::new().drop_event(1, "NO_SUCH_EVENT"));
         let procs: Vec<ProcId> = soc.network.process_ids().collect();
-        let serial_err = explore_bus_architecture(&soc, &config, &procs, &[2, 8])
-            .expect_err("serial fails");
+        let serial_err = explore_bus_architecture_parallel(
+            &soc,
+            &config,
+            &procs,
+            &[2, 8],
+            &ExploreOptions::serial(),
+        )
+        .expect_err("serial fails");
         let par_err = explore_bus_architecture_parallel(
             &soc,
             &config,

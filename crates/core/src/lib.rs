@@ -46,13 +46,13 @@
 //! [`CoSimReport::verify_provenance`] stays an exact bit-level
 //! partition. The default policy is a guaranteed noop.
 //!
-//! [`explore_bus_architecture`] drives the iterative design-space
-//! exploration of §5.3; [`explore_bus_architecture_parallel`] and
-//! [`explore_partitions_parallel`] fan the same sweeps out over a scoped
-//! worker pool ([`ExploreOptions`]) with **bit-for-bit identical**
-//! results and throughput metrics ([`SweepStats`]); and
-//! [`explore_power_policies`] / [`explore_power_policies_parallel`]
-//! widen the sweep to operating points × gating policies.
+//! [`explore_bus_architecture_parallel`] drives the iterative
+//! design-space exploration of §5.3 and [`explore_partitions_parallel`]
+//! ranks HW/SW partitions, each over a scoped worker pool
+//! ([`ExploreOptions`], one worker with [`ExploreOptions::serial`]) with
+//! **bit-for-bit identical** results at every worker count and
+//! throughput metrics ([`SweepStats`]); [`explore_power_policies_parallel`]
+//! widens the sweep to operating points × gating policies.
 //!
 //! The framework is fault-aware: a [`FaultPlan`] schedules declarative
 //! fault injections (dropped/duplicated/delayed events, frozen processes,
@@ -135,9 +135,8 @@ pub use report::{
     AccelEffectiveness, CacheEffectiveness, Provenance, ProvenanceBreakdown, SamplingEffectiveness,
 };
 pub use explore::{
-    explore_bus_architecture, explore_fault_matrix, explore_partitions, explore_power_policies,
-    explore_stimulus_seeds, minimum_energy, permutations, ExplorationPoint, FaultPoint,
-    PartitionPoint, PowerPoint, StimulusJitter, StimulusPoint,
+    minimum_energy, permutations, stimulus_variant, ExplorationPoint, FaultPoint, PartitionPoint,
+    PowerPoint, StimulusJitter, StimulusPoint,
 };
 pub use explore_parallel::{
     explore_bus_architecture_parallel, explore_fault_matrix_parallel,

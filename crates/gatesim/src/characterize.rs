@@ -144,8 +144,8 @@ fn datapath(nl: &mut Netlist, op: MacroOp, x: &Bus, y: &Bus) {
 
 /// Mean energy per cycle of `nl` over [`ROUNDS`] cycles, each forcing
 /// fresh random values onto `operands` (drawn in operand order). The
-/// rounds run as one [`Simulator::run_block`], so the windowed kernels
-/// evaluate them in one lane window.
+/// rounds run as one [`Simulator::run_block`], so the windowed kernel
+/// evaluates them in one lane window.
 fn mean_energy(
     nl: Netlist,
     operands: &[Bus],
@@ -232,12 +232,7 @@ mod tests {
         ] {
             let batched = bits(&characterize(width, &power));
             assert_eq!(batched.len(), ALL_MACRO_OPS.len());
-            for kernel in [
-                SimKernel::EventDriven,
-                SimKernel::Oblivious,
-                SimKernel::WordParallel,
-                SimKernel::Simd,
-            ] {
+            for kernel in [SimKernel::EventDriven, SimKernel::Oblivious, SimKernel::Simd] {
                 assert_eq!(
                     bits(&stepped(width, &power, kernel)),
                     batched,

@@ -14,13 +14,13 @@
 //! * [`bus`] — word-level datapath blocks (adders, multipliers,
 //!   comparators, registers);
 //! * [`Simulator`] — deterministic cycle-based logic simulation with
-//!   energy capture (four bit-identical kernels: event-driven,
-//!   oblivious, word-parallel, and simd — see [`SimKernel`]);
-//! * [`word`] — bit-parallel lane primitives and the lockstep
-//!   multi-stream [`MultiLaneSim`] (64-lane [`LaneSim`] instance);
-//! * [`simd`] — wide lane words ([`LaneWord`], [`Wide`]) that widen the
-//!   word kernels to 128/256/512 lanes per op, and the width-erased
-//!   [`SimdLaneSim`] multi-stream simulator;
+//!   energy capture (three bit-identical kernels: event-driven,
+//!   oblivious, and simd — see [`SimKernel`]);
+//! * [`word`] — the lockstep multi-stream [`MultiLaneSim`] (64-lane
+//!   [`LaneSim`] instance);
+//! * [`simd`] — lane words ([`LaneWord`], [`Wide`]) from 64 to
+//!   128/256/512 lanes per op, and the width-erased [`SimdLaneSim`]
+//!   multi-stream simulator;
 //! * [`HwCfsm`] — CFSM transitions synthesized to FSMDs plus the
 //!   run protocol the co-simulation master uses, with an exact memo of
 //!   repeated firings for design-space sweeps ([`FiringMemoScope`]);

@@ -354,83 +354,6 @@ impl Netlist {
         (levels, max_level)
     }
 
-    /// Whether any flip-flop's next-state cone depends — transitively,
-    /// through combinational logic and other flip-flops — on its own
-    /// output: true iff the graph whose nodes are DFFs and whose edges
-    /// run from each DFF feeding another's D-cone has a cycle
-    /// (self-loops included, e.g. a toggle flop).
-    ///
-    /// Feed-forward pipelines (shift registers, pipelined datapaths)
-    /// return false: their state settles to the input schedule within
-    /// the pipeline depth, so speculative word windows still commit
-    /// long prefixes and the word kernels amortize. Feedback state
-    /// (counters, FSM registers) returns true — there the expected
-    /// committed window length approaches one cycle and event-driven
-    /// simulation wins. [`crate::SimKernel::auto_select`] keys on this.
-    ///
-    /// Robust to malformed netlists (dangling references are skipped);
-    /// run [`Netlist::validate`] for real diagnostics.
-    pub fn sequential_feedback(&self) -> bool {
-        let mut ord = vec![u32::MAX; self.gates.len()];
-        let mut dffs = Vec::new();
-        for (i, g) in self.gates.iter().enumerate() {
-            if g.kind.is_sequential() {
-                ord[i] = dffs.len() as u32;
-                dffs.push(i as u32);
-            }
-        }
-        let nd = dffs.len();
-        if nd == 0 {
-            return false;
-        }
-        // For each DFF, walk backward from its D input through
-        // combinational gates, collecting the DFFs its next state reads.
-        let mut deps: Vec<Vec<u32>> = vec![Vec::new(); nd];
-        let mut seen = vec![u32::MAX; self.gates.len()];
-        for (k, &gi) in dffs.iter().enumerate() {
-            let mut stack: Vec<u32> = self.gates[gi as usize]
-                .inputs
-                .iter()
-                .map(|n| n.0)
-                .collect();
-            while let Some(i) = stack.pop() {
-                let Some(g) = self.gates.get(i as usize) else {
-                    continue;
-                };
-                if seen[i as usize] == k as u32 {
-                    continue;
-                }
-                seen[i as usize] = k as u32;
-                if g.kind.is_sequential() {
-                    deps[k].push(ord[i as usize]);
-                } else if !g.kind.is_source() {
-                    stack.extend(g.inputs.iter().map(|n| n.0));
-                }
-            }
-        }
-        // Kahn over the DFF dependency graph: a cycle is feedback.
-        let mut indeg = vec![0u32; nd];
-        let mut out: Vec<Vec<u32>> = vec![Vec::new(); nd];
-        for (k, srcs) in deps.iter().enumerate() {
-            for &s in srcs {
-                out[s as usize].push(k as u32);
-                indeg[k] += 1;
-            }
-        }
-        let mut ready: Vec<u32> = (0..nd as u32).filter(|&k| indeg[k as usize] == 0).collect();
-        let mut done = 0usize;
-        while let Some(k) = ready.pop() {
-            done += 1;
-            for &succ in &out[k as usize] {
-                indeg[succ as usize] -= 1;
-                if indeg[succ as usize] == 0 {
-                    ready.push(succ);
-                }
-            }
-        }
-        done != nd
-    }
-
     /// Checks referential integrity, arity, and combinational acyclicity;
     /// returns the topological evaluation order of combinational gates.
     ///
@@ -614,42 +537,6 @@ mod tests {
         let pos = |id: NetId| order.iter().position(|&o| o == id).expect("in order");
         assert!(pos(x) < pos(y));
         assert!(pos(y) < pos(z));
-    }
-
-    #[test]
-    fn feedback_detection_separates_pipelines_from_state_machines() {
-        // Combinational-only: no state at all.
-        let mut comb = Netlist::new();
-        let a = comb.input();
-        comb.gate(GateKind::Not, vec![a]);
-        assert!(!comb.sequential_feedback());
-
-        // Shift register: DFFs chained forward, no loop.
-        let mut pipe = Netlist::new();
-        let a = pipe.input();
-        let s1 = pipe.dff(a, false);
-        let s2 = pipe.dff(s1, false);
-        let _s3 = pipe.dff(s2, false);
-        assert!(!pipe.sequential_feedback());
-
-        // Toggle flop: q = dff(not q) — a self-loop through an inverter.
-        let mut tog = Netlist::new();
-        let inv = tog.gate(GateKind::Not, vec![NetId(1)]);
-        tog.dff(inv, false);
-        assert!(tog.sequential_feedback());
-
-        // Two-flop loop: q0 feeds q1's D-cone and vice versa.
-        let mut loop2 = Netlist::new();
-        let x = loop2.wire();
-        let q0 = loop2.dff(x, false);
-        let q1 = loop2.dff(q0, true);
-        loop2.drive(x, q1);
-        assert!(loop2.sequential_feedback());
-
-        // A loop plus an independent pipeline is still feedback.
-        let a = loop2.input();
-        let _tail = loop2.dff(a, false);
-        assert!(loop2.sequential_feedback());
     }
 
     #[test]

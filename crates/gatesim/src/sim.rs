@@ -1,6 +1,6 @@
 //! Cycle-based logic simulation with toggle-count energy.
 //!
-//! Four kernels produce bit-identical results:
+//! Three kernels produce bit-identical results:
 //!
 //! * **Event-driven** (the default, [`SimKernel::EventDriven`]): per-net
 //!   combinational fanout lists and a topological levelization are built
@@ -9,32 +9,25 @@
 //!   driven by a dirty queue keyed by level. Toggle counting falls out
 //!   of the events themselves — no per-cycle snapshot of the value
 //!   vector.
-//! * **Oblivious** ([`SimKernel::Oblivious`], forced process-wide with
-//!   `GATESIM_OBLIVIOUS=1`): the reference path — every combinational
-//!   gate is re-evaluated every cycle in topological order and toggles
-//!   are found by a full before/after diff, the way the modified SIS
-//!   power estimator of the paper works.
-//! * **Word-parallel** ([`SimKernel::WordParallel`]): up to 64
+//! * **Oblivious** ([`SimKernel::Oblivious`]): the reference path —
+//!   every combinational gate is re-evaluated every cycle in
+//!   topological order and toggles are found by a full before/after
+//!   diff, the way the modified SIS power estimator of the paper works.
+//! * **Simd** ([`SimKernel::Simd`]): the windowed engine — up to 256
 //!   consecutive cycles are evaluated per gate visit by packing each
-//!   net's value over the window into one `u64` *lane word* (bit *j* =
-//!   cycle *j*) and evaluating AND/OR/XOR/NOT/MUX as single word ops.
-//!   Sequential feedback bounds the batch: a window is *speculative*
-//!   under the assumption that no DFF output changes inside it, and
-//!   only the prefix up to (and including) the first cycle whose clock
-//!   edge would change a flop is *committed*; the remainder is
-//!   replayed in a fresh window from the new register state. Energy
-//!   falls out of per-net toggle words
-//!   ([`crate::word::toggle_word`]) popcounted over the committed
-//!   prefix.
-//! * **Simd** ([`SimKernel::Simd`]): the word-parallel engine
-//!   instantiated at a [`crate::simd::Wide`] lane word — 256 cycles per
-//!   gate visit instead of 64, with the same speculate / commit-prefix /
-//!   replay seam, masked comparisons, and epoch-stamped lazy lane
-//!   invalidation (the engine is generic over
-//!   [`crate::simd::LaneWord`], so there is one implementation, not
-//!   two). The default build carries the wide word as `[u64; 4]` and
-//!   lets LLVM vectorize; the `portable-simd` feature routes the ops
-//!   through `std::simd`.
+//!   net's value over the window into one [`crate::simd::W256`] *lane
+//!   word* (lane *j* = cycle *j*) and evaluating AND/OR/XOR/NOT/MUX as
+//!   single word ops. Sequential state bounds the batch: a window is
+//!   *speculative* under the assumption that no DFF output changes
+//!   inside it, and only the prefix up to (and including) the first
+//!   cycle whose clock edge would change a flop is *committed*; the
+//!   remainder is replayed in a fresh window from the new register
+//!   state. Energy falls out of per-net toggle words
+//!   ([`crate::simd::toggle_word_w`]) popcounted over the committed
+//!   prefix, and stale lanes are invalidated lazily by epoch stamps.
+//!   The default build carries the wide word as `[u64; 4]` and lets
+//!   LLVM vectorize; the `portable-simd` feature routes the ops through
+//!   `std::simd`.
 //!
 //! Equivalence is contractual, not approximate: every kernel
 //! accumulates switch energy over the toggled nets in ascending net-id
@@ -50,6 +43,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// `u64`s per net in the windowed engine's lane buffer.
+const WINDOW_WORDS: usize = 4;
+/// The windowed engine's lane word: one lane per cycle of a window.
+type WindowWord = Wide<WINDOW_WORDS>;
+
 /// Which inner loop a [`Simulator`] runs (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimKernel {
@@ -57,13 +55,10 @@ pub enum SimKernel {
     EventDriven,
     /// Re-evaluate every combinational gate every cycle (reference path).
     Oblivious,
-    /// Evaluate up to 64 cycles per gate visit as one `u64` word op,
-    /// speculating across DFF boundaries and committing the bit-exact
-    /// prefix (see the module docs).
-    WordParallel,
     /// Evaluate up to 256 cycles per gate visit as one wide
-    /// ([`crate::simd::W256`]) word op — the word-parallel engine at
-    /// four times the window width (see the module docs).
+    /// ([`crate::simd::W256`]) word op, speculating across DFF
+    /// boundaries and committing the bit-exact prefix (see the module
+    /// docs).
     Simd,
 }
 
@@ -88,7 +83,7 @@ impl fmt::Display for ParseKernelError {
         write!(
             f,
             "unknown gate-simulation kernel `{}` (expected one of: \
-             event, oblivious, word, simd — case-insensitive)",
+             event, oblivious, simd — case-insensitive)",
             self.value
         )
     }
@@ -100,7 +95,7 @@ impl std::str::FromStr for SimKernel {
     type Err = ParseKernelError;
 
     /// Parses a kernel name, case-insensitively: `event`, `oblivious`,
-    /// `word`, or `simd`. This is the single parser behind the
+    /// or `simd`. This is the single parser behind the
     /// `GATESIM_KERNEL` hatch — tests and tools should go through it
     /// rather than re-matching strings.
     fn from_str(s: &str) -> Result<Self, ParseKernelError> {
@@ -108,7 +103,6 @@ impl std::str::FromStr for SimKernel {
         for (name, kernel) in [
             ("event", SimKernel::EventDriven),
             ("oblivious", SimKernel::Oblivious),
-            ("word", SimKernel::WordParallel),
             ("simd", SimKernel::Simd),
         ] {
             if t.eq_ignore_ascii_case(name) {
@@ -122,12 +116,9 @@ impl std::str::FromStr for SimKernel {
 }
 
 impl SimKernel {
-    /// The kernel explicitly forced by the environment, if any.
-    ///
-    /// `GATESIM_KERNEL={event,oblivious,word,simd}` (case-insensitive)
-    /// picks any kernel and takes precedence; the legacy
-    /// `GATESIM_OBLIVIOUS=1` hatch still forces the oblivious reference
-    /// path. Unset or empty `GATESIM_KERNEL` forces nothing.
+    /// The kernel explicitly forced by the environment, if any:
+    /// `GATESIM_KERNEL={event,oblivious,simd}` (case-insensitive) picks
+    /// any kernel. Unset or empty forces nothing.
     ///
     /// # Errors
     ///
@@ -135,18 +126,15 @@ impl SimKernel {
     /// anything other than a known kernel name — a typo'd kernel must
     /// fail loudly, not silently fall back.
     pub fn env_override() -> Result<Option<Self>, ParseKernelError> {
-        if let Some(v) = std::env::var_os("GATESIM_KERNEL") {
-            if !v.is_empty() {
+        match std::env::var_os("GATESIM_KERNEL") {
+            Some(v) if !v.is_empty() => {
                 let s = v.to_str().ok_or_else(|| ParseKernelError {
                     value: v.to_string_lossy().into_owned(),
                 })?;
-                return s.parse().map(Some);
+                s.parse().map(Some)
             }
+            _ => Ok(None),
         }
-        Ok(match std::env::var_os("GATESIM_OBLIVIOUS") {
-            Some(v) if v == "1" => Some(SimKernel::Oblivious),
-            _ => None,
-        })
     }
 
     /// The kernel selected by the environment alone: the override, or
@@ -161,7 +149,7 @@ impl SimKernel {
     }
 
     /// Picks the kernel for one netlist: the environment override wins;
-    /// otherwise the window heuristic of [`SimKernel::choose`] decides.
+    /// otherwise the structural rule of [`SimKernel::choose`] decides.
     /// Safe at any answer — the kernels are contractually bit-identical.
     ///
     /// # Errors
@@ -173,66 +161,44 @@ impl SimKernel {
     }
 
     /// The pure (environment-free) selection rule behind
-    /// [`SimKernel::auto_select`], keyed on how long the speculative
-    /// windows are expected to run before a flop bounds them:
+    /// [`SimKernel::auto_select`]: a forced kernel always wins;
+    /// otherwise the DFF count decides.
     ///
-    /// * a forced kernel always wins;
-    /// * no sequential state at all — every window commits its full
-    ///   width, so take the widest kernel ([`SimKernel::Simd`], 256
-    ///   cycles per gate visit);
-    /// * flops but no sequential feedback
-    ///   ([`Netlist::sequential_feedback`] is false — shift registers,
-    ///   pipelined datapaths): the state settles to the input schedule
-    ///   within the pipeline depth, so windows amortize once inputs
-    ///   hold, but each input change still bounds a few windows during
-    ///   the flush — [`SimKernel::WordParallel`]'s 64-cycle window
-    ///   keeps that misspeculation waste small;
-    /// * sequential feedback (counters, FSM registers): the expected
-    ///   committed window length approaches one cycle, which forfeits
-    ///   the lane packing's advantage — stay [`SimKernel::EventDriven`].
+    /// * No sequential state at all: every speculative window commits
+    ///   its full width, so take [`SimKernel::Simd`] (256 cycles per
+    ///   gate visit).
+    /// * Any flop: a window ends at the first cycle whose clock edge
+    ///   changes a flop, which on a single sequential stream comes
+    ///   within a few cycles and forfeits the lane packing's advantage —
+    ///   stay [`SimKernel::EventDriven`].
     pub fn choose(forced: Option<SimKernel>, netlist: &Netlist) -> Self {
-        forced.unwrap_or_else(|| {
-            SimKernel::for_structure(netlist.dff_count(), netlist.sequential_feedback())
-        })
+        forced.unwrap_or_else(|| SimKernel::for_structure(netlist.dff_count()))
     }
 
-    /// The unforced branch of [`SimKernel::choose`], from the two
-    /// structural facts it reads (a [`SimPlan`] caches both).
-    fn for_structure(dff_count: usize, sequential_feedback: bool) -> Self {
+    /// The unforced branch of [`SimKernel::choose`].
+    fn for_structure(dff_count: usize) -> Self {
         if dff_count == 0 {
             SimKernel::Simd
-        } else if !sequential_feedback {
-            SimKernel::WordParallel
         } else {
             SimKernel::EventDriven
         }
     }
 
     /// Whether this kernel batches cycles into speculative lane-word
-    /// windows ([`SimKernel::WordParallel`] or [`SimKernel::Simd`]) —
-    /// the kernels [`Simulator::run_window`] and
-    /// [`Simulator::window_value`] work under.
+    /// windows ([`SimKernel::Simd`]) — the kernel
+    /// [`Simulator::run_window`] and [`Simulator::window_value`] work
+    /// under.
     pub const fn is_windowed(self) -> bool {
-        matches!(self, SimKernel::WordParallel | SimKernel::Simd)
+        matches!(self, SimKernel::Simd)
     }
 
     /// Maximum cycles one speculative window can commit under this
-    /// kernel: 64 for word-parallel, 256 for simd, and 1 for the scalar
-    /// kernels (which evaluate cycle by cycle).
+    /// kernel: 256 for simd, and 1 for the scalar kernels (which
+    /// evaluate cycle by cycle).
     pub const fn window_bits(self) -> u32 {
         match self {
-            SimKernel::WordParallel => 64,
-            SimKernel::Simd => 256,
+            SimKernel::Simd => WindowWord::BITS,
             SimKernel::EventDriven | SimKernel::Oblivious => 1,
-        }
-    }
-
-    /// `u64`s per net in the window lane buffer (0 for scalar kernels).
-    const fn window_words(self) -> usize {
-        match self {
-            SimKernel::WordParallel => 1,
-            SimKernel::Simd => 4,
-            SimKernel::EventDriven | SimKernel::Oblivious => 0,
         }
     }
 }
@@ -281,8 +247,6 @@ pub(crate) struct SimPlan {
     /// fanouts, deduplicated in scheduling order, that the event-driven
     /// and windowed kernels queue at construction to reproduce it.
     const1_fanout: Vec<u32>,
-    /// [`Netlist::sequential_feedback`], read by the kernel choice.
-    sequential_feedback: bool,
 }
 
 impl SimPlan {
@@ -317,7 +281,6 @@ impl SimPlan {
                 }
             }
         }
-        let sequential_feedback = netlist.sequential_feedback();
         Ok(SimPlan {
             netlist,
             order,
@@ -328,7 +291,6 @@ impl SimPlan {
             dffs,
             reset_values,
             const1_fanout,
-            sequential_feedback,
         })
     }
 
@@ -412,9 +374,9 @@ pub struct Simulator {
     edge_sample: Vec<bool>,
     // Windowed-kernel machinery (empty under the scalar kernels).
     /// Per-net lane words for the current window, flat at stride
-    /// `kernel.window_words()`: bit `j % 64` of `lanes[i * stride +
-    /// j / 64]` is net `i`'s value at window cycle `j`. Valid only
-    /// where `lane_epoch` matches `epoch`; stale entries mean "held at
+    /// `WINDOW_WORDS`: bit `j % 64` of `lanes[i * WINDOW_WORDS + j / 64]`
+    /// is net `i`'s value at window cycle `j`. Valid only where
+    /// `lane_epoch` matches `epoch`; stale entries mean "held at
     /// `values` all window".
     lanes: Vec<u64>,
     /// Window stamp per lane word (lazy invalidation — no per-window
@@ -430,7 +392,7 @@ pub struct Simulator {
     /// somewhere in the current window (ascending after sort).
     active: Vec<u32>,
     /// Scratch: per-`active`-net toggle words over the committed
-    /// prefix, flat at stride `kernel.window_words()`.
+    /// prefix, flat at stride `WINDOW_WORDS`.
     active_toggle: Vec<u64>,
     /// Cycles committed by the most recent window (bounds
     /// [`Simulator::window_value`]).
@@ -502,8 +464,7 @@ impl Simulator {
         config: PowerConfig,
         forced: Option<SimKernel>,
     ) -> Self {
-        let kernel = forced
-            .unwrap_or_else(|| SimKernel::for_structure(plan.dffs.len(), plan.sequential_feedback));
+        let kernel = forced.unwrap_or_else(|| SimKernel::for_structure(plan.dffs.len()));
         let caps = CapacitanceMap::new(&plan.netlist, &config);
         let n = plan.netlist.gate_count();
         let mut sim = Simulator {
@@ -522,7 +483,11 @@ impl Simulator {
             pending_edge: Vec::new(),
             toggled: Vec::new(),
             edge_sample: Vec::new(),
-            lanes: vec![0; n * kernel.window_words()],
+            lanes: if kernel.is_windowed() {
+                vec![0; n * WINDOW_WORDS]
+            } else {
+                Vec::new()
+            },
             lane_epoch: if kernel.is_windowed() {
                 vec![0; n]
             } else {
@@ -570,11 +535,11 @@ impl Simulator {
 
     /// Combinational gate evaluations performed so far, counted in the
     /// kernel's own *work units*: the scalar kernels count one per gate
-    /// visit per cycle, while the word-parallel kernel counts one per
-    /// gate visit per *window* (a single `u64` op covering up to 64
-    /// cycles). Use [`Simulator::gate_eval_slots`] for a
-    /// cycle-equivalent measure, and [`Simulator::gate_events`] for the
-    /// kernel-invariant activity count.
+    /// visit per cycle, while the windowed kernel counts one per gate
+    /// visit per *window* (a single word op covering up to 256 cycles).
+    /// Use [`Simulator::gate_eval_slots`] for a cycle-equivalent
+    /// measure, and [`Simulator::gate_events`] for the kernel-invariant
+    /// activity count.
     pub fn gate_evals(&self) -> u64 {
         self.gate_evals
     }
@@ -582,7 +547,7 @@ impl Simulator {
     /// Committed `(gate, cycle)` evaluation slots: each gate evaluation
     /// weighted by the number of cycles it committed. Under the scalar
     /// kernels this equals [`Simulator::gate_evals`] (every evaluation
-    /// covers exactly one cycle); under the word-parallel kernel it is
+    /// covers exactly one cycle); under the windowed kernel it is
     /// `Σ evals × committed window length` — the work a scalar sweep of
     /// the same dirty gates would have performed, which is what makes
     /// eval-reduction ratios comparable across kernels.
@@ -748,15 +713,15 @@ impl Simulator {
         match self.kernel {
             SimKernel::EventDriven => self.step_event(),
             SimKernel::Oblivious => self.step_oblivious(),
-            SimKernel::WordParallel | SimKernel::Simd => {
-                self.windowed_window(1, &[]);
+            SimKernel::Simd => {
+                self.word_window(1, &[], &[]);
                 self.report.per_cycle_j[self.report.per_cycle_j.len() - 1]
             }
         }
     }
 
     /// Runs `n` cycles with held inputs and returns the energy over
-    /// them, in joules. Under the windowed kernels the cycles are
+    /// them, in joules. Under the windowed kernel the cycles are
     /// batched into windows of up to [`SimKernel::window_bits`] cycles;
     /// the returned energy is re-folded cycle by cycle from the report
     /// so the float sum is bit-identical to `n` scalar
@@ -766,7 +731,7 @@ impl Simulator {
             let start = self.report.per_cycle_j.len();
             let mut left = n;
             while left > 0 {
-                let (m, _) = self.windowed_window(left, &[]);
+                let (m, _) = self.word_window(left, &[], &[]);
                 left -= m;
             }
             self.report.per_cycle_j[start..].iter().sum()
@@ -781,7 +746,7 @@ impl Simulator {
     ///
     /// This is the uniform batched driving surface across kernels: the
     /// scalar kernels loop `set_input` + `step`, while the windowed
-    /// kernels pack each input's schedule into lane words so a whole
+    /// kernel packs each input's schedule into lane words so a whole
     /// block of cycles is evaluated per gate visit. Results are
     /// bit-identical either way.
     ///
@@ -790,8 +755,7 @@ impl Simulator {
     /// Panics if a scheduled net is not an `Input` gate.
     pub fn run_block(&mut self, changes: &[Vec<(NetId, bool)>]) -> f64 {
         match self.kernel {
-            SimKernel::WordParallel => self.run_block_w::<1>(changes),
-            SimKernel::Simd => self.run_block_w::<4>(changes),
+            SimKernel::Simd => self.run_block_windowed(changes),
             SimKernel::EventDriven | SimKernel::Oblivious => {
                 let mut energy = 0.0;
                 for cyc in changes {
@@ -805,13 +769,9 @@ impl Simulator {
         }
     }
 
-    /// [`Simulator::run_block`] under a windowed kernel at lane-word
-    /// width `W`.
-    fn run_block_w<const W: usize>(&mut self, changes: &[Vec<(NetId, bool)>]) -> f64
-    where
-        Wide<W>: LaneWord,
-    {
-        let bits = <Wide<W> as LaneWord>::BITS;
+    /// [`Simulator::run_block`] under the windowed kernel.
+    fn run_block_windowed(&mut self, changes: &[Vec<(NetId, bool)>]) -> f64 {
+        let bits = WindowWord::BITS;
         let start = self.report.per_cycle_j.len();
         let mut pos = 0usize;
         while pos < changes.len() {
@@ -821,7 +781,7 @@ impl Simulator {
             // each change's offset onward (carry-forward to the top
             // lane so partial commits can shift the tail into a replay
             // window).
-            let mut sched: Vec<(u32, Wide<W>)> = Vec::new();
+            let mut sched: Vec<(u32, WindowWord)> = Vec::new();
             let mut slot_of: HashMap<u32, usize> = HashMap::new();
             for (off, cyc) in changes[pos..pos + chunk].iter().enumerate() {
                 for &(net, v) in cyc {
@@ -831,21 +791,21 @@ impl Simulator {
                         "{net} is not a primary input"
                     );
                     let slot = *slot_of.entry(net.0).or_insert_with(|| {
-                        sched.push((net.0, Wide::splat(self.inputs[net.0 as usize])));
+                        sched.push((net.0, WindowWord::splat(self.inputs[net.0 as usize])));
                         sched.len() - 1
                     });
-                    let keep = Wide::<W>::low_mask(off as u32);
+                    let keep = WindowWord::low_mask(off as u32);
                     sched[slot].1 = sched[slot]
                         .1
                         .and(keep)
-                        .or(Wide::splat(v).and(keep.not()));
+                        .or(WindowWord::splat(v).and(keep.not()));
                 }
             }
             // Speculate / commit / replay until the chunk is consumed.
             let mut live = sched.clone();
             let mut left = chunk as u64;
             while left > 0 {
-                let (m, _) = self.word_window_w::<W>(left, &live, &[]);
+                let (m, _) = self.word_window(left, &live, &[]);
                 left -= m;
                 if left > 0 {
                     for w in &mut live {
@@ -878,11 +838,11 @@ impl Simulator {
     pub fn run_window(&mut self, max_cycles: u64, stop: &[NetId]) -> WindowRun {
         assert!(
             self.kernel.is_windowed(),
-            "run_window requires a windowed kernel (word-parallel or simd)"
+            "run_window requires the windowed (simd) kernel"
         );
         assert!(max_cycles >= 1, "a window is at least one cycle");
         let start = self.report.per_cycle_j.len();
-        let (committed, stopped) = self.windowed_window(max_cycles, stop);
+        let (committed, stopped) = self.word_window(max_cycles, &[], stop);
         WindowRun {
             committed,
             stopped,
@@ -891,7 +851,7 @@ impl Simulator {
     }
 
     /// A non-sequential net's value at cycle `cycle_in_window` of the
-    /// most recent window (windowed kernels only; valid until the next
+    /// most recent window (windowed kernel only; valid until the next
     /// window starts).
     ///
     /// # Panics
@@ -905,7 +865,7 @@ impl Simulator {
     pub fn window_value(&self, net: NetId, cycle_in_window: u64) -> bool {
         assert!(
             self.kernel.is_windowed(),
-            "window_value requires a windowed kernel (word-parallel or simd)"
+            "window_value requires the windowed (simd) kernel"
         );
         assert!(
             cycle_in_window < self.window_len,
@@ -918,8 +878,7 @@ impl Simulator {
             "{net} is a DFF output; window lanes only cover combinational nets"
         );
         if self.lane_epoch[i] == self.epoch {
-            let stride = self.kernel.window_words();
-            let w = self.lanes[i * stride + (cycle_in_window / 64) as usize];
+            let w = self.lanes[i * WINDOW_WORDS + (cycle_in_window / 64) as usize];
             (w >> (cycle_in_window % 64)) & 1 == 1
         } else {
             self.values[i]
@@ -1117,74 +1076,56 @@ impl Simulator {
         energy
     }
 
-    /// Runs one speculative window under whichever windowed kernel this
-    /// instance was built with (monomorphization dispatch point).
-    fn windowed_window(&mut self, budget: u64, stop: &[NetId]) -> (u64, bool) {
-        match self.kernel {
-            SimKernel::WordParallel => self.word_window_w::<1>(budget, &[], stop),
-            SimKernel::Simd => self.word_window_w::<4>(budget, &[], stop),
-            SimKernel::EventDriven | SimKernel::Oblivious => {
-                unreachable!("not a windowed kernel")
-            }
-        }
-    }
-
     /// A net's lane word for the current window: the computed lanes if
     /// the net changed this window, else its committed value broadcast
     /// to every cycle slot.
     #[inline]
-    fn lane_of_w<const W: usize>(&self, i: usize) -> Wide<W>
-    where
-        Wide<W>: LaneWord,
-    {
+    fn lane_of(&self, i: usize) -> WindowWord {
         if self.lane_epoch[i] == self.epoch {
-            lane_get::<W>(&self.lanes, i)
+            lane_get(&self.lanes, i)
         } else {
-            Wide::splat(self.values[i])
+            WindowWord::splat(self.values[i])
         }
     }
 
     /// Evaluates the combinational gate at `idx` as one word op over
     /// the current window's lanes.
-    fn eval_gate_word_w<const W: usize>(&self, idx: usize) -> Wide<W>
-    where
-        Wide<W>: LaneWord,
-    {
+    fn eval_gate_word(&self, idx: usize) -> WindowWord {
         let g = &self.plan.netlist.gates()[idx];
         match g.kind {
-            GateKind::Buf => self.lane_of_w::<W>(g.inputs[0].0 as usize),
-            GateKind::Not => self.lane_of_w::<W>(g.inputs[0].0 as usize).not(),
+            GateKind::Buf => self.lane_of(g.inputs[0].0 as usize),
+            GateKind::Not => self.lane_of(g.inputs[0].0 as usize).not(),
             GateKind::And => g
                 .inputs
                 .iter()
-                .fold(Wide::ONES, |a, &i| a.and(self.lane_of_w::<W>(i.0 as usize))),
+                .fold(WindowWord::ONES, |a, &i| a.and(self.lane_of(i.0 as usize))),
             GateKind::Or => g
                 .inputs
                 .iter()
-                .fold(Wide::ZERO, |a, &i| a.or(self.lane_of_w::<W>(i.0 as usize))),
+                .fold(WindowWord::ZERO, |a, &i| a.or(self.lane_of(i.0 as usize))),
             GateKind::Nand => g
                 .inputs
                 .iter()
-                .fold(Wide::ONES, |a, &i| a.and(self.lane_of_w::<W>(i.0 as usize)))
+                .fold(WindowWord::ONES, |a, &i| a.and(self.lane_of(i.0 as usize)))
                 .not(),
             GateKind::Nor => g
                 .inputs
                 .iter()
-                .fold(Wide::ZERO, |a, &i| a.or(self.lane_of_w::<W>(i.0 as usize)))
+                .fold(WindowWord::ZERO, |a, &i| a.or(self.lane_of(i.0 as usize)))
                 .not(),
             GateKind::Xor => g
                 .inputs
                 .iter()
-                .fold(Wide::ZERO, |a, &i| a.xor(self.lane_of_w::<W>(i.0 as usize))),
+                .fold(WindowWord::ZERO, |a, &i| a.xor(self.lane_of(i.0 as usize))),
             GateKind::Xnor => g
                 .inputs
                 .iter()
-                .fold(Wide::ZERO, |a, &i| a.xor(self.lane_of_w::<W>(i.0 as usize)))
+                .fold(WindowWord::ZERO, |a, &i| a.xor(self.lane_of(i.0 as usize)))
                 .not(),
             GateKind::Mux => {
-                let s = self.lane_of_w::<W>(g.inputs[0].0 as usize);
-                s.and(self.lane_of_w::<W>(g.inputs[1].0 as usize))
-                    .or(s.not().and(self.lane_of_w::<W>(g.inputs[2].0 as usize)))
+                let s = self.lane_of(g.inputs[0].0 as usize);
+                s.and(self.lane_of(g.inputs[1].0 as usize))
+                    .or(s.not().and(self.lane_of(g.inputs[2].0 as usize)))
             }
             GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff(_) => {
                 unreachable!("not a combinational gate")
@@ -1192,10 +1133,10 @@ impl Simulator {
         }
     }
 
-    /// One speculative word window at lane-word width `W`: evaluates up
-    /// to `budget` (≤ the word's lane count) cycles at once under the
-    /// assumption that no DFF changes inside the window, then commits
-    /// the longest provably exact prefix.
+    /// One speculative window: evaluates up to `budget` (≤ the lane
+    /// word's 256 lanes) cycles at once under the assumption that no DFF
+    /// changes inside the window, then commits the longest provably
+    /// exact prefix.
     ///
     /// * Inputs are held at their forced values unless `sched` supplies
     ///   an explicit per-cycle lane word for them (bit `j` = the value
@@ -1217,30 +1158,26 @@ impl Simulator {
     /// scalar kernels' exact float accumulation order: clock tree, then
     /// toggled nets ascending by net id, then (at the edge cycle only)
     /// DFF outputs ascending by gate order.
-    fn word_window_w<const W: usize>(
+    fn word_window(
         &mut self,
         budget: u64,
-        sched: &[(u32, Wide<W>)],
+        sched: &[(u32, WindowWord)],
         stop: &[NetId],
-    ) -> (u64, bool)
-    where
-        Wide<W>: LaneWord,
-    {
+    ) -> (u64, bool) {
         // Slices and iterators over the plan, as in `step_event`.
         let plan = &*self.plan;
         let (fanout, levels) = (&plan.comb_fanout[..], &plan.levels[..]);
-        let bits = <Wide<W> as LaneWord>::BITS;
-        let b = budget.min(bits as u64) as u32;
-        let mask = Wide::<W>::low_mask(b);
+        let b = budget.min(u64::from(WindowWord::BITS)) as u32;
+        let mask = WindowWord::low_mask(b);
         self.epoch += 1;
         self.active.clear();
         // Scheduled inputs: an explicit per-cycle lane overrides the
         // held value.
         for &(i, w) in sched {
             let iu = i as usize;
-            lane_set::<W>(&mut self.lanes, iu, w);
+            lane_set(&mut self.lanes, iu, w);
             self.lane_epoch[iu] = self.epoch;
-            if w.and(mask) != Wide::splat(self.values[iu]).and(mask) {
+            if w.and(mask) != WindowWord::splat(self.values[iu]).and(mask) {
                 self.active.push(i);
                 for &g in &fanout[iu] {
                     Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
@@ -1255,7 +1192,7 @@ impl Simulator {
                 continue; // scheduled above
             }
             if self.values[i] != self.inputs[i] {
-                lane_set::<W>(&mut self.lanes, i, Wide::splat(self.inputs[i]));
+                lane_set(&mut self.lanes, i, WindowWord::splat(self.inputs[i]));
                 self.lane_epoch[i] = self.epoch;
                 self.active.push(i as u32);
                 for &g in &fanout[i] {
@@ -1281,9 +1218,9 @@ impl Simulator {
                 self.in_queue[g as usize] = false;
                 self.gate_evals += 1;
                 window_evals += 1;
-                let w = self.eval_gate_word_w::<W>(g as usize);
-                if w.and(mask) != Wide::splat(self.values[g as usize]).and(mask) {
-                    lane_set::<W>(&mut self.lanes, g as usize, w);
+                let w = self.eval_gate_word(g as usize);
+                if w.and(mask) != WindowWord::splat(self.values[g as usize]).and(mask) {
+                    lane_set(&mut self.lanes, g as usize, w);
                     self.lane_epoch[g as usize] = self.epoch;
                     self.active.push(g);
                     for &succ in &fanout[g as usize] {
@@ -1300,8 +1237,8 @@ impl Simulator {
         let mut m = b;
         for &(q, d) in &plan.dffs {
             let viol = self
-                .lane_of_w::<W>(d as usize)
-                .xor(Wide::splat(self.values[q as usize]))
+                .lane_of(d as usize)
+                .xor(WindowWord::splat(self.values[q as usize]))
                 .and(mask);
             if !viol.is_zero() {
                 let t = viol.trailing_zeros() + 1;
@@ -1314,7 +1251,7 @@ impl Simulator {
         // at its first asserted cycle.
         let mut stopped = false;
         for &s in stop {
-            let sl = self.lane_of_w::<W>(s.0 as usize).and(mask);
+            let sl = self.lane_of(s.0 as usize).and(mask);
             if !sl.is_zero() {
                 let t = sl.trailing_zeros() + 1;
                 if t <= m {
@@ -1327,12 +1264,12 @@ impl Simulator {
 
         // Commit: toggle words over the committed prefix, then the
         // per-cycle energy fold in the scalar kernels' order.
-        let cmask = Wide::<W>::low_mask(m);
+        let cmask = WindowWord::low_mask(m);
         self.active.sort_unstable();
         self.active_toggle.clear();
         for k in 0..self.active.len() {
             let i = self.active[k] as usize;
-            let t = toggle_word_w(lane_get::<W>(&self.lanes, i), self.values[i]).and(cmask);
+            let t = toggle_word_w(lane_get(&self.lanes, i), self.values[i]).and(cmask);
             self.active_toggle.extend_from_slice(&t.0);
         }
         // Sample every D at the edge cycle before any state is written
@@ -1340,14 +1277,14 @@ impl Simulator {
         self.edge_sample.clear();
         for &(_, d) in &plan.dffs {
             self.edge_sample
-                .push(self.lane_of_w::<W>(d as usize).bit(m - 1));
+                .push(self.lane_of(d as usize).bit(m - 1));
         }
         let clock = self.caps.clock_energy_per_cycle_j();
         for j in 0..m {
             let mut energy = clock;
             let (jw, jb) = ((j / 64) as usize, j % 64);
             for k in 0..self.active.len() {
-                if (self.active_toggle[k * W + jw] >> jb) & 1 == 1 {
+                if (self.active_toggle[k * WINDOW_WORDS + jw] >> jb) & 1 == 1 {
                     energy += self.config.switch_energy_j(self.caps.cap_ff(self.active[k]));
                 }
             }
@@ -1365,13 +1302,13 @@ impl Simulator {
         // the next window.
         for k in 0..self.active.len() {
             let i = self.active[k] as usize;
-            let pc: u64 = self.active_toggle[k * W..(k + 1) * W]
+            let pc: u64 = self.active_toggle[k * WINDOW_WORDS..(k + 1) * WINDOW_WORDS]
                 .iter()
                 .map(|w| w.count_ones() as u64)
                 .sum();
             self.toggles[i] += pc;
             self.gate_events += pc;
-            self.values[i] = lane_get::<W>(&self.lanes, i).bit(m - 1);
+            self.values[i] = lane_get(&self.lanes, i).bit(m - 1);
         }
         for (k, &(q, _)) in plan.dffs.iter().enumerate() {
             let q = q as usize;
@@ -1462,16 +1399,16 @@ fn bit_at(words: &[u64], k: usize) -> bool {
 
 /// Reads net `i`'s lane word from the flat window lane buffer.
 #[inline]
-fn lane_get<const W: usize>(lanes: &[u64], i: usize) -> Wide<W> {
-    let mut a = [0u64; W];
-    a.copy_from_slice(&lanes[i * W..(i + 1) * W]);
+fn lane_get(lanes: &[u64], i: usize) -> WindowWord {
+    let mut a = [0u64; WINDOW_WORDS];
+    a.copy_from_slice(&lanes[i * WINDOW_WORDS..(i + 1) * WINDOW_WORDS]);
     Wide(a)
 }
 
 /// Writes net `i`'s lane word into the flat window lane buffer.
 #[inline]
-fn lane_set<const W: usize>(lanes: &mut [u64], i: usize, w: Wide<W>) {
-    lanes[i * W..(i + 1) * W].copy_from_slice(&w.0);
+fn lane_set(lanes: &mut [u64], i: usize, w: WindowWord) {
+    lanes[i * WINDOW_WORDS..(i + 1) * WINDOW_WORDS].copy_from_slice(&w.0);
 }
 
 #[cfg(test)]
@@ -1692,12 +1629,11 @@ mod tests {
             (trace, toggles, sim.report().total_j().to_bits())
         };
         assert_eq!(run(SimKernel::EventDriven), run(SimKernel::Oblivious));
-        assert_eq!(run(SimKernel::WordParallel), run(SimKernel::Oblivious));
         assert_eq!(run(SimKernel::Simd), run(SimKernel::Oblivious));
     }
 
     #[test]
-    fn word_kernel_batches_held_runs_bitwise() {
+    fn windowed_kernel_batches_held_runs_bitwise() {
         // A shift chain with a self-toggling head: every cycle changes
         // flop state, so every window commits exactly one cycle — the
         // worst case for speculation must still be bit-exact.
@@ -1712,43 +1648,11 @@ mod tests {
         let run = |kernel| {
             let mut sim =
                 Simulator::with_kernel(Arc::clone(&shared), cfg(), kernel).expect("valid");
-            let e = sim.run(130); // non-multiple of 64
+            let e = sim.run(130); // not a multiple of the window width
             let report: Vec<u64> = sim.report().per_cycle_j.iter().map(|x| x.to_bits()).collect();
             (e.to_bits(), report, sim.gate_events())
         };
-        assert_eq!(run(SimKernel::WordParallel), run(SimKernel::Oblivious));
         assert_eq!(run(SimKernel::Simd), run(SimKernel::Oblivious));
-    }
-
-    #[test]
-    fn word_kernel_commits_whole_windows_when_quiescent() {
-        // Inputs held, no flops toggling: one window eval covers 64
-        // cycles, so eval counts collapse while slots stay honest.
-        let mut n = Netlist::new();
-        let a = n.input();
-        let mut prev = a;
-        for _ in 0..8 {
-            prev = n.gate(GateKind::Not, vec![prev]);
-        }
-        n.mark_output("out", prev);
-        let shared = Arc::new(n);
-        let mut sim = Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::WordParallel)
-            .expect("valid");
-        sim.run(256);
-        assert_eq!(sim.gate_evals(), 0, "nothing dirty while inputs hold");
-        assert_eq!(sim.gate_eval_slots(), 0);
-        // One input flip wakes the chain once for the whole 64-cycle
-        // window: 8 word evals commit 8 × 64 slots.
-        sim.set_input(a, true);
-        sim.run(64);
-        assert_eq!(sim.gate_evals(), 8);
-        assert_eq!(sim.gate_eval_slots(), 8 * 64);
-        // The scalar kernels keep evals == slots by definition.
-        let mut ev = Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::EventDriven)
-            .expect("valid");
-        ev.set_input(a, true);
-        ev.run(64);
-        assert_eq!(ev.gate_evals(), ev.gate_eval_slots());
     }
 
     #[test]
@@ -1783,10 +1687,9 @@ mod tests {
                 .collect();
             (e.to_bits(), report, toggles, sim.gate_events())
         };
-        let word = drive(SimKernel::WordParallel);
-        assert_eq!(word, drive(SimKernel::Oblivious));
-        assert_eq!(word, drive(SimKernel::EventDriven));
-        assert_eq!(word, drive(SimKernel::Simd));
+        let simd = drive(SimKernel::Simd);
+        assert_eq!(simd, drive(SimKernel::Oblivious));
+        assert_eq!(simd, drive(SimKernel::EventDriven));
     }
 
     #[test]
@@ -1814,24 +1717,22 @@ mod tests {
             }
         }
         assert!(first_high > 1, "stop must not fire immediately");
-        for kernel in [SimKernel::WordParallel, SimKernel::Simd] {
-            let mut sim =
-                Simulator::with_kernel(Arc::clone(&shared), cfg(), kernel).expect("valid");
-            let mut committed = 0u64;
-            let win = loop {
-                let w = sim.run_window(kernel.window_bits() as u64, &[stop]);
-                committed += w.committed;
-                if w.stopped {
-                    break w;
-                }
-            };
-            assert!(win.stopped);
-            assert_eq!(committed, first_high, "stop cycle is the last committed");
-            // The stop net reads high at the stop cycle through the
-            // window lane, and the committed prefix is replayable history.
-            assert!(sim.window_value(stop, win.committed - 1));
-            assert_eq!(sim.cycle(), first_high);
-        }
+        let mut sim =
+            Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::Simd).expect("valid");
+        let mut committed = 0u64;
+        let win = loop {
+            let w = sim.run_window(SimKernel::Simd.window_bits() as u64, &[stop]);
+            committed += w.committed;
+            if w.stopped {
+                break w;
+            }
+        };
+        assert!(win.stopped);
+        assert_eq!(committed, first_high, "stop cycle is the last committed");
+        // The stop net reads high at the stop cycle through the window
+        // lane, and the committed prefix is replayable history.
+        assert!(sim.window_value(stop, win.committed - 1));
+        assert_eq!(sim.cycle(), first_high);
     }
 
     #[test]
@@ -1840,66 +1741,36 @@ mod tests {
         let a = n.input();
         let x = n.gate(GateKind::Not, vec![a]);
         n.mark_output("x", x);
-        let shared = Arc::new(n);
-        for kernel in [SimKernel::WordParallel, SimKernel::Simd] {
-            let mut sim =
-                Simulator::with_kernel(Arc::clone(&shared), cfg(), kernel).expect("valid");
-            // Schedule a mid-block flip via run_block, then read history.
-            let mut changes = vec![Vec::new(); 10];
-            changes[4].push((a, true));
-            sim.run_block(&changes);
-            // run_block's last window covered all 10 cycles (no flops).
-            for j in 0..10u64 {
-                assert_eq!(sim.window_value(a, j), j >= 4);
-                assert_eq!(sim.window_value(x, j), j < 4);
-            }
+        let mut sim =
+            Simulator::with_kernel(Arc::new(n), cfg(), SimKernel::Simd).expect("valid");
+        // Schedule a mid-block flip via run_block, then read history.
+        let mut changes = vec![Vec::new(); 10];
+        changes[4].push((a, true));
+        sim.run_block(&changes);
+        // run_block's last window covered all 10 cycles (no flops).
+        for j in 0..10u64 {
+            assert_eq!(sim.window_value(a, j), j >= 4);
+            assert_eq!(sim.window_value(x, j), j < 4);
         }
-    }
-
-    #[test]
-    fn env_kernel_hatch_precedence() {
-        // Own-process test: the unit-test binary may touch the
-        // environment (no other test here reads it concurrently).
-        std::env::set_var("GATESIM_KERNEL", "word");
-        std::env::set_var("GATESIM_OBLIVIOUS", "1");
-        assert_eq!(SimKernel::from_env(), Ok(SimKernel::WordParallel));
-        // Parsing is case-insensitive and whitespace-tolerant.
-        std::env::set_var("GATESIM_KERNEL", " SIMD ");
-        assert_eq!(SimKernel::from_env(), Ok(SimKernel::Simd));
-        // Unknown values surface a typed error listing the options.
-        std::env::set_var("GATESIM_KERNEL", "warp");
-        let err = SimKernel::from_env().expect_err("unknown kernel");
-        assert_eq!(err.value(), "warp");
-        let msg = err.to_string();
-        for option in ["event", "oblivious", "word", "simd"] {
-            assert!(msg.contains(option), "{msg:?} must list {option:?}");
-        }
-        // Empty means unset: the legacy oblivious hatch applies.
-        std::env::set_var("GATESIM_KERNEL", "");
-        assert_eq!(SimKernel::from_env(), Ok(SimKernel::Oblivious));
-        std::env::remove_var("GATESIM_KERNEL");
-        assert_eq!(SimKernel::from_env(), Ok(SimKernel::Oblivious));
-        std::env::remove_var("GATESIM_OBLIVIOUS");
-        assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
     }
 
     #[test]
     fn kernel_choice_scales_with_state_structure() {
         // Purely combinational: full-width speculative windows always
-        // commit, so the widest (simd) kernel wins.
+        // commit, so the windowed (simd) kernel wins.
         let mut comb = Netlist::new();
         let a = comb.input();
         let x = comb.gate(GateKind::Not, vec![a]);
         comb.mark_output("x", x);
         assert_eq!(SimKernel::choose(None, &comb), SimKernel::Simd);
-        // Feed-forward flops (a pipeline): state settles to the input
-        // stream, so windows still run long — word-parallel pays off.
+        // Feed-forward flops (a pipeline): every input change bounds
+        // windows while it flushes through — event-driven.
         let mut pipe = Netlist::new();
         let b = pipe.input();
         let s1 = pipe.dff(b, false);
         let s2 = pipe.dff(s1, false);
         pipe.mark_output("q", s2);
-        assert_eq!(SimKernel::choose(None, &pipe), SimKernel::WordParallel);
+        assert_eq!(SimKernel::choose(None, &pipe), SimKernel::EventDriven);
         // Sequential feedback (a toggle flop): every window commits a
         // single cycle, so speculation never amortizes — event-driven.
         let mut fb = Netlist::new();
@@ -1907,13 +1778,8 @@ mod tests {
         let q = fb.dff(inv, false);
         fb.mark_output("q", q);
         assert_eq!(SimKernel::choose(None, &fb), SimKernel::EventDriven);
-        // A forced kernel always wins over the heuristic.
-        for forced in [
-            SimKernel::EventDriven,
-            SimKernel::Oblivious,
-            SimKernel::WordParallel,
-            SimKernel::Simd,
-        ] {
+        // A forced kernel always wins over the structural rule.
+        for forced in [SimKernel::EventDriven, SimKernel::Oblivious, SimKernel::Simd] {
             assert_eq!(SimKernel::choose(Some(forced), &comb), forced);
             assert_eq!(SimKernel::choose(Some(forced), &pipe), forced);
             assert_eq!(SimKernel::choose(Some(forced), &fb), forced);
@@ -1922,8 +1788,8 @@ mod tests {
 
     #[test]
     fn simd_kernel_commits_256_cycle_windows_when_quiescent() {
-        // The simd kernel quadruples the window: 8 wide evals cover
-        // 8 × 256 committed slots, four times the word kernel's batch.
+        // Inputs held, no flops toggling: one window eval covers 256
+        // cycles, so eval counts collapse while slots stay honest.
         let mut n = Netlist::new();
         let a = n.input();
         let mut prev = a;
@@ -1937,24 +1803,24 @@ mod tests {
         sim.run(512);
         assert_eq!(sim.gate_evals(), 0, "nothing dirty while inputs hold");
         assert_eq!(sim.gate_eval_slots(), 0);
+        // One input flip wakes the chain once for the whole 256-cycle
+        // window: 8 wide evals commit 8 × 256 slots.
         sim.set_input(a, true);
         sim.run(256);
         assert_eq!(sim.gate_evals(), 8);
         assert_eq!(sim.gate_eval_slots(), 8 * 256);
-        // Same drive through the word kernel: identical energy, but the
-        // flip's window only spans 64 cycles (the three quiescent
-        // follow-up windows commit free), so a quarter of the slots.
-        let mut word = Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::WordParallel)
+        // The scalar kernels keep evals == slots by definition, and the
+        // same drive charges identical energy.
+        let mut ev = Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::EventDriven)
             .expect("valid");
-        word.run(512);
-        word.set_input(a, true);
-        word.run(256);
+        ev.run(512);
+        ev.set_input(a, true);
+        ev.run(256);
+        assert_eq!(ev.gate_evals(), ev.gate_eval_slots());
         assert_eq!(
             sim.report().total_j().to_bits(),
-            word.report().total_j().to_bits()
+            ev.report().total_j().to_bits()
         );
-        assert_eq!(word.gate_evals(), 8);
-        assert_eq!(word.gate_eval_slots(), 8 * 64);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! SIMD lane words: the `u64` lane word of [`crate::word`] widened to
-//! `[u64; N]` vectors, and the width-erased multi-stream simulator
-//! built on them.
+//! SIMD lane words: the `u64` lane word widened to `[u64; N]` vectors,
+//! and the width-erased multi-stream simulator built on them.
 //!
-//! The word-parallel machinery packs 64 lanes — consecutive cycles of
-//! one stream, or 64 independent streams — into one `u64` and pays one
-//! word op per gate visit. This module widens that word to
-//! [`Wide<W>`]: `W` consecutive `u64`s treated as one `64 × W`-bit lane
-//! word, giving 128/256/512 lanes per op. Everything that made the
-//! 64-lane kernels bit-exact carries over unchanged, because every
-//! trick was already a pure word-level identity:
+//! A lane word packs 64 lanes — 64 independent streams, or consecutive
+//! cycles of one stream — into one `u64` and pays one word op per gate
+//! visit. This module widens that word to [`Wide<W>`]: `W` consecutive
+//! `u64`s treated as one `64 × W`-bit lane word, giving 128/256/512
+//! lanes per op. Everything that made the 64-lane engine bit-exact
+//! carries over unchanged, because every trick is a pure word-level
+//! identity:
 //!
 //! * masked comparisons (`w & mask != splat(v) & mask`) detect window
 //!   activity;
@@ -19,12 +18,13 @@
 //!   constituent `u64`s in order.
 //!
 //! The [`LaneWord`] trait abstracts exactly those operations, with
-//! `u64` itself as the 64-lane instance — the word-parallel kernel and
-//! the widened SIMD kernel are one generic engine instantiated at two
-//! widths. Per-lane energy is still folded in the scalar kernels' exact
-//! float order (clock tree, then toggled nets ascending by net id, then
-//! DFF edges ascending by gate order), so every lane of a wide run is
-//! bit-identical to a scalar run of the same stream.
+//! `u64` itself as the 64-lane instance: the lockstep
+//! [`MultiLaneSim`] is one generic engine at every width, and the
+//! single-stream windowed kernel ([`crate::SimKernel::Simd`]) runs at
+//! [`W256`]. Per-lane energy is still folded in the scalar kernels'
+//! exact float order (clock tree, then toggled nets ascending by net
+//! id, then DFF edges ascending by gate order), so every lane of a wide
+//! run is bit-identical to a scalar run of the same stream.
 //!
 //! # Fallback story
 //!
@@ -411,8 +411,9 @@ where
 
 /// The toggle word of a cycle-packed lane at any width: lane `j` is set
 /// iff the value at slot `j` differs from slot `j - 1`, where slot `-1`
-/// is the committed value `prev` (the generic form of
-/// [`crate::word::toggle_word`]).
+/// is the committed value `prev`. `count_ones` of the toggle word
+/// masked to a committed prefix is exactly the scalar kernels' toggle
+/// count over that prefix.
 #[inline]
 pub fn toggle_word_w<W: LaneWord>(lane: W, prev: bool) -> W {
     lane.xor(lane.shl1_carry(prev))

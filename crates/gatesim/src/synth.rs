@@ -613,7 +613,7 @@ impl HwTransition {
         }
     }
 
-    /// The windowed (word-parallel / simd) run protocol: identical
+    /// The windowed (simd) run protocol: identical
     /// observable behavior to the scalar [`HwTransition::run`] loop, bit
     /// for bit, but the execution cycles advance through speculative
     /// windows of up to the kernel's lane count
@@ -1920,11 +1920,7 @@ mod tests {
         let shared = Arc::clone(&event.transition(t0).shared);
         // The event-driven firing was admitted, so a consulting instance
         // would hit on this fresh firing.
-        for kernel in [
-            SimKernel::Oblivious,
-            SimKernel::WordParallel,
-            SimKernel::Simd,
-        ] {
+        for kernel in [SimKernel::Oblivious, SimKernel::Simd] {
             let mut t = HwTransition::instantiate(Arc::clone(&shared), &power(), Some(kernel), 16);
             let before = memo_of(&t);
             assert_eq!(fire_bits(&mut t, 0x77, 0x33).0, want, "{kernel:?}");

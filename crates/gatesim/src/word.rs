@@ -1,40 +1,28 @@
-//! Word-level (bit-parallel) simulation support: lane packing utilities
-//! and a multi-stream lockstep simulator generic over the lane width.
+//! The lockstep multi-stream simulator, generic over the lane width.
 //!
 //! The software analogue of hardware-accelerated power estimation
-//! (Coburn/Ravi/Raghunathan): a net's value over 64 cycle slots — or
-//! across 64 independent stimulus streams — is one `u64` *lane word*,
-//! and every gate evaluation is a single word operation (`&`, `|`, `^`,
-//! `!`, and `(s & a) | (!s & b)` for a mux). Toggle counting becomes a
-//! popcount over a *toggle word* ([`toggle_word`]). The
-//! [`crate::simd::LaneWord`] trait widens the same scheme to 128/256/512
-//! lanes per word op.
+//! (Coburn/Ravi/Raghunathan): a net's value across up to 64 independent
+//! stimulus streams is one `u64` *lane word*, and every gate evaluation
+//! is a single word operation (`&`, `|`, `^`, `!`, and
+//! `(s & a) | (!s & b)` for a mux). The [`crate::simd::LaneWord`] trait
+//! widens the same scheme to 128/256/512 lanes per word op.
 //!
-//! Three consumers build on these primitives:
-//!
-//! * [`crate::SimKernel::WordParallel`] packs up to 64 *consecutive
-//!   cycles of one stream* into each lane word, with a speculate /
-//!   commit-prefix / replay seam at DFF boundaries (see
-//!   `gatesim::sim`); [`crate::SimKernel::Simd`] is the same engine at
-//!   256 cycles per word.
-//! * [`MultiLaneSim`] (here) packs *independent streams* into each lane
-//!   word — one per lane — and steps them in lockstep; sequential
-//!   feedback never limits the batch because the lanes share nothing,
-//!   which is what makes word-level evaluation pay off on state-dense
-//!   netlists. Each lane is bit-identical to a scalar
-//!   [`crate::Simulator`] run of the same stream, including the
-//!   per-cycle float accumulation order and the seed's constant-init
-//!   quirk. [`LaneSim`] is its classic 64-stream `u64` instance;
-//!   [`crate::SimdLaneSim`] erases the width and scales to 512 streams.
+//! [`MultiLaneSim`] packs *independent streams* into each lane word —
+//! one per lane — and steps them in lockstep; sequential feedback never
+//! limits the batch because the lanes share nothing, which is what makes
+//! word-level evaluation pay off on state-dense netlists. Each lane is
+//! bit-identical to a scalar [`crate::Simulator`] run of the same stream,
+//! including the per-cycle float accumulation order and the seed's
+//! constant-init quirk. [`LaneSim`] is its classic 64-stream `u64`
+//! instance; [`crate::SimdLaneSim`] erases the width and scales to 512
+//! streams. (The single-stream windowed kernel, [`crate::SimKernel::Simd`],
+//! packs consecutive cycles of one stream instead; see `gatesim::sim`.)
 
 use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
 use crate::power::{CapacitanceMap, EnergyReport, PowerConfig};
 use crate::sim::SimPlan;
 use crate::simd::LaneWord;
 use std::sync::Arc;
-
-/// Number of cycle (or stream) slots packed into one `u64` lane word.
-pub const LANES: usize = 64;
 
 /// Bit-planes of the bit-sliced per-lane toggle counters in
 /// [`MultiLaneSim`]: plane `k` holds bit `k` of every lane's running
@@ -44,49 +32,6 @@ pub const LANES: usize = 64;
 /// to once per 256 toggles of a net, while the plane-major carry pass
 /// concentrates its traffic in the bottom row or two.
 const TOGGLE_PLANES: usize = 8;
-
-/// A `u64` lane word with every slot holding `v`.
-#[inline]
-pub fn broadcast(v: bool) -> u64 {
-    if v {
-        u64::MAX
-    } else {
-        0
-    }
-}
-
-/// Packs up to 64 slot values into a lane word (`bits[i]` → bit `i`).
-///
-/// # Panics
-///
-/// Panics if more than [`LANES`] values are given.
-pub fn pack_lanes(bits: &[bool]) -> u64 {
-    assert!(bits.len() <= LANES, "at most {LANES} lanes fit in a word");
-    bits.iter()
-        .enumerate()
-        .fold(0u64, |w, (i, &b)| w | ((b as u64) << i))
-}
-
-/// Unpacks the low `n` slots of a lane word (inverse of [`pack_lanes`]).
-///
-/// # Panics
-///
-/// Panics if `n` exceeds [`LANES`].
-pub fn unpack_lanes(word: u64, n: usize) -> Vec<bool> {
-    assert!(n <= LANES, "a word holds at most {LANES} lanes");
-    (0..n).map(|i| (word >> i) & 1 == 1).collect()
-}
-
-/// The toggle word of a *cycle-packed* lane: bit `j` is set iff the
-/// net's value at cycle `j` differs from its value at cycle `j - 1`,
-/// where cycle `-1` is the committed value `prev` from before the
-/// window. `popcount(toggle_word(..) & prefix_mask)` is exactly the
-/// scalar kernels' toggle count over that prefix.
-/// ([`crate::simd::toggle_word_w`] is the width-generic form.)
-#[inline]
-pub fn toggle_word(lane: u64, prev: bool) -> u64 {
-    lane ^ ((lane << 1) | prev as u64)
-}
 
 /// One compiled combinational word operation: evaluate `kind` over the
 /// argument slice and store the result lane at `out`.
@@ -747,29 +692,6 @@ impl<W: LaneWord> MultiLaneSim<W> {
 mod tests {
     use super::*;
     use crate::simd::W256;
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let bits = [true, false, true, true, false];
-        let w = pack_lanes(&bits);
-        assert_eq!(w, 0b01101);
-        assert_eq!(unpack_lanes(w, bits.len()), bits);
-    }
-
-    #[test]
-    fn broadcast_is_all_or_nothing() {
-        assert_eq!(broadcast(false), 0);
-        assert_eq!(broadcast(true), u64::MAX);
-    }
-
-    #[test]
-    fn toggle_word_counts_transitions() {
-        // prev=0, lane cycles 0..5: 1,1,0,1,0 → toggles at 0, 2, 3, 4.
-        let lane = pack_lanes(&[true, true, false, true, false]);
-        let t = toggle_word(lane, false) & 0b11111;
-        assert_eq!(t, 0b11101);
-        assert_eq!(t.count_ones(), 4);
-    }
 
     #[test]
     fn lane_streams_are_independent() {

@@ -1,7 +1,7 @@
-//! Differential fuzzing of the four simulation kernels.
+//! Differential fuzzing of the three simulation kernels.
 //!
-//! The event-driven, word-parallel, and simd kernels' contract with the
-//! oblivious reference path is *bitwise* identity — same settled values
+//! The event-driven and simd kernels' contract with the oblivious
+//! reference path is *bitwise* identity — same settled values
 //! every cycle, same toggle counters, same per-cycle energy down to the
 //! last mantissa bit (the float accumulation order is part of the
 //! contract). This suite builds random netlists (including DFF-to-DFF
@@ -9,9 +9,9 @@
 //! reconvergent logic) and drives all kernels with identical random
 //! input sequences, both cycle by cycle and through the batched
 //! [`Simulator::run_block`] surface at block-boundary cycle counts
-//! (1, 63, 64, 65, 127, 128, 255, 256, 257 — the word kernel's 64-cycle
-//! and the simd kernel's 256-cycle windows must be exact at and across
-//! every boundary).
+//! (1, 63, 64, 65, 127, 128, 255, 256, 257 — the simd kernel's 256-cycle
+//! windows and the 64-lane `u64` seams inside them must be exact at and
+//! across every boundary).
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
@@ -19,12 +19,7 @@ use detrand::Rng;
 use gatesim::{GateKind, NetId, Netlist, PowerConfig, SimKernel, Simulator};
 use std::sync::Arc;
 
-const KERNELS: [SimKernel; 4] = [
-    SimKernel::Oblivious,
-    SimKernel::EventDriven,
-    SimKernel::WordParallel,
-    SimKernel::Simd,
-];
+const KERNELS: [SimKernel; 3] = [SimKernel::Oblivious, SimKernel::EventDriven, SimKernel::Simd];
 
 /// Builds a random valid netlist: inputs and constants first, then a
 /// mix of combinational gates (fan-ins drawn from already-built nets,
@@ -126,7 +121,7 @@ fn drive(
     (per_cycle, toggles, report_bits)
 }
 
-/// Drives the stimulus through `run_block` in segments (the word kernel
+/// Drives the stimulus through `run_block` in segments (the simd kernel
 /// gets genuine multi-cycle windows), observing block energies, the
 /// full report, final values, toggles, and activity counters.
 fn drive_blocks(
@@ -168,7 +163,7 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
         let cycles = rng.usize_in(10, 40);
         let stimulus = random_stimulus(&netlist, cycles, 0.6, &mut rng);
         let reference = drive(&netlist, SimKernel::Oblivious, &stimulus);
-        for kernel in [SimKernel::EventDriven, SimKernel::WordParallel, SimKernel::Simd] {
+        for kernel in [SimKernel::EventDriven, SimKernel::Simd] {
             let got = drive(&netlist, kernel, &stimulus);
             assert_eq!(
                 got, reference,
@@ -182,12 +177,12 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
 
 #[test]
 fn batched_blocks_match_at_word_boundaries() {
-    // Cycle counts straddling both windowed lane widths: a single
-    // cycle, one short of / exactly / one past the word kernel's
-    // 64-cycle window, and the same lattice around the simd kernel's
-    // 256-cycle window. Segment sizes are randomized so chunk seams
-    // land everywhere, and the input change probability is low enough
-    // that windows actually span many cycles.
+    // Cycle counts straddling the simd kernel's lane seams: a single
+    // cycle, one short of / exactly / one past each 64-lane `u64` word
+    // of the window, and the same lattice around the whole 256-cycle
+    // window. Segment sizes are randomized so chunk seams land
+    // everywhere, and the input change probability is low enough that
+    // windows actually span many cycles.
     for &cycles in &[1usize, 63, 64, 65, 127, 128, 255, 256, 257] {
         for case in 0..30u64 {
             let mut rng = Rng::new(0xB10C_0000_0000_0000 ^ (cycles as u64) << 32 ^ case);
@@ -204,7 +199,7 @@ fn batched_blocks_match_at_word_boundaries() {
                 segs
             };
             let reference = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &segments);
-            for kernel in [SimKernel::EventDriven, SimKernel::WordParallel, SimKernel::Simd] {
+            for kernel in [SimKernel::EventDriven, SimKernel::Simd] {
                 let got = drive_blocks(&netlist, kernel, &stimulus, &segments);
                 assert_eq!(
                     got, reference,
@@ -239,7 +234,7 @@ fn block_boundary_dff_edges_shift_exactly() {
         // Kernels agree on everything including per-block energy totals
         // when driven through the same segmentation...
         let reference = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &segments);
-        for kernel in [SimKernel::EventDriven, SimKernel::WordParallel, SimKernel::Simd] {
+        for kernel in [SimKernel::EventDriven, SimKernel::Simd] {
             let got = drive_blocks(&netlist, kernel, &stimulus, &segments);
             assert_eq!(got, reference, "{kernel:?} diverged with segments {segments:?}");
         }
@@ -257,7 +252,7 @@ fn block_boundary_dff_edges_shift_exactly() {
     let mut sim = Simulator::with_kernel(
         Arc::clone(&netlist),
         PowerConfig::date2000_defaults(),
-        SimKernel::WordParallel,
+        SimKernel::Simd,
     )
     .expect("valid");
     sim.run_block(&stimulus[..40]);
@@ -299,9 +294,9 @@ fn event_driven_never_evaluates_more_gates_than_oblivious() {
 
 #[test]
 fn eval_slots_are_comparable_across_kernels() {
-    // `gate_evals` counts kernel work units (one word op can cover 64
+    // `gate_evals` counts kernel work units (one word op can cover 256
     // cycles), `gate_eval_slots` counts committed (gate, cycle) slots.
-    // The scalar kernels keep the two equal by definition; the word
+    // The scalar kernels keep the two equal by definition; the simd
     // kernel's slots can exceed its evals but never its own
     // cycle-equivalent sweep of the same dirty gates.
     for case in 0..20u64 {
@@ -316,15 +311,13 @@ fn eval_slots_are_comparable_across_kernels() {
         for sim in &mut sims {
             sim.run_block(&stimulus);
         }
-        let [ob, ev, word, simd] = &sims[..] else {
-            unreachable!("four kernels")
+        let [ob, ev, simd] = &sims[..] else {
+            unreachable!("three kernels")
         };
         assert_eq!(ob.gate_evals(), ob.gate_eval_slots());
         assert_eq!(ev.gate_evals(), ev.gate_eval_slots());
-        assert!(word.gate_evals() <= word.gate_eval_slots());
         assert!(simd.gate_evals() <= simd.gate_eval_slots());
         // Kernel-invariant activity: the cross-kernel comparison metric.
-        assert_eq!(word.gate_events(), ob.gate_events(), "case {case}");
         assert_eq!(ev.gate_events(), ob.gate_events(), "case {case}");
         assert_eq!(simd.gate_events(), ob.gate_events(), "case {case}");
     }
@@ -335,26 +328,27 @@ fn env_escape_hatches_select_kernels() {
     // Own-process integration test: safe to touch the environment (the
     // sibling tests in this binary pin kernels explicitly and never
     // read it).
-    std::env::set_var("GATESIM_OBLIVIOUS", "1");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::Oblivious));
-    std::env::set_var("GATESIM_OBLIVIOUS", "0");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
-    // GATESIM_KERNEL mirrors the legacy hatch and takes precedence.
-    std::env::set_var("GATESIM_KERNEL", "word");
-    std::env::set_var("GATESIM_OBLIVIOUS", "1");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::WordParallel));
     std::env::set_var("GATESIM_KERNEL", "oblivious");
-    std::env::remove_var("GATESIM_OBLIVIOUS");
     assert_eq!(SimKernel::from_env(), Ok(SimKernel::Oblivious));
     std::env::set_var("GATESIM_KERNEL", "event");
     assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
-    // Case-insensitive, including the simd kernel.
+    // Case-insensitive and whitespace-tolerant.
     std::env::set_var("GATESIM_KERNEL", "Simd");
     assert_eq!(SimKernel::from_env(), Ok(SimKernel::Simd));
-    // Unknown values fail loudly instead of silently falling back.
+    std::env::set_var("GATESIM_KERNEL", " SIMD ");
+    assert_eq!(SimKernel::from_env(), Ok(SimKernel::Simd));
+    // Unknown values fail loudly instead of silently falling back, with
+    // an error that lists every valid kernel name.
     std::env::set_var("GATESIM_KERNEL", "turbo");
     let err = SimKernel::from_env().expect_err("unknown kernel must error");
     assert_eq!(err.value(), "turbo");
+    let msg = err.to_string();
+    for option in ["event", "oblivious", "simd"] {
+        assert!(msg.contains(option), "{msg:?} must list {option:?}");
+    }
+    // Empty means unset: the structural default.
+    std::env::set_var("GATESIM_KERNEL", "");
+    assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
     std::env::remove_var("GATESIM_KERNEL");
     assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
 }

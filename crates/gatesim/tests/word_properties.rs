@@ -1,11 +1,9 @@
-//! Property tests for the word-level lane primitives and the 64-stream
-//! lockstep simulator.
+//! Property tests for the lane words and the lockstep simulators.
 //!
 //! Three families:
 //!
-//! * algebraic identities of the lane packer/unpacker and toggle words
-//!   (round-trip identity; popcount of a toggle word equals the scalar
-//!   transition count of the unpacked sequence);
+//! * toggle words at every lane width: the popcount of a toggle word
+//!   equals the scalar transition count of the packed sequence;
 //! * popcount energy accumulation: summing switch energy lane-by-lane
 //!   over random toggle masks lands on the same floats as the scalar
 //!   per-cycle accumulation, because both add the identical term list
@@ -17,39 +15,19 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use detrand::Rng;
-use gatesim::word::{broadcast, pack_lanes, toggle_word, unpack_lanes, LANES};
+use gatesim::simd::toggle_word_w;
 use gatesim::{
-    GateKind, LaneSim, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator,
+    GateKind, LaneSim, LaneWord, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator,
+    W256,
 };
 use std::sync::Arc;
 
-#[test]
-fn pack_unpack_roundtrip_at_every_width() {
-    let mut rng = Rng::new(0x9ACC_0001);
-    for width in 1..=LANES {
-        for _ in 0..20 {
-            let bits: Vec<bool> = (0..width).map(|_| rng.bool_with(0.5)).collect();
-            let word = pack_lanes(&bits);
-            assert_eq!(unpack_lanes(word, width), bits, "width {width}");
-            if width < LANES {
-                assert_eq!(word >> width, 0, "no stray high bits at width {width}");
-            }
-        }
-    }
-}
-
-#[test]
-fn broadcast_packs_uniform_lanes() {
-    for v in [false, true] {
-        assert_eq!(broadcast(v), pack_lanes(&[v; LANES]));
-    }
-}
-
-#[test]
-fn toggle_word_popcount_equals_scalar_toggle_count() {
-    let mut rng = Rng::new(0x9ACC_0002);
+/// Popcount of a toggle word over the packed prefix equals the scalar
+/// transition count of the sequence, at lane width `W`.
+fn toggle_popcount_matches_scalar<W: LaneWord>(seed: u64) {
+    let mut rng = Rng::new(seed);
     for _ in 0..500 {
-        let width = rng.usize_in(1, LANES + 1);
+        let width = rng.usize_in(1, W::BITS as usize + 1);
         let prev = rng.bool_with(0.5);
         let seq: Vec<bool> = (0..width).map(|_| rng.bool_with(0.5)).collect();
         // Scalar truth: count transitions against the running value.
@@ -61,14 +39,19 @@ fn toggle_word_popcount_equals_scalar_toggle_count() {
                 cur = b;
             }
         }
-        let mask = if width == LANES {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
-        let t = toggle_word(pack_lanes(&seq), prev) & mask;
+        let lane = seq
+            .iter()
+            .enumerate()
+            .fold(W::ZERO, |w, (j, &b)| w.with_bit(j as u32, b));
+        let t = toggle_word_w(lane, prev).and(W::low_mask(width as u32));
         assert_eq!(t.count_ones(), scalar, "prev={prev} seq={seq:?}");
     }
+}
+
+#[test]
+fn toggle_word_popcount_equals_scalar_toggle_count() {
+    toggle_popcount_matches_scalar::<u64>(0x9ACC_0002);
+    toggle_popcount_matches_scalar::<W256>(0x9ACC_0004);
 }
 
 #[test]
@@ -82,14 +65,14 @@ fn popcount_energy_accumulation_is_bit_exact() {
     let mut rng = Rng::new(0x9ACC_0003);
     for _ in 0..50 {
         let n_nets = rng.usize_in(3, 12);
-        let cycles = rng.usize_in(1, LANES + 1);
+        let cycles = rng.usize_in(1, 65);
         let clock = 7.5e-15 * config.vdd * config.vdd; // arbitrary fixed clock term
         let caps: Vec<f64> = (0..n_nets).map(|_| rng.usize_in(1, 40) as f64 * 1.5).collect();
         // One toggle word per net (cycle-packed lanes).
         let masks: Vec<u64> = (0..n_nets)
             .map(|_| rng.u64_in(0, u64::MAX))
             .map(|w| {
-                if cycles == LANES {
+                if cycles == 64 {
                     w
                 } else {
                     w & ((1u64 << cycles) - 1)

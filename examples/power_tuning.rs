@@ -13,8 +13,8 @@
 //! ```
 
 use co_estimation::{
-    explore_power_policies, CoSimConfig, GatingPolicy, LeakageModel, OperatingPoint, PowerPolicy,
-    PowerPoint,
+    explore_power_policies_parallel, CoSimConfig, ExploreOptions, GatingPolicy, LeakageModel,
+    OperatingPoint, PowerPolicy, PowerPoint,
 };
 use systems::tcpip::{build, TcpIpParams};
 
@@ -70,7 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let points = explore_power_policies(&soc, &config, &policies)?;
+    let points =
+        explore_power_policies_parallel(&soc, &config, &policies, &ExploreOptions::serial())?
+            .points;
 
     println!(
         "{:>22} | {:>11} {:>9} | {:>10} {:>10} {:>10} {:>10}",

@@ -7,7 +7,7 @@
 //! ```
 
 use co_estimation::{
-    explore_bus_architecture, minimum_energy, CoSimConfig,
+    explore_bus_architecture_parallel, minimum_energy, CoSimConfig, ExploreOptions,
 };
 use systems::tcpip::{build, TcpIpParams};
 
@@ -22,12 +22,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect::<Result<_, _>>()?;
 
-    let points = explore_bus_architecture(
+    let points = explore_bus_architecture_parallel(
         &soc,
         &CoSimConfig::date2000_defaults(),
         &procs,
         &[1, 4, 16, 64],
-    )?;
+        &ExploreOptions::serial(),
+    )?
+    .points;
     println!("explored {} configurations\n", points.len());
 
     let min = minimum_energy(&points).ok_or("empty sweep")?;

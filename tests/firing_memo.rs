@@ -1,23 +1,27 @@
 //! The exact firing memo against unmemoized co-simulation, bit for bit.
 //!
-//! Every parallel sweep holds a `gatesim::FiringMemoScope`, so a hardware
-//! firing that an earlier point already simulated from the same state
-//! and inputs is answered by copying the stored result. These tests
-//! require every memoized point to equal a standalone co-simulation of
-//! the same configuration — run outside any scope, so it simulates every
-//! firing — down to the golden snapshot, at several worker counts and
-//! under fault injection, and require that the memo really answered
-//! firings.
+//! Every sweep holds a `gatesim::FiringMemoScope`, so a hardware firing
+//! that an earlier point already simulated from the same state and
+//! inputs is answered by copying the stored result. These tests require
+//! every memoized point to equal a standalone co-simulation of the same
+//! configuration — run outside any scope, so it simulates every firing —
+//! down to the golden snapshot, at several worker counts, under fault
+//! injection and on a corpus of generated systems, and require that the
+//! memo really answered firings.
+
+mod common;
+mod corpus;
 
 use co_estimation::{
-    explore_bus_architecture_parallel, explore_stimulus_seeds, explore_stimulus_seeds_parallel,
-    permutations, CoSimConfig, CoSimulator, ExploreOptions, FaultPlan, SocDescription,
+    explore_bus_architecture_parallel, explore_stimulus_seeds_parallel, permutations,
+    stimulus_variant, CoSimConfig, CoSimulator, ExploreOptions, FaultPlan, SocDescription,
     StimulusJitter,
 };
+use common::{fig7_procs, fig7_soc, standalone_bus_point};
+use desim::WatchdogConfig;
 use soctrace::{MetricsSink, SharedSink};
 use std::sync::{Mutex, MutexGuard};
 use systems::producer_consumer::{self, ProducerConsumerParams};
-use systems::tcpip::{self, TcpIpParams};
 
 /// Serializes the tests: the memo counters they compare are
 /// process-wide, and a sweep in one test could otherwise serve another
@@ -28,39 +32,6 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn fig7_soc() -> SocDescription {
-    tcpip::build(&TcpIpParams::fig7_defaults()).expect("valid params")
-}
-
-fn fig7_procs(soc: &SocDescription) -> Vec<cfsm::ProcId> {
-    ["create_pack", "ip_check", "checksum"]
-        .iter()
-        .map(|n| soc.network.process_by_name(n).expect("process exists"))
-        .collect()
-}
-
-/// One bus-sweep point run on its own: `perm` gets descending
-/// priorities, as the sweep assigns them.
-fn standalone_bus_point(
-    soc: &SocDescription,
-    config: &CoSimConfig,
-    perm: &[cfsm::ProcId],
-    dma: u32,
-    sink: Option<SharedSink<MetricsSink>>,
-) -> co_estimation::CoSimReport {
-    let mut variant = soc.clone();
-    let n = perm.len() as u8;
-    for (rank, &p) in perm.iter().enumerate() {
-        variant.set_priority(p, n - rank as u8);
-    }
-    let mut sim =
-        CoSimulator::new(variant, config.with_dma_block_size(dma)).expect("system builds");
-    if let Some(sink) = sink {
-        sim.attach_trace(Box::new(sink));
-    }
-    sim.run()
 }
 
 #[test]
@@ -125,12 +96,49 @@ fn memoized_bus_sweep_points_equal_standalone_runs() {
     }
 }
 
+/// Runs a stimulus sweep of `soc` at 1 and 3 workers and checks every
+/// point against a standalone run of its seed's variant; returns the
+/// memo hits of each sweep.
+fn check_stimulus_sweep(name: &str, soc: &SocDescription, config: &CoSimConfig) -> [u64; 2] {
+    let seeds = [1u64, 2, 3, 4, 5, 6];
+    let jitter = StimulusJitter::default();
+    let expected: Vec<String> = seeds
+        .iter()
+        .map(|&seed| {
+            CoSimulator::new(stimulus_variant(soc, seed, &jitter), config.clone())
+                .expect("system builds")
+                .run()
+                .golden_snapshot()
+        })
+        .collect();
+    [1usize, 3].map(|workers| {
+        let before = gatesim::firing_memo_stats();
+        let sweep = explore_stimulus_seeds_parallel(
+            soc,
+            config,
+            &seeds,
+            &jitter,
+            &ExploreOptions::with_workers(workers),
+        )
+        .expect("sweep");
+        let after = gatesim::firing_memo_stats();
+        assert_eq!(sweep.points.len(), seeds.len());
+        for (p, want) in sweep.points.iter().zip(&expected) {
+            if let Some(diff) = co_estimation::snapshot_diff(want, &p.report.golden_snapshot()) {
+                panic!(
+                    "{name}, workers = {workers}: seed {} drifted:\n{diff}",
+                    p.seed
+                );
+            }
+        }
+        after.hits - before.hits
+    })
+}
+
 #[test]
 fn memoized_stimulus_sweep_points_equal_standalone_runs() {
     let _serial = serial();
     let soc = producer_consumer::build(&ProducerConsumerParams::default()).expect("valid params");
-    let seeds = [1u64, 2, 3, 4, 5, 6];
-    let jitter = StimulusJitter::default();
     let plain = CoSimConfig::date2000_defaults();
     let faulted = plain.with_faults(
         FaultPlan::new()
@@ -139,42 +147,23 @@ fn memoized_stimulus_sweep_points_equal_standalone_runs() {
             .corrupt_energy(1, "consumer", 3.0),
     );
     for (name, config) in [("plain", &plain), ("faulted", &faulted)] {
-        // A one-seed serial sweep is one standalone co-simulation of that
-        // seed's stimulus variant.
-        let expected: Vec<String> = seeds
-            .iter()
-            .map(|&seed| {
-                let solo = explore_stimulus_seeds(&soc, config, &[seed], &jitter).expect("run");
-                solo[0].report.golden_snapshot()
-            })
-            .collect();
-        for workers in [1usize, 3] {
-            let before = gatesim::firing_memo_stats();
-            let sweep = explore_stimulus_seeds_parallel(
-                &soc,
-                config,
-                &seeds,
-                &jitter,
-                &ExploreOptions::with_workers(workers),
-            )
-            .expect("sweep");
-            let after = gatesim::firing_memo_stats();
-            assert_eq!(sweep.points.len(), seeds.len());
-            for (p, want) in sweep.points.iter().zip(&expected) {
-                if let Some(diff) = co_estimation::snapshot_diff(want, &p.report.golden_snapshot())
-                {
-                    panic!(
-                        "{name}, workers = {workers}: seed {} drifted:\n{diff}",
-                        p.seed
-                    );
-                }
-            }
-            assert!(
-                after.hits > before.hits,
-                "{name}, workers = {workers}: the memo answered no firing"
-            );
-        }
+        let hits = check_stimulus_sweep(name, &soc, config);
+        assert!(
+            hits.iter().all(|&h| h > 0),
+            "{name}: the memo answered no firing in some sweep ({hits:?})"
+        );
     }
+    // Generated systems, under budgets a live spec never hits.
+    let guarded = plain.with_watchdog(WatchdogConfig {
+        max_cycles: Some(50_000_000),
+        max_events: Some(1_000_000),
+        ..WatchdogConfig::unlimited()
+    });
+    let hits: u64 = corpus::live_hw_systems()
+        .iter()
+        .map(|soc| check_stimulus_sweep(&soc.name, soc, &guarded).iter().sum::<u64>())
+        .sum();
+    assert!(hits > 0, "the memo answered no firing across the generated corpus");
 }
 
 #[test]

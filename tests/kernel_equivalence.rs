@@ -1,8 +1,9 @@
 //! System-level kernel equivalence: every gate-simulation kernel —
-//! event-driven (the default), oblivious, word-parallel, and simd —
-//! must reproduce the exact same co-simulation report, golden snapshots
-//! compared down to float bit patterns, on every reference system,
-//! with trace sinks attached, and under fault injection.
+//! event-driven (the default), oblivious, and simd — must reproduce the
+//! exact same co-simulation report, golden snapshots compared down to
+//! float bit patterns, on every reference system and a corpus of
+//! generated systems, with trace sinks attached, and under fault
+//! injection.
 //!
 //! This is the system-level counterpart of the gatesim differential
 //! fuzz suite: it runs the whole co-estimation stack (master, bus,
@@ -11,6 +12,8 @@
 //! `GATESIM_KERNEL` escape hatch. The suite owns its process (integration tests link
 //! separately), but its `#[test]` fns share that process, so every
 //! environment mutation is serialized behind one lock.
+
+mod corpus;
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -28,12 +31,11 @@ use systems::tcpip::{self, TcpIpParams};
 /// this binary (they run on parallel threads within one process).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// The four first-class kernels as `GATESIM_KERNEL` values; `None` is
-/// "leave the environment alone" — the event-driven default.
-const KERNELS: [(&str, Option<&str>); 4] = [
+/// The three kernels as `GATESIM_KERNEL` values; `None` is "leave the
+/// environment alone" — the structural default.
+const KERNELS: [(&str, Option<&str>); 3] = [
     ("event(default)", None),
     ("oblivious", Some("oblivious")),
-    ("word", Some("word")),
     ("simd", Some("simd")),
 ];
 
@@ -41,7 +43,6 @@ const KERNELS: [(&str, Option<&str>); 4] = [
 /// `kernel`, holding the environment lock for the duration.
 fn with_kernel<T>(kernel: Option<&str>, f: impl FnOnce() -> T) -> T {
     let _guard = ENV_LOCK.lock().expect("env lock");
-    std::env::remove_var("GATESIM_OBLIVIOUS");
     match kernel {
         Some(k) => std::env::set_var("GATESIM_KERNEL", k),
         None => std::env::remove_var("GATESIM_KERNEL"),
@@ -88,7 +89,14 @@ fn run_with_metrics(soc: SocDescription, config: CoSimConfig) -> (String, Metric
 
 #[test]
 fn every_kernel_reproduces_the_default_snapshot_on_all_systems() {
-    for (system, soc) in all_systems() {
+    let generated = corpus::live_hw_systems()
+        .into_iter()
+        .map(|soc| (soc.name.clone(), soc));
+    let systems = all_systems()
+        .into_iter()
+        .map(|(name, soc)| (name.to_string(), soc))
+        .chain(generated);
+    for (system, soc) in systems {
         let mut baseline: Option<(String, MetricsSink)> = None;
         for (name, kernel) in KERNELS {
             let (snapshot, metrics) = with_kernel(kernel, || {
@@ -105,8 +113,8 @@ fn every_kernel_reproduces_the_default_snapshot_on_all_systems() {
                     // output changes — kernel-invariant by contract, so
                     // cross-kernel MetricsSink aggregates stay
                     // comparable. `gate_evals` counts kernel work units
-                    // (a word-parallel eval covers up to 64 cycles) and
-                    // is allowed to differ.
+                    // (a simd eval covers up to 256 cycles) and is
+                    // allowed to differ.
                     assert_eq!(
                         metrics.gate_events, want_metrics.gate_events,
                         "{system}: kernel {name} changed the gate_events aggregate"
@@ -237,27 +245,4 @@ fn every_kernel_characterizes_the_same_cost_tables() {
             }
         }
     }
-}
-
-#[test]
-fn legacy_oblivious_escape_hatch_still_reproduces_the_default_report() {
-    let run = || {
-        CoSimulator::new(small_tcpip(), CoSimConfig::date2000_defaults())
-            .expect("system builds")
-            .run()
-            .golden_snapshot()
-    };
-    let event_driven = with_kernel(None, run);
-    let oblivious = {
-        let _guard = ENV_LOCK.lock().expect("env lock");
-        std::env::remove_var("GATESIM_KERNEL");
-        std::env::set_var("GATESIM_OBLIVIOUS", "1");
-        let snap = run();
-        std::env::remove_var("GATESIM_OBLIVIOUS");
-        snap
-    };
-    assert_eq!(
-        event_driven, oblivious,
-        "legacy GATESIM_OBLIVIOUS hatch diverged at system level"
-    );
 }

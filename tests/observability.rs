@@ -8,12 +8,15 @@
 //! detailed call), so the spans cannot silently drift away from what
 //! they claim to time.
 
+mod common;
+
 use co_estimation::{
-    explore_bus_architecture, explore_bus_architecture_parallel, explore_power_policies,
-    explore_power_policies_parallel, Acceleration, CachingConfig, CoSimConfig, CoSimReport,
-    CoSimulator, ExploreOptions, FaultPlan, GatingPolicy, LeakageModel, OperatingPoint,
-    PowerPolicy, Provenance, SamplingConfig, SocDescription,
+    explore_bus_architecture_parallel, explore_power_policies_parallel, permutations,
+    Acceleration, CachingConfig, CoSimConfig, CoSimReport, CoSimulator, ExploreOptions, FaultPlan,
+    GatingPolicy, LeakageModel, OperatingPoint, PowerPolicy, Provenance, SamplingConfig,
+    SocDescription,
 };
+use common::{fig7_procs, fig7_soc, standalone_bus_point};
 use soctrace::{ArcSharedSink, MetricsSink, ProfileReport, SharedSink, SpanKind};
 use systems::automotive::{self, AutomotiveParams};
 use systems::producer_consumer::{self, ProducerConsumerParams};
@@ -300,7 +303,15 @@ fn power_sweeps_are_bitwise_identical_serial_vs_parallel() {
         PowerPolicy::named("leak").with_leakage(LeakageModel::with_default_rate(1.0e-3)),
         managed_policy(&soc),
     ];
-    let serial = explore_power_policies(&soc, &base, &policies).expect("serial sweep");
+    // The oracle: each policy run standalone, outside the sweep.
+    let standalone: Vec<CoSimReport> = policies
+        .iter()
+        .map(|p| {
+            CoSimulator::new(soc.clone(), base.with_power_policy(p.clone()))
+                .expect("system builds")
+                .run()
+        })
+        .collect();
     for workers in [1usize, 3] {
         let par = explore_power_policies_parallel(
             &soc,
@@ -308,40 +319,42 @@ fn power_sweeps_are_bitwise_identical_serial_vs_parallel() {
             &policies,
             &ExploreOptions::with_workers(workers),
         )
-        .expect("parallel sweep");
-        assert_eq!(serial.len(), par.points.len());
-        for (s, p) in serial.iter().zip(&par.points) {
-            assert_eq!(s.policy_name, p.policy_name);
+        .expect("sweep");
+        assert_eq!(standalone.len(), par.points.len());
+        for ((s, p), policy) in standalone.iter().zip(&par.points).zip(&policies) {
+            assert_eq!(policy.name, p.policy_name);
             assert_eq!(
-                s.report.golden_snapshot(),
+                s.golden_snapshot(),
                 p.report.golden_snapshot(),
                 "policy `{}` diverged at workers = {workers}",
-                s.policy_name
+                policy.name
             );
             assert_eq!(
-                s.energy_j().to_bits(),
+                s.total_energy_j().to_bits(),
                 p.energy_j().to_bits(),
                 "policy `{}` energy bits diverged at workers = {workers}",
-                s.policy_name
+                policy.name
             );
             p.report
                 .verify_provenance()
-                .unwrap_or_else(|e| panic!("policy `{}`: {e}", s.policy_name));
+                .unwrap_or_else(|e| panic!("policy `{}`: {e}", policy.name));
         }
     }
 }
 
 #[test]
 fn parallel_sweep_profiles_every_point_without_perturbing_results() {
-    let soc = tcpip::build(&TcpIpParams::fig7_defaults()).expect("valid params");
+    let soc = fig7_soc();
     let config = CoSimConfig::date2000_defaults();
-    let procs: Vec<cfsm::ProcId> = ["create_pack", "ip_check", "checksum"]
-        .iter()
-        .map(|n| soc.network.process_by_name(n).expect("process exists"))
-        .collect();
+    let procs = fig7_procs(&soc);
     let dmas = [1u32, 8, 32, 128];
 
-    let serial = explore_bus_architecture(&soc, &config, &procs, &dmas).expect("serial sweep");
+    let mut standalone = Vec::new();
+    for perm in permutations(&procs) {
+        for &dma in &dmas {
+            standalone.push(standalone_bus_point(&soc, &config, &perm, dma, None));
+        }
+    }
 
     let sink = ArcSharedSink::new(ProfileReport::new());
     let sweep = explore_bus_architecture_parallel(
@@ -353,12 +366,12 @@ fn parallel_sweep_profiles_every_point_without_perturbing_results() {
     )
     .expect("parallel sweep");
 
-    assert_eq!(serial.len(), sweep.points.len());
-    for (i, (s, p)) in serial.iter().zip(&sweep.points).enumerate() {
+    assert_eq!(standalone.len(), sweep.points.len());
+    for (i, (s, p)) in standalone.iter().zip(&sweep.points).enumerate() {
         assert_eq!(
-            s.report.golden_snapshot(),
+            s.golden_snapshot(),
             p.report.golden_snapshot(),
-            "profiled point {i} drifted from the serial reference"
+            "profiled point {i} drifted from its standalone run"
         );
         p.report
             .verify_provenance()
@@ -366,7 +379,7 @@ fn parallel_sweep_profiles_every_point_without_perturbing_results() {
     }
 
     let profile = sink.with(|r| r.clone());
-    let points = serial.len() as u64;
+    let points = standalone.len() as u64;
     assert_eq!(
         profile.stats(SpanKind::SweepPoint).count,
         points,

@@ -35,12 +35,11 @@ use systems::tcpip::{self, TcpIpParams};
 /// Serializes `GATESIM_KERNEL` mutation across the tests in this binary.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// The four first-class kernels as `GATESIM_KERNEL` values; `None` is
-/// "leave the environment alone" — the event-driven default.
-const KERNELS: [(&str, Option<&str>); 4] = [
+/// The three kernels as `GATESIM_KERNEL` values; `None` is "leave the
+/// environment alone" — the structural default.
+const KERNELS: [(&str, Option<&str>); 3] = [
     ("event(default)", None),
     ("oblivious", Some("oblivious")),
-    ("word", Some("word")),
     ("simd", Some("simd")),
 ];
 
@@ -48,7 +47,6 @@ const KERNELS: [(&str, Option<&str>); 4] = [
 /// `kernel`, holding the environment lock for the duration.
 fn with_kernel<T>(kernel: Option<&str>, f: impl FnOnce() -> T) -> T {
     let _guard = ENV_LOCK.lock().expect("env lock");
-    std::env::remove_var("GATESIM_OBLIVIOUS");
     match kernel {
         Some(k) => std::env::set_var("GATESIM_KERNEL", k),
         None => std::env::remove_var("GATESIM_KERNEL"),
