@@ -20,7 +20,7 @@ pub struct BlockId(pub u32);
 
 /// A straight-line statement (a POLIS macro-operation or a sequence of
 /// them).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Stmt {
     /// `var := expr` — an arithmetic computation followed by an assignment
     /// (macro-ops: one per operator in `expr`, plus `AVV`).
@@ -58,7 +58,7 @@ pub enum Stmt {
 }
 
 /// How a basic block transfers control.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Terminator {
     /// Unconditional jump.
     Goto(BlockId),
@@ -77,7 +77,7 @@ pub enum Terminator {
 }
 
 /// A basic block: straight-line statements plus a terminator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BasicBlock {
     /// The statements, in execution order.
     pub stmts: Vec<Stmt>,
@@ -86,7 +86,7 @@ pub struct BasicBlock {
 }
 
 /// A control-flow graph; block 0 is the entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cfg {
     blocks: Vec<BasicBlock>,
 }

@@ -128,9 +128,9 @@ pub trait PowerEstimator: fmt::Debug {
     /// Energy of `cycles` of bus-wait idling, joules.
     ///
     /// In `detailed` mode a backend may actually step its model through
-    /// the wait (the gate-level backend charges the clock tree); when an
-    /// acceleration technique served the firing, an analytically
-    /// equivalent charge is used instead.
+    /// the wait (the gate-level backend steps its netlist); when an
+    /// acceleration technique served the firing, an analytic charge is
+    /// used instead (the gate-level backend: the clock tree per cycle).
     fn wait_energy(&mut self, transition: TransitionId, cycles: u64, detailed: bool) -> f64;
 
     /// For backends with a program layout: the instruction-fetch
@@ -246,9 +246,11 @@ impl PowerEstimator for HwEstimator {
         }
         let t = self.hw.transition_mut(transition);
         if detailed {
-            // Step the netlist through the wait (charging the clock
-            // tree); nothing toggles while idling, so this agrees
-            // exactly with the analytic form below.
+            // Step the netlist through the wait. The first held cycle
+            // after a firing still toggles nets (the controller leaves
+            // `done`), so this exceeds the analytic clock-tree charge
+            // below by those toggles; the rest of the wait charges the
+            // clock tree alone.
             t.idle_step(cycles)
         } else {
             t.idle_energy_per_cycle_j() * cycles as f64

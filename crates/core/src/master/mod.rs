@@ -180,9 +180,10 @@ impl CoSimulator {
     /// # Errors
     ///
     /// Returns a [`BuildEstimatorError`] if any component fails to build,
-    /// if the priority vector does not have one entry per process, or if
-    /// the fault plan names an unknown process/event or has degenerate
-    /// parameters.
+    /// if the priority vector does not have one entry per process, if
+    /// the synthesis datapath width is outside `1..=63`
+    /// ([`BuildEstimatorError::InvalidParams`]), or if the fault plan
+    /// names an unknown process/event or has degenerate parameters.
     pub fn new(soc: SocDescription, config: CoSimConfig) -> Result<Self, BuildEstimatorError> {
         if soc.priorities.len() != soc.network.process_count() {
             return Err(BuildEstimatorError::PriorityCount {
@@ -190,6 +191,10 @@ impl CoSimulator {
                 got: soc.priorities.len(),
             });
         }
+        config
+            .synth
+            .validate()
+            .map_err(|e| BuildEstimatorError::InvalidParams(e.to_string()))?;
         let faults = faults::resolve(&config.faults, &soc.network)?;
         let n = soc.network.process_count();
         let mut estimators = Vec::with_capacity(n);

@@ -104,6 +104,39 @@ impl CapacitanceMap {
     }
 }
 
+/// What one toggle of each net, and one clock cycle, cost for a netlist
+/// under a [`PowerConfig`]: `switch_j[i]` is
+/// [`PowerConfig::switch_energy_j`] of net `i`'s [`CapacitanceMap`]
+/// entry, evaluated once here so the kernels read it instead of
+/// recomputing the product per toggle (the same expression, so the same
+/// bits). The synthesis memo shares one per synthesized transition and
+/// configuration.
+#[derive(Debug, Clone)]
+pub(crate) struct NetEnergies {
+    /// Energy of one toggle of each net, joules.
+    pub(crate) switch_j: Vec<f64>,
+    /// Clock-tree energy charged every cycle, joules.
+    pub(crate) clock_j: f64,
+    /// The configuration's [`PowerConfig::key_bits`].
+    pub(crate) power_key: [u64; 3],
+}
+
+impl NetEnergies {
+    /// Computes the table for `netlist` under `config`.
+    pub(crate) fn new(netlist: &Netlist, config: &PowerConfig) -> Self {
+        let caps = CapacitanceMap::new(netlist, config);
+        NetEnergies {
+            switch_j: caps
+                .caps_ff
+                .iter()
+                .map(|&c| config.switch_energy_j(c))
+                .collect(),
+            clock_j: caps.clock_energy_per_cycle_j,
+            power_key: config.key_bits(),
+        }
+    }
+}
+
 /// A cycle-by-cycle energy report, as produced by the hardware simulator
 /// ("report power consumed on demand at cycle-level accuracy", §3).
 #[derive(Debug, Clone, Default, PartialEq)]

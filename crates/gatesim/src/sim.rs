@@ -35,9 +35,22 @@
 //! operation sequence of the oblivious diff — so the kernels agree
 //! to the last mantissa bit. The differential fuzz suite and the golden
 //! reports enforce this.
+//!
+//! Every kernel charges from one energy table per netlist and
+//! [`PowerConfig`]: `½·Vdd²·C` of each net, evaluated once, plus the
+//! clock-tree charge. Instances of a synthesized transition share it
+//! through the synthesis memo.
+//!
+//! Held-input runs ([`Simulator::run`]) fast-forward under the
+//! event-driven kernel: once a stepped cycle changes no flop at its
+//! edge, nothing can change until an input does, so each further held
+//! cycle charges exactly the clock-tree energy. The kernel appends
+//! that charge to the history and folds it into the returned sum one
+//! cycle at a time, the order stepping would use, without evaluating a
+//! gate. The oblivious kernel steps every cycle, as the reference.
 
 use crate::netlist::{Gate, GateKind, NetId, Netlist, ValidateNetlistError};
-use crate::power::{CapacitanceMap, EnergyReport, PowerConfig};
+use crate::power::{EnergyReport, NetEnergies, PowerConfig};
 use crate::simd::{toggle_word_w, LaneWord, Wide};
 use std::collections::HashMap;
 use std::fmt;
@@ -325,9 +338,9 @@ impl SimPlan {
 /// The netlist and everything derived from it alone (topological order,
 /// levels, fanout, reset state) are held behind an [`Arc`], so many
 /// simulator instances (e.g. one per design-space exploration point)
-/// share a single immutable structure; per-instance state (values,
-/// toggles, energy, the capacitance map of the instance's
-/// [`PowerConfig`]) is always private to the instance.
+/// share a single immutable structure, as they share the per-net
+/// switching energies of their [`PowerConfig`]; per-instance state
+/// (values, toggles, energy) is always private to the instance.
 ///
 /// # Examples
 ///
@@ -350,8 +363,7 @@ impl SimPlan {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     plan: Arc<SimPlan>,
-    caps: CapacitanceMap,
-    config: PowerConfig,
+    energies: Arc<NetEnergies>,
     kernel: SimKernel,
     values: Vec<bool>,
     inputs: Vec<bool>,
@@ -434,8 +446,7 @@ impl Simulator {
         config: PowerConfig,
     ) -> Result<Self, ValidateNetlistError> {
         let forced = SimKernel::env_override()?;
-        let plan = SimPlan::new(netlist)?;
-        Ok(Self::from_plan(Arc::new(plan), config, forced))
+        Self::standalone(netlist, &config, forced)
     }
 
     /// Builds a simulator with an explicitly chosen kernel (differential
@@ -449,27 +460,36 @@ impl Simulator {
         config: PowerConfig,
         kernel: SimKernel,
     ) -> Result<Self, ValidateNetlistError> {
-        let plan = SimPlan::new(netlist)?;
-        Ok(Self::from_plan(Arc::new(plan), config, Some(kernel)))
+        Self::standalone(netlist, &config, Some(kernel))
     }
 
-    /// Builds an instance over a shared plan — the one construction
-    /// path behind every public constructor, and all a synthesis-memo
-    /// hit pays: per-instance vectors (values copied from the plan's
-    /// reset state) and a capacitance map for `config`. `forced` is the
-    /// kernel to run, or `None` for [`SimKernel::choose`]'s structural
-    /// rule over the plan's cached facts.
+    /// An instance with a plan and an energy table of its own.
+    fn standalone(
+        netlist: Arc<Netlist>,
+        config: &PowerConfig,
+        forced: Option<SimKernel>,
+    ) -> Result<Self, ValidateNetlistError> {
+        let plan = SimPlan::new(netlist)?;
+        let energies = NetEnergies::new(&plan.netlist, config);
+        Ok(Self::from_plan(Arc::new(plan), Arc::new(energies), forced))
+    }
+
+    /// Builds an instance over a shared plan and energy table — the one
+    /// construction path behind every public constructor, and all a
+    /// synthesis-memo hit pays: per-instance vectors (values copied from
+    /// the plan's reset state). `forced` is the kernel to run, or `None`
+    /// for [`SimKernel::choose`]'s structural rule over the plan's
+    /// cached facts.
     pub(crate) fn from_plan(
         plan: Arc<SimPlan>,
-        config: PowerConfig,
+        energies: Arc<NetEnergies>,
         forced: Option<SimKernel>,
     ) -> Self {
+        debug_assert_eq!(energies.switch_j.len(), plan.netlist.gate_count());
         let kernel = forced.unwrap_or_else(|| SimKernel::for_structure(plan.dffs.len()));
-        let caps = CapacitanceMap::new(&plan.netlist, &config);
         let n = plan.netlist.gate_count();
         let mut sim = Simulator {
-            caps,
-            config,
+            energies,
             kernel,
             values: plan.reset_values.clone(),
             inputs: vec![false; n],
@@ -526,6 +546,12 @@ impl Simulator {
     #[cfg(test)]
     pub(crate) fn plan(&self) -> &Arc<SimPlan> {
         &self.plan
+    }
+
+    /// The energy table this instance charges from.
+    #[cfg(test)]
+    pub(crate) fn energies(&self) -> &Arc<NetEnergies> {
+        &self.energies
     }
 
     /// The kernel this instance was built with.
@@ -619,7 +645,7 @@ impl Simulator {
     pub(crate) fn pack_memo_key(&self, key: &mut Vec<u64>) {
         debug_assert_eq!(self.kernel, SimKernel::EventDriven);
         let plan = &*self.plan;
-        key.extend(self.config.key_bits());
+        key.extend(self.energies.power_key);
         key.push(u64::from(self.is_fresh()));
         push_bits(key, plan.dffs.iter().map(|&(q, _)| self.values[q as usize]));
         self.pack_edge(key);
@@ -721,22 +747,54 @@ impl Simulator {
     }
 
     /// Runs `n` cycles with held inputs and returns the energy over
-    /// them, in joules. Under the windowed kernel the cycles are
-    /// batched into windows of up to [`SimKernel::window_bits`] cycles;
-    /// the returned energy is re-folded cycle by cycle from the report
-    /// so the float sum is bit-identical to `n` scalar
-    /// [`Simulator::step`] calls.
+    /// them, in joules: bit for bit the sum of `n` [`Simulator::step`]
+    /// calls, folded cycle by cycle from −0.0 as `Iterator::sum` folds.
+    ///
+    /// * The windowed kernel batches the cycles into windows of up to
+    ///   [`SimKernel::window_bits`] cycles and re-folds the energy from
+    ///   the report.
+    /// * The event-driven kernel steps until a cycle ends with no flop
+    ///   changed at its edge, then fast-forwards the rest. That is exact:
+    ///   after a stepped cycle the dirty queue is drained and every
+    ///   input net equals its (held) forced value, so with no flop
+    ///   changed, each later cycle schedules no gate, toggles nothing
+    ///   and charges exactly the clock-tree energy. The fast-forward
+    ///   appends that energy to the history and folds it into the sum
+    ///   once per cycle, in order, and advances the cycle count; the
+    ///   activity counters already stand where stepping would leave
+    ///   them.
+    /// * The oblivious kernel, the reference, steps every cycle.
     pub fn run(&mut self, n: u64) -> f64 {
-        if self.kernel.is_windowed() {
-            let start = self.report.per_cycle_j.len();
-            let mut left = n;
-            while left > 0 {
-                let (m, _) = self.word_window(left, &[], &[]);
-                left -= m;
+        match self.kernel {
+            SimKernel::Simd => {
+                let start = self.report.per_cycle_j.len();
+                let mut left = n;
+                while left > 0 {
+                    let (m, _) = self.word_window(left, &[], &[]);
+                    left -= m;
+                }
+                self.report.per_cycle_j[start..].iter().sum()
             }
-            self.report.per_cycle_j[start..].iter().sum()
-        } else {
-            (0..n).map(|_| self.step()).sum()
+            SimKernel::EventDriven => {
+                let mut energy = -0.0;
+                let mut left = n;
+                while left > 0 {
+                    energy += self.step_event();
+                    left -= 1;
+                    if self.pending_edge.is_empty() {
+                        let clock = self.energies.clock_j;
+                        for _ in 0..left {
+                            energy += clock;
+                        }
+                        let history = &mut self.report.per_cycle_j;
+                        history.resize(history.len() + left as usize, clock);
+                        self.cycle += left;
+                        break;
+                    }
+                }
+                energy
+            }
+            SimKernel::Oblivious => (0..n).map(|_| self.step_oblivious()).sum(),
         }
     }
 
@@ -901,7 +959,7 @@ impl Simulator {
     /// Clock-tree energy charged every cycle regardless of activity,
     /// joules.
     pub fn clock_energy_per_cycle_j(&self) -> f64 {
-        self.caps.clock_energy_per_cycle_j()
+        self.energies.clock_j
     }
 
     /// Total toggle count of a net so far.
@@ -947,6 +1005,7 @@ impl Simulator {
         let plan = &*self.plan;
         let (fanout, levels) = (&plan.comb_fanout[..], &plan.levels[..]);
         let gates = plan.netlist.gates();
+        let switch_j = &self.energies.switch_j[..];
         // DFF outputs that changed at the previous edge drive this
         // cycle's settle, alongside any changed primary inputs.
         let pending = std::mem::take(&mut self.pending_edge);
@@ -994,11 +1053,11 @@ impl Simulator {
         // Energy: clock tree first, then toggled nets ascending by net
         // id — the float order of the oblivious before/after diff.
         self.toggled.sort_unstable();
-        let mut energy = self.caps.clock_energy_per_cycle_j();
+        let mut energy = self.energies.clock_j;
         for k in 0..self.toggled.len() {
-            let i = self.toggled[k];
-            self.toggles[i as usize] += 1;
-            energy += self.config.switch_energy_j(self.caps.cap_ff(i));
+            let i = self.toggled[k] as usize;
+            self.toggles[i] += 1;
+            energy += switch_j[i];
         }
         self.gate_events += self.toggled.len() as u64;
 
@@ -1012,7 +1071,7 @@ impl Simulator {
             let v = self.edge_sample[k];
             if self.values[q as usize] != v {
                 self.toggles[q as usize] += 1;
-                energy += self.config.switch_energy_j(self.caps.cap_ff(q));
+                energy += switch_j[q as usize];
                 self.values[q as usize] = v;
                 self.gate_events += 1;
                 self.pending_edge.push(q);
@@ -1038,11 +1097,12 @@ impl Simulator {
         self.gate_evals += self.plan.order.len() as u64;
         self.gate_eval_slots += self.plan.order.len() as u64;
         // 3. Energy from toggles against the previous settled state.
-        let mut energy = self.caps.clock_energy_per_cycle_j();
+        let switch_j = &self.energies.switch_j[..];
+        let mut energy = self.energies.clock_j;
         for (i, (&now, &was)) in self.values.iter().zip(&before).enumerate() {
             if now != was {
                 self.toggles[i] += 1;
-                energy += self.config.switch_energy_j(self.caps.cap_ff(i as u32));
+                energy += switch_j[i];
                 self.gate_events += 1;
             }
         }
@@ -1066,7 +1126,7 @@ impl Simulator {
         for (i, v) in sampled {
             if self.values[i] != v {
                 self.toggles[i] += 1;
-                energy += self.config.switch_energy_j(self.caps.cap_ff(i as u32));
+                energy += switch_j[i];
                 self.gate_events += 1;
             }
             self.values[i] = v;
@@ -1279,19 +1339,19 @@ impl Simulator {
             self.edge_sample
                 .push(self.lane_of(d as usize).bit(m - 1));
         }
-        let clock = self.caps.clock_energy_per_cycle_j();
+        let (switch_j, clock) = (&self.energies.switch_j[..], self.energies.clock_j);
         for j in 0..m {
             let mut energy = clock;
             let (jw, jb) = ((j / 64) as usize, j % 64);
             for k in 0..self.active.len() {
                 if (self.active_toggle[k * WINDOW_WORDS + jw] >> jb) & 1 == 1 {
-                    energy += self.config.switch_energy_j(self.caps.cap_ff(self.active[k]));
+                    energy += switch_j[self.active[k] as usize];
                 }
             }
             if j + 1 == m {
                 for (k, &(q, _)) in plan.dffs.iter().enumerate() {
                     if self.edge_sample[k] != self.values[q as usize] {
-                        energy += self.config.switch_energy_j(self.caps.cap_ff(q));
+                        energy += switch_j[q as usize];
                     }
                 }
             }

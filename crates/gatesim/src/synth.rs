@@ -35,20 +35,26 @@ use crate::bus::{
 };
 use crate::memo::{hash_key, FiringMemo};
 use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
-use crate::power::PowerConfig;
+use crate::power::{NetEnergies, PowerConfig};
 use crate::sim::{SimKernel, SimPlan, Simulator};
-use cfsm::{BinOp, Cfsm, EventId, Expr, Stmt, Terminator, TransitionId, UnOp, VarId};
+use cfsm::{BinOp, Cfg, Cfsm, EventId, Expr, Stmt, Terminator, TransitionId, UnOp, VarId};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::marker::PhantomData;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Datapath widths synthesis supports ([`SynthConfig::with_width`]).
+const WIDTHS: RangeInclusive<usize> = 1..=63;
 
 /// Synthesis parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SynthConfig {
-    /// Datapath word width in bits (values wrap modulo 2^width).
+    /// Datapath word width in bits (values wrap modulo 2^width), in
+    /// `1..=63` (see [`SynthConfig::validate`]).
     pub width: usize,
 }
 
@@ -65,8 +71,22 @@ impl SynthConfig {
     ///
     /// Panics unless `1 <= width <= 63`.
     pub fn with_width(width: usize) -> Self {
-        assert!((1..=63).contains(&width), "width must be in 1..=63");
+        assert!(WIDTHS.contains(&width), "width must be in 1..=63");
         SynthConfig { width }
+    }
+
+    /// Checks the parameters. `width` is a public field, so a struct
+    /// literal can bypass the check in [`SynthConfig::with_width`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SynthError::InvalidWidth`] unless `1 <= width <= 63`.
+    pub fn validate(&self) -> Result<(), SynthError> {
+        if WIDTHS.contains(&self.width) {
+            Ok(())
+        } else {
+            Err(SynthError::InvalidWidth(self.width))
+        }
     }
 }
 
@@ -81,6 +101,8 @@ impl Default for SynthConfig {
 pub enum SynthError {
     /// The operator has no structural implementation.
     UnsupportedOp(&'static str),
+    /// The datapath width is outside `1..=63`.
+    InvalidWidth(usize),
     /// The generated netlist failed validation (internal error).
     Netlist(ValidateNetlistError),
     /// An internal synthesis invariant was violated (a bug, reported as
@@ -93,6 +115,9 @@ impl fmt::Display for SynthError {
         match self {
             SynthError::UnsupportedOp(op) => {
                 write!(f, "operator {op} has no hardware implementation")
+            }
+            SynthError::InvalidWidth(w) => {
+                write!(f, "datapath width {w} is outside 1..=63")
             }
             SynthError::Netlist(e) => write!(f, "generated netlist invalid: {e}"),
             SynthError::Internal(what) => {
@@ -224,28 +249,83 @@ struct Ports {
 }
 
 /// The product of synthesizing one transition: the simulation plan (the
-/// netlist plus everything derived from it alone), the port map, and the
-/// transition's exact firing memo. Shared via the global synthesis memo,
-/// so every exploration point (and every simulator instance) evaluating
-/// the same behavioral spec at the same synthesis parameters holds one
-/// copy. Everything but the memo is immutable.
+/// netlist plus everything derived from it alone), the port map, the
+/// net-energy tables of the [`PowerConfig`]s its instances run under,
+/// and the transition's exact firing memo. Shared via the global
+/// synthesis memo, so every exploration point (and every simulator
+/// instance) evaluating the same behavioral spec at the same synthesis
+/// parameters holds one copy. Everything but the tables and the memo is
+/// immutable.
 #[derive(Debug)]
 struct SynthesizedTransition {
+    /// The synthesis-memo key it was built for: the body, the variable
+    /// count, and the datapath width ([`synth_key_hash`]).
+    body: Cfg,
+    n_vars: usize,
+    width: usize,
     plan: Arc<SimPlan>,
     ports: Ports,
     gate_count: usize,
     segment_count: usize,
+    /// One table per [`PowerConfig::key_bits`], built on first use.
+    energies: Mutex<Vec<Arc<NetEnergies>>>,
     memo: Mutex<FiringMemo>,
+}
+
+impl SynthesizedTransition {
+    /// Whether this transition was built for the key `(body, n_vars,
+    /// width)`, compared in full.
+    fn is_for(&self, body: &Cfg, n_vars: usize, width: usize) -> bool {
+        self.n_vars == n_vars && self.width == width && self.body == *body
+    }
+
+    /// The net-energy table for `power`, built on its first request and
+    /// shared by every later one.
+    fn energies_for(&self, power: &PowerConfig) -> Arc<NetEnergies> {
+        let key = power.key_bits();
+        // A table is pushed only once complete, so a panicked holder
+        // leaves the list valid.
+        let mut tables = self.energies.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = tables.iter().find(|t| t.power_key == key) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(NetEnergies::new(self.plan.netlist(), power));
+        tables.push(Arc::clone(&table));
+        table
+    }
 }
 
 /// The global synthesis memo plus its hit/miss counters.
 struct SynthCache {
-    map: HashMap<String, Arc<SynthesizedTransition>>,
+    /// Synthesized transitions by [`synth_key_hash`]; the full key each
+    /// one keeps decides a hit.
+    map: HashMap<u64, Vec<Arc<SynthesizedTransition>>>,
     /// Characterized macro-op energies ([`crate::macro_op_energies`]) by
     /// datapath width and [`PowerConfig::key_bits`].
     macro_ops: HashMap<(usize, [u64; 3]), Arc<[f64]>>,
     hits: u64,
     misses: u64,
+}
+
+impl SynthCache {
+    /// The transition built for `(body, n_vars, width)`, if any.
+    fn find(
+        &self,
+        hash: u64,
+        body: &Cfg,
+        n_vars: usize,
+        width: usize,
+    ) -> Option<&Arc<SynthesizedTransition>> {
+        self.map
+            .get(&hash)?
+            .iter()
+            .find(|t| t.is_for(body, n_vars, width))
+    }
+
+    /// Every memoized transition.
+    fn transitions(&self) -> impl Iterator<Item = &Arc<SynthesizedTransition>> {
+        self.map.values().flatten()
+    }
 }
 
 static SYNTH_CACHE: OnceLock<Mutex<SynthCache>> = OnceLock::new();
@@ -265,12 +345,15 @@ fn lock_synth_cache() -> std::sync::MutexGuard<'static, SynthCache> {
     }
 }
 
-/// The memo key: a structural serialization of everything netlist
-/// construction depends on — the transition body, the variable count,
-/// and the datapath width. Power parameters are deliberately absent:
-/// they shape the per-instance capacitance map, never the netlist.
-fn synth_memo_key(t: &cfsm::Transition, n_vars: usize, config: &SynthConfig) -> String {
-    format!("{:?}|v{}|w{}", t.body, n_vars, config.width)
+/// The memo key's hash: of everything netlist construction depends on —
+/// the transition body, the variable count, and the datapath width.
+/// Power parameters are deliberately absent: they shape the energy
+/// tables, never the netlist. The hash only locates candidates; a hit
+/// compares the key in full ([`SynthesizedTransition::is_for`]).
+fn synth_key_hash(body: &Cfg, n_vars: usize, width: usize) -> u64 {
+    let mut h = DefaultHasher::new();
+    (body, n_vars, width).hash(&mut h);
+    h.finish()
 }
 
 /// `(hits, misses)` of the global synthesis memo since process start (or
@@ -281,11 +364,11 @@ pub fn synth_cache_stats() -> (u64, u64) {
 }
 
 /// Empties the global synthesis memo — netlists, the simulation plans
-/// built from them, the firing memos with their storage, and the
-/// characterized macro-op tables — and zeroes its counters, those of
-/// [`firing_memo_stats`] included. Only benchmarks isolating
-/// cold-vs-warm set-up need this; correctness never depends on the
-/// cache's contents.
+/// built from them, their net-energy tables, the firing memos with their
+/// storage, and the characterized macro-op tables — and zeroes its
+/// counters, those of [`firing_memo_stats`] included. Only benchmarks
+/// isolating cold-vs-warm set-up need this; correctness never depends on
+/// the cache's contents.
 pub fn clear_synth_cache() {
     let mut cache = lock_synth_cache();
     cache.map.clear();
@@ -375,7 +458,7 @@ impl Drop for FiringMemoScope {
         THREAD_MEMO_SCOPES.with(|n| n.set(n.get() - 1));
         if FIRING_MEMO_SCOPES.fetch_sub(1, Ordering::SeqCst) == 1 {
             let cache = lock_synth_cache();
-            for t in cache.map.values() {
+            for t in cache.transitions() {
                 lock_memo(&t.memo).empty();
             }
         }
@@ -399,14 +482,16 @@ pub struct FiringMemoStats {
 /// [`clear_synth_cache`]), and the bytes their entries hold now.
 pub fn firing_memo_stats() -> FiringMemoStats {
     let cache = lock_synth_cache();
-    cache.map.values().fold(FiringMemoStats::default(), |s, t| {
-        let m = lock_memo(&t.memo);
-        FiringMemoStats {
-            hits: s.hits + m.hits(),
-            misses: s.misses + m.misses(),
-            bytes: s.bytes + m.bytes(),
-        }
-    })
+    cache
+        .transitions()
+        .fold(FiringMemoStats::default(), |s, t| {
+            let m = lock_memo(&t.memo);
+            FiringMemoStats {
+                hits: s.hits + m.hits(),
+                misses: s.misses + m.misses(),
+                bytes: s.bytes + m.bytes(),
+            }
+        })
 }
 
 /// One synthesized, simulatable transition.
@@ -415,15 +500,14 @@ pub fn firing_memo_stats() -> FiringMemoStats {
 /// reset between firings), so the energy of a firing depends on the
 /// previous datapath contents — the source of the per-path energy
 /// variance that motivates the paper's caching thresholds (Fig. 4).
-/// The netlist and its simulation plan live behind an [`Arc`] in the
-/// synthesis memo; only the simulator state (values, toggles, energy,
-/// the capacitance map of the instance's [`PowerConfig`]) is
+/// The netlist, its simulation plan, and the net-energy table of the
+/// instance's [`PowerConfig`] live behind [`Arc`]s in the synthesis
+/// memo; only the simulator state (values, toggles, energy) is
 /// per-instance.
 #[derive(Debug)]
 pub struct HwTransition {
     shared: Arc<SynthesizedTransition>,
     sim: Simulator,
-    width: usize,
     /// Scratch for the firing memo's key, reused across firings.
     memo_key: Vec<u64>,
     /// Firings answered by the firing memo.
@@ -455,13 +539,12 @@ impl HwTransition {
         shared: Arc<SynthesizedTransition>,
         power: &PowerConfig,
         forced: Option<SimKernel>,
-        width: usize,
     ) -> Self {
-        let sim = Simulator::from_plan(Arc::clone(&shared.plan), power.clone(), forced);
+        let energies = shared.energies_for(power);
+        let sim = Simulator::from_plan(Arc::clone(&shared.plan), energies, forced);
         HwTransition {
             shared,
             sim,
-            width,
             memo_key: Vec::new(),
             memo_hits: 0,
         }
@@ -486,7 +569,7 @@ impl HwTransition {
         event_value: &dyn Fn(EventId) -> i64,
         mem_reads: &[i64],
     ) -> HwRun {
-        let w = self.width;
+        let w = self.shared.width;
         let ports = &self.shared.ports;
         // Load-cycle inputs.
         self.sim.set_input(ports.start, false);
@@ -515,11 +598,12 @@ impl HwTransition {
     /// ([`Simulator::pack_memo_key`], after the load-cycle inputs are
     /// forced) plus the width-masked `mem_reads`.
     fn run_memoized(&mut self, mem_reads: &[i64]) -> HwRun {
+        let w = self.shared.width;
         let mut key = std::mem::take(&mut self.memo_key);
         key.clear();
         self.sim.pack_memo_key(&mut key);
         key.push(mem_reads.len() as u64);
-        key.extend(mem_reads.iter().map(|&r| mask_to_width(r, self.width)));
+        key.extend(mem_reads.iter().map(|&r| mask_to_width(r, w)));
         let hash = hash_key(&key);
         let hit = lock_memo(&self.shared.memo).lookup(hash, &key, &mut self.sim);
         let run = match hit {
@@ -542,7 +626,7 @@ impl HwTransition {
     /// The scalar run protocol from the load cycle on, with the load
     /// cycle's inputs already forced by [`HwTransition::run`].
     fn run_scalar(&mut self, mem_reads: &[i64]) -> HwRun {
-        let w = self.width;
+        let w = self.shared.width;
         let sim = &mut self.sim;
         // Load cycle.
         let mut energy = sim.step();
@@ -630,7 +714,7 @@ impl HwTransition {
     /// Per-cycle energies are re-folded from the report so the float
     /// accumulation order matches the scalar `energy += step()` chain.
     fn run_word(&mut self, mem_reads: &[i64]) -> HwRun {
-        let w = self.width;
+        let w = self.shared.width;
         let sim = &mut self.sim;
         // Load cycle (inputs forced by `run`), then the start handshake
         // cycle: single scalar steps (one-cycle windows are bit-identical
@@ -708,19 +792,28 @@ impl HwTransition {
     }
 
     /// Steps the netlist `cycles` times with held inputs — the component
-    /// idling while it waits for the bus — and returns the energy (clock
-    /// tree only, since nothing toggles). The paper observes that the
-    /// integration architecture changes component power "even though the
-    /// HW and SW parts are unchanged" (§5.3); this is that mechanism.
+    /// idling while it waits for the bus — and returns the energy. The
+    /// paper observes that the integration architecture changes component
+    /// power "even though the HW and SW parts are unchanged" (§5.3); this
+    /// is that mechanism.
+    ///
+    /// Right after a firing the first held cycle still toggles nets (the
+    /// controller leaves `done` and returns to idle). Once a held cycle
+    /// changes no flop, every later one charges exactly the clock-tree
+    /// energy, and the event-driven kernel fast-forwards the rest of the
+    /// wait without evaluating a gate ([`Simulator::run`]); the result is
+    /// bit for bit the stepped one.
     pub fn idle_step(&mut self, cycles: u64) -> f64 {
         let energy = self.sim.run(cycles);
         self.sim.clear_history();
         energy
     }
 
-    /// Clock-tree energy per idle cycle, joules (the analytic equivalent
-    /// of [`idle_step`](HwTransition::idle_step), used when an
-    /// acceleration technique skips the gate-level simulation).
+    /// Clock-tree energy per idle cycle, joules: the analytic idle charge
+    /// used when an acceleration technique skips the gate-level
+    /// simulation. It leaves out the toggles of the first held cycle after
+    /// a firing, so [`idle_step`](HwTransition::idle_step) over a wait
+    /// slightly exceeds the wait times this charge.
     pub fn idle_energy_per_cycle_j(&self) -> f64 {
         self.sim.clock_energy_per_cycle_j()
     }
@@ -795,13 +888,15 @@ impl HwCfsm {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthError::UnsupportedOp`] for operators with no
+    /// Returns [`SynthError::InvalidWidth`] for a datapath width outside
+    /// `1..=63`, and [`SynthError::UnsupportedOp`] for operators with no
     /// structural implementation.
     pub fn synthesize(
         machine: &Cfsm,
         config: &SynthConfig,
         power: &PowerConfig,
     ) -> Result<Self, SynthError> {
+        config.validate()?;
         let n_vars = machine.vars().len();
         let mut transitions = Vec::with_capacity(machine.transitions().len());
         for t in machine.transitions() {
@@ -1022,30 +1117,27 @@ fn or_all(nl: &mut Netlist, nets: Vec<NetId>) -> NetId {
 /// Memoizing front end: looks the transition up in the global synthesis
 /// cache and only runs structural synthesis — and builds the simulation
 /// plan — on a miss. Every instance, across repeated `synthesize` calls
-/// and across parallel exploration workers, shares one `Arc<SimPlan>`;
-/// the simulator's mutable state is built fresh per instance, and its
-/// kernel is chosen per instance, so `GATESIM_KERNEL` applies on a warm
-/// memo too.
+/// and across parallel exploration workers, shares one `Arc<SimPlan>`
+/// and one energy table per [`PowerConfig`]; the simulator's mutable
+/// state is built fresh per instance, and its kernel is chosen per
+/// instance, so `GATESIM_KERNEL` applies on a warm memo too.
 fn synthesize_transition(
     t: &cfsm::Transition,
     n_vars: usize,
     config: &SynthConfig,
     power: &PowerConfig,
 ) -> Result<HwTransition, SynthError> {
-    let key = synth_memo_key(t, n_vars, config);
+    let width = config.width;
+    let hash = synth_key_hash(&t.body, n_vars, width);
     let cached = {
         let mut cache = lock_synth_cache();
-        let found = cache.map.get(&key).map(Arc::clone);
-        match found {
-            Some(shared) => {
-                cache.hits += 1;
-                Some(shared)
-            }
-            None => {
-                cache.misses += 1;
-                None
-            }
+        let found = cache.find(hash, &t.body, n_vars, width).map(Arc::clone);
+        if found.is_some() {
+            cache.hits += 1;
+        } else {
+            cache.misses += 1;
         }
+        found
     };
     let shared = match cached {
         Some(shared) => shared,
@@ -1054,16 +1146,17 @@ fn synthesize_transition(
             let mut cache = lock_synth_cache();
             // A parallel worker may have raced us to the build; the first
             // insert wins so all instances share a single netlist.
-            Arc::clone(cache.map.entry(key).or_insert(built))
+            match cache.find(hash, &t.body, n_vars, width) {
+                Some(first) => Arc::clone(first),
+                None => {
+                    cache.map.entry(hash).or_default().push(Arc::clone(&built));
+                    built
+                }
+            }
         }
     };
     let forced = SimKernel::env_override().map_err(ValidateNetlistError::from)?;
-    Ok(HwTransition::instantiate(
-        shared,
-        power,
-        forced,
-        config.width,
-    ))
+    Ok(HwTransition::instantiate(shared, power, forced))
 }
 
 /// Structural synthesis proper: builds the netlist, its simulation plan,
@@ -1322,6 +1415,9 @@ fn build_transition(
 
     let gate_count = nl.gate_count();
     Ok(SynthesizedTransition {
+        body: t.body.clone(),
+        n_vars,
+        width: w,
         plan: Arc::new(SimPlan::new(Arc::new(nl))?),
         ports: Ports {
             start,
@@ -1340,6 +1436,7 @@ fn build_transition(
         },
         gate_count,
         segment_count: n_segs,
+        energies: Mutex::default(),
         memo: Mutex::default(),
     })
 }
@@ -1713,20 +1810,152 @@ mod tests {
 
     #[test]
     fn different_specs_get_different_netlists() {
-        let body_a = Cfg::straight_line(vec![Stmt::Assign {
+        let body = |k| {
+            Cfg::straight_line(vec![Stmt::Assign {
+                var: VarId(0),
+                expr: Expr::add(Expr::Var(VarId(0)), Expr::Const(k)),
+            }])
+        };
+        let synth = |body: Cfg, n_vars: usize, width: usize| {
+            let mut b = Cfsm::builder("t");
+            let s = b.state("s");
+            for v in 0..n_vars {
+                b.var(format!("v{v}"), 0);
+            }
+            b.transition(s, vec![EventId(0)], None, body, s);
+            let m = b.finish().expect("valid machine");
+            HwCfsm::synthesize(&m, &SynthConfig::with_width(width), &power())
+                .expect("synthesizable")
+        };
+        // The memo key is the body, the variable count and the width:
+        // differing in any one part never shares a netlist.
+        let base = synth(body(1), 1, 16);
+        for other in [
+            synth(body(2), 1, 16),
+            synth(body(1), 2, 16),
+            synth(body(1), 1, 15),
+        ] {
+            assert!(!Arc::ptr_eq(
+                base.transition(TransitionId(0)).netlist(),
+                other.transition(TransitionId(0)).netlist()
+            ));
+        }
+        assert!(Arc::ptr_eq(
+            base.transition(TransitionId(0)).netlist(),
+            synth(body(1), 1, 16).transition(TransitionId(0)).netlist()
+        ));
+    }
+
+    #[test]
+    fn out_of_range_widths_are_typed_errors() {
+        let body = Cfg::straight_line(vec![Stmt::Assign {
             var: VarId(0),
             expr: Expr::add(Expr::Var(VarId(0)), Expr::Const(1)),
         }]);
-        let body_b = Cfg::straight_line(vec![Stmt::Assign {
+        let mut b = Cfsm::builder("t");
+        let s = b.state("s");
+        b.var("v0", 0);
+        b.transition(s, vec![EventId(0)], None, body, s);
+        let m = b.finish().expect("valid machine");
+        // `width` is public, so a struct literal bypasses `with_width`.
+        for width in [0, 64, 65] {
+            let err = HwCfsm::synthesize(&m, &SynthConfig { width }, &power());
+            assert_eq!(err.err(), Some(SynthError::InvalidWidth(width)));
+        }
+        for width in [1, 16, 63] {
+            let hw = HwCfsm::synthesize(&m, &SynthConfig { width }, &power());
+            assert_eq!(hw.expect("in range").datapath_width(), width);
+        }
+    }
+
+    #[test]
+    fn energy_tables_are_shared_per_power_config() {
+        let _memo = memo_lock();
+        let body = Cfg::straight_line(vec![Stmt::Assign {
             var: VarId(0),
-            expr: Expr::add(Expr::Var(VarId(0)), Expr::Const(2)),
+            expr: Expr::add(Expr::Var(VarId(0)), Expr::Const(2468)),
         }]);
-        let a = synth_single(body_a, 1);
-        let b = synth_single(body_b, 1);
-        assert!(!Arc::ptr_eq(
-            a.transition(TransitionId(0)).netlist(),
-            b.transition(TransitionId(0)).netlist()
-        ));
+        let t0 = TransitionId(0);
+        let low = PowerConfig {
+            vdd: 1.8,
+            ..power()
+        };
+        let a = synth_single(body.clone(), 1);
+        let b = synth_single(body.clone(), 1);
+        let c = synth_with(body.clone(), 1, &low);
+        let table = |hw: &HwCfsm| Arc::clone(hw.transition(t0).sim.energies());
+        // One table per configuration, shared by its memoized instances.
+        assert!(Arc::ptr_eq(&table(&a), &table(&b)));
+        assert!(!Arc::ptr_eq(&table(&a), &table(&c)));
+        assert_ne!(table(&a).power_key, table(&c).power_key);
+        // Each matches a standalone simulator's own table bit for bit.
+        for (hw, config) in [(&a, power()), (&c, low)] {
+            let netlist = Arc::clone(hw.transition(t0).netlist());
+            let fresh =
+                Simulator::with_kernel(netlist, config, SimKernel::Oblivious).expect("valid");
+            let (want, got) = (fresh.energies(), table(hw));
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.switch_j), bits(&want.switch_j));
+            assert_eq!(got.clock_j.to_bits(), want.clock_j.to_bits());
+            assert_eq!(got.power_key, want.power_key);
+        }
+        // Clearing the memo drops the tables with their transition, once
+        // its last instance is gone.
+        let old = Arc::downgrade(&table(&a));
+        clear_synth_cache();
+        let d = synth_single(body, 1);
+        assert!(!Arc::ptr_eq(&table(&a), &table(&d)));
+        drop((a, b, c));
+        assert!(old.upgrade().is_none());
+    }
+
+    #[test]
+    fn idle_fast_forward_equals_stepping() {
+        let _memo = memo_lock();
+        let body = stateful_body(77);
+        let t0 = TransitionId(0);
+        // What a memo hit restores: net values, cycles and gate events.
+        let state = |hw: &HwCfsm| {
+            let sim = &hw.transition(t0).sim;
+            let values: Vec<bool> = (0..sim.netlist().gate_count() as u32)
+                .map(|i| sim.value(NetId(i)))
+                .collect();
+            (values, sim.cycle(), sim.gate_events())
+        };
+        // And the work counters, which only simulating moves.
+        let counters = |hw: &HwCfsm| {
+            let sim = &hw.transition(t0).sim;
+            let toggles: Vec<u64> = (0..sim.netlist().gate_count() as u32)
+                .map(|i| sim.toggle_count(NetId(i)))
+                .collect();
+            (toggles, sim.gate_evals(), sim.gate_eval_slots())
+        };
+        for memoized in [false, true] {
+            for n in [0u64, 1, 2, 7, 300] {
+                let mut fast = synth_single(body.clone(), 2);
+                let mut stepped = synth_single(body.clone(), 2);
+                for hw in [&mut fast, &mut stepped] {
+                    fire_bits(hw.transition_mut(t0), 0x1234, 0x55);
+                }
+                let e_fast = fast.transition_mut(t0).idle_step(n);
+                // The reference: a clone of the simulator, stepped.
+                let mut sim = stepped.transition(t0).sim.clone();
+                let e_step: f64 = (0..n).map(|_| sim.step()).sum();
+                sim.clear_history();
+                stepped.transition_mut(t0).sim = sim;
+                assert_eq!(e_fast.to_bits(), e_step.to_bits(), "n = {n}");
+                assert_eq!(state(&fast), state(&stepped), "n = {n}");
+                assert_eq!(counters(&fast), counters(&stepped), "n = {n}");
+                // The next firing is unchanged too: simulated, or in a
+                // scope answered from the memo for the second instance.
+                let _scope = memoized.then(FiringMemoScope::enter);
+                let next = |hw: &mut HwCfsm| fire_bits(hw.transition_mut(t0), 0x0F0F, 0xAA);
+                assert_eq!(next(&mut fast), next(&mut stepped), "n = {n}");
+                assert_eq!(state(&fast), state(&stepped), "n = {n}");
+                let hits = (fast.memo_hits(), stepped.memo_hits());
+                assert_eq!(hits, (0, u64::from(memoized)), "n = {n}");
+            }
+        }
     }
 
     #[test]
@@ -1921,7 +2150,7 @@ mod tests {
         // The event-driven firing was admitted, so a consulting instance
         // would hit on this fresh firing.
         for kernel in [SimKernel::Oblivious, SimKernel::Simd] {
-            let mut t = HwTransition::instantiate(Arc::clone(&shared), &power(), Some(kernel), 16);
+            let mut t = HwTransition::instantiate(Arc::clone(&shared), &power(), Some(kernel));
             let before = memo_of(&t);
             assert_eq!(fire_bits(&mut t, 0x77, 0x33).0, want, "{kernel:?}");
             assert_eq!(memo_of(&t), before, "{kernel:?} consulted the memo");

@@ -19,7 +19,7 @@
 //! packs consecutive cycles of one stream instead; see `gatesim::sim`.)
 
 use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
-use crate::power::{CapacitanceMap, EnergyReport, PowerConfig};
+use crate::power::{EnergyReport, NetEnergies, PowerConfig};
 use crate::sim::SimPlan;
 use crate::simd::LaneWord;
 use std::sync::Arc;
@@ -217,7 +217,9 @@ pub struct MultiLaneSim<W: LaneWord> {
     /// Topological order, input and DFF lists, and reset state — the
     /// same plan a scalar [`crate::Simulator`] is built from.
     plan: Arc<SimPlan>,
-    caps: CapacitanceMap,
+    /// Switch energy per net and the clock charge — the charge drain
+    /// reads it per toggled net.
+    energies: NetEnergies,
     lanes: usize,
     lane_mask: W,
     compiled: CompiledOps,
@@ -244,9 +246,6 @@ pub struct MultiLaneSim<W: LaneWord> {
     /// constituent word (lanes past `lanes` are never set in a masked
     /// toggle word and stay at the clock-fill value).
     energy: Vec<f64>,
-    /// Switch energy per net, precomputed once from the capacitance
-    /// map — the charge drain reads it per toggled net.
-    switch_e: Vec<f64>,
     /// Bit-sliced per-lane toggle counters, plane-major: plane `k` of
     /// net `i` lives at `k * nets + i`, so the end-of-step carry pass
     /// sweeps one dense row per plane (and plane `k`'s row is touched
@@ -294,12 +293,9 @@ impl<W: LaneWord> MultiLaneSim<W> {
             W::BITS
         );
         let plan = Arc::new(SimPlan::new(netlist)?);
-        let caps = CapacitanceMap::new(plan.netlist(), &config);
+        let energies = NetEnergies::new(plan.netlist(), &config);
         let compiled = compile(plan.netlist(), plan.order());
         let n = plan.netlist().gate_count();
-        let switch_e: Vec<f64> = (0..n)
-            .map(|i| config.switch_energy_j(caps.cap_ff(i as u32)))
-            .collect();
         let mut input_mask = vec![0u64; n.div_ceil(64)];
         for &i in plan.input_ids() {
             input_mask[i as usize / 64] |= 1u64 << (i % 64);
@@ -309,7 +305,7 @@ impl<W: LaneWord> MultiLaneSim<W> {
         let values = plan.reset_values().iter().map(|&v| W::splat(v)).collect();
         Ok(MultiLaneSim {
             plan,
-            caps,
+            energies,
             lanes,
             lane_mask: W::low_mask(lanes as u32),
             compiled,
@@ -320,7 +316,6 @@ impl<W: LaneWord> MultiLaneSim<W> {
             toggle_scratch: vec![W::ZERO; n],
             edge_sample: Vec::new(),
             energy: vec![0.0; W::BITS as usize],
-            switch_e,
             toggle_planes: if W::BITS == 64 {
                 Vec::new() // narrow charge path counts directly in `toggle_wraps`
             } else {
@@ -540,7 +535,7 @@ impl<W: LaneWord> MultiLaneSim<W> {
         //    order, regardless of which pass recorded each toggle. The
         //    mask and scratch words are left in place: the counter pass
         //    below consumes them after the clock edge adds its own.
-        let clock = self.caps.clock_energy_per_cycle_j();
+        let clock = self.energies.clock_j;
         for e in &mut self.energy {
             *e = clock;
         }
@@ -549,7 +544,7 @@ impl<W: LaneWord> MultiLaneSim<W> {
             while m != 0 {
                 let i = wi * 64 + m.trailing_zeros() as usize;
                 m &= m.wrapping_sub(1);
-                let se = self.switch_e[i];
+                let se = self.energies.switch_j[i];
                 self.charge_energy(self.toggle_scratch[i], se);
             }
         }
@@ -565,7 +560,7 @@ impl<W: LaneWord> MultiLaneSim<W> {
             let v = self.edge_sample[k];
             let t = v.xor(self.values[q]).and(self.lane_mask);
             if !t.is_zero() {
-                let se = self.switch_e[q];
+                let se = self.energies.switch_j[q];
                 self.charge_energy(t, se);
                 self.toggled_mask[q / 64] |= 1u64 << (q % 64);
                 self.toggle_scratch[q] = t;

@@ -5,13 +5,16 @@
 //! every cycle, same toggle counters, same per-cycle energy down to the
 //! last mantissa bit (the float accumulation order is part of the
 //! contract). This suite builds random netlists (including DFF-to-DFF
-//! chains, constants, forward references into flop outputs, and
+//! chains, constants, flops fed back from nets built after them, and
 //! reconvergent logic) and drives all kernels with identical random
-//! input sequences, both cycle by cycle and through the batched
-//! [`Simulator::run_block`] surface at block-boundary cycle counts
-//! (1, 63, 64, 65, 127, 128, 255, 256, 257 — the simd kernel's 256-cycle
-//! windows and the 64-lane `u64` seams inside them must be exact at and
-//! across every boundary).
+//! input sequences: cycle by cycle with held-input [`Simulator::run`]
+//! stretches in between (0, 1, 2, 7 and 300 cycles — the event-driven
+//! kernel fast-forwards the quiescent part of a stretch, and feedback
+//! flops keep some stretches from ever going quiet), and through the
+//! batched [`Simulator::run_block`] surface at block-boundary cycle
+//! counts (1, 63, 64, 65, 127, 128, 255, 256, 257 — the simd kernel's
+//! 256-cycle windows and the 64-lane `u64` seams inside them must be
+//! exact at and across every boundary).
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
@@ -25,7 +28,9 @@ const KERNELS: [SimKernel; 3] = [SimKernel::Oblivious, SimKernel::EventDriven, S
 /// mix of combinational gates (fan-ins drawn from already-built nets,
 /// keeping the combinational part acyclic) and DFFs whose D input may
 /// reference any earlier net — including other flop outputs directly,
-/// the shift-register case that exercises simultaneous edge sampling.
+/// the shift-register case that exercises simultaneous edge sampling —
+/// or, for some, any net at all: sequential feedback loops, some of
+/// which oscillate while the inputs hold.
 fn random_netlist(rng: &mut Rng) -> Netlist {
     let mut n = Netlist::new();
     let mut nets: Vec<NetId> = Vec::new();
@@ -39,11 +44,18 @@ fn random_netlist(rng: &mut Rng) -> Netlist {
         nets.push(n.constant(false));
     }
     let n_gates = rng.usize_in(10, 60);
+    let total = nets.len() + n_gates;
     for _ in 0..n_gates {
         let pick = rng.usize_in(0, 10);
         let id = match pick {
             0 => {
-                let d = *rng.choose(&nets);
+                let d = if rng.bool_with(0.3) {
+                    // Every loop iteration adds one net, so the net ids
+                    // reach `total - 1`; the flop's own id is among them.
+                    NetId(rng.usize_in(nets.len(), total) as u32)
+                } else {
+                    *rng.choose(&nets)
+                };
                 n.dff(d, rng.bool_with(0.5))
             }
             1 => n.gate(GateKind::Buf, vec![*rng.choose(&nets)]),
@@ -92,33 +104,58 @@ fn random_stimulus(
         .collect()
 }
 
-/// One cycle-by-cycle observation: every net's value plus the energy bit
-/// pattern, so any divergence pins the exact cycle and net.
-type CycleObs = (u64, Vec<bool>);
+/// Held-input stretch lengths the random-stimulus driver runs: none, one
+/// and two cycles, a few, and more than a simd window.
+const HOLDS: [u64; 5] = [0, 1, 2, 7, 300];
+
+/// Per stimulus cycle, the held-input [`Simulator::run`] stretch to
+/// drive after it, if any.
+fn random_holds(cycles: usize, rng: &mut Rng) -> Vec<Option<u64>> {
+    (0..cycles)
+        .map(|_| rng.bool_with(0.25).then(|| *rng.choose(&HOLDS)))
+        .collect()
+}
+
+/// One observation after a step or a held-input stretch: the returned
+/// energy's bit pattern, every net's value, the cycle count and the
+/// gate events, so any divergence pins the exact cycle and net.
+type Obs = (u64, Vec<bool>, u64, u64);
+
+/// The random-stimulus driver's record: per-step and per-stretch
+/// observations, final toggle counts, and the per-cycle energy bits.
+type Drive = (Vec<Obs>, Vec<Obs>, Vec<u64>, Vec<u64>);
 
 fn drive(
     netlist: &Arc<Netlist>,
     kernel: SimKernel,
     stimulus: &[Vec<(NetId, bool)>],
-) -> (Vec<CycleObs>, Vec<u64>, Vec<u64>) {
+    holds: &[Option<u64>],
+) -> Drive {
     let mut sim = Simulator::with_kernel(Arc::clone(netlist), PowerConfig::date2000_defaults(), kernel)
         .expect("random netlists are valid by construction");
-    let mut per_cycle = Vec::new();
-    for inputs in stimulus {
+    let observe = |sim: &Simulator, e: f64| {
+        let values = (0..netlist.gate_count())
+            .map(|i| sim.value(NetId(i as u32)))
+            .collect();
+        (e.to_bits(), values, sim.cycle(), sim.gate_events())
+    };
+    let (mut steps, mut stretches) = (Vec::new(), Vec::new());
+    for (inputs, hold) in stimulus.iter().zip(holds) {
         for &(net, v) in inputs {
             sim.set_input(net, v);
         }
         let e = sim.step();
-        let values = (0..netlist.gate_count())
-            .map(|i| sim.value(NetId(i as u32)))
-            .collect();
-        per_cycle.push((e.to_bits(), values));
+        steps.push(observe(&sim, e));
+        if let Some(n) = *hold {
+            let e = sim.run(n);
+            stretches.push(observe(&sim, e));
+        }
     }
     let toggles = (0..netlist.gate_count())
         .map(|i| sim.toggle_count(NetId(i as u32)))
         .collect();
     let report_bits = sim.report().per_cycle_j.iter().map(|e| e.to_bits()).collect();
-    (per_cycle, toggles, report_bits)
+    (steps, stretches, toggles, report_bits)
 }
 
 /// Drives the stimulus through `run_block` in segments (the simd kernel
@@ -157,22 +194,51 @@ fn drive_blocks(
 
 #[test]
 fn all_kernels_match_oblivious_over_120_random_cases() {
+    // Long stretches that end quiet (the last cycle charged the clock
+    // tree alone) and that end busy (flops still oscillating).
+    let (mut quiet, mut busy) = (0, 0);
     for case in 0..120u64 {
         let mut rng = Rng::new(0x9E37_79B9_7F4A_7C15 ^ case);
         let netlist = Arc::new(random_netlist(&mut rng));
         let cycles = rng.usize_in(10, 40);
         let stimulus = random_stimulus(&netlist, cycles, 0.6, &mut rng);
-        let reference = drive(&netlist, SimKernel::Oblivious, &stimulus);
+        let holds = random_holds(cycles, &mut rng);
+        let reference = drive(&netlist, SimKernel::Oblivious, &stimulus, &holds);
         for kernel in [SimKernel::EventDriven, SimKernel::Simd] {
-            let got = drive(&netlist, kernel, &stimulus);
+            let got = drive(&netlist, kernel, &stimulus, &holds);
             assert_eq!(
                 got, reference,
-                "{kernel:?} diverged in case {case} ({} gates, {} cycles)",
+                "{kernel:?} diverged in case {case} ({} gates, {} cycles, holds {holds:?})",
                 netlist.gate_count(),
                 cycles
             );
         }
+        let clock = Simulator::with_kernel(
+            Arc::clone(&netlist),
+            PowerConfig::date2000_defaults(),
+            SimKernel::Oblivious,
+        )
+        .expect("valid")
+        .clock_energy_per_cycle_j()
+        .to_bits();
+        let (_, stretches, _, report) = &reference;
+        let long = holds
+            .iter()
+            .flatten()
+            .zip(stretches)
+            .filter(|(&n, _)| n == 300);
+        for (_, &(_, _, end, _)) in long {
+            if report[end as usize - 1] == clock {
+                quiet += 1;
+            } else {
+                busy += 1;
+            }
+        }
     }
+    assert!(
+        quiet > 0 && busy > 0,
+        "{quiet} quiet and {busy} busy 300-cycle stretches"
+    );
 }
 
 #[test]

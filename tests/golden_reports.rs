@@ -19,6 +19,13 @@
 //! attached (written under the target directory). The goldens must still
 //! match bit-for-bit — tracing is pure observability — so CI runs the
 //! suite once in this mode to pin that contract.
+//!
+//! `generated_corpus.txt` pins the generated corpus (`tests/corpus`) the
+//! same way, one FNV-1a digest of each system's snapshot per line, so
+//! every generated system has a committed energy reference, not only a
+//! cross-kernel one. `CORPUS_N` sets how many of its lines are checked.
+
+mod corpus;
 
 use co_estimation::{
     snapshot_diff, Acceleration, CachingConfig, CoSimConfig, CoSimulator, SamplingConfig,
@@ -37,12 +44,15 @@ fn check_golden(name: &str, soc: SocDescription) {
     check_golden_with(name, soc, CoSimConfig::date2000_defaults());
 }
 
-fn check_golden_with(name: &str, soc: SocDescription, config: CoSimConfig) {
+/// Runs `soc` under `config` and returns its golden snapshot; under
+/// `TRACE=ndjson` with an NDJSON sink attached, written to
+/// `target/traces/<trace>.ndjson`.
+fn run_snapshot(trace: &str, soc: SocDescription, config: CoSimConfig) -> String {
     let mut sim = CoSimulator::new(soc, config).expect("system builds");
     let trace_path = if std::env::var("TRACE").as_deref() == Ok("ndjson") {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/traces");
         std::fs::create_dir_all(&dir).expect("create trace dir");
-        let path = dir.join(format!("{name}.ndjson"));
+        let path = dir.join(format!("{trace}.ndjson"));
         let file = std::fs::File::create(&path).expect("create trace file");
         sim.attach_trace(Box::new(soctrace::NdjsonSink::new(std::io::BufWriter::new(
             file,
@@ -57,18 +67,28 @@ fn check_golden_with(name: &str, soc: SocDescription, config: CoSimConfig) {
         let meta = std::fs::metadata(&path).expect("trace file exists");
         assert!(meta.len() > 0, "attached trace produced no records");
     }
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, &actual).expect("write golden file");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    actual
+}
+
+/// Reads a committed golden, or panics with the regeneration command.
+fn read_golden(path: &std::path::Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "cannot read golden {}: {e}\n\
              (regenerate with: UPDATE_GOLDENS=1 cargo test --test golden_reports)",
             path.display()
         )
-    });
+    })
+}
+
+fn check_golden_with(name: &str, soc: SocDescription, config: CoSimConfig) {
+    let actual = run_snapshot(name, soc, config);
+    let path = golden_path(name);
+    if std::env::var_os("UPDATE_GOLDENS").is_some() {
+        std::fs::write(&path, &actual).expect("write golden file");
+        return;
+    }
+    let expected = read_golden(&path);
     if let Some(diff) = snapshot_diff(&expected, &actual) {
         panic!(
             "golden report drift for `{name}`:\n{diff}\n\
@@ -162,6 +182,55 @@ fn tcpip_sampling_golden_report() {
         CoSimConfig::date2000_defaults()
             .with_accel(Acceleration::sampling(SamplingConfig { period: 4 })),
     );
+}
+
+/// Generated systems `generated_corpus.txt` pins; `UPDATE_GOLDENS=1`
+/// rewrites all of them whatever `CORPUS_N` is.
+const PINNED_CORPUS: usize = 200;
+
+/// 64-bit FNV-1a digest of a snapshot.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn generated_corpus_digests() {
+    let update = std::env::var_os("UPDATE_GOLDENS").is_some();
+    let systems = if update {
+        corpus::first_live_hw_systems(PINNED_CORPUS)
+    } else {
+        corpus::live_hw_systems()
+    };
+    let lines: Vec<String> = systems
+        .into_iter()
+        .map(|soc| {
+            let name = soc.name.clone();
+            let snapshot = run_snapshot("generated_corpus", soc, CoSimConfig::date2000_defaults());
+            format!("{name} {:016x}", fnv1a(snapshot.as_bytes()))
+        })
+        .collect();
+    let path = golden_path("generated_corpus");
+    if update {
+        std::fs::write(&path, lines.join("\n") + "\n").expect("write golden file");
+        return;
+    }
+    let expected = read_golden(&path);
+    let expected: Vec<&str> = expected.lines().collect();
+    assert!(
+        lines.len() <= expected.len(),
+        "CORPUS_N = {} exceeds the {} pinned systems",
+        lines.len(),
+        expected.len()
+    );
+    for (actual, want) in lines.iter().zip(&expected) {
+        assert_eq!(
+            actual, want,
+            "generated corpus digest drift; if intentional, regenerate with:\n\
+             UPDATE_GOLDENS=1 cargo test --test golden_reports"
+        );
+    }
 }
 
 #[test]

@@ -6,7 +6,9 @@
 use cfsm::{
     Cfg, Cfsm, EventDef, EventOccurrence, Expr, Implementation, Network, Stmt, VarId,
 };
-use co_estimation::{BuildEstimatorError, CoSimConfig, CoSimulator, RunOutcome, SocDescription};
+use co_estimation::{
+    BuildEstimatorError, CoSimConfig, CoSimulator, EstimatorBackend, RunOutcome, SocDescription,
+};
 use desim::WatchdogConfig;
 use systems::tcpip;
 
@@ -177,6 +179,38 @@ fn zero_length_packet_class_is_rejected_by_the_system_builder() {
         matches!(result, Err(BuildEstimatorError::EmptyWorkload(_))),
         "zero packets must be rejected with a typed error"
     );
+}
+
+#[test]
+fn out_of_range_datapath_widths_are_typed_build_errors() {
+    // `SynthConfig::width` is a public field, so a struct literal skips
+    // the check in `SynthConfig::with_width`; the master rejects the
+    // width before building any estimator, under either backend.
+    let soc = tcpip::build(&tcpip::TcpIpParams {
+        num_packets: 2,
+        len_range: (8, 12),
+        pkt_period: 5_000,
+        seed: 3,
+    })
+    .expect("valid params");
+    for backend in [EstimatorBackend::Detailed, EstimatorBackend::Linear] {
+        let config = |width| {
+            let mut cfg = CoSimConfig::date2000_defaults().with_backend(backend);
+            cfg.synth = gatesim::SynthConfig { width };
+            cfg
+        };
+        for width in [0, 64, 65] {
+            let err = CoSimulator::new(soc.clone(), config(width));
+            assert!(
+                matches!(&err, Err(BuildEstimatorError::InvalidParams(msg)) if msg.contains("width")),
+                "{backend:?}, width {width}: {err:?}"
+            );
+        }
+        for width in [16, 63] {
+            CoSimulator::new(soc.clone(), config(width))
+                .unwrap_or_else(|e| panic!("{backend:?}, width {width}: {e}"));
+        }
+    }
 }
 
 #[test]
