@@ -1,7 +1,7 @@
 //! `soc-bench` — the evaluation harness: one regeneration routine per
 //! table and figure of the paper's §5, shared between the printable
-//! binaries (`cargo run -p soc-bench --bin table1` etc.) and the
-//! Criterion benchmarks.
+//! binaries (`cargo run -p soc-bench --bin table1` etc.) and their
+//! tests.
 //!
 //! | Paper result | Routine | Binary |
 //! |---|---|---|
@@ -23,9 +23,8 @@
 
 use co_estimation::{
     estimate_separately, Acceleration, CachingConfig, CoSimConfig, CoSimReport, CoSimulator,
-    ExplorationPoint, ExploreOptions, SamplingConfig, SweepReport, SweepStats, TimelineOptions,
+    ExplorationPoint, ExploreOptions, SamplingConfig, SweepReport, SweepStats,
 };
-use soctrace::{ArcSharedSink, PowerTimelineSink, ProfileReport, TimelineConfig, TimelineReport};
 use std::time::Instant;
 use systems::producer_consumer::{self, ProducerConsumerParams};
 use systems::tcpip::{self, TcpIpParams};
@@ -59,8 +58,8 @@ pub fn timed_run(soc: co_estimation::SocDescription, config: CoSimConfig) -> (Co
 /// Runs one co-estimation with a [`MetricsSink`](soctrace::MetricsSink)
 /// attached and returns the report plus the aggregated trace counters
 /// (detailed vs. accelerated calls per layer, cache hit rate, bus and
-/// i-cache traffic) — the observability cross-check the benchmark
-/// reports alongside its timings.
+/// i-cache traffic) — the observability cross-check the `fig7` binary
+/// prints next to its sweep.
 pub fn run_with_metrics(
     soc: co_estimation::SocDescription,
     config: CoSimConfig,
@@ -71,212 +70,6 @@ pub fn run_with_metrics(
     let report = sim.run();
     drop(sim);
     (report, shared.into_inner())
-}
-
-// ---------------------------------------------------------------------
-// Observability: accuracy vs. speedup with provenance attribution
-// ---------------------------------------------------------------------
-
-/// The acceleration modes the observability report compares: the
-/// all-detailed baseline and one mode per §4 technique.
-pub fn observe_modes() -> Vec<(&'static str, Acceleration)> {
-    vec![
-        ("baseline", Acceleration::none()),
-        ("caching", Acceleration::caching(table1_caching())),
-        ("macromodel", Acceleration::macromodel()),
-        ("sampling", Acceleration::sampling(SamplingConfig { period: 4 })),
-    ]
-}
-
-/// Runs one co-estimation with the full observability stack attached —
-/// span profiler, metrics trace sink, provenance verification — and
-/// returns `(report, profile, metrics)`. Panics if the provenance
-/// breakdown fails its bit-identity contract.
-pub fn run_observed(
-    soc: co_estimation::SocDescription,
-    config: CoSimConfig,
-) -> (CoSimReport, ProfileReport, soctrace::MetricsSink) {
-    let mut sim = CoSimulator::new(soc, config).expect("system builds");
-    let metrics = soctrace::SharedSink::new(soctrace::MetricsSink::new());
-    let profile = soctrace::SharedSink::new(ProfileReport::new());
-    sim.attach_trace(Box::new(metrics.clone()));
-    sim.attach_profile(Box::new(profile.clone()));
-    let report = sim.run();
-    report
-        .verify_provenance()
-        .expect("provenance sums bit-exactly to report totals");
-    drop(sim);
-    (report, profile.into_inner(), metrics.into_inner())
-}
-
-/// One technique row of the paper-style accuracy-vs-speedup table.
-#[derive(Debug, Clone)]
-pub struct ObserveRow {
-    /// Technique name (`baseline`, `caching`, `macromodel`, `sampling`).
-    pub technique: &'static str,
-    /// Total energy under this technique, joules.
-    pub energy_j: f64,
-    /// Absolute relative energy error vs. the all-detailed baseline, %.
-    pub error_pct: f64,
-    /// Wall-clock speedup vs. the baseline (detached runs both sides).
-    pub speedup: f64,
-    /// Wall-clock of the (detached) run, seconds.
-    pub wall_s: f64,
-    /// Fraction of firings answered without a detailed ISS/gate-level
-    /// call, percent.
-    pub iss_reduction_pct: f64,
-    /// The full observed report (provenance, effectiveness counters).
-    pub report: CoSimReport,
-}
-
-/// Builds the accuracy-vs-speedup rows on the TCP/IP system: for each
-/// mode, one detached timed run (honest speedup) plus one fully observed
-/// run (provenance + profile + metrics, results bit-identical).
-pub fn observe_rows(params: &TcpIpParams) -> Vec<ObserveRow> {
-    let config = CoSimConfig::date2000_defaults();
-    let mut rows: Vec<ObserveRow> = Vec::new();
-    let mut baseline: Option<(f64, f64)> = None; // (energy, wall)
-    for (name, accel) in observe_modes() {
-        let cfg = config.clone().with_accel(accel);
-        let (timed, wall_s) = timed_run(tcpip::build(params).expect("valid params"), cfg.clone());
-        let (observed, _profile, _metrics) =
-            run_observed(tcpip::build(params).expect("valid params"), cfg);
-        assert_eq!(
-            timed.golden_snapshot(),
-            observed.golden_snapshot(),
-            "observability must not perturb results ({name})"
-        );
-        let (base_e, base_wall) = *baseline.get_or_insert((timed.total_energy_j(), wall_s));
-        let iss_reduction_pct = if observed.firings == 0 {
-            0.0
-        } else {
-            100.0 * observed.accelerated_calls as f64 / observed.firings as f64
-        };
-        rows.push(ObserveRow {
-            technique: name,
-            energy_j: timed.total_energy_j(),
-            error_pct: 100.0 * ((timed.total_energy_j() - base_e) / base_e).abs(),
-            speedup: base_wall / wall_s,
-            wall_s,
-            iss_reduction_pct,
-            report: observed,
-        });
-    }
-    rows
-}
-
-/// Renders the accuracy-vs-speedup table in the paper's style.
-pub fn render_observe_table(rows: &[ObserveRow]) -> String {
-    let mut s = format!(
-        "{:<11} | {:>12} | {:>7} | {:>8} | {:>10}\n",
-        "Technique", "Energy (J)", "Err %", "Speedup", "ISS red. %"
-    );
-    s.push_str(&"-".repeat(62));
-    s.push('\n');
-    for r in rows {
-        s.push_str(&format!(
-            "{:<11} | {:>12.4e} | {:>6.2}% | {:>7.2}x | {:>9.1}%\n",
-            r.technique, r.energy_j, r.error_pct, r.speedup, r.iss_reduction_pct
-        ));
-    }
-    s
-}
-
-/// Passes per timing side of the overhead measurements. Each side
-/// reports its *minimum* wall over the passes (the `bench_gatesim`
-/// idiom): the minimum estimates the sweep's cost rather than the
-/// host's transient load, which a single pass per side cannot — the
-/// one-pass version of this measurement reported negative overheads on
-/// busy hosts.
-const OVERHEAD_PASSES: usize = 3;
-
-/// Runs `passes` timed calls of `sweep` and returns the best (minimum)
-/// wall time together with the last pass's result.
-fn best_of<T>(passes: usize, mut sweep: impl FnMut() -> T) -> (f64, T) {
-    let mut best_s = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..passes {
-        let t0 = Instant::now();
-        let out = sweep();
-        best_s = best_s.min(t0.elapsed().as_secs_f64());
-        last = Some(out);
-    }
-    (best_s, last.expect("at least one pass"))
-}
-
-/// Measures the profiler's cost on the Fig. 7 sweep: best-of-N detached
-/// passes vs. best-of-N attached passes of the same serial sweep,
-/// asserted bit-identical. Each attached pass gets a fresh sink so the
-/// returned profile's span counts describe a single sweep. Returns
-/// `(detached_s, attached_s, profile)`.
-pub fn fig7_profile_overhead(params: &TcpIpParams) -> (f64, f64, ProfileReport) {
-    let _ = fig7_parallel(params, &ExploreOptions::serial()); // warm-up
-    let (detached_s, detached) =
-        best_of(OVERHEAD_PASSES, || fig7_parallel(params, &ExploreOptions::serial()));
-    let (attached_s, (attached, sink)) = best_of(OVERHEAD_PASSES, || {
-        let sink = ArcSharedSink::new(ProfileReport::new());
-        let sweep = fig7_parallel(params, &ExploreOptions::serial().profiled(sink.clone()));
-        (sweep, sink)
-    });
-    assert_eq!(detached.points.len(), attached.points.len());
-    assert!(
-        detached
-            .points
-            .iter()
-            .zip(&attached.points)
-            .all(|(a, b)| a.report.golden_snapshot() == b.report.golden_snapshot()),
-        "profiling must not perturb the sweep"
-    );
-    (detached_s, attached_s, sink.with(|r| r.clone()))
-}
-
-/// Measures the power-timeline sink's cost on the Fig. 7 sweep:
-/// best-of-N detached passes vs. best-of-N passes with a per-point
-/// [`soctrace::PowerTimelineSink`] attached
-/// ([`ExploreOptions::with_timeline`]), asserted bit-identical.
-/// Returns `(detached_s, timed_s, point_peaks_w)` — the per-point
-/// peak-window powers from the last timed pass.
-pub fn fig7_timeline_overhead(params: &TcpIpParams) -> (f64, f64, Vec<f64>) {
-    let _ = fig7_parallel(params, &ExploreOptions::serial()); // warm-up
-    let (detached_s, detached) =
-        best_of(OVERHEAD_PASSES, || fig7_parallel(params, &ExploreOptions::serial()));
-    let (timed_s, timed) = best_of(OVERHEAD_PASSES, || {
-        fig7_parallel(
-            params,
-            &ExploreOptions::serial().with_timeline(TimelineOptions::default()),
-        )
-    });
-    assert_eq!(detached.points.len(), timed.points.len());
-    assert!(
-        detached
-            .points
-            .iter()
-            .zip(&timed.points)
-            .all(|(a, b)| a.report.golden_snapshot() == b.report.golden_snapshot()),
-        "the timeline sink must not perturb the sweep"
-    );
-    assert_eq!(timed.stats.point_peak_power_w.len(), timed.points.len());
-    (detached_s, timed_s, timed.stats.point_peak_power_w)
-}
-
-/// Runs one co-estimation with a [`PowerTimelineSink`] attached and
-/// returns the (bit-identical) report plus the binned timeline.
-pub fn timeline_run(
-    soc: co_estimation::SocDescription,
-    config: CoSimConfig,
-    window_cycles: u64,
-) -> (CoSimReport, TimelineReport) {
-    let clock_hz = config.clock_hz;
-    let mut sim = CoSimulator::new(soc, config).expect("system builds");
-    let sink = soctrace::SharedSink::new(PowerTimelineSink::new(TimelineConfig::new(
-        window_cycles,
-        clock_hz,
-    )));
-    sim.attach_trace(Box::new(sink.clone()));
-    let report = sim.run();
-    let names = sim.component_names();
-    let timeline = sink.with(|s| s.report(&names, report.total_cycles));
-    (report, timeline)
 }
 
 // ---------------------------------------------------------------------

@@ -16,21 +16,14 @@ use crate::master::CoSimulator;
 use crate::report::CoSimReport;
 use cfsm::ProcId;
 use detrand::Rng;
-use soctrace::{
-    ArcSharedSink, PowerTimelineSink, ProfileReport, ProfileSink, SharedSink, SpanKind,
-    TimelineConfig,
-};
-use std::time::Instant;
+use soctrace::{PowerTimelineSink, SharedSink, TimelineConfig};
 
-/// Runs one sweep-point simulation, optionally wiring the shared
-/// profiler into the master and timing the whole point as a
-/// [`SpanKind::SweepPoint`] span, and optionally attaching a per-point
+/// Runs one sweep-point simulation, optionally attaching a per-point
 /// power timeline whose peak-window power rides back with the report.
-/// Profiling and tracing never perturb results (observability only),
-/// so the sweeps stay bit-identical with or without either sink.
+/// Tracing never perturbs results (observability only), so the sweeps
+/// stay bit-identical with or without the sink.
 fn run_point(
     sim: &mut CoSimulator,
-    profile: Option<&ArcSharedSink<ProfileReport>>,
     timeline: Option<TimelineOptions>,
     clock_hz: f64,
 ) -> (CoSimReport, Option<f64>) {
@@ -42,15 +35,7 @@ fn run_point(
         sim.attach_trace(Box::new(sink.clone()));
         sink
     });
-    let report = if let Some(p) = profile {
-        sim.attach_profile(Box::new(p.clone()));
-        let t0 = Instant::now();
-        let report = sim.run();
-        p.clone().span(SpanKind::SweepPoint, t0.elapsed());
-        report
-    } else {
-        sim.run()
-    };
+    let report = sim.run();
     let peak = tl.map(|sink| {
         let names = sim.component_names();
         sink.with(|s| s.report(&names, report.total_cycles).peak_power_w())
@@ -116,7 +101,6 @@ pub(crate) fn eval_bus_point(
     base: &CoSimConfig,
     perm: &[ProcId],
     dma: u32,
-    profile: Option<&ArcSharedSink<ProfileReport>>,
     timeline: Option<TimelineOptions>,
 ) -> Result<(ExplorationPoint, Option<f64>), BuildEstimatorError> {
     let mut soc_variant = soc.clone();
@@ -133,7 +117,7 @@ pub(crate) fn eval_bus_point(
     let config = base.with_dma_block_size(dma);
     let clock_hz = config.clock_hz;
     let mut sim = CoSimulator::new(soc_variant, config)?;
-    let (report, peak) = run_point(&mut sim, profile, timeline, clock_hz);
+    let (report, peak) = run_point(&mut sim, timeline, clock_hz);
     Ok((
         ExplorationPoint {
             dma_block_size: dma,
@@ -172,7 +156,6 @@ pub(crate) fn eval_partition_point(
     config: &CoSimConfig,
     movable: &[ProcId],
     bits: u32,
-    profile: Option<&ArcSharedSink<ProfileReport>>,
     timeline: Option<TimelineOptions>,
 ) -> Result<Option<(PartitionPoint, Option<f64>)>, BuildEstimatorError> {
     use cfsm::Implementation;
@@ -190,7 +173,7 @@ pub(crate) fn eval_partition_point(
     let label = label_parts.join(" ");
     match CoSimulator::new(soc_variant.clone(), config.clone()) {
         Ok(mut sim) => {
-            let (report, peak) = run_point(&mut sim, profile, timeline, config.clock_hz);
+            let (report, peak) = run_point(&mut sim, timeline, config.clock_hz);
             Ok(Some((
                 PartitionPoint {
                     mapping: soc_variant
@@ -267,13 +250,12 @@ pub(crate) fn eval_power_point(
     soc: &SocDescription,
     base: &CoSimConfig,
     policy: &crate::powermgmt::PowerPolicy,
-    profile: Option<&ArcSharedSink<ProfileReport>>,
     timeline: Option<TimelineOptions>,
 ) -> Result<(PowerPoint, Option<f64>), BuildEstimatorError> {
     let config = base.with_power_policy(policy.clone());
     let clock_hz = config.clock_hz;
     let mut sim = CoSimulator::new(soc.clone(), config)?;
-    let (report, peak) = run_point(&mut sim, profile, timeline, clock_hz);
+    let (report, peak) = run_point(&mut sim, timeline, clock_hz);
     Ok((
         PowerPoint {
             policy_name: policy.name.clone(),
@@ -307,13 +289,12 @@ pub(crate) fn eval_fault_point(
     base: &CoSimConfig,
     label: &str,
     plan: &FaultPlan,
-    profile: Option<&ArcSharedSink<ProfileReport>>,
     timeline: Option<TimelineOptions>,
 ) -> Result<(FaultPoint, Option<f64>), BuildEstimatorError> {
     let config = base.with_faults(plan.clone());
     let clock_hz = config.clock_hz;
     let mut sim = CoSimulator::new(soc.clone(), config)?;
-    let (report, peak) = run_point(&mut sim, profile, timeline, clock_hz);
+    let (report, peak) = run_point(&mut sim, timeline, clock_hz);
     Ok((
         FaultPoint {
             label: label.to_string(),
@@ -393,12 +374,11 @@ pub(crate) fn eval_stimulus_point(
     base: &CoSimConfig,
     seed: u64,
     jitter: &StimulusJitter,
-    profile: Option<&ArcSharedSink<ProfileReport>>,
     timeline: Option<TimelineOptions>,
 ) -> Result<(StimulusPoint, Option<f64>), BuildEstimatorError> {
     let variant = stimulus_variant(soc, seed, jitter);
     let mut sim = CoSimulator::new(variant, base.clone())?;
-    let (report, peak) = run_point(&mut sim, profile, timeline, base.clock_hz);
+    let (report, peak) = run_point(&mut sim, timeline, base.clock_hz);
     Ok((StimulusPoint { seed, report }, peak))
 }
 

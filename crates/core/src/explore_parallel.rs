@@ -41,7 +41,6 @@ use crate::explore::{
 use crate::faults::FaultPlan;
 use crate::report::CoSimReport;
 use cfsm::ProcId;
-use soctrace::{ArcSharedSink, ProfileReport};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -81,12 +80,6 @@ pub struct ExploreOptions {
     /// point, so one degraded (livelocked / runaway) design point cannot
     /// hang the whole sweep. `None` keeps the base config's budgets.
     pub watchdog: Option<desim::WatchdogConfig>,
-    /// When set, every point's master runs with this shared span
-    /// profiler attached and each point is timed as a
-    /// [`soctrace::SpanKind::SweepPoint`] span; workers aggregate into
-    /// the one report through the `Arc<Mutex<_>>` sink. Wall-time
-    /// observability only — results stay bit-identical.
-    pub profile: Option<ArcSharedSink<ProfileReport>>,
     /// When `true`, the sweep statically verifies the base spec once
     /// before evaluating any point and fails fast with
     /// [`BuildEstimatorError::Unverifiable`] on error-severity
@@ -116,7 +109,6 @@ impl ExploreOptions {
         ExploreOptions {
             workers: NonZeroUsize::new(workers).unwrap_or(NonZeroUsize::MIN),
             watchdog: None,
-            profile: None,
             verify_first: false,
             timeline: None,
         }
@@ -125,13 +117,6 @@ impl ExploreOptions {
     /// Returns a copy with the given per-point watchdog budgets.
     pub fn guarded(mut self, watchdog: desim::WatchdogConfig) -> Self {
         self.watchdog = Some(watchdog);
-        self
-    }
-
-    /// Returns a copy with the given shared span profiler attached to
-    /// every point's master.
-    pub fn profiled(mut self, sink: ArcSharedSink<ProfileReport>) -> Self {
-        self.profile = Some(sink);
         self
     }
 
@@ -356,8 +341,7 @@ pub fn explore_bus_architecture_parallel(
     sweep(soc, base, total, options, |p: &ExplorationPoint| &p.report, |config, i| {
         let perm = &perms[i / dma_sizes.len()];
         let dma = dma_sizes[i % dma_sizes.len()];
-        eval_bus_point(soc, config, perm, dma, options.profile.as_ref(), options.timeline)
-            .map(Some)
+        eval_bus_point(soc, config, perm, dma, options.timeline).map(Some)
     })
 }
 
@@ -383,14 +367,7 @@ pub fn explore_partitions_parallel(
 ) -> Result<SweepReport<PartitionPoint>, BuildEstimatorError> {
     check_partition_count(movable)?;
     sweep(soc, base, 1 << movable.len(), options, |p: &PartitionPoint| &p.report, |config, i| {
-        eval_partition_point(
-            soc,
-            config,
-            movable,
-            i as u32,
-            options.profile.as_ref(),
-            options.timeline,
-        )
+        eval_partition_point(soc, config, movable, i as u32, options.timeline)
     })
 }
 
@@ -413,8 +390,7 @@ pub fn explore_power_policies_parallel(
     options: &ExploreOptions,
 ) -> Result<SweepReport<PowerPoint>, BuildEstimatorError> {
     sweep(soc, base, policies.len(), options, |p: &PowerPoint| &p.report, |config, i| {
-        eval_power_point(soc, config, &policies[i], options.profile.as_ref(), options.timeline)
-            .map(Some)
+        eval_power_point(soc, config, &policies[i], options.timeline).map(Some)
     })
 }
 
@@ -437,8 +413,7 @@ pub fn explore_fault_matrix_parallel(
 ) -> Result<SweepReport<FaultPoint>, BuildEstimatorError> {
     sweep(soc, base, scenarios.len(), options, |p: &FaultPoint| &p.report, |config, i| {
         let (label, plan) = &scenarios[i];
-        eval_fault_point(soc, config, label, plan, options.profile.as_ref(), options.timeline)
-            .map(Some)
+        eval_fault_point(soc, config, label, plan, options.timeline).map(Some)
     })
 }
 
@@ -460,15 +435,7 @@ pub fn explore_stimulus_seeds_parallel(
     options: &ExploreOptions,
 ) -> Result<SweepReport<StimulusPoint>, BuildEstimatorError> {
     sweep(soc, base, seeds.len(), options, |p: &StimulusPoint| &p.report, |config, i| {
-        eval_stimulus_point(
-            soc,
-            config,
-            seeds[i],
-            jitter,
-            options.profile.as_ref(),
-            options.timeline,
-        )
-        .map(Some)
+        eval_stimulus_point(soc, config, seeds[i], jitter, options.timeline).map(Some)
     })
 }
 

@@ -242,8 +242,8 @@ pub fn run_lane_sweep(
 
 /// The serial reference: every unit run alone through the scalar
 /// event-driven kernel, in `units` order. Bit-identical to
-/// [`run_lane_sweep`]; exists as the equivalence baseline and the
-/// bench's "what the lanes buy you" comparison.
+/// [`run_lane_sweep`]; tests use it as that sweep's equivalence
+/// baseline.
 ///
 /// # Errors
 ///

@@ -50,9 +50,8 @@ use busmodel::{Bus, MasterId};
 use cachesim::Cache;
 use cfsm::{EventId, EventOccurrence, Implementation, NetworkState, ProcId};
 use desim::{EventQueue, SimTime, Watchdog};
-use soctrace::{ProfileSink, Profiler, SpanKind, TraceRecord, TraceSink, Tracer};
+use soctrace::{TraceRecord, TraceSink, Tracer};
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 /// Master events.
 #[derive(Debug, Clone)]
@@ -127,7 +126,6 @@ pub struct CoSimulator {
     estimators: Vec<Box<dyn PowerEstimator>>,
     accel: AccelPipeline,
     tracer: Tracer,
-    profiler: Profiler,
     /// Mirror of every ledger charge, tagged with its energy source
     /// (see [`ProvenanceBreakdown`]'s bit-identity contract).
     provenance: ProvenanceBreakdown,
@@ -235,7 +233,6 @@ impl CoSimulator {
             estimators,
             accel,
             tracer: Tracer::disabled(),
-            profiler: Profiler::disabled(),
             // Ledger registration order: processes, then bus, then icache.
             provenance: ProvenanceBreakdown::new(n + 2),
             power,
@@ -308,21 +305,6 @@ impl CoSimulator {
         self.tracer.detach()
     }
 
-    /// Attaches a span profiler; estimator firings, acceleration-layer
-    /// decisions, gate-kernel work and the whole run are timed on the
-    /// monotonic clock. Profiling is wall-time observability only: no
-    /// measured duration ever feeds back into the simulation, so every
-    /// result stays bit-identical with and without a profiler (and when
-    /// detached the master reads no clock at all).
-    pub fn attach_profile(&mut self, sink: Box<dyn ProfileSink>) {
-        self.profiler.attach(sink);
-    }
-
-    /// Detaches and returns the profile sink, disabling profiling.
-    pub fn detach_profile(&mut self) -> Option<Box<dyn ProfileSink>> {
-        self.profiler.detach()
-    }
-
     /// Component names in ledger order (one per process, then the bus
     /// and the i-cache) — labels for timeline and waveform exports,
     /// aligned with the `component` field of emitted trace records.
@@ -337,7 +319,6 @@ impl CoSimulator {
     /// [`outcome`](CoSimReport::outcome) is [`RunOutcome::Degraded`] and
     /// its figures cover the simulated time up to the trip.
     pub fn run(&mut self) -> CoSimReport {
-        let t0 = self.profiler.start();
         if let Some(rt) = &self.power {
             // Trace-only: pin each component whose base power state is
             // not `active` with a synthetic cycle-0 transition, so the
@@ -370,7 +351,6 @@ impl CoSimulator {
                 self.apply_settlement(ProcId(i as u32), end, s);
             }
         }
-        self.profiler.finish(SpanKind::MasterRun, t0);
         self.report()
     }
 
@@ -899,20 +879,8 @@ impl CoSimulator {
             event_value: &|e| ev_snapshot.get(&e).copied().unwrap_or(0),
             exec: &fr.execution,
         };
-        // The detailed closure can't reach `self.profiler` (it already
-        // borrows the estimator), so it measures into a local and the
-        // spans are booked after the pipeline returns. Detached profiler
-        // = `prof_on` is false = zero clock reads on the hot path.
-        let prof_on = self.profiler.enabled();
-        let mut firing_wall: Option<Duration> = None;
-        let accel_t0 = prof_on.then(Instant::now);
-        let (cost, source) = self.accel.estimate(&ctx, &mut self.tracer, &mut || {
-            let t0 = prof_on.then(Instant::now);
-            let c = est.run_firing(&inputs);
-            firing_wall = t0.map(|t0| t0.elapsed());
-            c
-        });
-        let accel_wall = accel_t0.map(|t0| t0.elapsed());
+        let (cost, source) =
+            self.accel.estimate(&ctx, &mut self.tracer, &mut || est.run_firing(&inputs));
         // Gate-level activity behind this firing (zero when a layer
         // answered without touching the simulator; zero evaluations but
         // the stored events when the firing memo answered).
@@ -926,20 +894,6 @@ impl CoSimulator {
         let memo_hits = self.estimators[idx]
             .gate_memo_hits()
             .saturating_sub(hits_before);
-        if prof_on {
-            if let Some(wall) = firing_wall {
-                self.profiler.record(SpanKind::EstimatorFiring, Some(wall));
-                if evals > 0 {
-                    // A detailed firing that evaluated gates is a
-                    // gate-kernel run: the same wall time, aggregated
-                    // under its own kind so kernel work is visible
-                    // without double bookkeeping in the simulator. A
-                    // firing the memo answered ran no kernel.
-                    self.profiler.record(SpanKind::GateSimKernel, Some(wall));
-                }
-            }
-            self.profiler.record(SpanKind::AccelDecision, accel_wall);
-        }
         match source {
             CostSource::Detailed => self.detailed_calls += 1,
             _ => self.accelerated_calls += 1,

@@ -83,17 +83,31 @@ impl PowerState {
 /// cycle count held by the behavioral model); execution *cycles*
 /// stretch by `1 / freq_scale`; leakage scales linearly with
 /// `voltage_scale`.
+///
+/// Both scales must lie in [`MIN_SCALE`](Self::MIN_SCALE)`..=`
+/// [`MAX_SCALE`](Self::MAX_SCALE); building a co-simulator with any
+/// other operating point on the policy's menu fails with
+/// [`BuildEstimatorError::InvalidParams`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     /// Human-readable name (`"nominal"`, `"0.8v_half"`, …).
     pub name: String,
-    /// Supply voltage relative to nominal (0 < scale ≤ ~1.2).
+    /// Supply voltage relative to nominal.
     pub voltage_scale: f64,
-    /// Clock frequency relative to nominal (0 < scale ≤ ~1.2).
+    /// Clock frequency relative to nominal.
     pub freq_scale: f64,
 }
 
 impl OperatingPoint {
+    /// Smallest accepted voltage or frequency scale. A frequency scale
+    /// this low stretches a firing tenfold at most, so stretched cycle
+    /// counts stay far from `u64::MAX`.
+    pub const MIN_SCALE: f64 = 0.1;
+
+    /// Largest accepted voltage or frequency scale (20 % overdrive), so
+    /// a scaled dynamic charge is at most 1.44 times the nominal one.
+    pub const MAX_SCALE: f64 = 1.2;
+
     /// A named operating point.
     pub fn new(name: impl Into<String>, voltage_scale: f64, freq_scale: f64) -> Self {
         OperatingPoint {
@@ -489,8 +503,9 @@ impl PowerRt {
     /// [`BuildEstimatorError::InvalidParams`] when the policy names an
     /// unknown component (gating the bus or i-cache is rejected — only
     /// process components have idle/firing structure), refers to an
-    /// out-of-range operating point, or has a degenerate scale, rate,
-    /// or timeout.
+    /// out-of-range operating point, has an operating-point scale
+    /// outside [`OperatingPoint::MIN_SCALE`]`..=`[`OperatingPoint::MAX_SCALE`],
+    /// or has a degenerate rate or timeout.
     pub(crate) fn build(
         policy: &PowerPolicy,
         process_names: &[&str],
@@ -515,18 +530,21 @@ impl PowerRt {
                 return invalid(format!("leakage {label} must be in [0, 1], got {f}"));
             }
         }
+        let scales = OperatingPoint::MIN_SCALE..=OperatingPoint::MAX_SCALE;
         for op in &policy.operating_points {
-            if !(op.voltage_scale.is_finite() && op.voltage_scale > 0.0) {
-                return invalid(format!(
-                    "operating point `{}`: voltage_scale must be > 0, got {}",
-                    op.name, op.voltage_scale
-                ));
-            }
-            if !(op.freq_scale.is_finite() && op.freq_scale > 0.0) {
-                return invalid(format!(
-                    "operating point `{}`: freq_scale must be > 0, got {}",
-                    op.name, op.freq_scale
-                ));
+            let checks = [
+                ("voltage_scale", op.voltage_scale),
+                ("freq_scale", op.freq_scale),
+            ];
+            for (label, scale) in checks {
+                if !scales.contains(&scale) {
+                    return invalid(format!(
+                        "operating point `{}`: {label} must be in [{}, {}], got {scale}",
+                        op.name,
+                        scales.start(),
+                        scales.end()
+                    ));
+                }
             }
         }
         let mut comps: Vec<CompRt> = process_names

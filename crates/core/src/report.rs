@@ -45,19 +45,6 @@ pub enum Provenance {
 }
 
 impl Provenance {
-    /// Every provenance, in stable rendering order.
-    pub const ALL: [Provenance; 9] = [
-        Provenance::MeasuredIss,
-        Provenance::CacheReuse,
-        Provenance::MacroModel,
-        Provenance::SampledScaled,
-        Provenance::GateLevel,
-        Provenance::BusModel,
-        Provenance::CacheModel,
-        Provenance::Leakage,
-        Provenance::WakeOverhead,
-    ];
-
     /// Stable machine-readable tag, shared with the trace layer's
     /// `EnergySample.provenance` field.
     pub fn as_str(self) -> &'static str {
@@ -171,22 +158,6 @@ impl ProvenanceBreakdown {
     /// Total number of charges booked.
     pub fn total_records(&self) -> u64 {
         self.records.iter().sum()
-    }
-
-    /// Stable JSON object: per-provenance energy and record counts.
-    pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = Provenance::ALL
-            .iter()
-            .map(|&p| {
-                format!(
-                    "\"{}\": {{\"energy_j\": {:e}, \"records\": {}}}",
-                    p.as_str(),
-                    self.energy_for(p),
-                    self.records_for(p)
-                )
-            })
-            .collect();
-        format!("{{{}}}", buckets.join(", "))
     }
 }
 

@@ -49,7 +49,11 @@
 //! [`PowerPolicy`](crate::PowerPolicy); [`parse_system_with_power`]
 //! returns it alongside the system ([`parse_system`] parses the same
 //! grammar and discards the policy). A `power` directive naming an
-//! unknown state is a [`SpecError`].
+//! unknown state is a [`SpecError`]. The policy's values are checked
+//! when a co-simulator is built from it: a `dvfs` scale outside
+//! [`OperatingPoint::MIN_SCALE`](crate::OperatingPoint::MIN_SCALE)`..=`
+//! [`MAX_SCALE`](crate::OperatingPoint::MAX_SCALE) fails there with
+//! `InvalidParams`.
 //!
 //! Statements: `x = EXPR` · `emit EV [EXPR]` · `x = mem[EXPR]` ·
 //! `mem[EXPR] = EXPR` · `while EXPR … end` · `if EXPR … [else …] end`.

@@ -8,32 +8,22 @@
 //!   average power in watts.
 //! * **Instant events** (`ph: "i"`) — one per power-state transition
 //!   (`from`/`to` in `args`) and one per fault/watchdog anomaly.
-//! * **Span events** (`ph: "X"`) — the profiler's aggregate per-kind
-//!   totals, laid end to end on a dedicated `profiler (aggregate)`
-//!   track. The [`crate::ProfileReport`] keeps count/total/mean/max
-//!   per span kind rather than individual timestamped spans, so this
-//!   track shows *aggregate wall time per kind*, not individual spans;
-//!   `count`, `mean_ns` and `max_ns` ride along in `args`.
 //!
 //! Timestamps (`ts`) are microseconds, converted from cycles via the
-//! timeline's master clock; profiler spans are wall-clock and share
-//! the axis only nominally (their track is labeled as aggregate).
+//! timeline's master clock.
 
 use crate::json_escape;
 use crate::timeline::TimelineReport;
-use crate::{ProfileReport, SpanKind};
 
-/// The `pid` all tracks share.
+/// The `pid` of the simulation track.
 const PID: u32 = 1;
 /// The `tid` of the counter/instant simulation track.
 const SIM_TID: u32 = 1;
-/// The `tid` of the aggregate profiler track.
-const PROFILE_TID: u32 = 2;
 
-/// Renders the timeline (and, optionally, the profiler aggregates) as
-/// a Chrome Trace Event JSON document. The result round-trips through
-/// [`crate::json::parse`] and loads in Perfetto.
-pub fn write_perfetto(t: &TimelineReport, profile: Option<&ProfileReport>) -> String {
+/// Renders the timeline as a Chrome Trace Event JSON document. The
+/// result round-trips through [`crate::json::parse`] and loads in
+/// Perfetto.
+pub fn write_perfetto(t: &TimelineReport) -> String {
     let us_per_cycle = 1e6 / t.clock_hz;
     let ts = |cycle: u64| cycle as f64 * us_per_cycle;
     let dt = t.window_seconds();
@@ -44,12 +34,6 @@ pub fn write_perfetto(t: &TimelineReport, profile: Option<&ProfileReport>) -> St
         "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{SIM_TID},\"name\":\"thread_name\",\
          \"args\":{{\"name\":\"power timeline\"}}}}"
     ));
-    if profile.is_some() {
-        events.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{PROFILE_TID},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"profiler (aggregate)\"}}}}"
-        ));
-    }
 
     // Counter tracks: per-component and system power per window.
     let system = t.system_window_energy_j();
@@ -98,28 +82,6 @@ pub fn write_perfetto(t: &TimelineReport, profile: Option<&ProfileReport>) -> St
         ));
     }
 
-    // Aggregate profiler spans, laid end to end.
-    if let Some(p) = profile {
-        let mut cursor = 0.0f64;
-        for kind in SpanKind::ALL {
-            let s = p.stats(kind);
-            if s.count == 0 {
-                continue;
-            }
-            let dur_us = s.total_ns as f64 / 1e3;
-            events.push(format!(
-                "{{\"ph\":\"X\",\"pid\":{PID},\"tid\":{PROFILE_TID},\"name\":\"{}\",\
-                 \"ts\":{cursor:.3},\"dur\":{dur_us:.3},\
-                 \"args\":{{\"count\":{},\"mean_ns\":{:.1},\"max_ns\":{}}}}}",
-                kind.as_str(),
-                s.count,
-                s.mean_ns(),
-                s.max_ns
-            ));
-            cursor += dur_us;
-        }
-    }
-
     format!(
         "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
         events.join(",\n")
@@ -132,7 +94,6 @@ mod tests {
     use crate::json::{self, JsonValue};
     use crate::timeline::{PowerTimelineSink, TimelineConfig};
     use crate::{TraceRecord, TraceSink};
-    use std::time::Duration;
 
     fn sample_report() -> TimelineReport {
         let mut sink = PowerTimelineSink::new(TimelineConfig::new(100, 1_000.0));
@@ -158,9 +119,7 @@ mod tests {
 
     #[test]
     fn perfetto_round_trips_through_the_json_parser() {
-        let mut profile = ProfileReport::new();
-        profile.record(SpanKind::MasterRun, Duration::from_micros(120));
-        let text = write_perfetto(&sample_report(), Some(&profile));
+        let text = write_perfetto(&sample_report());
         let doc = json::parse(&text).expect("emitted JSON parses");
         let events = doc
             .get("traceEvents")
@@ -170,7 +129,6 @@ mod tests {
         // Every event has a phase; counter events carry numeric power.
         let mut counters = 0;
         let mut instants = 0;
-        let mut spans = 0;
         for e in events {
             match e.get("ph").and_then(JsonValue::as_str) {
                 Some("C") => {
@@ -183,19 +141,17 @@ mod tests {
                     assert!(p.is_finite());
                 }
                 Some("i") => instants += 1,
-                Some("X") => spans += 1,
                 Some("M") => {}
                 other => panic!("unexpected phase {other:?}"),
             }
         }
         assert_eq!(counters, 4, "2 windows x (1 comp + system)");
         assert_eq!(instants, 2, "1 transition + 1 anomaly");
-        assert_eq!(spans, 1, "1 profiled kind");
     }
 
     #[test]
     fn escaping_survives_hostile_names() {
-        let text = write_perfetto(&sample_report(), None);
+        let text = write_perfetto(&sample_report());
         json::parse(&text).expect("quotes in names are escaped");
         assert!(text.contains("cpu \\\"x\\\""));
         assert!(text.contains("bus \\\"stall\\\""));

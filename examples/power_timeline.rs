@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Export and self-validate both artifacts.
     let vcd = write_vcd(&timeline);
     let summary = check_vcd(&vcd).map_err(|e| format!("emitted VCD is invalid: {e}"))?;
-    let perfetto = write_perfetto(&timeline, None);
+    let perfetto = write_perfetto(&timeline);
     let events = json::parse(&perfetto)
         .map_err(|e| format!("emitted Perfetto JSON is invalid: {e}"))?
         .get("traceEvents")

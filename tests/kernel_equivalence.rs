@@ -12,16 +12,29 @@
 //! `GATESIM_KERNEL` escape hatch. The suite owns its process (integration tests link
 //! separately), but its `#[test]` fns share that process, so every
 //! environment mutation is serialized behind one lock.
+//!
+//! The suite also drives the kernels and the lockstep lane simulators
+//! directly on the largest synthesized netlist of the tcpip system
+//! (its `checksum` process): every kernel, every lane and the
+//! lane-scheduled Monte-Carlo sweep must match a scalar event-driven
+//! run bit for bit. Those tests pin each kernel explicitly, so they
+//! need no environment lock.
 
 mod corpus;
 
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
+use cfsm::TransitionId;
 use co_estimation::{
-    Acceleration, CoSimConfig, CoSimulator, EstimatorBackend, FaultPlan, SocDescription,
+    run_lane_sweep, run_lane_sweep_serial, Acceleration, CoSimConfig, CoSimulator,
+    EstimatorBackend, FaultPlan, LaneSweepConfig, LaneUnit, SocDescription,
 };
 use desim::WatchdogConfig;
+use detrand::Rng;
+use gatesim::{
+    EnergyReport, HwCfsm, LaneSim, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator,
+};
 use soctrace::{MetricsSink, SharedSink};
 use systems::automotive::{self, AutomotiveParams};
 use systems::producer_consumer::{self, ProducerConsumerParams};
@@ -245,4 +258,226 @@ fn every_kernel_characterizes_the_same_cost_tables() {
             }
         }
     }
+}
+
+/// Per-input probability of a new value each cycle in the checksum
+/// netlist tests: low, like the firing protocol's mostly held ports.
+const P_TOGGLE: f64 = 0.1;
+
+/// The largest transition netlist of tcpip's synthesized `checksum`
+/// process (5 091 gates), simulated on every detailed firing of the
+/// Fig. 7 sweep's hottest hardware process.
+fn checksum_netlist() -> Arc<Netlist> {
+    let soc = tcpip::build(&TcpIpParams::fig7_defaults()).expect("valid params");
+    let config = CoSimConfig::date2000_defaults();
+    let p = soc
+        .network
+        .process_by_name("checksum")
+        .expect("tcpip has a checksum process");
+    let hw = HwCfsm::synthesize(soc.network.cfsm(p), &config.synth, &config.hw_power)
+        .expect("checksum synthesizes");
+    let largest = (0..hw.transition_count() as u32)
+        .map(|k| hw.transition(TransitionId(k)))
+        .max_by_key(|t| t.gate_count())
+        .expect("at least one transition");
+    Arc::clone(largest.netlist())
+}
+
+/// Seeded stimulus: per cycle, the `(input, value)` pairs to force.
+fn stimulus(netlist: &Netlist, cycles: usize, seed: u64) -> Vec<Vec<(NetId, bool)>> {
+    let primary = netlist.primary_inputs();
+    let mut rng = Rng::new(seed);
+    (0..cycles)
+        .map(|_| {
+            let mut changes = Vec::new();
+            for &p in &primary {
+                if rng.bool_with(P_TOGGLE) {
+                    changes.push((p, rng.bool_with(0.5)));
+                }
+            }
+            changes
+        })
+        .collect()
+}
+
+fn scalar(netlist: &Arc<Netlist>, kernel: SimKernel) -> Simulator {
+    Simulator::with_kernel(Arc::clone(netlist), PowerConfig::date2000_defaults(), kernel)
+        .expect("valid netlist")
+}
+
+fn energy_bits(report: &EnergyReport) -> Vec<u64> {
+    report.per_cycle_j.iter().map(|e| e.to_bits()).collect()
+}
+
+/// Steps one kernel through `stim`: per cycle, the energy bits and the
+/// output bus; then the gate-evaluation and gate-event counters.
+fn step_kernel(
+    netlist: &Arc<Netlist>,
+    kernel: SimKernel,
+    stim: &[Vec<(NetId, bool)>],
+) -> (Vec<(u64, u64)>, u64, u64) {
+    let mut sim = scalar(netlist, kernel);
+    let outputs: Vec<NetId> = netlist.outputs().iter().map(|(_, n)| *n).collect();
+    let mut trace = Vec::with_capacity(stim.len());
+    for inputs in stim {
+        for &(net, v) in inputs {
+            sim.set_input(net, v);
+        }
+        let e = sim.step();
+        trace.push((e.to_bits(), sim.value_bus(&outputs)));
+    }
+    (trace, sim.gate_evals(), sim.gate_events())
+}
+
+#[test]
+fn kernels_agree_bit_for_bit_on_the_checksum_netlist() {
+    let netlist = checksum_netlist();
+    let stim = stimulus(&netlist, 2_000, 0xBE9C);
+    let (event, event_evals, event_events) = step_kernel(&netlist, SimKernel::EventDriven, &stim);
+    let (oblivious, oblivious_evals, oblivious_events) =
+        step_kernel(&netlist, SimKernel::Oblivious, &stim);
+    let (simd, _, simd_events) = step_kernel(&netlist, SimKernel::Simd, &stim);
+    assert!(oblivious == event, "oblivious per-cycle energy or outputs diverged");
+    assert!(simd == event, "simd per-cycle energy or outputs diverged");
+    assert_eq!(oblivious_events, event_events, "oblivious gate_events");
+    assert_eq!(simd_events, event_events, "simd gate_events");
+    assert!(
+        event_evals < oblivious_evals,
+        "event-driven must evaluate strictly fewer gates ({event_evals} vs {oblivious_evals})"
+    );
+
+    // Simd through `run_block`, with chunk seams on and across the
+    // 64-lane words of its 256-cycle window.
+    let chunks = [1usize, 7, 63, 64, 65, 100, 255, 256, 257];
+    let mut sim = scalar(&netlist, SimKernel::Simd);
+    let mut at = 0;
+    for len in chunks.iter().cycle() {
+        if at == stim.len() {
+            break;
+        }
+        let end = (at + len).min(stim.len());
+        sim.run_block(&stim[at..end]);
+        at = end;
+    }
+    let outputs: Vec<NetId> = netlist.outputs().iter().map(|(_, n)| *n).collect();
+    let want: Vec<u64> = event.iter().map(|&(e, _)| e).collect();
+    assert!(energy_bits(sim.report()) == want, "simd run_block per-cycle energy diverged");
+    assert_eq!(Some(sim.value_bus(&outputs)), event.last().map(|&(_, bus)| bus));
+    assert_eq!(sim.gate_events(), event_events, "simd run_block gate_events");
+}
+
+/// The lockstep lane simulators' shared surface.
+trait Lockstep {
+    fn set_input(&mut self, lane: usize, net: NetId, value: bool);
+    fn step(&mut self);
+    fn report(&self, lane: usize) -> &EnergyReport;
+    fn value(&self, net: NetId, lane: usize) -> bool;
+    fn toggle_count(&self, net: NetId, lane: usize) -> u64;
+}
+
+macro_rules! lockstep {
+    ($($sim:ty),*) => {$(
+        impl Lockstep for $sim {
+            fn set_input(&mut self, lane: usize, net: NetId, value: bool) {
+                <$sim>::set_input(self, lane, net, value)
+            }
+            fn step(&mut self) {
+                <$sim>::step(self)
+            }
+            fn report(&self, lane: usize) -> &EnergyReport {
+                <$sim>::report(self, lane)
+            }
+            fn value(&self, net: NetId, lane: usize) -> bool {
+                <$sim>::value(self, net, lane)
+            }
+            fn toggle_count(&self, net: NetId, lane: usize) -> u64 {
+                <$sim>::toggle_count(self, net, lane)
+            }
+        }
+    )*};
+}
+
+lockstep!(LaneSim, SimdLaneSim);
+
+/// Steps `sim` with one independent seeded stream per lane, then
+/// requires every lane to match a scalar event-driven run of its
+/// stream: per-cycle energy bits, every net's value and toggle count.
+fn assert_lanes_match_scalar_runs(
+    name: &str,
+    netlist: &Arc<Netlist>,
+    mut sim: impl Lockstep,
+    lanes: usize,
+    cycles: usize,
+    seed: u64,
+) {
+    let streams: Vec<_> = (0..lanes)
+        .map(|l| stimulus(netlist, cycles, seed ^ ((l as u64) << 16)))
+        .collect();
+    for j in 0..cycles {
+        for (l, stream) in streams.iter().enumerate() {
+            for &(net, v) in &stream[j] {
+                sim.set_input(l, net, v);
+            }
+        }
+        sim.step();
+    }
+    for (l, stream) in streams.iter().enumerate() {
+        let mut reference = scalar(netlist, SimKernel::EventDriven);
+        for inputs in stream {
+            for &(net, v) in inputs {
+                reference.set_input(net, v);
+            }
+            reference.step();
+        }
+        assert!(
+            energy_bits(sim.report(l)) == energy_bits(reference.report()),
+            "{name} lane {l}: per-cycle energy diverged from its scalar run"
+        );
+        for i in 0..netlist.gate_count() {
+            let net = NetId(i as u32);
+            assert_eq!(sim.value(net, l), reference.value(net), "{name} lane {l}: net {i}");
+            assert_eq!(
+                sim.toggle_count(net, l),
+                reference.toggle_count(net),
+                "{name} lane {l}: toggles of net {i}"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_lockstep_lane_matches_a_scalar_run_on_the_checksum_netlist() {
+    let netlist = checksum_netlist();
+    let power = PowerConfig::date2000_defaults();
+    let lanes = LaneSim::new(Arc::clone(&netlist), power.clone(), 8).expect("valid netlist");
+    assert_lanes_match_scalar_runs("LaneSim", &netlist, lanes, 8, 300, 0xC9EC);
+    // Past one `u64` word, so the wide words and their seams are checked.
+    let wide = SimdLaneSim::new(Arc::clone(&netlist), power, 80).expect("valid netlist");
+    assert_lanes_match_scalar_runs("SimdLaneSim", &netlist, wide, 80, 200, 0x51D0);
+}
+
+#[test]
+fn lane_scheduled_monte_carlo_sweep_equals_serial_runs_in_fewer_evaluations() {
+    let netlist = checksum_netlist();
+    let units: Vec<LaneUnit> = (0..32u64)
+        .map(|i| LaneUnit::MonteCarlo { seed: 0x5EED ^ (i << 8) })
+        .collect();
+    let config = LaneSweepConfig {
+        cycles: 200,
+        toggle_probability: P_TOGGLE,
+        max_lanes: 256,
+    };
+    let power = PowerConfig::date2000_defaults();
+    let lanes = run_lane_sweep(&netlist, &power, &units, &config).expect("valid netlist");
+    let serial = run_lane_sweep_serial(&netlist, &power, &units, &config).expect("valid netlist");
+    assert!(lanes.points == serial.points, "lane sweep points diverged from serial runs");
+    assert_eq!(lanes.gate_events, serial.gate_events);
+    // One lockstep evaluation covers all 32 lanes, so the lane sweep
+    // does strictly less gate work than one scalar run per unit.
+    assert!(
+        lanes.gate_evals < serial.gate_evals,
+        "lane sweep {} gate evaluations vs serial {}",
+        lanes.gate_evals,
+        serial.gate_evals
+    );
 }

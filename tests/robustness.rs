@@ -6,8 +6,10 @@
 use cfsm::{
     Cfg, Cfsm, EventDef, EventOccurrence, Expr, Implementation, Network, Stmt, VarId,
 };
+use co_estimation::spec::parse_system_with_power;
 use co_estimation::{
-    BuildEstimatorError, CoSimConfig, CoSimulator, EstimatorBackend, RunOutcome, SocDescription,
+    BuildEstimatorError, CoSimConfig, CoSimulator, EstimatorBackend, OperatingPoint, PowerPolicy,
+    RunOutcome, SocDescription,
 };
 use desim::WatchdogConfig;
 use systems::tcpip;
@@ -283,4 +285,78 @@ fn watchdog_budget_boundary_separates_completed_from_degraded() {
         "budget one cycle short must degrade, got {:?}",
         one_short.outcome
     );
+}
+
+#[test]
+fn out_of_range_dvfs_scales_are_typed_build_errors() {
+    // A frequency scale near zero stretches a firing past `u64::MAX`
+    // cycles, and a huge voltage scale makes the energy infinite: both
+    // must be rejected before the run, whether the operating point comes
+    // from the API or from a spec's `power dvfs` line.
+    let soc = tcpip::build(&tcpip::TcpIpParams {
+        num_packets: 4,
+        ..tcpip::TcpIpParams::fig7_defaults()
+    })
+    .expect("valid params");
+    let with_point = |v, f| {
+        CoSimConfig::date2000_defaults().with_power_policy(
+            PowerPolicy::named("dvfs")
+                .with_operating_point(OperatingPoint::new("low", v, f))
+                .dvfs("create_pack", 0),
+        )
+    };
+    let rejected = |err: Result<CoSimulator, BuildEstimatorError>, what: &str| {
+        assert!(
+            matches!(&err, Err(BuildEstimatorError::InvalidParams(msg)) if msg.contains("scale")),
+            "{what}: {:?}",
+            err.map(|_| "built")
+        );
+    };
+    let (min, max) = (OperatingPoint::MIN_SCALE, OperatingPoint::MAX_SCALE);
+    for (v, f) in [
+        (0.8, 1e-300),
+        (1e200, 0.5),
+        (1e308, 0.7),
+        (0.8, 0.0),
+        (0.8, f64::NAN),
+        (min * 0.99, 0.5),
+        (0.8, max * 1.01),
+    ] {
+        rejected(
+            CoSimulator::new(soc.clone(), with_point(v, f)),
+            &format!("api ({v:?}, {f:?})"),
+        );
+    }
+    for (v, f) in [(min, min), (max, max)] {
+        CoSimulator::new(soc.clone(), with_point(v, f))
+            .unwrap_or_else(|e| panic!("the range is inclusive, ({v:?}, {f:?}): {e}"));
+    }
+    let report = CoSimulator::new(soc, with_point(0.8, 0.5))
+        .expect("an in-range point builds")
+        .run();
+    assert_eq!(report.outcome, RunOutcome::Completed);
+    assert!(report.total_energy_j().is_finite() && report.total_energy_j() > 0.0);
+
+    let spec = |scales: &str| {
+        format!(
+            "system dvfs\nevent GO\nprocess worker sw priority 1\n  var n = 0\n  state s\n  \
+             power dvfs low {scales}\n  transition s -> s on GO\n    n = (+ n 1)\n  end\n\
+             stimulus 10 GO\n"
+        )
+    };
+    for scales in ["0.8 1e-300", "1e308 0.7"] {
+        let (soc, policy) = parse_system_with_power(&spec(scales)).expect("the grammar accepts it");
+        let config = CoSimConfig::date2000_defaults().with_power_policy(policy);
+        rejected(
+            CoSimulator::new(soc, config),
+            &format!("spec `power dvfs low {scales}`"),
+        );
+    }
+    let (soc, policy) = parse_system_with_power(&spec("0.8 0.5")).expect("parses");
+    let config = CoSimConfig::date2000_defaults().with_power_policy(policy);
+    let report = CoSimulator::new(soc, config)
+        .expect("an in-range point builds")
+        .run();
+    assert_eq!(report.firings, 1);
+    assert!(report.total_energy_j().is_finite());
 }

@@ -289,7 +289,7 @@ fn exporters_emit_valid_documents_on_a_real_run() {
         "VCD horizon must land on the run's final cycle"
     );
 
-    let perfetto = write_perfetto(&tl, None);
+    let perfetto = write_perfetto(&tl);
     let doc = json::parse(&perfetto).expect("emitted Perfetto JSON parses");
     let events = doc
         .get("traceEvents")
