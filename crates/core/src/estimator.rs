@@ -153,8 +153,8 @@ pub trait PowerEstimator: fmt::Debug {
     /// has one. The master diffs this around each detailed firing to
     /// surface the gate kernel's work through the trace layer.
     /// `gate_evals` counts kernel work units actually performed: it
-    /// varies by selected kernel (a simd evaluation covers up to 256
-    /// cycles), and a firing the exact firing memo answered adds
+    /// varies by selected kernel (the oblivious one evaluates every
+    /// gate every cycle), and a firing the exact firing memo answered adds
     /// none. `gate_events` counts committed per-cycle output changes
     /// and is kernel- and memo-invariant (a memo hit adds the stored
     /// firing's count). Defaults to `None` (no gate-level model).

@@ -138,7 +138,10 @@ pub struct GatingPolicy {
     /// Clock gating or power gating.
     pub mode: GateMode,
     /// Energy paid to re-open a *power* gate (ignored for clock
-    /// gating), joules.
+    /// gating), joules. At most
+    /// [`MAX_WAKE_ENERGY_J`](Self::MAX_WAKE_ENERGY_J); building a
+    /// co-simulator with a larger one fails with
+    /// [`BuildEstimatorError::InvalidParams`].
     pub wake_energy_j: f64,
     /// Cycles of latency before a power-gated component may resume
     /// (ignored for clock gating); visible to the scheduler and the
@@ -147,6 +150,11 @@ pub struct GatingPolicy {
 }
 
 impl GatingPolicy {
+    /// Largest accepted wake energy, joules: far above any on-chip
+    /// power gate, and small enough that even `u64::MAX` wakes sum to
+    /// about 1.8e19 J, so a report's total stays finite.
+    pub const MAX_WAKE_ENERGY_J: f64 = 1.0;
+
     /// Clock gating after `idle_timeout_cycles` idle cycles.
     pub fn clock(idle_timeout_cycles: u64) -> Self {
         GatingPolicy {
@@ -505,6 +513,7 @@ impl PowerRt {
     /// process components have idle/firing structure), refers to an
     /// out-of-range operating point, has an operating-point scale
     /// outside [`OperatingPoint::MIN_SCALE`]`..=`[`OperatingPoint::MAX_SCALE`],
+    /// a wake energy outside `0..=`[`GatingPolicy::MAX_WAKE_ENERGY_J`],
     /// or has a degenerate rate or timeout.
     pub(crate) fn build(
         policy: &PowerPolicy,
@@ -600,9 +609,11 @@ impl PowerRt {
                         "component `{name}`: gating idle timeout must be > 0"
                     ));
                 }
-                if !(g.wake_energy_j.is_finite() && g.wake_energy_j >= 0.0) {
+                let wake = 0.0..=GatingPolicy::MAX_WAKE_ENERGY_J;
+                if !wake.contains(&g.wake_energy_j) {
                     return invalid(format!(
-                        "component `{name}`: wake energy must be ≥ 0, got {}",
+                        "component `{name}`: wake energy must be in [0, {}] J, got {}",
+                        wake.end(),
                         g.wake_energy_j
                     ));
                 }

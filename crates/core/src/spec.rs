@@ -52,8 +52,10 @@
 //! unknown state is a [`SpecError`]. The policy's values are checked
 //! when a co-simulator is built from it: a `dvfs` scale outside
 //! [`OperatingPoint::MIN_SCALE`](crate::OperatingPoint::MIN_SCALE)`..=`
-//! [`MAX_SCALE`](crate::OperatingPoint::MAX_SCALE) fails there with
-//! `InvalidParams`.
+//! [`MAX_SCALE`](crate::OperatingPoint::MAX_SCALE), or a `power_gate`
+//! wake energy above
+//! [`GatingPolicy::MAX_WAKE_ENERGY_J`](crate::GatingPolicy::MAX_WAKE_ENERGY_J),
+//! fails there with `InvalidParams`.
 //!
 //! Statements: `x = EXPR` · `emit EV [EXPR]` · `x = mem[EXPR]` ·
 //! `mem[EXPR] = EXPR` · `while EXPR … end` · `if EXPR … [else …] end`.

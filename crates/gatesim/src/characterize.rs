@@ -24,8 +24,15 @@ const ROUNDS: usize = 64;
 ///
 /// The first call for a `(width, power)` pair characterizes the table;
 /// later calls share it from the synthesis memo until
-/// [`clear_synth_cache`](crate::clear_synth_cache) drops it. The values
-/// do not depend on the gate-simulation kernel.
+/// [`clear_synth_cache`](crate::clear_synth_cache) drops it. Each
+/// template runs the kernel its structure selects, whatever
+/// `GATESIM_KERNEL` says; the kernels agree bit for bit, so the values
+/// do not depend on the choice.
+///
+/// # Panics
+///
+/// Panics if a characterization template is malformed, a bug in this
+/// crate that the unit tests would catch.
 pub fn macro_op_energies(synth: &SynthConfig, power: &PowerConfig) -> Arc<[f64]> {
     memoized_macro_op_energies(synth.width, power, || characterize(synth.width, power))
 }
@@ -144,8 +151,9 @@ fn datapath(nl: &mut Netlist, op: MacroOp, x: &Bus, y: &Bus) {
 
 /// Mean energy per cycle of `nl` over [`ROUNDS`] cycles, each forcing
 /// fresh random values onto `operands` (drawn in operand order). The
-/// rounds run as one [`Simulator::run_block`], so the windowed kernel
-/// evaluates them in one lane window.
+/// rounds run as one [`Simulator::run_block`], so the windowed kernel,
+/// which the flop-free templates select, evaluates them in one lane
+/// window.
 fn mean_energy(
     nl: Netlist,
     operands: &[Bus],
@@ -153,12 +161,10 @@ fn mean_energy(
     power: &PowerConfig,
     rng: &mut dyn FnMut() -> u64,
 ) -> f64 {
-    // The op netlists are built from fixed templates; if one ever fails
-    // validation, characterize the op as free rather than panic (the
-    // parameter file stays usable).
-    let Ok(mut sim) = Simulator::with_shared(Arc::new(nl), power.clone()) else {
-        return 0.0;
-    };
+    // The structural kernel never fails on a valid netlist, and the
+    // templates are fixed.
+    let mut sim = Simulator::standalone(Arc::new(nl), power, None)
+        .unwrap_or_else(|e| panic!("malformed characterization template: {e}"));
     let mask = bus::mask_to_width(-1, w);
     let rounds: Vec<Vec<(NetId, bool)>> = (0..ROUNDS)
         .map(|_| {
@@ -224,6 +230,9 @@ mod tests {
 
     #[test]
     fn batched_rounds_match_stepped_rounds_under_every_kernel() {
+        // The batched flow runs the structural kernels (the windowed one
+        // on the flop-free templates, event-driven on the registers);
+        // the stepped reference runs each scalar kernel on every template.
         for (width, power) in [
             (8, PowerConfig::date2000_defaults()),
             (16, PowerConfig::date2000_defaults()),
@@ -232,7 +241,7 @@ mod tests {
         ] {
             let batched = bits(&characterize(width, &power));
             assert_eq!(batched.len(), ALL_MACRO_OPS.len());
-            for kernel in [SimKernel::EventDriven, SimKernel::Oblivious, SimKernel::Simd] {
+            for kernel in [SimKernel::EventDriven, SimKernel::Oblivious] {
                 assert_eq!(
                     bits(&stepped(width, &power, kernel)),
                     batched,

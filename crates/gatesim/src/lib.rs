@@ -15,7 +15,8 @@
 //!   comparators, registers);
 //! * [`Simulator`] — deterministic cycle-based logic simulation with
 //!   energy capture (three bit-identical kernels: event-driven,
-//!   oblivious, and simd — see [`SimKernel`]);
+//!   oblivious, and simd, which runs only netlists without flops — see
+//!   [`SimKernel`]);
 //! * [`word`] — the lockstep multi-stream [`MultiLaneSim`] (64-lane
 //!   [`LaneSim`] instance);
 //! * [`simd`] — lane words ([`LaneWord`], [`Wide`]) from 64 to
@@ -47,7 +48,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 pub mod analysis;
 pub mod blif;
@@ -64,7 +64,7 @@ pub mod word;
 pub use characterize::macro_op_energies;
 pub use netlist::{Gate, GateKind, NetId, Netlist, ValidateNetlistError};
 pub use power::{CapacitanceMap, EnergyReport, PowerConfig};
-pub use sim::{ParseKernelError, SimKernel, Simulator, WindowRun};
+pub use sim::{ParseKernelError, SimKernel, Simulator};
 pub use simd::{LaneWord, SimdLaneSim, Wide, W128, W256, W512};
 pub use word::{LaneSim, MultiLaneSim};
 pub use synth::{

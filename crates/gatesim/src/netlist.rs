@@ -109,7 +109,8 @@ pub struct Gate {
     pub inputs: Vec<NetId>,
 }
 
-/// Errors detected by [`Netlist::validate`].
+/// Errors detected by [`Netlist::validate`], and by simulator
+/// construction over a netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValidateNetlistError {
     /// A gate references a net that does not exist.
@@ -134,6 +135,12 @@ pub enum ValidateNetlistError {
     /// The `GATESIM_KERNEL` environment override named an unknown
     /// kernel, so a simulator honoring it cannot be constructed.
     Kernel(ParseKernelError),
+    /// The windowed kernel ([`crate::SimKernel::Simd`]) was forced onto
+    /// a netlist with flops; it runs only netlists without any.
+    WindowedWithFlops {
+        /// DFFs in the netlist.
+        dffs: usize,
+    },
 }
 
 impl From<ParseKernelError> for ValidateNetlistError {
@@ -155,6 +162,11 @@ impl fmt::Display for ValidateNetlistError {
                 write!(f, "combinational cycle through gate {g}")
             }
             ValidateNetlistError::Kernel(e) => e.fmt(f),
+            ValidateNetlistError::WindowedWithFlops { dffs } => write!(
+                f,
+                "the windowed (simd) gate kernel runs only netlists without \
+                 flops, and this one has {dffs}"
+            ),
         }
     }
 }

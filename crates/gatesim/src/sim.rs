@@ -13,21 +13,24 @@
 //!   every combinational gate is re-evaluated every cycle in
 //!   topological order and toggles are found by a full before/after
 //!   diff, the way the modified SIS power estimator of the paper works.
-//! * **Simd** ([`SimKernel::Simd`]): the windowed engine — up to 256
-//!   consecutive cycles are evaluated per gate visit by packing each
-//!   net's value over the window into one [`crate::simd::W256`] *lane
-//!   word* (lane *j* = cycle *j*) and evaluating AND/OR/XOR/NOT/MUX as
-//!   single word ops. Sequential state bounds the batch: a window is
-//!   *speculative* under the assumption that no DFF output changes
-//!   inside it, and only the prefix up to (and including) the first
-//!   cycle whose clock edge would change a flop is *committed*; the
-//!   remainder is replayed in a fresh window from the new register
-//!   state. Energy falls out of per-net toggle words
-//!   ([`crate::simd::toggle_word_w`]) popcounted over the committed
-//!   prefix, and stale lanes are invalidated lazily by epoch stamps.
-//!   The default build carries the wide word as `[u64; 4]` and lets
-//!   LLVM vectorize; the `portable-simd` feature routes the ops through
-//!   `std::simd`.
+//! * **Simd** ([`SimKernel::Simd`]): the windowed engine, for netlists
+//!   without flops only — up to 256 consecutive cycles are evaluated per
+//!   gate visit by packing each net's value over the window into one
+//!   [`crate::simd::W256`] *lane word* (lane *j* = cycle *j*) and
+//!   evaluating AND/OR/XOR/NOT/MUX as single word ops. With no
+//!   sequential state nothing inside a window can change a later cycle,
+//!   so every window commits whole. Energy falls out of per-net toggle
+//!   words ([`crate::simd::toggle_word_w`]) popcounted over the window,
+//!   and stale lanes are invalidated lazily by epoch stamps. The wide
+//!   word is a `[u64; 4]` whose elementwise ops LLVM vectorizes.
+//!
+//! A simulator takes its kernel from the netlist: the windowed kernel
+//! when it has no flops, the event-driven one otherwise. On a single
+//! sequential stream some flop changes within a few cycles, so lane
+//! packing would not pay there. Forcing the windowed kernel onto a
+//! netlist with flops, through [`Simulator::with_kernel`] or the
+//! `GATESIM_KERNEL` hatch, is a
+//! [`ValidateNetlistError::WindowedWithFlops`].
 //!
 //! Equivalence is contractual, not approximate: every kernel
 //! accumulates switch energy over the toggled nets in ascending net-id
@@ -69,9 +72,8 @@ pub enum SimKernel {
     /// Re-evaluate every combinational gate every cycle (reference path).
     Oblivious,
     /// Evaluate up to 256 cycles per gate visit as one wide
-    /// ([`crate::simd::W256`]) word op, speculating across DFF
-    /// boundaries and committing the bit-exact prefix (see the module
-    /// docs).
+    /// ([`crate::simd::W256`]) word op. Netlists without flops only
+    /// (see the module docs).
     Simd,
 }
 
@@ -138,7 +140,7 @@ impl SimKernel {
     /// Returns [`ParseKernelError`] if `GATESIM_KERNEL` is set to
     /// anything other than a known kernel name — a typo'd kernel must
     /// fail loudly, not silently fall back.
-    pub fn env_override() -> Result<Option<Self>, ParseKernelError> {
+    pub(crate) fn env_override() -> Result<Option<Self>, ParseKernelError> {
         match std::env::var_os("GATESIM_KERNEL") {
             Some(v) if !v.is_empty() => {
                 let s = v.to_str().ok_or_else(|| ParseKernelError {
@@ -150,84 +152,24 @@ impl SimKernel {
         }
     }
 
-    /// The kernel selected by the environment alone: the override, or
-    /// the event-driven default.
+    /// The kernel for a netlist with `dffs` flops: `forced` if given,
+    /// else the windowed kernel without flops and the event-driven one
+    /// with any (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`ParseKernelError`] if `GATESIM_KERNEL` names an
-    /// unknown kernel (see [`SimKernel::env_override`]).
-    pub fn from_env() -> Result<Self, ParseKernelError> {
-        Ok(SimKernel::env_override()?.unwrap_or(SimKernel::EventDriven))
-    }
-
-    /// Picks the kernel for one netlist: the environment override wins;
-    /// otherwise the structural rule of [`SimKernel::choose`] decides.
-    /// Safe at any answer — the kernels are contractually bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseKernelError`] if `GATESIM_KERNEL` names an
-    /// unknown kernel (see [`SimKernel::env_override`]).
-    pub fn auto_select(netlist: &Netlist) -> Result<Self, ParseKernelError> {
-        Ok(SimKernel::choose(SimKernel::env_override()?, netlist))
-    }
-
-    /// The pure (environment-free) selection rule behind
-    /// [`SimKernel::auto_select`]: a forced kernel always wins;
-    /// otherwise the DFF count decides.
-    ///
-    /// * No sequential state at all: every speculative window commits
-    ///   its full width, so take [`SimKernel::Simd`] (256 cycles per
-    ///   gate visit).
-    /// * Any flop: a window ends at the first cycle whose clock edge
-    ///   changes a flop, which on a single sequential stream comes
-    ///   within a few cycles and forfeits the lane packing's advantage —
-    ///   stay [`SimKernel::EventDriven`].
-    pub fn choose(forced: Option<SimKernel>, netlist: &Netlist) -> Self {
-        forced.unwrap_or_else(|| SimKernel::for_structure(netlist.dff_count()))
-    }
-
-    /// The unforced branch of [`SimKernel::choose`].
-    fn for_structure(dff_count: usize) -> Self {
-        if dff_count == 0 {
-            SimKernel::Simd
-        } else {
-            SimKernel::EventDriven
+    /// Returns [`ValidateNetlistError::WindowedWithFlops`] if `forced`
+    /// is the windowed kernel and `dffs` is not zero.
+    fn select(forced: Option<SimKernel>, dffs: usize) -> Result<Self, ValidateNetlistError> {
+        match forced {
+            Some(SimKernel::Simd) if dffs > 0 => {
+                Err(ValidateNetlistError::WindowedWithFlops { dffs })
+            }
+            Some(kernel) => Ok(kernel),
+            None if dffs == 0 => Ok(SimKernel::Simd),
+            None => Ok(SimKernel::EventDriven),
         }
     }
-
-    /// Whether this kernel batches cycles into speculative lane-word
-    /// windows ([`SimKernel::Simd`]) — the kernel
-    /// [`Simulator::run_window`] and [`Simulator::window_value`] work
-    /// under.
-    pub const fn is_windowed(self) -> bool {
-        matches!(self, SimKernel::Simd)
-    }
-
-    /// Maximum cycles one speculative window can commit under this
-    /// kernel: 256 for simd, and 1 for the scalar kernels (which
-    /// evaluate cycle by cycle).
-    pub const fn window_bits(self) -> u32 {
-        match self {
-            SimKernel::Simd => WindowWord::BITS,
-            SimKernel::EventDriven | SimKernel::Oblivious => 1,
-        }
-    }
-}
-
-/// The outcome of one speculative window under a windowed kernel
-/// ([`SimKernel::is_windowed`]; see [`Simulator::run_window`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowRun {
-    /// Cycles actually committed (at least 1, at most the kernel's
-    /// [`SimKernel::window_bits`], never more than requested).
-    pub committed: u64,
-    /// Whether the window ended because a stop net was asserted — the
-    /// stop cycle itself is the last committed cycle.
-    pub stopped: bool,
-    /// Energy over the committed cycles, in joules.
-    pub energy_j: f64,
 }
 
 /// Everything simulator construction derives from the netlist alone —
@@ -397,27 +339,21 @@ pub struct Simulator {
     /// Current window stamp (starts at 0 = nothing valid; bumped at
     /// each window start).
     epoch: u64,
-    /// Gates whose fan-in changed at the last committed clock edge;
-    /// they must re-evaluate at the next window's settle.
-    word_pending: Vec<u32>,
     /// Scratch: nets whose lane differs from their committed value
     /// somewhere in the current window (ascending after sort).
     active: Vec<u32>,
-    /// Scratch: per-`active`-net toggle words over the committed
-    /// prefix, flat at stride `WINDOW_WORDS`.
+    /// Scratch: per-`active`-net toggle words over the window, flat at
+    /// stride `WINDOW_WORDS`.
     active_toggle: Vec<u64>,
-    /// Cycles committed by the most recent window (bounds
-    /// [`Simulator::window_value`]).
-    window_len: u64,
     /// Committed `(gate, cycle)` evaluation slots (see
     /// [`Simulator::gate_eval_slots`]).
     gate_eval_slots: u64,
 }
 
 impl Simulator {
-    /// Builds a simulator, validating the netlist. The kernel is
-    /// auto-selected per netlist ([`SimKernel::auto_select`]); the
-    /// `GATESIM_KERNEL` environment hatch keeps precedence.
+    /// Builds a simulator, validating the netlist. The kernel is chosen
+    /// per netlist (see the module docs); the `GATESIM_KERNEL`
+    /// environment hatch keeps precedence.
     ///
     /// All nets start at their reset values (DFF init values, inputs low,
     /// combinational logic settled accordingly).
@@ -425,22 +361,23 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns the netlist's [`ValidateNetlistError`] if it is
-    /// malformed, or its [`ValidateNetlistError::Kernel`] variant if
-    /// `GATESIM_KERNEL` names an unknown kernel.
+    /// malformed, its [`ValidateNetlistError::Kernel`] variant if
+    /// `GATESIM_KERNEL` names an unknown kernel, or its
+    /// [`ValidateNetlistError::WindowedWithFlops`] variant if
+    /// `GATESIM_KERNEL` forces the windowed kernel onto a netlist with
+    /// flops.
     pub fn new(netlist: &Netlist, config: PowerConfig) -> Result<Self, ValidateNetlistError> {
         Self::with_shared(Arc::new(netlist.clone()), config)
     }
 
     /// Builds a simulator over an already-shared netlist without cloning
-    /// it, with the kernel auto-selected per netlist
-    /// ([`SimKernel::auto_select`]). This is what design-space sweeps
-    /// use: every exploration point holds the same `Arc<Netlist>`.
+    /// it, choosing the kernel as [`Simulator::new`] does. This is what
+    /// design-space sweeps use: every exploration point holds the same
+    /// `Arc<Netlist>`.
     ///
     /// # Errors
     ///
-    /// Returns the netlist's [`ValidateNetlistError`] if it is
-    /// malformed, or its [`ValidateNetlistError::Kernel`] variant if
-    /// `GATESIM_KERNEL` names an unknown kernel.
+    /// As [`Simulator::new`].
     pub fn with_shared(
         netlist: Arc<Netlist>,
         config: PowerConfig,
@@ -454,7 +391,10 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the netlist's [`ValidateNetlistError`] if it is malformed.
+    /// Returns the netlist's [`ValidateNetlistError`] if it is
+    /// malformed, or its [`ValidateNetlistError::WindowedWithFlops`]
+    /// variant if `kernel` is [`SimKernel::Simd`] and the netlist has
+    /// flops.
     pub fn with_kernel(
         netlist: Arc<Netlist>,
         config: PowerConfig,
@@ -463,30 +403,36 @@ impl Simulator {
         Self::standalone(netlist, &config, Some(kernel))
     }
 
-    /// An instance with a plan and an energy table of its own.
-    fn standalone(
+    /// An instance with a plan and an energy table of its own, running
+    /// the `forced` kernel or else the netlist's structural one.
+    pub(crate) fn standalone(
         netlist: Arc<Netlist>,
         config: &PowerConfig,
         forced: Option<SimKernel>,
     ) -> Result<Self, ValidateNetlistError> {
         let plan = SimPlan::new(netlist)?;
         let energies = NetEnergies::new(&plan.netlist, config);
-        Ok(Self::from_plan(Arc::new(plan), Arc::new(energies), forced))
+        Self::from_plan(Arc::new(plan), Arc::new(energies), forced)
     }
 
     /// Builds an instance over a shared plan and energy table — the one
     /// construction path behind every public constructor, and all a
     /// synthesis-memo hit pays: per-instance vectors (values copied from
     /// the plan's reset state). `forced` is the kernel to run, or `None`
-    /// for [`SimKernel::choose`]'s structural rule over the plan's
-    /// cached facts.
+    /// for the structural rule over the plan's DFF count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ValidateNetlistError::WindowedWithFlops`] if `forced`
+    /// is the windowed kernel and the plan has flops.
     pub(crate) fn from_plan(
         plan: Arc<SimPlan>,
         energies: Arc<NetEnergies>,
         forced: Option<SimKernel>,
-    ) -> Self {
+    ) -> Result<Self, ValidateNetlistError> {
         debug_assert_eq!(energies.switch_j.len(), plan.netlist.gate_count());
-        let kernel = forced.unwrap_or_else(|| SimKernel::for_structure(plan.dffs.len()));
+        let kernel = SimKernel::select(forced, plan.dffs.len())?;
+        let windowed = kernel == SimKernel::Simd;
         let n = plan.netlist.gate_count();
         let mut sim = Simulator {
             energies,
@@ -503,21 +449,15 @@ impl Simulator {
             pending_edge: Vec::new(),
             toggled: Vec::new(),
             edge_sample: Vec::new(),
-            lanes: if kernel.is_windowed() {
+            lanes: if windowed {
                 vec![0; n * WINDOW_WORDS]
             } else {
                 Vec::new()
             },
-            lane_epoch: if kernel.is_windowed() {
-                vec![0; n]
-            } else {
-                Vec::new()
-            },
+            lane_epoch: if windowed { vec![0; n] } else { Vec::new() },
             epoch: 0,
-            word_pending: Vec::new(),
             active: Vec::new(),
             active_toggle: Vec::new(),
-            window_len: 0,
             gate_eval_slots: 0,
             plan,
         };
@@ -534,7 +474,7 @@ impl Simulator {
                 );
             }
         }
-        sim
+        Ok(sim)
     }
 
     /// The shared netlist this simulator evaluates.
@@ -739,10 +679,7 @@ impl Simulator {
         match self.kernel {
             SimKernel::EventDriven => self.step_event(),
             SimKernel::Oblivious => self.step_oblivious(),
-            SimKernel::Simd => {
-                self.word_window(1, &[], &[]);
-                self.report.per_cycle_j[self.report.per_cycle_j.len() - 1]
-            }
+            SimKernel::Simd => self.run(1),
         }
     }
 
@@ -751,8 +688,7 @@ impl Simulator {
     /// calls, folded cycle by cycle from −0.0 as `Iterator::sum` folds.
     ///
     /// * The windowed kernel batches the cycles into windows of up to
-    ///   [`SimKernel::window_bits`] cycles and re-folds the energy from
-    ///   the report.
+    ///   256 cycles and re-folds the energy from the report.
     /// * The event-driven kernel steps until a cycle ends with no flop
     ///   changed at its edge, then fast-forwards the rest. That is exact:
     ///   after a stepped cycle the dirty queue is drained and every
@@ -770,8 +706,7 @@ impl Simulator {
                 let start = self.report.per_cycle_j.len();
                 let mut left = n;
                 while left > 0 {
-                    let (m, _) = self.word_window(left, &[], &[]);
-                    left -= m;
+                    left -= self.word_window(left, &[]);
                 }
                 self.report.per_cycle_j[start..].iter().sum()
             }
@@ -827,21 +762,17 @@ impl Simulator {
         }
     }
 
-    /// [`Simulator::run_block`] under the windowed kernel.
+    /// [`Simulator::run_block`] under the windowed kernel: one window
+    /// per 256 cycles.
     fn run_block_windowed(&mut self, changes: &[Vec<(NetId, bool)>]) -> f64 {
-        let bits = WindowWord::BITS;
         let start = self.report.per_cycle_j.len();
-        let mut pos = 0usize;
-        while pos < changes.len() {
-            let chunk = (changes.len() - pos).min(bits as usize);
-            // Pack each changed input's schedule into a lane word:
-            // start from the currently forced value, overwrite from
-            // each change's offset onward (carry-forward to the top
-            // lane so partial commits can shift the tail into a replay
-            // window).
+        for chunk in changes.chunks(WindowWord::BITS as usize) {
+            // Pack each changed input's schedule into a lane word: start
+            // from the currently forced value, overwrite from each
+            // change's offset onward (carry-forward to the top lane).
             let mut sched: Vec<(u32, WindowWord)> = Vec::new();
             let mut slot_of: HashMap<u32, usize> = HashMap::new();
-            for (off, cyc) in changes[pos..pos + chunk].iter().enumerate() {
+            for (off, cyc) in chunk.iter().enumerate() {
                 for &(net, v) in cyc {
                     assert_eq!(
                         self.plan.netlist.gates()[net.0 as usize].kind,
@@ -859,96 +790,13 @@ impl Simulator {
                         .or(WindowWord::splat(v).and(keep.not()));
                 }
             }
-            // Speculate / commit / replay until the chunk is consumed.
-            let mut live = sched.clone();
-            let mut left = chunk as u64;
-            while left > 0 {
-                let (m, _) = self.word_window(left, &live, &[]);
-                left -= m;
-                if left > 0 {
-                    for w in &mut live {
-                        w.1 = w.1.shr_fill(m as u32, w.1.bit(bits - 1));
-                    }
-                }
-            }
-            // The last scheduled slot is the forced value going forward.
+            self.word_window(chunk.len() as u64, &sched);
+            // The top lane is the forced value going forward.
             for &(i, w) in &sched {
-                self.inputs[i as usize] = w.bit(bits - 1);
+                self.inputs[i as usize] = w.bit(WindowWord::BITS - 1);
             }
-            pos += chunk;
         }
         self.report.per_cycle_j[start..].iter().sum()
-    }
-
-    /// Runs one speculative window of at most `max_cycles` cycles
-    /// (capped at the kernel's [`SimKernel::window_bits`]) with held
-    /// inputs, additionally stopping at the first cycle where any
-    /// `stop` net is asserted — the seam data-dependent input sequences
-    /// (and wider lanes or GPU offload) drive the kernel through. The
-    /// stop cycle itself is committed; per-cycle values over the
-    /// committed prefix are readable through
-    /// [`Simulator::window_value`] until the next window starts.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the kernel is windowed
-    /// ([`SimKernel::is_windowed`]) and `max_cycles >= 1`.
-    pub fn run_window(&mut self, max_cycles: u64, stop: &[NetId]) -> WindowRun {
-        assert!(
-            self.kernel.is_windowed(),
-            "run_window requires the windowed (simd) kernel"
-        );
-        assert!(max_cycles >= 1, "a window is at least one cycle");
-        let start = self.report.per_cycle_j.len();
-        let (committed, stopped) = self.word_window(max_cycles, &[], stop);
-        WindowRun {
-            committed,
-            stopped,
-            energy_j: self.report.per_cycle_j[start..].iter().sum(),
-        }
-    }
-
-    /// A non-sequential net's value at cycle `cycle_in_window` of the
-    /// most recent window (windowed kernel only; valid until the next
-    /// window starts).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the kernel is windowed
-    /// ([`SimKernel::is_windowed`]), the cycle is within the last
-    /// committed window, and the net is combinational, constant, or an
-    /// input (DFF outputs change *at* the committing edge, so their
-    /// per-cycle history is not representable as one lane word; read
-    /// them via [`Simulator::value`] after the window instead).
-    pub fn window_value(&self, net: NetId, cycle_in_window: u64) -> bool {
-        assert!(
-            self.kernel.is_windowed(),
-            "window_value requires the windowed (simd) kernel"
-        );
-        assert!(
-            cycle_in_window < self.window_len,
-            "cycle {cycle_in_window} beyond the committed window ({} cycles)",
-            self.window_len
-        );
-        let i = net.0 as usize;
-        assert!(
-            !self.plan.netlist.gates()[i].kind.is_sequential(),
-            "{net} is a DFF output; window lanes only cover combinational nets"
-        );
-        if self.lane_epoch[i] == self.epoch {
-            let w = self.lanes[i * WINDOW_WORDS + (cycle_in_window / 64) as usize];
-            (w >> (cycle_in_window % 64)) & 1 == 1
-        } else {
-            self.values[i]
-        }
-    }
-
-    /// Reads a bus of nets at one cycle of the most recent window (bit
-    /// *i* from `nets[i]`; see [`Simulator::window_value`]).
-    pub fn window_value_bus(&self, nets: &[NetId], cycle_in_window: u64) -> u64 {
-        nets.iter().enumerate().fold(0u64, |acc, (i, &n)| {
-            acc | ((self.window_value(n, cycle_in_window) as u64) << i)
-        })
     }
 
     /// The accumulated cycle-by-cycle energy report.
@@ -1193,42 +1041,22 @@ impl Simulator {
         }
     }
 
-    /// One speculative window: evaluates up to `budget` (≤ the lane
-    /// word's 256 lanes) cycles at once under the assumption that no DFF
-    /// changes inside the window, then commits the longest provably
-    /// exact prefix.
+    /// One window: evaluates `budget` cycles (at most the lane word's
+    /// 256) at once and commits them all, returning how many. The
+    /// netlist has no flops, so no window cycle can change a later one.
     ///
-    /// * Inputs are held at their forced values unless `sched` supplies
-    ///   an explicit per-cycle lane word for them (bit `j` = the value
-    ///   forced before window cycle `j`).
-    /// * The speculation is *self-checking*: DFF outputs are held at
-    ///   their committed values, so the first window cycle `t` whose
-    ///   clock edge would change any flop (`D` lane bit `t` ≠ held `Q`)
-    ///   invalidates cycles `t + 1` onward — cycles `0..=t` are exact
-    ///   because the state change only propagates after the edge. The
-    ///   window commits through `t`, clocks the flops from the `D`
-    ///   lanes at `t`, and the caller re-enters with the remainder (the
-    ///   replay seam).
-    /// * A `stop` net asserted within the exact prefix bounds the
-    ///   commit the same way: its first asserted cycle is the last one
-    ///   committed, and `stopped` is reported so the caller can react
-    ///   (data-dependent input sequencing).
-    ///
-    /// Committed per-cycle energies are pushed onto the report in the
-    /// scalar kernels' exact float accumulation order: clock tree, then
-    /// toggled nets ascending by net id, then (at the edge cycle only)
-    /// DFF outputs ascending by gate order.
-    fn word_window(
-        &mut self,
-        budget: u64,
-        sched: &[(u32, WindowWord)],
-        stop: &[NetId],
-    ) -> (u64, bool) {
+    /// Inputs are held at their forced values unless `sched` supplies
+    /// an explicit per-cycle lane word for them (bit `j` = the value
+    /// forced before window cycle `j`). Per-cycle energies are pushed
+    /// onto the report in the scalar kernels' exact float accumulation
+    /// order: clock tree, then toggled nets ascending by net id.
+    fn word_window(&mut self, budget: u64, sched: &[(u32, WindowWord)]) -> u64 {
+        debug_assert!(self.plan.dffs.is_empty(), "windowed kernel on flops");
         // Slices and iterators over the plan, as in `step_event`.
         let plan = &*self.plan;
         let (fanout, levels) = (&plan.comb_fanout[..], &plan.levels[..]);
-        let b = budget.min(u64::from(WindowWord::BITS)) as u32;
-        let mask = WindowWord::low_mask(b);
+        let m = budget.min(u64::from(WindowWord::BITS)) as u32;
+        let mask = WindowWord::low_mask(m);
         self.epoch += 1;
         self.active.clear();
         // Scheduled inputs: an explicit per-cycle lane overrides the
@@ -1260,16 +1088,9 @@ impl Simulator {
                 }
             }
         }
-        // Gates invalidated by the previous window's clock edge (or the
-        // construction-time constant-quirk seeds already queued).
-        let pending = std::mem::take(&mut self.word_pending);
-        for &g in &pending {
-            Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
-        }
-        self.word_pending = pending;
-        self.word_pending.clear();
 
-        // Levelized word settle: each dirty gate is evaluated exactly
+        // Levelized word settle: each dirty gate (including the
+        // construction-time constant-quirk seeds) is evaluated exactly
         // once, as one word op covering every cycle of the window.
         let mut window_evals = 0u64;
         for lvl in 1..=plan.max_level as usize {
@@ -1291,53 +1112,16 @@ impl Simulator {
             bucket.clear();
             self.level_queue[lvl] = bucket;
         }
+        self.gate_eval_slots += window_evals * u64::from(m);
 
-        // Longest exact prefix: the speculation (flops hold) is valid
-        // through the first cycle whose edge would change a flop.
-        let mut m = b;
-        for &(q, d) in &plan.dffs {
-            let viol = self
-                .lane_of(d as usize)
-                .xor(WindowWord::splat(self.values[q as usize]))
-                .and(mask);
-            if !viol.is_zero() {
-                let t = viol.trailing_zeros() + 1;
-                if t < m {
-                    m = t;
-                }
-            }
-        }
-        // A stop net asserted within the exact prefix ends the window
-        // at its first asserted cycle.
-        let mut stopped = false;
-        for &s in stop {
-            let sl = self.lane_of(s.0 as usize).and(mask);
-            if !sl.is_zero() {
-                let t = sl.trailing_zeros() + 1;
-                if t <= m {
-                    m = t;
-                    stopped = true;
-                }
-            }
-        }
-        self.gate_eval_slots += window_evals * m as u64;
-
-        // Commit: toggle words over the committed prefix, then the
-        // per-cycle energy fold in the scalar kernels' order.
-        let cmask = WindowWord::low_mask(m);
+        // Commit: toggle words over the window, then the per-cycle
+        // energy fold in the scalar kernels' order.
         self.active.sort_unstable();
         self.active_toggle.clear();
         for k in 0..self.active.len() {
             let i = self.active[k] as usize;
-            let t = toggle_word_w(lane_get(&self.lanes, i), self.values[i]).and(cmask);
+            let t = toggle_word_w(lane_get(&self.lanes, i), self.values[i]).and(mask);
             self.active_toggle.extend_from_slice(&t.0);
-        }
-        // Sample every D at the edge cycle before any state is written
-        // (DFF-to-DFF chains shift simultaneously).
-        self.edge_sample.clear();
-        for &(_, d) in &plan.dffs {
-            self.edge_sample
-                .push(self.lane_of(d as usize).bit(m - 1));
         }
         let (switch_j, clock) = (&self.energies.switch_j[..], self.energies.clock_j);
         for j in 0..m {
@@ -1348,18 +1132,10 @@ impl Simulator {
                     energy += switch_j[self.active[k] as usize];
                 }
             }
-            if j + 1 == m {
-                for (k, &(q, _)) in plan.dffs.iter().enumerate() {
-                    if self.edge_sample[k] != self.values[q as usize] {
-                        energy += switch_j[q as usize];
-                    }
-                }
-            }
             self.report.per_cycle_j.push(energy);
         }
-        // Commit state and counters: active nets take their edge-cycle
-        // values, flops clock, and changed flop fanouts re-settle at
-        // the next window.
+        // Commit state and counters: active nets take their values at
+        // the window's last cycle.
         for k in 0..self.active.len() {
             let i = self.active[k] as usize;
             let pc: u64 = self.active_toggle[k * WINDOW_WORDS..(k + 1) * WINDOW_WORDS]
@@ -1370,19 +1146,8 @@ impl Simulator {
             self.gate_events += pc;
             self.values[i] = lane_get(&self.lanes, i).bit(m - 1);
         }
-        for (k, &(q, _)) in plan.dffs.iter().enumerate() {
-            let q = q as usize;
-            let v = self.edge_sample[k];
-            if self.values[q] != v {
-                self.toggles[q] += 1;
-                self.gate_events += 1;
-                self.values[q] = v;
-                self.word_pending.extend_from_slice(&fanout[q]);
-            }
-        }
-        self.cycle += m as u64;
-        self.window_len = m as u64;
-        (m as u64, stopped)
+        self.cycle += u64::from(m);
+        u64::from(m)
     }
 }
 
@@ -1689,41 +1454,20 @@ mod tests {
             (trace, toggles, sim.report().total_j().to_bits())
         };
         assert_eq!(run(SimKernel::EventDriven), run(SimKernel::Oblivious));
-        assert_eq!(run(SimKernel::Simd), run(SimKernel::Oblivious));
-    }
-
-    #[test]
-    fn windowed_kernel_batches_held_runs_bitwise() {
-        // A shift chain with a self-toggling head: every cycle changes
-        // flop state, so every window commits exactly one cycle — the
-        // worst case for speculation must still be bit-exact.
-        let mut n = Netlist::new();
-        let inv = n.gate(GateKind::Not, vec![NetId(1)]);
-        let mut q = n.dff(inv, false);
-        for _ in 0..5 {
-            q = n.dff(q, false);
-        }
-        n.mark_output("q", q);
-        let shared = Arc::new(n);
-        let run = |kernel| {
-            let mut sim =
-                Simulator::with_kernel(Arc::clone(&shared), cfg(), kernel).expect("valid");
-            let e = sim.run(130); // not a multiple of the window width
-            let report: Vec<u64> = sim.report().per_cycle_j.iter().map(|x| x.to_bits()).collect();
-            (e.to_bits(), report, sim.gate_events())
-        };
-        assert_eq!(run(SimKernel::Simd), run(SimKernel::Oblivious));
     }
 
     #[test]
     fn run_block_matches_per_cycle_stepping_across_kernels() {
+        // Flop-free, so all three kernels run it; 130 cycles cross the
+        // 64-lane seams inside one 256-cycle window.
         let mut n = Netlist::new();
         let a = n.input();
         let b = n.input();
+        let one = n.constant(true);
         let x = n.gate(GateKind::Xor, vec![a, b]);
-        let q = n.dff(x, false);
-        let y = n.gate(GateKind::And, vec![q, a]);
-        n.mark_output("y", y);
+        let y = n.gate(GateKind::And, vec![x, one]);
+        let z = n.gate(GateKind::Or, vec![y, a]);
+        n.mark_output("z", z);
         let shared = Arc::new(n);
         let changes: Vec<Vec<(NetId, bool)>> = (0..130u64)
             .map(|i| {
@@ -1750,100 +1494,6 @@ mod tests {
         let simd = drive(SimKernel::Simd);
         assert_eq!(simd, drive(SimKernel::Oblivious));
         assert_eq!(simd, drive(SimKernel::EventDriven));
-    }
-
-    #[test]
-    fn run_window_stops_at_the_first_asserted_stop_net() {
-        // A 3-bit counter's AND-of-bits goes high at cycle 6 (count 7
-        // visible during cycle 7? — pinned below against scalar truth).
-        let mut n = Netlist::new();
-        let inv = n.gate(GateKind::Not, vec![NetId(1)]);
-        let q0 = n.dff(inv, false);
-        let x1 = n.gate(GateKind::Xor, vec![q0, NetId(3)]);
-        // forward reference: q1 is gate 3
-        let q1 = n.dff(x1, false);
-        let stop = n.gate(GateKind::And, vec![q0, q1]);
-        n.mark_output("stop", stop);
-        let shared = Arc::new(n);
-        // Scalar truth: first cycle where `stop` settles high.
-        let mut scalar = Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::EventDriven)
-            .expect("valid");
-        let mut first_high = 0u64;
-        for c in 1..=64u64 {
-            scalar.step();
-            if scalar.value(stop) {
-                first_high = c;
-                break;
-            }
-        }
-        assert!(first_high > 1, "stop must not fire immediately");
-        let mut sim =
-            Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::Simd).expect("valid");
-        let mut committed = 0u64;
-        let win = loop {
-            let w = sim.run_window(SimKernel::Simd.window_bits() as u64, &[stop]);
-            committed += w.committed;
-            if w.stopped {
-                break w;
-            }
-        };
-        assert!(win.stopped);
-        assert_eq!(committed, first_high, "stop cycle is the last committed");
-        // The stop net reads high at the stop cycle through the window
-        // lane, and the committed prefix is replayable history.
-        assert!(sim.window_value(stop, win.committed - 1));
-        assert_eq!(sim.cycle(), first_high);
-    }
-
-    #[test]
-    fn window_value_exposes_percycle_history() {
-        let mut n = Netlist::new();
-        let a = n.input();
-        let x = n.gate(GateKind::Not, vec![a]);
-        n.mark_output("x", x);
-        let mut sim =
-            Simulator::with_kernel(Arc::new(n), cfg(), SimKernel::Simd).expect("valid");
-        // Schedule a mid-block flip via run_block, then read history.
-        let mut changes = vec![Vec::new(); 10];
-        changes[4].push((a, true));
-        sim.run_block(&changes);
-        // run_block's last window covered all 10 cycles (no flops).
-        for j in 0..10u64 {
-            assert_eq!(sim.window_value(a, j), j >= 4);
-            assert_eq!(sim.window_value(x, j), j < 4);
-        }
-    }
-
-    #[test]
-    fn kernel_choice_scales_with_state_structure() {
-        // Purely combinational: full-width speculative windows always
-        // commit, so the windowed (simd) kernel wins.
-        let mut comb = Netlist::new();
-        let a = comb.input();
-        let x = comb.gate(GateKind::Not, vec![a]);
-        comb.mark_output("x", x);
-        assert_eq!(SimKernel::choose(None, &comb), SimKernel::Simd);
-        // Feed-forward flops (a pipeline): every input change bounds
-        // windows while it flushes through — event-driven.
-        let mut pipe = Netlist::new();
-        let b = pipe.input();
-        let s1 = pipe.dff(b, false);
-        let s2 = pipe.dff(s1, false);
-        pipe.mark_output("q", s2);
-        assert_eq!(SimKernel::choose(None, &pipe), SimKernel::EventDriven);
-        // Sequential feedback (a toggle flop): every window commits a
-        // single cycle, so speculation never amortizes — event-driven.
-        let mut fb = Netlist::new();
-        let inv = fb.gate(GateKind::Not, vec![NetId(1)]);
-        let q = fb.dff(inv, false);
-        fb.mark_output("q", q);
-        assert_eq!(SimKernel::choose(None, &fb), SimKernel::EventDriven);
-        // A forced kernel always wins over the structural rule.
-        for forced in [SimKernel::EventDriven, SimKernel::Oblivious, SimKernel::Simd] {
-            assert_eq!(SimKernel::choose(Some(forced), &comb), forced);
-            assert_eq!(SimKernel::choose(Some(forced), &pipe), forced);
-            assert_eq!(SimKernel::choose(Some(forced), &fb), forced);
-        }
     }
 
     #[test]

@@ -13,27 +13,20 @@
 //!   activity;
 //! * toggle words (`lane ^ ((lane << 1) | prev)`) count transitions,
 //!   with the shift carrying across the `u64` boundaries of the wide
-//!   word;
-//! * `trailing_zeros` finds the first DFF violation, scanning the
-//!   constituent `u64`s in order.
+//!   word.
 //!
 //! The [`LaneWord`] trait abstracts exactly those operations, with
 //! `u64` itself as the 64-lane instance: the lockstep
 //! [`MultiLaneSim`] is one generic engine at every width, and the
-//! single-stream windowed kernel ([`crate::SimKernel::Simd`]) runs at
-//! [`W256`]. Per-lane energy is still folded in the scalar kernels'
-//! exact float order (clock tree, then toggled nets ascending by net
-//! id, then DFF edges ascending by gate order), so every lane of a wide
-//! run is bit-identical to a scalar run of the same stream.
+//! single-stream windowed kernel ([`crate::SimKernel::Simd`], for
+//! netlists without flops) runs at [`W256`]. Per-lane energy is still
+//! folded in the scalar kernels' exact float order (clock tree, then
+//! toggled nets ascending by net id, then DFF edges ascending by gate
+//! order), so every lane of a wide run is bit-identical to a scalar run
+//! of the same stream.
 //!
-//! # Fallback story
-//!
-//! The default build represents [`Wide<W>`] as a plain `[u64; W]` and
-//! lets LLVM auto-vectorize the elementwise loops — this compiles on
-//! stable toolchains and is what CI tests. The off-by-default
-//! `portable-simd` cargo feature (nightly only) routes the bitwise ops
-//! through `std::simd` explicit vectors instead; both paths compute the
-//! same bits, so the choice is invisible to results.
+//! [`Wide<W>`] is a plain `[u64; W]`; LLVM auto-vectorizes its
+//! elementwise loops on stable toolchains.
 
 use crate::netlist::{NetId, Netlist, ValidateNetlistError};
 use crate::power::{EnergyReport, PowerConfig};
@@ -83,31 +76,22 @@ pub trait LaneWord: Copy + PartialEq + Eq + std::fmt::Debug + Send + Sync + 'sta
     fn is_zero(self) -> bool {
         self == Self::ZERO
     }
-    /// Index of the lowest set lane (`BITS` when none is set).
-    fn trailing_zeros(self) -> u32;
     /// Number of set lanes.
     fn count_ones(self) -> u32;
-    /// Clears the lowest set lane (identity on zero).
-    fn clear_lowest(self) -> Self;
     /// `(self << 1) | carry_in` — the shift a toggle word needs, with
     /// the carry propagating across constituent-`u64` boundaries.
     fn shl1_carry(self, carry_in: bool) -> Self;
-    /// Logical shift right by `m` lanes (`0 <= m < BITS`), filling the
-    /// vacated top lanes with `fill` — how an input schedule is slid
-    /// past a partially committed window.
-    fn shr_fill(self, m: u32, fill: bool) -> Self;
     /// Calls `f(j)` for every set lane `j`, ascending — the per-lane
-    /// demux loop of the multi-lane engines. Wide words override this
-    /// to walk their constituent `u64`s directly, keeping the cost per
-    /// set lane O(1) in the width (a `trailing_zeros`/`clear_lowest`
-    /// loop would rescan the whole word per lane).
+    /// demux loop of the multi-lane engines. It walks the constituent
+    /// `u64`s directly, keeping the cost per set lane O(1) in the width.
     #[inline]
     fn for_each_lane(self, mut f: impl FnMut(u32)) {
-        let mut m = self;
-        while !m.is_zero() {
-            f(m.trailing_zeros());
-            m = m.clear_lowest();
-        }
+        self.for_each_word(|k, mut w| {
+            while w != 0 {
+                f(k as u32 * 64 + w.trailing_zeros());
+                w &= w - 1;
+            }
+        });
     }
     /// Calls `f(k, word)` for each constituent `u64` (`k` ascending, 64
     /// lanes per word), letting per-lane consumers hoist work to word
@@ -159,29 +143,12 @@ impl LaneWord for u64 {
         }
     }
     #[inline]
-    fn trailing_zeros(self) -> u32 {
-        u64::trailing_zeros(self)
-    }
-    #[inline]
     fn count_ones(self) -> u32 {
         u64::count_ones(self)
     }
     #[inline]
-    fn clear_lowest(self) -> Self {
-        self & self.wrapping_sub(1)
-    }
-    #[inline]
     fn shl1_carry(self, carry_in: bool) -> Self {
         (self << 1) | carry_in as u64
-    }
-    #[inline]
-    fn shr_fill(self, m: u32, fill: bool) -> Self {
-        debug_assert!(m < 64);
-        if m == 0 {
-            return self;
-        }
-        let fill_bits = if fill { u64::MAX << (64 - m) } else { 0 };
-        (self >> m) | fill_bits
     }
     #[inline]
     fn for_each_word(self, mut f: impl FnMut(usize, u64)) {
@@ -191,10 +158,7 @@ impl LaneWord for u64 {
 
 /// A wide lane word: `W` consecutive `u64`s treated as one
 /// `64 × W`-bit word — lane `j` is bit `j % 64` of element `j / 64`.
-///
-/// The default representation is a plain array whose elementwise ops
-/// LLVM auto-vectorizes; the `portable-simd` feature swaps the bitwise
-/// ops for `std::simd` vectors (see the module docs).
+/// A plain array, whose elementwise ops LLVM auto-vectorizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Wide<const W: usize>(pub [u64; W]);
 
@@ -221,27 +185,6 @@ fn wide_low_mask<const W: usize>(n: u32) -> [u64; W] {
 }
 
 #[inline]
-fn wide_trailing_zeros<const W: usize>(a: &[u64; W]) -> u32 {
-    for (k, &w) in a.iter().enumerate() {
-        if w != 0 {
-            return k as u32 * 64 + w.trailing_zeros();
-        }
-    }
-    64 * W as u32
-}
-
-#[inline]
-fn wide_clear_lowest<const W: usize>(mut a: [u64; W]) -> [u64; W] {
-    for w in a.iter_mut() {
-        if *w != 0 {
-            *w &= w.wrapping_sub(1);
-            break;
-        }
-    }
-    a
-}
-
-#[inline]
 fn wide_shl1_carry<const W: usize>(a: [u64; W], carry_in: bool) -> [u64; W] {
     let mut out = [0u64; W];
     let mut carry = carry_in as u64;
@@ -252,103 +195,10 @@ fn wide_shl1_carry<const W: usize>(a: [u64; W], carry_in: bool) -> [u64; W] {
     out
 }
 
-#[inline]
-fn wide_shr_fill<const W: usize>(a: [u64; W], m: u32, fill: bool) -> [u64; W] {
-    debug_assert!((m as usize) < 64 * W);
-    let fill_word = if fill { u64::MAX } else { 0 };
-    // Element `i` of the result takes bits from the source extended
-    // with fill words past the top: that reproduces both the shifted
-    // payload and the `fill`-valued vacated lanes in one indexing rule.
-    let ext = |i: usize| -> u64 {
-        if i < W {
-            a[i]
-        } else {
-            fill_word
-        }
-    };
-    let wsh = (m / 64) as usize;
-    let bsh = m % 64;
-    let mut out = [0u64; W];
-    for (k, o) in out.iter_mut().enumerate() {
-        *o = if bsh == 0 {
-            ext(k + wsh)
-        } else {
-            (ext(k + wsh) >> bsh) | (ext(k + wsh + 1) << (64 - bsh))
-        };
-    }
-    out
-}
-
-// The shared (width-agnostic) part of the two `LaneWord` impls below;
-// only the four bitwise ops differ between the fallback and the
-// `std::simd` build.
-macro_rules! wide_common_methods {
-    () => {
-        const BITS: u32 = 64 * W as u32;
-        const ZERO: Self = Wide([0u64; W]);
-        const ONES: Self = Wide([u64::MAX; W]);
-
-        #[inline]
-        fn low_mask(n: u32) -> Self {
-            Wide(wide_low_mask::<W>(n))
-        }
-        #[inline]
-        fn bit(self, j: u32) -> bool {
-            (self.0[(j / 64) as usize] >> (j % 64)) & 1 == 1
-        }
-        #[inline]
-        fn with_bit(mut self, j: u32, v: bool) -> Self {
-            let w = &mut self.0[(j / 64) as usize];
-            if v {
-                *w |= 1u64 << (j % 64);
-            } else {
-                *w &= !(1u64 << (j % 64));
-            }
-            self
-        }
-        #[inline]
-        fn trailing_zeros(self) -> u32 {
-            wide_trailing_zeros(&self.0)
-        }
-        #[inline]
-        fn count_ones(self) -> u32 {
-            self.0.iter().map(|w| w.count_ones()).sum()
-        }
-        #[inline]
-        fn clear_lowest(self) -> Self {
-            Wide(wide_clear_lowest(self.0))
-        }
-        #[inline]
-        fn shl1_carry(self, carry_in: bool) -> Self {
-            Wide(wide_shl1_carry(self.0, carry_in))
-        }
-        #[inline]
-        fn shr_fill(self, m: u32, fill: bool) -> Self {
-            Wide(wide_shr_fill(self.0, m, fill))
-        }
-        #[inline]
-        fn for_each_lane(self, mut f: impl FnMut(u32)) {
-            for (k, &word) in self.0.iter().enumerate() {
-                let base = k as u32 * 64;
-                let mut w = word;
-                while w != 0 {
-                    f(base + w.trailing_zeros());
-                    w &= w.wrapping_sub(1);
-                }
-            }
-        }
-        #[inline]
-        fn for_each_word(self, mut f: impl FnMut(usize, u64)) {
-            for (k, &word) in self.0.iter().enumerate() {
-                f(k, word);
-            }
-        }
-    };
-}
-
-#[cfg(not(feature = "portable-simd"))]
 impl<const W: usize> LaneWord for Wide<W> {
-    wide_common_methods!();
+    const BITS: u32 = 64 * W as u32;
+    const ZERO: Self = Wide([0u64; W]);
+    const ONES: Self = Wide([u64::MAX; W]);
 
     #[inline]
     fn and(mut self, other: Self) -> Self {
@@ -378,34 +228,37 @@ impl<const W: usize> LaneWord for Wide<W> {
         }
         self
     }
-}
-
-#[cfg(feature = "portable-simd")]
-impl<const W: usize> LaneWord for Wide<W>
-where
-    std::simd::LaneCount<W>: std::simd::SupportedLaneCount,
-{
-    wide_common_methods!();
-
     #[inline]
-    fn and(self, other: Self) -> Self {
-        use std::simd::Simd;
-        Wide((Simd::from_array(self.0) & Simd::from_array(other.0)).to_array())
+    fn low_mask(n: u32) -> Self {
+        Wide(wide_low_mask::<W>(n))
     }
     #[inline]
-    fn or(self, other: Self) -> Self {
-        use std::simd::Simd;
-        Wide((Simd::from_array(self.0) | Simd::from_array(other.0)).to_array())
+    fn bit(self, j: u32) -> bool {
+        (self.0[(j / 64) as usize] >> (j % 64)) & 1 == 1
     }
     #[inline]
-    fn xor(self, other: Self) -> Self {
-        use std::simd::Simd;
-        Wide((Simd::from_array(self.0) ^ Simd::from_array(other.0)).to_array())
+    fn with_bit(mut self, j: u32, v: bool) -> Self {
+        let w = &mut self.0[(j / 64) as usize];
+        if v {
+            *w |= 1u64 << (j % 64);
+        } else {
+            *w &= !(1u64 << (j % 64));
+        }
+        self
     }
     #[inline]
-    fn not(self) -> Self {
-        use std::simd::Simd;
-        Wide((!Simd::from_array(self.0)).to_array())
+    fn count_ones(self) -> u32 {
+        self.0.iter().map(|w| w.count_ones()).sum()
+    }
+    #[inline]
+    fn shl1_carry(self, carry_in: bool) -> Self {
+        Wide(wide_shl1_carry(self.0, carry_in))
+    }
+    #[inline]
+    fn for_each_word(self, mut f: impl FnMut(usize, u64)) {
+        for (k, &word) in self.0.iter().enumerate() {
+            f(k, word);
+        }
     }
 }
 
@@ -639,23 +492,15 @@ mod tests {
                 a.count_ones(),
                 a_bits.iter().filter(|&&x| x).count() as u32
             );
-            let first_set = a_bits.iter().position(|&x| x).map(|p| p as u32);
-            assert_eq!(a.trailing_zeros(), first_set.unwrap_or(W::BITS));
-            if let Some(p) = first_set {
-                assert_eq!(a.clear_lowest(), a.with_bit(p, false));
-            }
+            let mut set = Vec::new();
+            a.for_each_lane(|j| set.push(j));
+            let want: Vec<u32> = (0..W::BITS).filter(|&j| a_bits[j as usize]).collect();
+            assert_eq!(set, want);
             // Shift with carry-in (toggle-word shift).
             for carry in [false, true] {
                 let mut expect = vec![carry];
                 expect.extend(&a_bits[..W::BITS as usize - 1]);
                 assert_eq!(to_bits(a.shl1_carry(carry)), expect);
-            }
-            // Schedule shift: right by m, top filled.
-            let m = rng.u64_in(0, W::BITS as u64) as u32;
-            for fill in [false, true] {
-                let mut expect: Vec<bool> = a_bits[m as usize..].to_vec();
-                expect.resize(W::BITS as usize, fill);
-                assert_eq!(to_bits(a.shr_fill(m, fill)), expect, "m = {m}");
             }
             // Masks.
             let n = rng.u64_in(0, W::BITS as u64 + 1) as u32;
@@ -669,8 +514,7 @@ mod tests {
         assert!(W::ZERO.is_zero() && !W::ONES.is_zero());
         assert_eq!(W::splat(true), W::ONES);
         assert_eq!(W::splat(false), W::ZERO);
-        assert_eq!(W::ZERO.trailing_zeros(), W::BITS);
-        assert_eq!(W::ZERO.clear_lowest(), W::ZERO);
+        W::ZERO.for_each_lane(|j| panic!("lane {j} set in zero"));
     }
 
     #[test]

@@ -534,20 +534,26 @@ const MAX_RUN_CYCLES: u64 = 50_000_000;
 
 impl HwTransition {
     /// A fresh instance over a shared synthesized transition, running
-    /// the `forced` kernel or else [`SimKernel::choose`]'s structural one.
+    /// the `forced` kernel or else the structural one (event-driven: the
+    /// controller always has flops).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ValidateNetlistError::WindowedWithFlops`] if `forced`
+    /// is the windowed kernel.
     fn instantiate(
         shared: Arc<SynthesizedTransition>,
         power: &PowerConfig,
         forced: Option<SimKernel>,
-    ) -> Self {
+    ) -> Result<Self, ValidateNetlistError> {
         let energies = shared.energies_for(power);
-        let sim = Simulator::from_plan(Arc::clone(&shared.plan), energies, forced);
-        HwTransition {
+        let sim = Simulator::from_plan(Arc::clone(&shared.plan), energies, forced)?;
+        Ok(HwTransition {
             shared,
             sim,
             memo_key: Vec::new(),
             memo_hits: 0,
-        }
+        })
     }
 
     /// Runs the transition: `vars_in` are the live variable values,
@@ -582,10 +588,10 @@ impl HwTransition {
             self.sim
                 .set_input_bus(bus.nets(), mask_to_width(event_value(e), w));
         }
-        let run = match self.sim.kernel() {
-            k if k.is_windowed() => self.run_word(mem_reads),
-            SimKernel::EventDriven if firing_memo_in_scope() => self.run_memoized(mem_reads),
-            _ => self.run_scalar(mem_reads),
+        let run = if self.sim.kernel() == SimKernel::EventDriven && firing_memo_in_scope() {
+            self.run_memoized(mem_reads)
+        } else {
+            self.run_scalar(mem_reads)
         };
         // The run protocols read each cycle's energy as it is produced;
         // nothing needs the history afterwards.
@@ -679,100 +685,6 @@ impl HwTransition {
             }
             if sim.value(self.shared.ports.done) {
                 break;
-            }
-        }
-        let vars_out = self
-            .shared
-            .ports
-            .var_q
-            .iter()
-            .map(|bus| sign_extend(sim.value_bus(bus.nets()), w))
-            .collect();
-        HwRun {
-            cycles,
-            energy_j: energy,
-            vars_out,
-            emitted,
-            mem_ops,
-        }
-    }
-
-    /// The windowed (simd) run protocol: identical
-    /// observable behavior to the scalar [`HwTransition::run`] loop, bit
-    /// for bit, but the execution cycles advance through speculative
-    /// windows of up to the kernel's lane count
-    /// ([`Simulator::run_window`]) instead of scalar steps.
-    ///
-    /// Data-dependent input sequencing is the interesting seam: the
-    /// master supplies memory read data *in response to* `mem_re`, so a
-    /// window must not run past a read issue — `mem_re` and `done` are
-    /// the window's stop nets, which flushes the batch at exactly the
-    /// cycles where the scalar loop would react, and the replay resumes
-    /// from the committed register state with the new `mem_data_in`.
-    /// Emit pulses and memory operands are observed per committed cycle
-    /// through the window lanes (all of them are combinational nets).
-    /// Per-cycle energies are re-folded from the report so the float
-    /// accumulation order matches the scalar `energy += step()` chain.
-    fn run_word(&mut self, mem_reads: &[i64]) -> HwRun {
-        let w = self.shared.width;
-        let sim = &mut self.sim;
-        // Load cycle (inputs forced by `run`), then the start handshake
-        // cycle: single scalar steps (one-cycle windows are bit-identical
-        // to scalar steps).
-        let mut energy = sim.step();
-        let mut cycles = 1u64;
-        sim.set_input(self.shared.ports.load, false);
-        sim.set_input(self.shared.ports.start, true);
-        energy += sim.step();
-        cycles += 1;
-        sim.set_input(self.shared.ports.start, false);
-        // Execution cycles, windowed.
-        let stop = [self.shared.ports.mem_re, self.shared.ports.done];
-        let mut emitted = Vec::new();
-        let mut mem_ops = Vec::new();
-        let mut next_read = 0usize;
-        'execute: loop {
-            let base = sim.report().per_cycle_j.len();
-            let win = sim.run_window(sim.kernel().window_bits() as u64, &stop);
-            for j in 0..win.committed {
-                energy += sim.report().per_cycle_j[base + j as usize];
-                cycles += 1;
-                assert!(
-                    cycles < MAX_RUN_CYCLES,
-                    "hardware transition exceeded cycle budget; runaway controller?"
-                );
-                for (&e, &pulse) in &self.shared.ports.emit_pulse {
-                    if sim.window_value(pulse, j) {
-                        let val = self.shared.ports.emit_value.get(&e).map(|bus| {
-                            sign_extend(sim.window_value_bus(bus.nets(), j), w)
-                        });
-                        emitted.push((e, val));
-                    }
-                }
-                if sim.window_value(self.shared.ports.mem_re, j) {
-                    let addr = sim.window_value_bus(self.shared.ports.mem_addr.nets(), j);
-                    mem_ops.push((addr, false, 0));
-                    assert!(
-                        next_read < mem_reads.len(),
-                        "hardware issued more reads than the behavioral execution supplied"
-                    );
-                    sim.set_input_bus(
-                        self.shared.ports.mem_data_in.nets(),
-                        mask_to_width(mem_reads[next_read], w),
-                    );
-                    next_read += 1;
-                }
-                if sim.window_value(self.shared.ports.mem_we, j) {
-                    let addr = sim.window_value_bus(self.shared.ports.mem_addr.nets(), j);
-                    let data = sign_extend(
-                        sim.window_value_bus(self.shared.ports.mem_wdata.nets(), j),
-                        w,
-                    );
-                    mem_ops.push((addr, true, data));
-                }
-                if sim.window_value(self.shared.ports.done, j) {
-                    break 'execute;
-                }
             }
         }
         let vars_out = self
@@ -1156,7 +1068,7 @@ fn synthesize_transition(
         }
     };
     let forced = SimKernel::env_override().map_err(ValidateNetlistError::from)?;
-    Ok(HwTransition::instantiate(shared, power, forced))
+    Ok(HwTransition::instantiate(shared, power, forced)?)
 }
 
 /// Structural synthesis proper: builds the netlist, its simulation plan,
@@ -2149,13 +2061,17 @@ mod tests {
         let shared = Arc::clone(&event.transition(t0).shared);
         // The event-driven firing was admitted, so a consulting instance
         // would hit on this fresh firing.
-        for kernel in [SimKernel::Oblivious, SimKernel::Simd] {
-            let mut t = HwTransition::instantiate(Arc::clone(&shared), &power(), Some(kernel));
-            let before = memo_of(&t);
-            assert_eq!(fire_bits(&mut t, 0x77, 0x33).0, want, "{kernel:?}");
-            assert_eq!(memo_of(&t), before, "{kernel:?} consulted the memo");
-            assert_eq!(t.memo_hits(), 0);
-            assert!(t.gate_stats().0 > 0, "{kernel:?} simulated");
-        }
+        let mut t =
+            HwTransition::instantiate(Arc::clone(&shared), &power(), Some(SimKernel::Oblivious))
+                .expect("the oblivious kernel runs any netlist");
+        let before = memo_of(&t);
+        assert_eq!(fire_bits(&mut t, 0x77, 0x33).0, want);
+        assert_eq!(
+            memo_of(&t),
+            before,
+            "the oblivious kernel consulted the memo"
+        );
+        assert_eq!(t.memo_hits(), 0);
+        assert!(t.gate_stats().0 > 0, "the oblivious kernel simulated");
     }
 }

@@ -16,7 +16,8 @@
 //! constant-init quirk. [`LaneSim`] is its classic 64-stream `u64`
 //! instance; [`crate::SimdLaneSim`] erases the width and scales to 512
 //! streams. (The single-stream windowed kernel, [`crate::SimKernel::Simd`],
-//! packs consecutive cycles of one stream instead; see `gatesim::sim`.)
+//! packs consecutive cycles of one stream instead, and so runs only
+//! netlists without flops; see `gatesim::sim`.)
 
 use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
 use crate::power::{EnergyReport, NetEnergies, PowerConfig};

@@ -6,32 +6,43 @@
 //! last mantissa bit (the float accumulation order is part of the
 //! contract). This suite builds random netlists (including DFF-to-DFF
 //! chains, constants, flops fed back from nets built after them, and
-//! reconvergent logic) and drives all kernels with identical random
+//! reconvergent logic) and drives the kernels with identical random
 //! input sequences: cycle by cycle with held-input [`Simulator::run`]
 //! stretches in between (0, 1, 2, 7 and 300 cycles — the event-driven
-//! kernel fast-forwards the quiescent part of a stretch, and feedback
-//! flops keep some stretches from ever going quiet), and through the
-//! batched [`Simulator::run_block`] surface at block-boundary cycle
-//! counts (1, 63, 64, 65, 127, 128, 255, 256, 257 — the simd kernel's
-//! 256-cycle windows and the 64-lane `u64` seams inside them must be
-//! exact at and across every boundary).
+//! kernel fast-forwards the quiescent part of a stretch, feedback flops
+//! keep some stretches from ever going quiet, and the simd kernel
+//! splits the longest into windows), and through the batched
+//! [`Simulator::run_block`] surface at block-boundary cycle counts (1,
+//! 63, 64, 65, 127, 128, 255, 256, 257 — the simd kernel's 256-cycle
+//! windows and the 64-lane `u64` seams inside them must be exact at and
+//! across every boundary). The simd kernel runs only netlists without
+//! flops, so each case also draws a flop-free netlist for it; the
+//! event-driven kernel runs both.
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use detrand::Rng;
-use gatesim::{GateKind, NetId, Netlist, PowerConfig, SimKernel, Simulator};
+use gatesim::{GateKind, NetId, Netlist, PowerConfig, SimKernel, Simulator, ValidateNetlistError};
 use std::sync::Arc;
 
-const KERNELS: [SimKernel; 3] = [SimKernel::Oblivious, SimKernel::EventDriven, SimKernel::Simd];
+/// The kernels compared against the oblivious reference on `netlist`:
+/// the windowed one only where it has no flops.
+fn kernels_for(netlist: &Netlist) -> &'static [SimKernel] {
+    if netlist.dff_count() == 0 {
+        &[SimKernel::EventDriven, SimKernel::Simd]
+    } else {
+        &[SimKernel::EventDriven]
+    }
+}
 
 /// Builds a random valid netlist: inputs and constants first, then a
 /// mix of combinational gates (fan-ins drawn from already-built nets,
-/// keeping the combinational part acyclic) and DFFs whose D input may
-/// reference any earlier net — including other flop outputs directly,
-/// the shift-register case that exercises simultaneous edge sampling —
-/// or, for some, any net at all: sequential feedback loops, some of
-/// which oscillate while the inputs hold.
-fn random_netlist(rng: &mut Rng) -> Netlist {
+/// keeping the combinational part acyclic) and, if `flops`, DFFs whose
+/// D input may reference any earlier net — including other flop outputs
+/// directly, the shift-register case that exercises simultaneous edge
+/// sampling — or, for some, any net at all: sequential feedback loops,
+/// some of which oscillate while the inputs hold.
+fn random_netlist(rng: &mut Rng, flops: bool) -> Netlist {
     let mut n = Netlist::new();
     let mut nets: Vec<NetId> = Vec::new();
     for _ in 0..rng.usize_in(1, 5) {
@@ -48,7 +59,7 @@ fn random_netlist(rng: &mut Rng) -> Netlist {
     for _ in 0..n_gates {
         let pick = rng.usize_in(0, 10);
         let id = match pick {
-            0 => {
+            0 if flops => {
                 let d = if rng.bool_with(0.3) {
                     // Every loop iteration adds one net, so the net ids
                     // reach `total - 1`; the flop's own id is among them.
@@ -192,40 +203,53 @@ fn drive_blocks(
     (block_energy, report, values, toggles, sim.gate_events())
 }
 
+/// Random netlists per differential test, and the least of them that
+/// must be flop-free and so also run the windowed kernel.
+const CASES: u64 = 120;
+
 #[test]
 fn all_kernels_match_oblivious_over_120_random_cases() {
     // Long stretches that end quiet (the last cycle charged the clock
     // tree alone) and that end busy (flops still oscillating).
-    let (mut quiet, mut busy) = (0, 0);
-    for case in 0..120u64 {
+    let (mut quiet, mut busy, mut windowed) = (0, 0, 0);
+    for case in 0..CASES {
         let mut rng = Rng::new(0x9E37_79B9_7F4A_7C15 ^ case);
-        let netlist = Arc::new(random_netlist(&mut rng));
+        let sequential = Arc::new(random_netlist(&mut rng, true));
         let cycles = rng.usize_in(10, 40);
-        let stimulus = random_stimulus(&netlist, cycles, 0.6, &mut rng);
+        let stimulus = random_stimulus(&sequential, cycles, 0.6, &mut rng);
         let holds = random_holds(cycles, &mut rng);
-        let reference = drive(&netlist, SimKernel::Oblivious, &stimulus, &holds);
-        for kernel in [SimKernel::EventDriven, SimKernel::Simd] {
-            let got = drive(&netlist, kernel, &stimulus, &holds);
-            assert_eq!(
-                got, reference,
-                "{kernel:?} diverged in case {case} ({} gates, {} cycles, holds {holds:?})",
-                netlist.gate_count(),
-                cycles
-            );
-        }
+        let mut flat_rng = Rng::new(0xF10B_F7EE_0000_0000 ^ case);
+        let flat = Arc::new(random_netlist(&mut flat_rng, false));
+        let flat_stimulus = random_stimulus(&flat, cycles, 0.6, &mut flat_rng);
+        let mut check = |netlist: &Arc<Netlist>, stimulus: &[Vec<(NetId, bool)>]| {
+            let reference = drive(netlist, SimKernel::Oblivious, stimulus, &holds);
+            for &kernel in kernels_for(netlist) {
+                windowed += usize::from(kernel == SimKernel::Simd);
+                let got = drive(netlist, kernel, stimulus, &holds);
+                assert_eq!(
+                    got,
+                    reference,
+                    "{kernel:?} diverged in case {case} ({} gates, {} cycles, holds {holds:?})",
+                    netlist.gate_count(),
+                    cycles
+                );
+            }
+            reference
+        };
+        check(&flat, &flat_stimulus);
+        let (_, stretches, _, report) = check(&sequential, &stimulus);
         let clock = Simulator::with_kernel(
-            Arc::clone(&netlist),
+            Arc::clone(&sequential),
             PowerConfig::date2000_defaults(),
             SimKernel::Oblivious,
         )
         .expect("valid")
         .clock_energy_per_cycle_j()
         .to_bits();
-        let (_, stretches, _, report) = &reference;
         let long = holds
             .iter()
             .flatten()
-            .zip(stretches)
+            .zip(&stretches)
             .filter(|(&n, _)| n == 300);
         for (_, &(_, _, end, _)) in long {
             if report[end as usize - 1] == clock {
@@ -239,6 +263,10 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
         quiet > 0 && busy > 0,
         "{quiet} quiet and {busy} busy 300-cycle stretches"
     );
+    assert!(
+        windowed >= CASES as usize,
+        "the windowed kernel ran {windowed} cases"
+    );
 }
 
 #[test]
@@ -249,38 +277,54 @@ fn batched_blocks_match_at_word_boundaries() {
     // window. Segment sizes are randomized so chunk seams land
     // everywhere, and the input change probability is low enough that
     // windows actually span many cycles.
+    let mut windowed = 0;
     for &cycles in &[1usize, 63, 64, 65, 127, 128, 255, 256, 257] {
+        let mut windowed_here = 0;
         for case in 0..30u64 {
-            let mut rng = Rng::new(0xB10C_0000_0000_0000 ^ (cycles as u64) << 32 ^ case);
-            let netlist = Arc::new(random_netlist(&mut rng));
-            let stimulus = random_stimulus(&netlist, cycles, 0.1, &mut rng);
-            let segments: Vec<usize> = {
-                let mut segs = Vec::new();
-                let mut left = cycles;
-                while left > 0 {
-                    let s = rng.usize_in(1, left.min(300) + 1);
-                    segs.push(s);
-                    left -= s;
-                }
-                segs
-            };
-            let reference = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &segments);
-            for kernel in [SimKernel::EventDriven, SimKernel::Simd] {
-                let got = drive_blocks(&netlist, kernel, &stimulus, &segments);
-                assert_eq!(
-                    got, reference,
-                    "{kernel:?} diverged at {cycles} cycles, case {case}, segments {segments:?}"
+            for flops in [true, false] {
+                let mut rng = Rng::new(
+                    0xB10C_0000_0000_0000 ^ (cycles as u64) << 32 ^ case ^ u64::from(!flops) << 16,
                 );
+                let netlist = Arc::new(random_netlist(&mut rng, flops));
+                let stimulus = random_stimulus(&netlist, cycles, 0.1, &mut rng);
+                let segments: Vec<usize> = {
+                    let mut segs = Vec::new();
+                    let mut left = cycles;
+                    while left > 0 {
+                        let s = rng.usize_in(1, left.min(300) + 1);
+                        segs.push(s);
+                        left -= s;
+                    }
+                    segs
+                };
+                let reference = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &segments);
+                for &kernel in kernels_for(&netlist) {
+                    windowed_here += usize::from(kernel == SimKernel::Simd);
+                    let got = drive_blocks(&netlist, kernel, &stimulus, &segments);
+                    assert_eq!(
+                        got, reference,
+                        "{kernel:?} diverged at {cycles} cycles, case {case}, segments {segments:?}"
+                    );
+                }
             }
         }
+        assert!(
+            windowed_here >= 30,
+            "{windowed_here} windowed cases at {cycles} cycles"
+        );
+        windowed += windowed_here;
     }
+    assert!(
+        windowed >= CASES as usize,
+        "the windowed kernel ran {windowed} cases"
+    );
 }
 
 #[test]
 fn block_boundary_dff_edges_shift_exactly() {
-    // A deterministic long shift register crossing several window
-    // boundaries: after `len + k` cycles the head pulse sits `k` flops
-    // deep regardless of how the cycles were batched.
+    // A deterministic long shift register: after `len + k` cycles the
+    // head pulse sits `k` flops deep regardless of how the cycles were
+    // batched.
     let mut n = Netlist::new();
     let head = n.input();
     let mut q = n.dff(head, false);
@@ -300,10 +344,11 @@ fn block_boundary_dff_edges_shift_exactly() {
         // Kernels agree on everything including per-block energy totals
         // when driven through the same segmentation...
         let reference = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &segments);
-        for kernel in [SimKernel::EventDriven, SimKernel::Simd] {
-            let got = drive_blocks(&netlist, kernel, &stimulus, &segments);
-            assert_eq!(got, reference, "{kernel:?} diverged with segments {segments:?}");
-        }
+        let got = drive_blocks(&netlist, SimKernel::EventDriven, &stimulus, &segments);
+        assert_eq!(
+            got, reference,
+            "event-driven diverged with segments {segments:?}"
+        );
         // ...and the per-cycle history (energy, values, toggles, events)
         // is invariant under the batching itself: only the per-block
         // energy grouping may differ from the single-block run.
@@ -318,7 +363,7 @@ fn block_boundary_dff_edges_shift_exactly() {
     let mut sim = Simulator::with_kernel(
         Arc::clone(&netlist),
         PowerConfig::date2000_defaults(),
-        SimKernel::Simd,
+        SimKernel::EventDriven,
     )
     .expect("valid");
     sim.run_block(&stimulus[..40]);
@@ -333,7 +378,7 @@ fn block_boundary_dff_edges_shift_exactly() {
 fn event_driven_never_evaluates_more_gates_than_oblivious() {
     for case in 0..20u64 {
         let mut rng = Rng::new(0xC0FF_EE00_0000_0000 | case);
-        let netlist = Arc::new(random_netlist(&mut rng));
+        let netlist = Arc::new(random_netlist(&mut rng, true));
         let primary = netlist.primary_inputs();
         let power = PowerConfig::date2000_defaults();
         let mut ev = Simulator::with_kernel(Arc::clone(&netlist), power.clone(), SimKernel::EventDriven)
@@ -364,13 +409,19 @@ fn eval_slots_are_comparable_across_kernels() {
     // cycles), `gate_eval_slots` counts committed (gate, cycle) slots.
     // The scalar kernels keep the two equal by definition; the simd
     // kernel's slots can exceed its evals but never its own
-    // cycle-equivalent sweep of the same dirty gates.
+    // cycle-equivalent sweep of the same dirty gates. Flop-free, so
+    // every kernel runs each netlist.
     for case in 0..20u64 {
         let mut rng = Rng::new(0x5107_5000_0000_0000 | case);
-        let netlist = Arc::new(random_netlist(&mut rng));
+        let netlist = Arc::new(random_netlist(&mut rng, false));
         let stimulus = random_stimulus(&netlist, 100, 0.05, &mut rng);
         let power = PowerConfig::date2000_defaults();
-        let mut sims: Vec<Simulator> = KERNELS
+        let kernels = [
+            SimKernel::Oblivious,
+            SimKernel::EventDriven,
+            SimKernel::Simd,
+        ];
+        let mut sims: Vec<Simulator> = kernels
             .iter()
             .map(|&k| Simulator::with_kernel(Arc::clone(&netlist), power.clone(), k).expect("valid"))
             .collect();
@@ -394,27 +445,42 @@ fn env_escape_hatches_select_kernels() {
     // Own-process integration test: safe to touch the environment (the
     // sibling tests in this binary pin kernels explicitly and never
     // read it).
-    std::env::set_var("GATESIM_KERNEL", "oblivious");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::Oblivious));
-    std::env::set_var("GATESIM_KERNEL", "event");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
+    let mut comb = Netlist::new();
+    let a = comb.input();
+    comb.gate(GateKind::Not, vec![a]);
+    let mut seq = Netlist::new();
+    let d = seq.input();
+    seq.dff(d, false);
+    let kernels = |value: &str| {
+        std::env::set_var("GATESIM_KERNEL", value);
+        [&comb, &seq].map(|n| {
+            Simulator::with_shared(Arc::new(n.clone()), PowerConfig::date2000_defaults())
+                .map(|sim| sim.kernel())
+        })
+    };
+    // Empty means unset: the structural rule.
+    assert_eq!(
+        kernels(""),
+        [Ok(SimKernel::Simd), Ok(SimKernel::EventDriven)]
+    );
     // Case-insensitive and whitespace-tolerant.
-    std::env::set_var("GATESIM_KERNEL", "Simd");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::Simd));
-    std::env::set_var("GATESIM_KERNEL", " SIMD ");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::Simd));
+    let oblivious = Ok(SimKernel::Oblivious);
+    assert_eq!(kernels(" Oblivious "), [oblivious.clone(), oblivious]);
+    let event = Ok(SimKernel::EventDriven);
+    assert_eq!(kernels("event"), [event.clone(), event]);
+    // The windowed kernel runs only netlists without flops: forcing it
+    // onto one with flops is a typed error, not a fallback.
+    let flops = Err(ValidateNetlistError::WindowedWithFlops { dffs: 1 });
+    assert_eq!(kernels("SIMD"), [Ok(SimKernel::Simd), flops]);
     // Unknown values fail loudly instead of silently falling back, with
     // an error that lists every valid kernel name.
-    std::env::set_var("GATESIM_KERNEL", "turbo");
-    let err = SimKernel::from_env().expect_err("unknown kernel must error");
+    let [Err(ValidateNetlistError::Kernel(err)), _] = kernels("turbo") else {
+        panic!("an unknown kernel must be a typed error");
+    };
     assert_eq!(err.value(), "turbo");
     let msg = err.to_string();
     for option in ["event", "oblivious", "simd"] {
         assert!(msg.contains(option), "{msg:?} must list {option:?}");
     }
-    // Empty means unset: the structural default.
-    std::env::set_var("GATESIM_KERNEL", "");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
     std::env::remove_var("GATESIM_KERNEL");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
 }

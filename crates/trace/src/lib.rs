@@ -201,9 +201,9 @@ pub enum TraceRecord {
     /// firing memo answered without simulating.
     ///
     /// `evals` counts kernel *work units* actually performed and so
-    /// depends on the selected gate-simulation kernel (a simd
-    /// evaluation covers up to 256 cycles in one unit) and on the memo
-    /// (a hit evaluates nothing); `events` counts committed per-cycle
+    /// depends on the selected gate-simulation kernel (the oblivious
+    /// one evaluates every gate every cycle) and on the memo (a hit
+    /// evaluates nothing); `events` counts committed per-cycle
     /// gate output changes and is kernel- and memo-invariant — it is
     /// the number to compare across `GATESIM_KERNEL` selections.
     GateActivity {
@@ -450,8 +450,8 @@ pub struct MetricsSink {
     /// RTOS grants.
     pub rtos_grants: u64,
     /// Combinational gate evaluations behind observed detailed
-    /// firings. Kernel work units: the simd kernel covers up to 256
-    /// cycles per evaluation, so this aggregate depends on the
+    /// firings. Kernel work units: the oblivious kernel evaluates
+    /// every gate every cycle, so this aggregate depends on the
     /// selected gate-simulation kernel, and firings the firing memo
     /// answered add none.
     pub gate_evals: u64,

@@ -1,9 +1,13 @@
-//! System-level kernel equivalence: every gate-simulation kernel —
-//! event-driven (the default), oblivious, and simd — must reproduce the
-//! exact same co-simulation report, golden snapshots compared down to
-//! float bit patterns, on every reference system and a corpus of
-//! generated systems, with trace sinks attached, and under fault
-//! injection.
+//! System-level kernel equivalence: the gate-simulation kernels that
+//! run synthesized hardware — event-driven (the default) and oblivious
+//! (the reference) — must reproduce the exact same co-simulation
+//! report, golden snapshots compared down to float bit patterns, on
+//! every reference system and a corpus of generated systems, with trace
+//! sinks attached, and under fault injection. The windowed (simd)
+//! kernel runs only netlists without flops, and every synthesized
+//! transition has a controller flop, so forcing it system-wide is a
+//! typed build error; it still characterizes the flop-free hardware
+//! cost tables, which must not depend on the hatch at all.
 //!
 //! This is the system-level counterpart of the gatesim differential
 //! fuzz suite: it runs the whole co-estimation stack (master, bus,
@@ -11,14 +15,14 @@
 //! macro-model and the linear backend characterize) under the
 //! `GATESIM_KERNEL` escape hatch. The suite owns its process (integration tests link
 //! separately), but its `#[test]` fns share that process, so every
-//! environment mutation is serialized behind one lock.
+//! environment mutation, and every synthesis that reads it, is
+//! serialized behind one lock.
 //!
 //! The suite also drives the kernels and the lockstep lane simulators
 //! directly on the largest synthesized netlist of the tcpip system
-//! (its `checksum` process): every kernel, every lane and the
+//! (its `checksum` process): every scalar kernel, every lane and the
 //! lane-scheduled Monte-Carlo sweep must match a scalar event-driven
-//! run bit for bit. Those tests pin each kernel explicitly, so they
-//! need no environment lock.
+//! run bit for bit. Those runs pin each kernel explicitly.
 
 mod corpus;
 
@@ -27,13 +31,15 @@ use std::sync::{Arc, Mutex};
 
 use cfsm::TransitionId;
 use co_estimation::{
-    run_lane_sweep, run_lane_sweep_serial, Acceleration, CoSimConfig, CoSimulator,
-    EstimatorBackend, FaultPlan, LaneSweepConfig, LaneUnit, SocDescription,
+    characterize_hw, run_lane_sweep, run_lane_sweep_serial, Acceleration, BuildEstimatorError,
+    CoSimConfig, CoSimulator, EstimatorBackend, FaultPlan, LaneSweepConfig, LaneUnit,
+    SocDescription,
 };
 use desim::WatchdogConfig;
 use detrand::Rng;
 use gatesim::{
     EnergyReport, HwCfsm, LaneSim, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator,
+    SynthConfig, SynthError, ValidateNetlistError,
 };
 use soctrace::{MetricsSink, SharedSink};
 use systems::automotive::{self, AutomotiveParams};
@@ -44,13 +50,11 @@ use systems::tcpip::{self, TcpIpParams};
 /// this binary (they run on parallel threads within one process).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// The three kernels as `GATESIM_KERNEL` values; `None` is "leave the
-/// environment alone" — the structural default.
-const KERNELS: [(&str, Option<&str>); 3] = [
-    ("event(default)", None),
-    ("oblivious", Some("oblivious")),
-    ("simd", Some("simd")),
-];
+/// The kernels that run synthesized hardware, as `GATESIM_KERNEL`
+/// values; `None` is "leave the environment alone" — the structural
+/// default.
+const KERNELS: [(&str, Option<&str>); 2] =
+    [("event(default)", None), ("oblivious", Some("oblivious"))];
 
 /// Runs `f` with the gate-simulation kernel selection pinned to
 /// `kernel`, holding the environment lock for the duration.
@@ -126,8 +130,7 @@ fn every_kernel_reproduces_the_default_snapshot_on_all_systems() {
                     // output changes — kernel-invariant by contract, so
                     // cross-kernel MetricsSink aggregates stay
                     // comparable. `gate_evals` counts kernel work units
-                    // (a simd eval covers up to 256 cycles) and is
-                    // allowed to differ.
+                    // and is allowed to differ.
                     assert_eq!(
                         metrics.gate_events, want_metrics.gate_events,
                         "{system}: kernel {name} changed the gate_events aggregate"
@@ -232,9 +235,9 @@ fn kernels_agree_under_a_nonempty_fault_plan() {
 fn every_kernel_characterizes_the_same_cost_tables() {
     // The macro-model layer and the linear backend price firings from
     // hardware tables characterized by gate-level simulation. Clearing
-    // the synthesis memo inside each kernel's run makes that kernel
-    // characterize the tables itself rather than read the ones an
-    // earlier kernel left in the memo.
+    // the synthesis memo inside each kernel's run makes the tables be
+    // characterized again under that kernel's hatch rather than read
+    // from the memo.
     let defaults = CoSimConfig::date2000_defaults();
     for (mode, config) in [
         ("macromodel", defaults.with_accel(Acceleration::macromodel())),
@@ -260,6 +263,48 @@ fn every_kernel_characterizes_the_same_cost_tables() {
     }
 }
 
+#[test]
+fn the_hardware_cost_table_ignores_the_kernel_hatch() {
+    // Each characterization template runs its structural kernel, so no
+    // `GATESIM_KERNEL` value, not even an unknown one or the windowed
+    // kernel the register templates cannot run, may price an op
+    // differently from the committed table.
+    for kernel in [None, Some("event"), Some("oblivious"), Some("simd"), Some("turbo")] {
+        let text = with_kernel(kernel, || {
+            gatesim::clear_synth_cache();
+            characterize_hw(&SynthConfig::default(), &PowerConfig::date2000_defaults()).to_text()
+        });
+        assert!(
+            text == include_str!("goldens/hw_parameter_file.txt"),
+            "GATESIM_KERNEL={kernel:?} changed the hardware parameter file:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn forcing_the_windowed_kernel_onto_flops_is_a_typed_error() {
+    let netlist = checksum_netlist();
+    let dffs = netlist.dff_count();
+    let direct = Simulator::with_kernel(netlist, PowerConfig::date2000_defaults(), SimKernel::Simd);
+    assert_eq!(
+        direct.map(|sim| sim.kernel()),
+        Err(ValidateNetlistError::WindowedWithFlops { dffs })
+    );
+    let system = with_kernel(Some("simd"), || {
+        CoSimulator::new(small_tcpip(), CoSimConfig::date2000_defaults()).map(|_| ())
+    });
+    assert!(
+        matches!(
+            system,
+            Err(BuildEstimatorError::Synth(
+                _,
+                SynthError::Netlist(ValidateNetlistError::WindowedWithFlops { .. })
+            ))
+        ),
+        "{system:?}"
+    );
+}
+
 /// Per-input probability of a new value each cycle in the checksum
 /// netlist tests: low, like the firing protocol's mostly held ports.
 const P_TOGGLE: f64 = 0.1;
@@ -274,8 +319,12 @@ fn checksum_netlist() -> Arc<Netlist> {
         .network
         .process_by_name("checksum")
         .expect("tcpip has a checksum process");
-    let hw = HwCfsm::synthesize(soc.network.cfsm(p), &config.synth, &config.hw_power)
-        .expect("checksum synthesizes");
+    // Synthesis instantiates simulators under the hatch, so it must not
+    // race a test that forces a kernel.
+    let hw = with_kernel(None, || {
+        HwCfsm::synthesize(soc.network.cfsm(p), &config.synth, &config.hw_power)
+    })
+    .expect("checksum synthesizes");
     let largest = (0..hw.transition_count() as u32)
         .map(|k| hw.transition(TransitionId(k)))
         .max_by_key(|t| t.gate_count())
@@ -336,34 +385,12 @@ fn kernels_agree_bit_for_bit_on_the_checksum_netlist() {
     let (event, event_evals, event_events) = step_kernel(&netlist, SimKernel::EventDriven, &stim);
     let (oblivious, oblivious_evals, oblivious_events) =
         step_kernel(&netlist, SimKernel::Oblivious, &stim);
-    let (simd, _, simd_events) = step_kernel(&netlist, SimKernel::Simd, &stim);
     assert!(oblivious == event, "oblivious per-cycle energy or outputs diverged");
-    assert!(simd == event, "simd per-cycle energy or outputs diverged");
     assert_eq!(oblivious_events, event_events, "oblivious gate_events");
-    assert_eq!(simd_events, event_events, "simd gate_events");
     assert!(
         event_evals < oblivious_evals,
         "event-driven must evaluate strictly fewer gates ({event_evals} vs {oblivious_evals})"
     );
-
-    // Simd through `run_block`, with chunk seams on and across the
-    // 64-lane words of its 256-cycle window.
-    let chunks = [1usize, 7, 63, 64, 65, 100, 255, 256, 257];
-    let mut sim = scalar(&netlist, SimKernel::Simd);
-    let mut at = 0;
-    for len in chunks.iter().cycle() {
-        if at == stim.len() {
-            break;
-        }
-        let end = (at + len).min(stim.len());
-        sim.run_block(&stim[at..end]);
-        at = end;
-    }
-    let outputs: Vec<NetId> = netlist.outputs().iter().map(|(_, n)| *n).collect();
-    let want: Vec<u64> = event.iter().map(|&(e, _)| e).collect();
-    assert!(energy_bits(sim.report()) == want, "simd run_block per-cycle energy diverged");
-    assert_eq!(Some(sim.value_bus(&outputs)), event.last().map(|&(_, bus)| bus));
-    assert_eq!(sim.gate_events(), event_events, "simd run_block gate_events");
 }
 
 /// The lockstep lane simulators' shared surface.

@@ -8,8 +8,8 @@ use cfsm::{
 };
 use co_estimation::spec::parse_system_with_power;
 use co_estimation::{
-    BuildEstimatorError, CoSimConfig, CoSimulator, EstimatorBackend, OperatingPoint, PowerPolicy,
-    RunOutcome, SocDescription,
+    BuildEstimatorError, CoSimConfig, CoSimulator, EstimatorBackend, GatingPolicy, OperatingPoint,
+    PowerPolicy, RunOutcome, SocDescription,
 };
 use desim::WatchdogConfig;
 use systems::tcpip;
@@ -358,5 +358,61 @@ fn out_of_range_dvfs_scales_are_typed_build_errors() {
         .expect("an in-range point builds")
         .run();
     assert_eq!(report.firings, 1);
+    assert!(report.total_energy_j().is_finite());
+}
+
+#[test]
+fn wake_energies_past_the_bound_are_typed_build_errors() {
+    // Each wake of a power gate charges its wake energy, so a huge one
+    // summed over a run's wakes made a `Completed` report's total
+    // infinite. It must be rejected before the run, whether the gate
+    // comes from the API or from a spec's `power power_gate` line.
+    let soc = tcpip::build(&tcpip::TcpIpParams {
+        num_packets: 4,
+        ..tcpip::TcpIpParams::fig7_defaults()
+    })
+    .expect("valid params");
+    let config = |policy| CoSimConfig::date2000_defaults().with_power_policy(policy);
+    let rejected = |err: Result<CoSimulator, BuildEstimatorError>, what: &str| {
+        assert!(
+            matches!(&err, Err(BuildEstimatorError::InvalidParams(m)) if m.contains("wake energy")),
+            "{what}: {:?}",
+            err.map(|_| "built")
+        );
+    };
+    let max = GatingPolicy::MAX_WAKE_ENERGY_J;
+    for wake_j in [1e308, 1e300, max * 1.01, f64::INFINITY, -1e-9, f64::NAN] {
+        let gate = GatingPolicy::power(100, wake_j, 15);
+        let policy = PowerPolicy::named("gate").gate("ip_check", gate);
+        rejected(
+            CoSimulator::new(soc.clone(), config(policy)),
+            &format!("api {wake_j:?}"),
+        );
+    }
+    let spec = |wake_j: f64| {
+        format!(
+            "system gate\nevent GO\nprocess worker hw priority 1\n  var n = 0\n  state s\n  \
+             power power_gate 1000 {wake_j:e} 15\n  transition s -> s on GO\n    n = (+ n 1)\n  \
+             end\nstimulus 10 GO\nstimulus 5000 GO\n"
+        )
+    };
+    for wake_j in [1e308, 1e300] {
+        let (soc, policy) = parse_system_with_power(&spec(wake_j)).expect("the grammar accepts it");
+        rejected(
+            CoSimulator::new(soc, config(policy)),
+            &format!("spec wake energy {wake_j:e}"),
+        );
+    }
+    // The bound is inclusive: a run at it wakes and stays finite.
+    let (soc, policy) = parse_system_with_power(&spec(max)).expect("parses");
+    let report = CoSimulator::new(soc, config(policy))
+        .expect("the bound is inclusive")
+        .run();
+    assert_eq!(report.outcome, RunOutcome::Completed);
+    let power = report.power.as_ref().expect("a managed run reports power");
+    assert!(
+        power.components.iter().any(|c| c.wakes > 0),
+        "the gate never woke"
+    );
     assert!(report.total_energy_j().is_finite());
 }

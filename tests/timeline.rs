@@ -35,13 +35,11 @@ use systems::tcpip::{self, TcpIpParams};
 /// Serializes `GATESIM_KERNEL` mutation across the tests in this binary.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// The three kernels as `GATESIM_KERNEL` values; `None` is "leave the
-/// environment alone" — the structural default.
-const KERNELS: [(&str, Option<&str>); 3] = [
-    ("event(default)", None),
-    ("oblivious", Some("oblivious")),
-    ("simd", Some("simd")),
-];
+/// The kernels that run synthesized hardware, as `GATESIM_KERNEL`
+/// values; `None` is "leave the environment alone" — the structural
+/// default.
+const KERNELS: [(&str, Option<&str>); 2] =
+    [("event(default)", None), ("oblivious", Some("oblivious"))];
 
 /// Runs `f` with the gate-simulation kernel selection pinned to
 /// `kernel`, holding the environment lock for the duration.
