@@ -326,46 +326,6 @@ impl Netlist {
         f
     }
 
-    /// Combinational fanout adjacency: entry *i* lists the indices of
-    /// the combinational gates reading net *i* (a gate reading the same
-    /// net through several pins appears once per pin; schedulers dedupe).
-    /// Sources and DFFs never appear — DFFs sample their D input at the
-    /// clock edge, not during the combinational settle.
-    pub fn comb_fanout_adjacency(&self) -> Vec<Vec<u32>> {
-        let mut adj = vec![Vec::new(); self.gates.len()];
-        for (g_idx, g) in self.gates.iter().enumerate() {
-            if g.kind.is_sequential() || g.kind.is_source() {
-                continue;
-            }
-            for &i in &g.inputs {
-                adj[i.0 as usize].push(g_idx as u32);
-            }
-        }
-        adj
-    }
-
-    /// Topological levelization of the combinational gates: sources,
-    /// constants, and DFF outputs sit at level 0, and a combinational
-    /// gate's level is one more than the maximum level of its fan-ins.
-    /// `order` must be a topological order from [`Netlist::validate`].
-    /// Returns `(levels, max_level)`.
-    pub fn comb_levels(&self, order: &[NetId]) -> (Vec<u32>, u32) {
-        let mut levels = vec![0u32; self.gates.len()];
-        let mut max_level = 0u32;
-        for &id in order {
-            let g = &self.gates[id.0 as usize];
-            let lvl = 1 + g
-                .inputs
-                .iter()
-                .map(|&i| levels[i.0 as usize])
-                .max()
-                .unwrap_or(0);
-            levels[id.0 as usize] = lvl;
-            max_level = max_level.max(lvl);
-        }
-        (levels, max_level)
-    }
-
     /// Checks referential integrity, arity, and combinational acyclicity;
     /// returns the topological evaluation order of combinational gates.
     ///

@@ -2,13 +2,13 @@
 //!
 //! Three kernels produce bit-identical results:
 //!
-//! * **Event-driven** (the default, [`SimKernel::EventDriven`]): per-net
-//!   combinational fanout lists and a topological levelization are built
-//!   once per netlist and shared by every instance over it; each cycle
-//!   only the gates whose fan-in actually changed are re-evaluated,
-//!   driven by a dirty queue keyed by level. Toggle counting falls out
-//!   of the events themselves — no per-cycle snapshot of the value
-//!   vector.
+//! * **Event-driven** (the default, [`SimKernel::EventDriven`]): each
+//!   net's combinational readers, as positions in the topological order,
+//!   are derived once per netlist and shared by every instance over it;
+//!   each cycle only the gates whose fan-in actually changed are
+//!   re-evaluated, drained lowest position first from a dirty bitset.
+//!   Toggles land in a bitset read in ascending net order — no per-cycle
+//!   snapshot of the value vector and no sort.
 //! * **Oblivious** ([`SimKernel::Oblivious`]): the reference path —
 //!   every combinational gate is re-evaluated every cycle in
 //!   topological order and toggles are found by a full before/after
@@ -67,7 +67,7 @@ type WindowWord = Wide<WINDOW_WORDS>;
 /// Which inner loop a [`Simulator`] runs (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimKernel {
-    /// Evaluate only gates whose fan-in changed, in level order.
+    /// Evaluate only gates whose fan-in changed, in topological order.
     EventDriven,
     /// Re-evaluate every combinational gate every cycle (reference path).
     Oblivious,
@@ -181,13 +181,13 @@ impl SimKernel {
 #[derive(Debug)]
 pub(crate) struct SimPlan {
     netlist: Arc<Netlist>,
-    /// Validated topological order of the combinational gates.
+    /// Validated topological order of the combinational gates; dirty
+    /// sets are indexed by position in it.
     order: Vec<NetId>,
-    /// Per-gate combinational level (0 for sources, constants, DFFs).
-    levels: Vec<u32>,
-    max_level: u32,
-    /// For each net, the combinational gates that read it.
-    comb_fanout: Vec<Vec<u32>>,
+    /// Net `i`'s combinational readers, as ascending positions in `order`
+    /// (once per pin), are `fanout_pos[fanout_off[i]..fanout_off[i + 1]]`.
+    fanout_off: Vec<u32>,
+    fanout_pos: Vec<u32>,
     /// Primary-input gate indices, ascending.
     input_ids: Vec<u32>,
     /// `(gate index, D-input net)` per DFF, ascending by gate index.
@@ -198,9 +198,9 @@ pub(crate) struct SimPlan {
     /// The reset settle evaluates combinational gates *before* forcing
     /// constants high, so gates downstream of a `Const1` hold stale
     /// values until the first cycle's settle — a quirk the oblivious
-    /// diff charges as first-cycle toggles. These are the `Const1`
-    /// fanouts, deduplicated in scheduling order, that the event-driven
-    /// and windowed kernels queue at construction to reproduce it.
+    /// diff charges as first-cycle toggles. These are the positions of
+    /// the `Const1` readers, which the event-driven and windowed kernels
+    /// mark dirty at construction to reproduce it.
     const1_fanout: Vec<u32>,
 }
 
@@ -208,40 +208,51 @@ impl SimPlan {
     /// Validates `netlist` and derives the plan.
     pub(crate) fn new(netlist: Arc<Netlist>) -> Result<Self, ValidateNetlistError> {
         let order = netlist.validate()?;
-        let (levels, max_level) = netlist.comb_levels(&order);
-        let comb_fanout = netlist.comb_fanout_adjacency();
-        let n = netlist.gate_count();
+        let (gates, n) = (netlist.gates(), netlist.gate_count());
+        // Count each net's readers and sum the counts to run ends, then
+        // fill each run from its end in descending position order, which
+        // leaves `fanout_off[i]` at the run's start.
+        let mut fanout_off = vec![0u32; n + 1];
+        for &g in &order {
+            for &i in &gates[g.0 as usize].inputs {
+                fanout_off[i.0 as usize] += 1;
+            }
+        }
+        let mut total = 0;
+        for o in &mut fanout_off {
+            total += *o;
+            *o = total;
+        }
+        let mut fanout_pos = vec![0u32; total as usize];
+        for (p, &g) in order.iter().enumerate().rev() {
+            for &i in &gates[g.0 as usize].inputs {
+                fanout_off[i.0 as usize] -= 1;
+                fanout_pos[fanout_off[i.0 as usize] as usize] = p as u32;
+            }
+        }
         let mut input_ids = Vec::new();
         let mut dffs = Vec::new();
+        let mut const1_fanout = Vec::new();
         let mut reset_values = vec![false; n];
-        for (i, g) in netlist.gates().iter().enumerate() {
+        for (i, g) in gates.iter().enumerate() {
             match g.kind {
                 GateKind::Input => input_ids.push(i as u32),
                 GateKind::Dff(init) => {
                     dffs.push((i as u32, g.inputs[0].0));
                     reset_values[i] = init;
                 }
+                GateKind::Const1 => const1_fanout.extend_from_slice(
+                    &fanout_pos[fanout_off[i] as usize..fanout_off[i + 1] as usize],
+                ),
                 _ => {}
             }
         }
         settle_full(&netlist, &order, &mut reset_values);
-        let mut const1_fanout = Vec::new();
-        let mut seen = vec![false; n];
-        for (i, g) in netlist.gates().iter().enumerate() {
-            if g.kind == GateKind::Const1 {
-                for &target in &comb_fanout[i] {
-                    if !std::mem::replace(&mut seen[target as usize], true) {
-                        const1_fanout.push(target);
-                    }
-                }
-            }
-        }
         Ok(SimPlan {
             netlist,
             order,
-            levels,
-            max_level,
-            comb_fanout,
+            fanout_off,
+            fanout_pos,
             input_ids,
             dffs,
             reset_values,
@@ -278,7 +289,7 @@ impl SimPlan {
 /// A simulation instance bound to one netlist.
 ///
 /// The netlist and everything derived from it alone (topological order,
-/// levels, fanout, reset state) are held behind an [`Arc`], so many
+/// fanout, reset state) are held behind an [`Arc`], so many
 /// simulator instances (e.g. one per design-space exploration point)
 /// share a single immutable structure, as they share the per-net
 /// switching energies of their [`PowerConfig`]; per-instance state
@@ -315,15 +326,14 @@ pub struct Simulator {
     gate_evals: u64,
     gate_events: u64,
     // Event-driven machinery (unused under the oblivious kernel).
-    /// Dirty queue: one bucket of gate indices per level.
-    level_queue: Vec<Vec<u32>>,
-    /// Dedupe flags for `level_queue`.
-    in_queue: Vec<bool>,
+    /// Dirty set: one bit per combinational gate, by position in the
+    /// plan's `order`. Empty between cycles except on a fresh instance.
+    dirty: Vec<u64>,
     /// DFF output nets that changed at the previous clock edge; their
     /// combinational fanout must re-evaluate at the next cycle's settle.
     pending_edge: Vec<u32>,
-    /// Scratch: nets toggled during the current cycle's settle.
-    toggled: Vec<u32>,
+    /// Scratch: one bit per net toggled in the current cycle or window.
+    toggled: Vec<u64>,
     /// Scratch: D values sampled simultaneously at the clock edge.
     edge_sample: Vec<bool>,
     // Windowed-kernel machinery (empty under the scalar kernels).
@@ -340,7 +350,7 @@ pub struct Simulator {
     /// each window start).
     epoch: u64,
     /// Scratch: nets whose lane differs from their committed value
-    /// somewhere in the current window (ascending after sort).
+    /// somewhere in the current window, ascending.
     active: Vec<u32>,
     /// Scratch: per-`active`-net toggle words over the window, flat at
     /// stride `WINDOW_WORDS`.
@@ -434,7 +444,14 @@ impl Simulator {
         let kernel = SimKernel::select(forced, plan.dffs.len())?;
         let windowed = kernel == SimKernel::Simd;
         let n = plan.netlist.gate_count();
-        let mut sim = Simulator {
+        // Reproduce the constant-init quirk (see `SimPlan::const1_fanout`):
+        // the event-driven and windowed kernels drain these marks at their
+        // first settle; the oblivious kernel never reads them.
+        let mut dirty = vec![0; plan.order.len().div_ceil(64)];
+        for &p in &plan.const1_fanout {
+            set_bit(&mut dirty, p as usize);
+        }
+        Ok(Simulator {
             energies,
             kernel,
             values: plan.reset_values.clone(),
@@ -444,10 +461,9 @@ impl Simulator {
             cycle: 0,
             gate_evals: 0,
             gate_events: 0,
-            level_queue: vec![Vec::new(); plan.max_level as usize + 1],
-            in_queue: vec![false; n],
+            dirty,
             pending_edge: Vec::new(),
-            toggled: Vec::new(),
+            toggled: vec![0; n.div_ceil(64)],
             edge_sample: Vec::new(),
             lanes: if windowed {
                 vec![0; n * WINDOW_WORDS]
@@ -460,21 +476,7 @@ impl Simulator {
             active_toggle: Vec::new(),
             gate_eval_slots: 0,
             plan,
-        };
-        if sim.kernel != SimKernel::Oblivious {
-            // Reproduce the constant-init quirk (see
-            // `SimPlan::const1_fanout`): the event-driven and windowed
-            // kernels drain this queue at their first settle.
-            for &target in &sim.plan.const1_fanout {
-                Self::sched(
-                    &mut sim.level_queue,
-                    &mut sim.in_queue,
-                    &sim.plan.levels,
-                    target,
-                );
-            }
-        }
-        Ok(sim)
+        })
     }
 
     /// The shared netlist this simulator evaluates.
@@ -566,7 +568,8 @@ impl Simulator {
     }
 
     /// Whether no cycle has been simulated yet, so the constant-init
-    /// quirk's seeds (see `SimPlan::const1_fanout`) are still queued.
+    /// quirk's seeds (see `SimPlan::const1_fanout`) are still marked in
+    /// the dirty set.
     fn is_fresh(&self) -> bool {
         self.cycle == 0
     }
@@ -578,7 +581,7 @@ impl Simulator {
     ///
     /// Exact because after any cycle the combinational nets are a full
     /// settle of the pre-edge flops (the DFF values with the changed
-    /// ones flipped back) and the input nets, and the dirty queue is
+    /// ones flipped back) and the input nets, and the dirty set is
     /// empty — except on a fresh instance, whose reset state is fixed.
     /// Together with the inputs a firing forces later, these bits
     /// determine the instance's whole future.
@@ -621,12 +624,7 @@ impl Simulator {
         debug_assert_eq!(self.kernel, SimKernel::EventDriven);
         if self.is_fresh() {
             // The restored state already includes the quirk's settle.
-            for bucket in &mut self.level_queue {
-                for &g in bucket.iter() {
-                    self.in_queue[g as usize] = false;
-                }
-                bucket.clear();
-            }
+            self.dirty.fill(0);
         }
         let plan = &*self.plan;
         let (values, rest) = post.split_at(self.values.len().div_ceil(64));
@@ -691,7 +689,7 @@ impl Simulator {
     ///   256 cycles and re-folds the energy from the report.
     /// * The event-driven kernel steps until a cycle ends with no flop
     ///   changed at its edge, then fast-forwards the rest. That is exact:
-    ///   after a stepped cycle the dirty queue is drained and every
+    ///   after a stepped cycle the dirty set is drained and every
     ///   input net equals its (held) forced value, so with no flop
     ///   changed, each later cycle schedules no gate, toggles nothing
     ///   and charges exactly the clock-tree energy. The fast-forward
@@ -735,7 +733,9 @@ impl Simulator {
 
     /// Runs one batched block: `changes[j]` is the set of input forcings
     /// applied before cycle `j` (an empty set holds the inputs). Returns
-    /// the energy over `changes.len()` cycles.
+    /// the energy over `changes.len()` cycles, folded from −0.0 as
+    /// [`Simulator::run`] folds it, so an empty block returns −0.0 under
+    /// every kernel.
     ///
     /// This is the uniform batched driving surface across kernels: the
     /// scalar kernels loop `set_input` + `step`, while the windowed
@@ -750,7 +750,7 @@ impl Simulator {
         match self.kernel {
             SimKernel::Simd => self.run_block_windowed(changes),
             SimKernel::EventDriven | SimKernel::Oblivious => {
-                let mut energy = 0.0;
+                let mut energy = -0.0;
                 for cyc in changes {
                     for &(net, v) in cyc {
                         self.set_input(net, v);
@@ -832,95 +832,76 @@ impl Simulator {
         self.gate_eval_slots = 0;
     }
 
-    /// Enqueues gate `g` in its level's dirty bucket (idempotent).
-    fn sched(level_queue: &mut [Vec<u32>], in_queue: &mut [bool], levels: &[u32], g: u32) {
-        if !in_queue[g as usize] {
-            in_queue[g as usize] = true;
-            level_queue[levels[g as usize] as usize].push(g);
-        }
-    }
-
-    /// Event-driven cycle: wake only the gates whose fan-in changed,
-    /// sweep the dirty buckets in ascending level order (each gate is
-    /// evaluated at most once, after all its fan-ins are final), then
+    /// Event-driven cycle: mark the readers of the changed inputs and
+    /// flops dirty, drain the dirty set in topological order (each gate
+    /// is evaluated at most once, after all its fan-ins are final), then
     /// charge the toggled nets in the oblivious kernel's accumulation
     /// order.
     fn step_event(&mut self) -> f64 {
-        // Slices and iterators over the plan, not `plan.field[k]` reads
-        // in the loops: the optimizer cannot prove that the stores below
-        // leave memory behind the `Arc` alone, so it would reload each
-        // `Vec` header per iteration.
+        // Slices and iterators over the plan and the instance's vectors,
+        // not `field[k]` reads in the loops: the optimizer cannot prove
+        // that the stores below leave the `Vec` headers alone, so it
+        // would reload them per iteration.
         let plan = &*self.plan;
-        let (fanout, levels) = (&plan.comb_fanout[..], &plan.levels[..]);
-        let gates = plan.netlist.gates();
+        let (order, gates) = (&plan.order[..], plan.netlist.gates());
+        let (off, pos) = (&plan.fanout_off[..], &plan.fanout_pos[..]);
         let switch_j = &self.energies.switch_j[..];
+        let (values, dirty) = (&mut self.values[..], &mut self.dirty[..]);
+        let (toggled, toggles) = (&mut self.toggled[..], &mut self.toggles[..]);
         // DFF outputs that changed at the previous edge drive this
         // cycle's settle, alongside any changed primary inputs.
-        let pending = std::mem::take(&mut self.pending_edge);
-        for &q in &pending {
-            for &g in &fanout[q as usize] {
-                Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
-            }
+        for &q in &self.pending_edge {
+            mark_readers(dirty, off, pos, q as usize);
         }
-        self.pending_edge = pending;
         self.pending_edge.clear();
-
-        self.toggled.clear();
         for &i in &plan.input_ids {
             let i = i as usize;
-            if self.values[i] != self.inputs[i] {
-                self.values[i] = self.inputs[i];
-                self.toggled.push(i as u32);
-                for &g in &fanout[i] {
-                    Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
-                }
+            if values[i] != self.inputs[i] {
+                values[i] = self.inputs[i];
+                set_bit(toggled, i);
+                mark_readers(dirty, off, pos, i);
             }
         }
 
-        // Levelized settle: a gate only ever wakes fanouts at strictly
-        // higher levels, so one ascending pass drains everything.
-        for lvl in 1..=plan.max_level as usize {
-            let mut bucket = std::mem::take(&mut self.level_queue[lvl]);
-            for &g in &bucket {
-                self.in_queue[g as usize] = false;
-                self.gate_evals += 1;
-                self.gate_eval_slots += 1;
-                let v = eval_gate(&gates[g as usize], &self.values);
-                if v != self.values[g as usize] {
-                    self.values[g as usize] = v;
-                    self.toggled.push(g);
-                    for &succ in &fanout[g as usize] {
-                        Self::sched(&mut self.level_queue, &mut self.in_queue, levels, succ);
-                    }
-                }
+        // Topological settle: a gate only ever marks readers at later
+        // positions, so one ascending drain evaluates everything dirty.
+        let (mut evals, mut word) = (0, 0);
+        while let Some(p) = pop_lowest(dirty, &mut word) {
+            evals += 1;
+            let g = order[p].0 as usize;
+            let v = eval_gate(&gates[g], values);
+            if v != values[g] {
+                values[g] = v;
+                set_bit(toggled, g);
+                mark_readers(dirty, off, pos, g);
             }
-            bucket.clear();
-            self.level_queue[lvl] = bucket;
         }
+        self.gate_evals += evals;
+        self.gate_eval_slots += evals;
 
         // Energy: clock tree first, then toggled nets ascending by net
         // id — the float order of the oblivious before/after diff.
-        self.toggled.sort_unstable();
         let mut energy = self.energies.clock_j;
-        for k in 0..self.toggled.len() {
-            let i = self.toggled[k] as usize;
-            self.toggles[i] += 1;
+        let (mut events, mut word) = (0, 0);
+        while let Some(i) = pop_lowest(toggled, &mut word) {
+            toggles[i] += 1;
+            events += 1;
             energy += switch_j[i];
         }
-        self.gate_events += self.toggled.len() as u64;
+        self.gate_events += events;
 
         // Clock edge: sample all D inputs first (DFF-to-DFF chains shift
         // simultaneously), then commit in ascending gate order.
         self.edge_sample.clear();
         for &(_, d) in &plan.dffs {
-            self.edge_sample.push(self.values[d as usize]);
+            self.edge_sample.push(values[d as usize]);
         }
         for (k, &(q, _)) in plan.dffs.iter().enumerate() {
             let v = self.edge_sample[k];
-            if self.values[q as usize] != v {
-                self.toggles[q as usize] += 1;
+            if values[q as usize] != v {
+                toggles[q as usize] += 1;
                 energy += switch_j[q as usize];
-                self.values[q as usize] = v;
+                values[q as usize] = v;
                 self.gate_events += 1;
                 self.pending_edge.push(q);
             }
@@ -1044,6 +1025,8 @@ impl Simulator {
     /// One window: evaluates `budget` cycles (at most the lane word's
     /// 256) at once and commits them all, returning how many. The
     /// netlist has no flops, so no window cycle can change a later one.
+    /// It drains the event-driven kernel's dirty set, each dirty gate
+    /// once per window.
     ///
     /// Inputs are held at their forced values unless `sched` supplies
     /// an explicit per-cycle lane word for them (bit `j` = the value
@@ -1054,11 +1037,10 @@ impl Simulator {
         debug_assert!(self.plan.dffs.is_empty(), "windowed kernel on flops");
         // Slices and iterators over the plan, as in `step_event`.
         let plan = &*self.plan;
-        let (fanout, levels) = (&plan.comb_fanout[..], &plan.levels[..]);
+        let (off, pos) = (&plan.fanout_off[..], &plan.fanout_pos[..]);
         let m = budget.min(u64::from(WindowWord::BITS)) as u32;
         let mask = WindowWord::low_mask(m);
         self.epoch += 1;
-        self.active.clear();
         // Scheduled inputs: an explicit per-cycle lane overrides the
         // held value.
         for &(i, w) in sched {
@@ -1066,10 +1048,8 @@ impl Simulator {
             lane_set(&mut self.lanes, iu, w);
             self.lane_epoch[iu] = self.epoch;
             if w.and(mask) != WindowWord::splat(self.values[iu]).and(mask) {
-                self.active.push(i);
-                for &g in &fanout[iu] {
-                    Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
-                }
+                set_bit(&mut self.toggled, iu);
+                mark_readers(&mut self.dirty, off, pos, iu);
             }
         }
         // Held inputs that changed since the last committed cycle
@@ -1082,45 +1062,38 @@ impl Simulator {
             if self.values[i] != self.inputs[i] {
                 lane_set(&mut self.lanes, i, WindowWord::splat(self.inputs[i]));
                 self.lane_epoch[i] = self.epoch;
-                self.active.push(i as u32);
-                for &g in &fanout[i] {
-                    Self::sched(&mut self.level_queue, &mut self.in_queue, levels, g);
-                }
+                set_bit(&mut self.toggled, i);
+                mark_readers(&mut self.dirty, off, pos, i);
             }
         }
 
-        // Levelized word settle: each dirty gate (including the
+        // Topological word settle: each dirty gate (including the
         // construction-time constant-quirk seeds) is evaluated exactly
         // once, as one word op covering every cycle of the window.
         let mut window_evals = 0u64;
-        for lvl in 1..=plan.max_level as usize {
-            let mut bucket = std::mem::take(&mut self.level_queue[lvl]);
-            for &g in &bucket {
-                self.in_queue[g as usize] = false;
-                self.gate_evals += 1;
-                window_evals += 1;
-                let w = self.eval_gate_word(g as usize);
-                if w.and(mask) != WindowWord::splat(self.values[g as usize]).and(mask) {
-                    lane_set(&mut self.lanes, g as usize, w);
-                    self.lane_epoch[g as usize] = self.epoch;
-                    self.active.push(g);
-                    for &succ in &fanout[g as usize] {
-                        Self::sched(&mut self.level_queue, &mut self.in_queue, levels, succ);
-                    }
-                }
+        let mut word = 0;
+        while let Some(p) = pop_lowest(&mut self.dirty, &mut word) {
+            let g = plan.order[p].0 as usize;
+            window_evals += 1;
+            let w = self.eval_gate_word(g);
+            if w.and(mask) != WindowWord::splat(self.values[g]).and(mask) {
+                lane_set(&mut self.lanes, g, w);
+                self.lane_epoch[g] = self.epoch;
+                set_bit(&mut self.toggled, g);
+                mark_readers(&mut self.dirty, off, pos, g);
             }
-            bucket.clear();
-            self.level_queue[lvl] = bucket;
         }
+        self.gate_evals += window_evals;
         self.gate_eval_slots += window_evals * u64::from(m);
 
-        // Commit: toggle words over the window, then the per-cycle
-        // energy fold in the scalar kernels' order.
-        self.active.sort_unstable();
+        // Commit: toggle words of the changed nets, ascending, then the
+        // per-cycle energy fold in the scalar kernels' order.
+        self.active.clear();
         self.active_toggle.clear();
-        for k in 0..self.active.len() {
-            let i = self.active[k] as usize;
+        let mut word = 0;
+        while let Some(i) = pop_lowest(&mut self.toggled, &mut word) {
             let t = toggle_word_w(lane_get(&self.lanes, i), self.values[i]).and(mask);
+            self.active.push(i as u32);
             self.active_toggle.extend_from_slice(&t.0);
         }
         let (switch_j, clock) = (&self.energies.switch_j[..], self.energies.clock_j);
@@ -1197,6 +1170,33 @@ fn settle_full(netlist: &Netlist, order: &[NetId], values: &mut [bool]) {
             _ => {}
         }
     }
+}
+
+/// Sets bit `k` of a bitset (bit `k % 64` of word `k / 64`).
+fn set_bit(bits: &mut [u64], k: usize) {
+    bits[k / 64] |= 1 << (k % 64);
+}
+
+/// Marks net `net`'s combinational readers dirty, from the plan's CSR
+/// pair (`off`, `pos`).
+fn mark_readers(dirty: &mut [u64], off: &[u32], pos: &[u32], net: usize) {
+    for &p in &pos[off[net] as usize..off[net + 1] as usize] {
+        set_bit(dirty, p as usize);
+    }
+}
+
+/// Clears and returns the lowest set bit at or after word `*word`,
+/// advancing `*word` past empty words. Between calls the caller may set
+/// bits after the returned one; they are drained in turn.
+fn pop_lowest(bits: &mut [u64], word: &mut usize) -> Option<usize> {
+    while let Some(&w) = bits.get(*word) {
+        if w != 0 {
+            bits[*word] = w & (w - 1);
+            return Some(*word * 64 + w.trailing_zeros() as usize);
+        }
+        *word += 1;
+    }
+    None
 }
 
 /// Appends `bits` packed 64 to a word: bit `k % 64` of word `k / 64`.

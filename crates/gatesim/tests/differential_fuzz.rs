@@ -15,9 +15,12 @@
 //! [`Simulator::run_block`] surface at block-boundary cycle counts (1,
 //! 63, 64, 65, 127, 128, 255, 256, 257 — the simd kernel's 256-cycle
 //! windows and the 64-lane `u64` seams inside them must be exact at and
-//! across every boundary). The simd kernel runs only netlists without
-//! flops, so each case also draws a flop-free netlist for it; the
-//! event-driven kernel runs both.
+//! across every boundary), after an empty block (−0.0 under every
+//! kernel). The simd kernel runs only netlists without flops, so each
+//! case also draws a flop-free netlist for it; the event-driven kernel
+//! runs both. One netlist in three has 65–300 gates, so the dirty set
+//! spans several 64-bit words. `FUZZ_N` scales the random cases
+//! (default 120; CI runs 1000).
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
@@ -36,8 +39,9 @@ fn kernels_for(netlist: &Netlist) -> &'static [SimKernel] {
 }
 
 /// Builds a random valid netlist: inputs and constants first, then a
-/// mix of combinational gates (fan-ins drawn from already-built nets,
-/// keeping the combinational part acyclic) and, if `flops`, DFFs whose
+/// mix of 10–59 gates, or 65–300 in one case of three (fan-ins drawn
+/// from already-built nets, keeping the combinational part acyclic, a
+/// net sometimes read twice by one gate) and, if `flops`, DFFs whose
 /// D input may reference any earlier net — including other flop outputs
 /// directly, the shift-register case that exercises simultaneous edge
 /// sampling — or, for some, any net at all: sequential feedback loops,
@@ -54,7 +58,11 @@ fn random_netlist(rng: &mut Rng, flops: bool) -> Netlist {
     if rng.bool_with(0.5) {
         nets.push(n.constant(false));
     }
-    let n_gates = rng.usize_in(10, 60);
+    let n_gates = if rng.bool_with(1.0 / 3.0) {
+        rng.usize_in(65, 301)
+    } else {
+        rng.usize_in(10, 60)
+    };
     let total = nets.len() + n_gates;
     for _ in 0..n_gates {
         let pick = rng.usize_in(0, 10);
@@ -87,7 +95,10 @@ fn random_netlist(rng: &mut Rng, flops: bool) -> Netlist {
                     GateKind::Xnor,
                 ]);
                 let arity = rng.usize_in(1, 4);
-                let ins = (0..arity).map(|_| *rng.choose(&nets)).collect();
+                let mut ins: Vec<NetId> = (0..arity).map(|_| *rng.choose(&nets)).collect();
+                if arity > 1 && rng.bool_with(0.2) {
+                    ins[1] = ins[0];
+                }
                 n.gate(kind, ins)
             }
         };
@@ -204,15 +215,23 @@ fn drive_blocks(
 }
 
 /// Random netlists per differential test, and the least of them that
-/// must be flop-free and so also run the windowed kernel.
-const CASES: u64 = 120;
+/// must be flop-free and so also run the windowed kernel: `FUZZ_N`, or
+/// 120 when unset.
+fn cases() -> u64 {
+    std::env::var("FUZZ_N")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(120)
+}
 
 #[test]
 fn all_kernels_match_oblivious_over_120_random_cases() {
     // Long stretches that end quiet (the last cycle charged the clock
-    // tree alone) and that end busy (flops still oscillating).
-    let (mut quiet, mut busy, mut windowed) = (0, 0, 0);
-    for case in 0..CASES {
+    // tree alone) and that end busy (flops still oscillating), and
+    // netlists whose dirty set spans four words.
+    let (mut quiet, mut busy, mut windowed, mut four_words) = (0, 0, 0, 0);
+    let cases = cases();
+    for case in 0..cases {
         let mut rng = Rng::new(0x9E37_79B9_7F4A_7C15 ^ case);
         let sequential = Arc::new(random_netlist(&mut rng, true));
         let cycles = rng.usize_in(10, 40);
@@ -222,6 +241,7 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
         let flat = Arc::new(random_netlist(&mut flat_rng, false));
         let flat_stimulus = random_stimulus(&flat, cycles, 0.6, &mut flat_rng);
         let mut check = |netlist: &Arc<Netlist>, stimulus: &[Vec<(NetId, bool)>]| {
+            four_words += usize::from(netlist.validate().expect("valid").len() > 192);
             let reference = drive(netlist, SimKernel::Oblivious, stimulus, &holds);
             for &kernel in kernels_for(netlist) {
                 windowed += usize::from(kernel == SimKernel::Simd);
@@ -264,9 +284,10 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
         "{quiet} quiet and {busy} busy 300-cycle stretches"
     );
     assert!(
-        windowed >= CASES as usize,
+        windowed >= cases as usize,
         "the windowed kernel ran {windowed} cases"
     );
+    assert!(four_words > 0, "no netlist spans four dirty-set words");
 }
 
 #[test]
@@ -276,11 +297,14 @@ fn batched_blocks_match_at_word_boundaries() {
     // of the window, and the same lattice around the whole 256-cycle
     // window. Segment sizes are randomized so chunk seams land
     // everywhere, and the input change probability is low enough that
-    // windows actually span many cycles.
+    // windows actually span many cycles. The first block is empty, an
+    // empty sum: −0.0 under every kernel.
+    let cases = cases();
+    let per_length = cases.div_ceil(4);
     let mut windowed = 0;
     for &cycles in &[1usize, 63, 64, 65, 127, 128, 255, 256, 257] {
         let mut windowed_here = 0;
-        for case in 0..30u64 {
+        for case in 0..per_length {
             for flops in [true, false] {
                 let mut rng = Rng::new(
                     0xB10C_0000_0000_0000 ^ (cycles as u64) << 32 ^ case ^ u64::from(!flops) << 16,
@@ -288,7 +312,7 @@ fn batched_blocks_match_at_word_boundaries() {
                 let netlist = Arc::new(random_netlist(&mut rng, flops));
                 let stimulus = random_stimulus(&netlist, cycles, 0.1, &mut rng);
                 let segments: Vec<usize> = {
-                    let mut segs = Vec::new();
+                    let mut segs = vec![0];
                     let mut left = cycles;
                     while left > 0 {
                         let s = rng.usize_in(1, left.min(300) + 1);
@@ -309,13 +333,13 @@ fn batched_blocks_match_at_word_boundaries() {
             }
         }
         assert!(
-            windowed_here >= 30,
+            windowed_here >= per_length as usize,
             "{windowed_here} windowed cases at {cycles} cycles"
         );
         windowed += windowed_here;
     }
     assert!(
-        windowed >= CASES as usize,
+        windowed >= cases as usize,
         "the windowed kernel ran {windowed} cases"
     );
 }

@@ -22,7 +22,9 @@
 //! directly on the largest synthesized netlist of the tcpip system
 //! (its `checksum` process): every scalar kernel, every lane and the
 //! lane-scheduled Monte-Carlo sweep must match a scalar event-driven
-//! run bit for bit. Those runs pin each kernel explicitly.
+//! run bit for bit. Those runs pin each kernel explicitly. The
+//! event-driven kernel's evaluation and event counts are pinned exactly
+//! there and on a standalone producer_consumer run.
 
 mod corpus;
 
@@ -391,6 +393,19 @@ fn kernels_agree_bit_for_bit_on_the_checksum_netlist() {
         event_evals < oblivious_evals,
         "event-driven must evaluate strictly fewer gates ({event_evals} vs {oblivious_evals})"
     );
+    // No golden sees `gate_evals` (it is kernel-specific): pin the
+    // event-driven evaluation set exactly.
+    assert_eq!((event_evals, event_events), (423_029, 239_439));
+}
+
+#[test]
+fn event_driven_gate_counts_are_pinned_on_a_standalone_run() {
+    // Through the whole stack: a standalone run simulates every firing.
+    let soc = producer_consumer::build(&ProducerConsumerParams::default()).expect("valid params");
+    let (_, m) = with_kernel(None, || {
+        run_with_metrics(soc, CoSimConfig::date2000_defaults())
+    });
+    assert_eq!((m.gate_evals, m.gate_events), (462_983, 232_799));
 }
 
 /// The lockstep lane simulators' shared surface.
