@@ -54,8 +54,8 @@ impl fmt::Display for NetlistStats {
 pub fn stats(netlist: &Netlist, power: &PowerConfig) -> Result<NetlistStats, ValidateNetlistError> {
     let order = netlist.validate()?;
     let mut by_kind: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for g in netlist.gates() {
-        let name = match g.kind {
+    for kind in netlist.kinds() {
+        let name = match kind {
             GateKind::Input => "input",
             GateKind::Const0 | GateKind::Const1 => "const",
             GateKind::Buf => "buf",
@@ -74,10 +74,9 @@ pub fn stats(netlist: &Netlist, power: &PowerConfig) -> Result<NetlistStats, Val
     // Depth: levels along the topological order.
     let mut level = vec![0usize; netlist.gate_count()];
     let mut depth = 0usize;
-    for id in &order {
-        let g = &netlist.gates()[id.0 as usize];
-        let l = g
-            .inputs
+    for &id in &order {
+        let l = netlist
+            .fanin(id)
             .iter()
             .map(|i| level[i.0 as usize] + 1)
             .max()
@@ -111,8 +110,8 @@ pub fn sweep_dead_logic(netlist: &Netlist) -> (Netlist, usize) {
     for (_, net) in netlist.outputs() {
         stack.push(net.0);
     }
-    for (i, g) in netlist.gates().iter().enumerate() {
-        if g.kind.is_sequential() || g.kind == GateKind::Input {
+    for (i, kind) in netlist.kinds().iter().enumerate() {
+        if kind.is_sequential() || *kind == GateKind::Input {
             stack.push(i as u32);
         }
     }
@@ -121,7 +120,7 @@ pub fn sweep_dead_logic(netlist: &Netlist) -> (Netlist, usize) {
             continue;
         }
         live[i as usize] = true;
-        for inp in &netlist.gates()[i as usize].inputs {
+        for inp in netlist.fanin(NetId(i)) {
             stack.push(inp.0);
         }
     }
@@ -129,15 +128,13 @@ pub fn sweep_dead_logic(netlist: &Netlist) -> (Netlist, usize) {
     // Rebuild with compacted ids.
     let mut remap = vec![NetId(0); n];
     let mut out = Netlist::new();
-    for (i, g) in netlist.gates().iter().enumerate() {
+    for (i, &kind) in netlist.kinds().iter().enumerate() {
         if !live[i] {
             continue;
         }
         // Inputs of live gates are live by construction.
-        let id = out.gate(
-            g.kind,
-            g.inputs.iter().map(|inp| remap[inp.0 as usize]).collect(),
-        );
+        let fanin = netlist.fanin(NetId(i as u32));
+        let id = out.gate(kind, fanin.iter().map(|inp| remap[inp.0 as usize]).collect());
         remap[i] = id;
     }
     for (name, net) in netlist.outputs() {
@@ -162,8 +159,8 @@ pub fn propagate_constants(netlist: &Netlist) -> (Netlist, usize) {
     let n = netlist.gate_count();
     // Known constant value per net (None = unknown / input / state).
     let mut konst: Vec<Option<bool>> = vec![None; n];
-    for (i, g) in netlist.gates().iter().enumerate() {
-        match g.kind {
+    for (i, kind) in netlist.kinds().iter().enumerate() {
+        match kind {
             GateKind::Const0 => konst[i] = Some(false),
             GateKind::Const1 => konst[i] = Some(true),
             _ => {}
@@ -178,14 +175,14 @@ pub fn propagate_constants(netlist: &Netlist) -> (Netlist, usize) {
         Forward(NetId),
     }
     let mut plan: Vec<Repl> = vec![Repl::Keep; n];
-    for id in &order {
-        let g = &netlist.gates()[id.0 as usize];
-        let ins: Vec<Option<bool>> = g.inputs.iter().map(|i| konst[i.0 as usize]).collect();
+    for &id in &order {
+        let (kind, fanin) = (netlist.kind(id), netlist.fanin(id));
+        let ins: Vec<Option<bool>> = fanin.iter().map(|i| konst[i.0 as usize]).collect();
         let _all = |v: bool| ins.iter().all(|x| *x == Some(v));
         let any = |v: bool| ins.contains(&Some(v));
         let every_known = ins.iter().all(Option::is_some);
-        let value: Option<Repl> = match g.kind {
-            GateKind::Buf => ins[0].map(Repl::Const).or(Some(Repl::Forward(g.inputs[0]))),
+        let value: Option<Repl> = match kind {
+            GateKind::Buf => ins[0].map(Repl::Const).or(Some(Repl::Forward(fanin[0]))),
             GateKind::Not => ins[0].map(|v| Repl::Const(!v)),
             GateKind::And => {
                 if any(false) {
@@ -231,7 +228,7 @@ pub fn propagate_constants(netlist: &Netlist) -> (Netlist, usize) {
             )),
             GateKind::Mux => match ins[0] {
                 Some(sel) => {
-                    let chosen = if sel { g.inputs[1] } else { g.inputs[2] };
+                    let chosen = if sel { fanin[1] } else { fanin[2] };
                     match konst[chosen.0 as usize] {
                         Some(v) => Some(Repl::Const(v)),
                         None => Some(Repl::Forward(chosen)),
@@ -244,7 +241,7 @@ pub fn propagate_constants(netlist: &Netlist) -> (Netlist, usize) {
         if let Some(r) = value {
             // A pure passthrough of a Buf that was already a buffer is
             // not a simplification worth counting.
-            let counts = !(matches!(r, Repl::Forward(_)) && g.kind == GateKind::Buf);
+            let counts = !(matches!(r, Repl::Forward(_)) && kind == GateKind::Buf);
             if counts {
                 simplified += 1;
             }
@@ -271,7 +268,7 @@ pub fn propagate_constants(netlist: &Netlist) -> (Netlist, usize) {
         id
     };
     let mut out = Netlist::new();
-    for (i, g) in netlist.gates().iter().enumerate() {
+    for (i, &kind) in netlist.kinds().iter().enumerate() {
         match plan[i] {
             Repl::Const(v) => {
                 out.constant(v);
@@ -281,8 +278,8 @@ pub fn propagate_constants(netlist: &Netlist) -> (Netlist, usize) {
                 out.gate(GateKind::Buf, vec![src]);
             }
             Repl::Keep => {
-                let inputs = g.inputs.iter().map(|&x| resolve(x)).collect();
-                out.gate(g.kind, inputs);
+                let fanin = netlist.fanin(NetId(i as u32));
+                out.gate(kind, fanin.iter().map(|&x| resolve(x)).collect());
             }
         }
     }

@@ -106,21 +106,22 @@ pub fn to_blif(netlist: &Netlist, model: &str) -> String {
         }
         s.push('\n');
     }
-    for (i, g) in netlist.gates().iter().enumerate() {
-        let out = sig(NetId(i as u32));
-        match g.kind {
+    for (i, &kind) in netlist.kinds().iter().enumerate() {
+        let id = NetId(i as u32);
+        let out = sig(id);
+        match kind {
             GateKind::Input => {}
             GateKind::Dff(init) => {
                 s.push_str(&format!(
                     ".latch {} {} {}\n",
-                    sig(g.inputs[0]),
+                    sig(netlist.fanin(id)[0]),
                     out,
                     u8::from(init)
                 ));
             }
             kind => {
                 s.push_str(&format!(".gate {}", kind_name(kind)));
-                for (k, inp) in g.inputs.iter().enumerate() {
+                for (k, inp) in netlist.fanin(id).iter().enumerate() {
                     s.push_str(&format!(" {}={}", (b'a' + k as u8) as char, sig(*inp)));
                 }
                 s.push_str(&format!(" O={out}\n"));
@@ -327,7 +328,7 @@ mod tests {
         let back = from_blif(&to_blif(&nl, "reg")).expect("parses");
         assert_eq!(back.dff_count(), 1);
         assert!(matches!(
-            back.gates().iter().find(|g| g.kind.is_sequential()).map(|g| g.kind),
+            back.kinds().iter().find(|k| k.is_sequential()),
             Some(GateKind::Dff(true))
         ));
     }

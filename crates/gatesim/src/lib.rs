@@ -62,7 +62,7 @@ mod synth;
 pub mod word;
 
 pub use characterize::macro_op_energies;
-pub use netlist::{Gate, GateKind, NetId, Netlist, ValidateNetlistError};
+pub use netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
 pub use power::{CapacitanceMap, EnergyReport, PowerConfig};
 pub use sim::{ParseKernelError, SimKernel, Simulator};
 pub use simd::{LaneWord, SimdLaneSim, Wide, W128, W256, W512};

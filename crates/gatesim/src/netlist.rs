@@ -1,11 +1,21 @@
 //! Gate-level netlist intermediate representation.
 //!
-//! A [`Netlist`] is a flat array of [`Gate`]s; the output net of gate *i*
-//! is [`NetId`]`(i)`. Primary inputs are `Input` gates whose value the
-//! simulator forces each cycle; sequential state is held in `Dff` gates
-//! that sample their data input on the (implicit) clock edge.
+//! A [`Netlist`] stores its gates flat: one [`GateKind`] per gate, and
+//! every gate's fan-in nets in one compressed (CSR) array in net-id
+//! order, so gate *i*'s fan-ins are one contiguous run
+//! ([`Netlist::fanin`]) and no gate owns an allocation of its own. The
+//! output net of gate *i* is [`NetId`]`(i)`. Primary inputs are `Input`
+//! gates whose value the simulator forces each cycle; sequential state
+//! is held in `Dff` gates that sample their data input on the (implicit)
+//! clock edge.
+//!
+//! `GateKind::eval` is the logic function of every combinational kind,
+//! generic over the value computed ([`Logic`]: a `bool`, or a lane word)
+//! and over how a fan-in is read. Every simulation kernel evaluates its
+//! gates through it.
 
 use crate::sim::ParseKernelError;
+use crate::simd::Logic;
 use std::fmt;
 
 /// Identifier of a net — the output of the gate with the same index.
@@ -61,6 +71,55 @@ impl GateKind {
         matches!(self, GateKind::Input | GateKind::Const0 | GateKind::Const1)
     }
 
+    /// Whether a gate of this kind may read `n` fan-ins: sources none,
+    /// `Buf`/`Not`/`Dff` one, `Mux` three, the n-ary kinds at least one.
+    fn takes(self, n: usize) -> bool {
+        match self {
+            GateKind::Input | GateKind::Const0 | GateKind::Const1 => n == 0,
+            GateKind::Buf | GateKind::Not | GateKind::Dff(_) => n == 1,
+            GateKind::Mux => n == 3,
+            GateKind::And
+            | GateKind::Or
+            | GateKind::Nand
+            | GateKind::Nor
+            | GateKind::Xor
+            | GateKind::Xnor => n >= 1,
+        }
+    }
+
+    /// The logic function of a combinational kind: its output over the
+    /// `fanin` nets, each read by `read`, as a `bool` for the scalar
+    /// kernels or a lane word for the windowed kernel and the lockstep
+    /// lanes. The crate's one gate evaluator.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a source or a flop, which no kernel evaluates.
+    #[inline]
+    pub(crate) fn eval<V: Logic>(self, fanin: &[NetId], read: impl Fn(NetId) -> V) -> V {
+        let and = || fanin.iter().fold(V::ONES, |acc, &i| acc.and(read(i)));
+        let or = || fanin.iter().fold(V::ZERO, |acc, &i| acc.or(read(i)));
+        let xor = || fanin.iter().fold(V::ZERO, |acc, &i| acc.xor(read(i)));
+        match self {
+            GateKind::Buf => read(fanin[0]),
+            GateKind::Not => read(fanin[0]).not(),
+            GateKind::And => and(),
+            GateKind::Or => or(),
+            GateKind::Nand => and().not(),
+            GateKind::Nor => or().not(),
+            GateKind::Xor => xor(),
+            GateKind::Xnor => xor().not(),
+            GateKind::Mux => {
+                // sel ? a : b, as b ^ (sel & (a ^ b)).
+                let (sel, a, b) = (read(fanin[0]), read(fanin[1]), read(fanin[2]));
+                b.xor(sel.and(a.xor(b)))
+            }
+            GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff(_) => {
+                unreachable!("{self} is not a combinational gate")
+            }
+        }
+    }
+
     /// Intrinsic output capacitance in femtofarads, before fanout loading
     /// (typical 0.25µm standard-cell figures; the absolute scale cancels
     /// out of the paper's speedup/ranking results).
@@ -98,15 +157,6 @@ impl fmt::Display for GateKind {
         };
         f.write_str(s)
     }
-}
-
-/// One gate instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Gate {
-    /// Logic function.
-    pub kind: GateKind,
-    /// Input nets, in positional order (see [`GateKind`] for conventions).
-    pub inputs: Vec<NetId>,
 }
 
 /// Errors detected by [`Netlist::validate`], and by simulator
@@ -189,10 +239,26 @@ impl std::error::Error for ValidateNetlistError {}
 /// n.validate()?;
 /// # Ok::<(), gatesim::ValidateNetlistError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Netlist {
-    gates: Vec<Gate>,
+    /// Logic function per gate, by net id.
+    kinds: Vec<GateKind>,
+    /// Gate `i`'s fan-ins are `fanin[fanin_off[i]..fanin_off[i + 1]]`,
+    /// in positional order (see [`GateKind`] for conventions).
+    fanin_off: Vec<u32>,
+    fanin: Vec<NetId>,
     outputs: Vec<(String, NetId)>,
+}
+
+impl Default for Netlist {
+    fn default() -> Self {
+        Netlist {
+            kinds: Vec::new(),
+            fanin_off: vec![0],
+            fanin: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
 }
 
 impl Netlist {
@@ -208,16 +274,15 @@ impl Netlist {
     /// Panics if the arity is statically wrong for `kind` (sources take 0
     /// inputs, `Buf`/`Not`/`Dff` take 1, `Mux` takes 3, others ≥ 1).
     pub fn gate(&mut self, kind: GateKind, inputs: Vec<NetId>) -> NetId {
-        let ok = match kind {
-            GateKind::Input | GateKind::Const0 | GateKind::Const1 => inputs.is_empty(),
-            GateKind::Buf | GateKind::Not | GateKind::Dff(_) => inputs.len() == 1,
-            GateKind::Mux => inputs.len() == 3,
-            GateKind::And | GateKind::Or | GateKind::Nand | GateKind::Nor => !inputs.is_empty(),
-            GateKind::Xor | GateKind::Xnor => !inputs.is_empty(),
-        };
-        assert!(ok, "gate kind {kind} cannot take {} inputs", inputs.len());
-        let id = NetId(self.gates.len() as u32);
-        self.gates.push(Gate { kind, inputs });
+        assert!(
+            kind.takes(inputs.len()),
+            "gate kind {kind} cannot take {} inputs",
+            inputs.len()
+        );
+        let id = NetId(self.kinds.len() as u32);
+        self.kinds.push(kind);
+        self.fanin.extend_from_slice(&inputs);
+        self.fanin_off.push(self.fanin.len() as u32);
         id
     }
 
@@ -249,12 +314,8 @@ impl Netlist {
     /// combinational cycle — so forgetting to drive a wire cannot go
     /// unnoticed.
     pub fn wire(&mut self) -> NetId {
-        let id = NetId(self.gates.len() as u32);
-        self.gates.push(Gate {
-            kind: GateKind::Buf,
-            inputs: vec![id],
-        });
-        id
+        let id = NetId(self.kinds.len() as u32);
+        self.gate(GateKind::Buf, vec![id])
     }
 
     /// Connects a previously created [`wire`](Netlist::wire) to its
@@ -264,9 +325,12 @@ impl Netlist {
     ///
     /// Panics if `wire` is not a buffer (only wires may be re-driven).
     pub fn drive(&mut self, wire: NetId, src: NetId) {
-        let g = &mut self.gates[wire.0 as usize];
-        assert_eq!(g.kind, GateKind::Buf, "only wires (buffers) can be driven");
-        g.inputs[0] = src;
+        assert_eq!(
+            self.kind(wire),
+            GateKind::Buf,
+            "only wires (buffers) can be driven"
+        );
+        self.fanin[self.fanin_off[wire.0 as usize] as usize] = src;
     }
 
     /// Names a net as a primary output.
@@ -287,41 +351,57 @@ impl Netlist {
             .map(|&(_, id)| id)
     }
 
-    /// The gates.
-    pub fn gates(&self) -> &[Gate] {
-        &self.gates
+    /// The logic function of the gate driving `net`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` does not exist.
+    #[inline]
+    pub fn kind(&self, net: NetId) -> GateKind {
+        self.kinds[net.0 as usize]
+    }
+
+    /// The fan-in nets of the gate driving `net`, in positional order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` does not exist.
+    #[inline]
+    pub fn fanin(&self, net: NetId) -> &[NetId] {
+        let i = net.0 as usize;
+        &self.fanin[self.fanin_off[i] as usize..self.fanin_off[i + 1] as usize]
+    }
+
+    /// Every gate's logic function, by net id.
+    pub fn kinds(&self) -> &[GateKind] {
+        &self.kinds
     }
 
     /// Number of gates (including inputs and constants).
     pub fn gate_count(&self) -> usize {
-        self.gates.len()
+        self.kinds.len()
     }
 
     /// Number of sequential elements.
     pub fn dff_count(&self) -> usize {
-        self.gates
-            .iter()
-            .filter(|g| g.kind.is_sequential())
-            .count()
+        self.kinds.iter().filter(|k| k.is_sequential()).count()
     }
 
     /// Ids of the primary inputs, in creation order.
     pub fn primary_inputs(&self) -> Vec<NetId> {
-        self.gates
+        self.kinds
             .iter()
             .enumerate()
-            .filter(|(_, g)| g.kind == GateKind::Input)
+            .filter(|(_, &k)| k == GateKind::Input)
             .map(|(i, _)| NetId(i as u32))
             .collect()
     }
 
     /// Fanout count of each net.
     pub fn fanouts(&self) -> Vec<u32> {
-        let mut f = vec![0u32; self.gates.len()];
-        for g in &self.gates {
-            for &i in &g.inputs {
-                f[i.0 as usize] += 1;
-            }
+        let mut f = vec![0u32; self.kinds.len()];
+        for &i in &self.fanin {
+            f[i.0 as usize] += 1;
         }
         f
     }
@@ -333,91 +413,77 @@ impl Netlist {
     ///
     /// Returns the first [`ValidateNetlistError`] found.
     pub fn validate(&self) -> Result<Vec<NetId>, ValidateNetlistError> {
-        let n = self.gates.len() as u32;
-        for (i, g) in self.gates.iter().enumerate() {
-            let gid = NetId(i as u32);
-            for &inp in &g.inputs {
-                if inp.0 >= n {
-                    return Err(ValidateNetlistError::DanglingNet {
-                        gate: gid,
-                        input: inp,
-                    });
-                }
+        let n = self.kinds.len();
+        for (i, &kind) in self.kinds.iter().enumerate() {
+            let gate = NetId(i as u32);
+            let fanin = self.fanin(gate);
+            if let Some(&input) = fanin.iter().find(|inp| inp.0 as usize >= n) {
+                return Err(ValidateNetlistError::DanglingNet { gate, input });
             }
-            let ok = match g.kind {
-                GateKind::Input | GateKind::Const0 | GateKind::Const1 => g.inputs.is_empty(),
-                GateKind::Buf | GateKind::Not | GateKind::Dff(_) => g.inputs.len() == 1,
-                GateKind::Mux => g.inputs.len() == 3,
-                _ => !g.inputs.is_empty(),
-            };
-            if !ok {
+            if !kind.takes(fanin.len()) {
                 return Err(ValidateNetlistError::BadArity {
-                    gate: gid,
-                    kind: g.kind,
-                    got: g.inputs.len(),
+                    gate,
+                    kind,
+                    got: fanin.len(),
                 });
             }
         }
         // Kahn topological sort over combinational edges only: DFF outputs
-        // and sources have no combinational dependencies.
-        let mut indeg = vec![0u32; self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            if g.kind.is_sequential() || g.kind.is_source() {
-                continue;
+        // and sources have no combinational dependencies. Each net's
+        // combinational readers (ascending, once per pin) are
+        // `readers[off[i]..off[i + 1]]`, a CSR pair like the fan-ins, so
+        // the sort allocates no list per net.
+        let comb = |i: usize| {
+            let k = self.kinds[i];
+            !(k.is_sequential() || k.is_source())
+        };
+        let comb_fanin = |i: usize| {
+            let fanin = self.fanin(NetId(i as u32)).iter();
+            fanin.map(|src| src.0 as usize).filter(move |&src| comb(src))
+        };
+        let mut indeg = vec![0u32; n];
+        let mut off = vec![0u32; n + 1];
+        for i in (0..n).filter(|&i| comb(i)) {
+            for src in comb_fanin(i) {
+                indeg[i] += 1;
+                off[src] += 1;
             }
-            indeg[i] = g
-                .inputs
-                .iter()
-                .filter(|inp| {
-                    let src = &self.gates[inp.0 as usize];
-                    !(src.kind.is_sequential() || src.kind.is_source())
-                })
-                .count() as u32;
         }
-        // Combinational fanout adjacency.
+        let mut total = 0;
+        for o in &mut off {
+            total += *o;
+            *o = total;
+        }
+        // Fill each run from its end, readers descending, which leaves
+        // `off[i]` at the run's start.
+        let mut readers = vec![0u32; total as usize];
+        for i in (0..n).rev().filter(|&i| comb(i)) {
+            for src in comb_fanin(i) {
+                off[src] -= 1;
+                readers[off[src] as usize] = i as u32;
+            }
+        }
         let mut order = Vec::new();
-        let mut ready: Vec<u32> = (0..self.gates.len() as u32)
-            .filter(|&i| {
-                let k = self.gates[i as usize].kind;
-                !(k.is_sequential() || k.is_source()) && indeg[i as usize] == 0
-            })
+        let mut ready: Vec<u32> = (0..n as u32)
+            .filter(|&i| comb(i as usize) && indeg[i as usize] == 0)
             .collect();
         ready.reverse(); // pop from the end, keep ascending tendency
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            if g.kind.is_sequential() || g.kind.is_source() {
-                continue;
-            }
-            for &inp in &g.inputs {
-                let src = &self.gates[inp.0 as usize];
-                if !(src.kind.is_sequential() || src.kind.is_source()) {
-                    fanout[inp.0 as usize].push(i as u32);
-                }
-            }
-        }
         while let Some(i) = ready.pop() {
             order.push(NetId(i));
-            for &succ in &fanout[i as usize] {
+            let i = i as usize;
+            for &succ in &readers[off[i] as usize..off[i + 1] as usize] {
                 indeg[succ as usize] -= 1;
                 if indeg[succ as usize] == 0 {
                     ready.push(succ);
                 }
             }
         }
-        let comb_total = self
-            .gates
-            .iter()
-            .filter(|g| !(g.kind.is_sequential() || g.kind.is_source()))
-            .count();
-        if order.len() != comb_total {
+        if order.len() != (0..n).filter(|&i| comb(i)).count() {
             // Some combinational gate never reached indegree 0: cycle.
-            let cyclic = (0..self.gates.len() as u32)
-                .find(|&i| {
-                    let k = self.gates[i as usize].kind;
-                    !(k.is_sequential() || k.is_source()) && indeg[i as usize] > 0
-                })
-                .unwrap_or(0);
-            return Err(ValidateNetlistError::CombinationalCycle(NetId(cyclic)));
+            let cyclic = (0..n).find(|&i| comb(i) && indeg[i] > 0).unwrap_or(0);
+            return Err(ValidateNetlistError::CombinationalCycle(NetId(
+                cyclic as u32,
+            )));
         }
         Ok(order)
     }
@@ -454,6 +520,21 @@ mod tests {
         let f = n.fanouts();
         assert_eq!(f[a.0 as usize], 2);
         assert_eq!(f[x.0 as usize], 1);
+    }
+
+    #[test]
+    fn driving_a_wire_rewrites_only_its_own_fanin() {
+        let mut n = Netlist::new();
+        let a = n.input();
+        let w = n.wire();
+        let x = n.gate(GateKind::And, vec![a, w]);
+        assert_eq!(n.fanin(w), &[w], "an undriven wire reads itself");
+        n.drive(w, a);
+        assert_eq!(n.fanin(a), &[] as &[NetId]);
+        assert_eq!(n.fanin(w), &[a]);
+        assert_eq!(n.fanin(x), &[a, w]);
+        assert_eq!(n.kinds(), &[GateKind::Input, GateKind::Buf, GateKind::And]);
+        assert_eq!(n.validate().expect("valid"), vec![w, x]);
     }
 
     #[test]

@@ -70,10 +70,10 @@ impl CapacitanceMap {
     pub fn new(netlist: &Netlist, config: &PowerConfig) -> Self {
         let fanouts = netlist.fanouts();
         let caps_ff = netlist
-            .gates()
+            .kinds()
             .iter()
             .zip(&fanouts)
-            .map(|(g, &f)| g.kind.intrinsic_cap_ff() + f as f64 * config.cap_per_fanout_ff)
+            .map(|(k, &f)| k.intrinsic_cap_ff() + f as f64 * config.cap_per_fanout_ff)
             .collect();
         let clock_energy_per_cycle_j = config
             .switch_energy_j(netlist.dff_count() as f64 * config.clock_cap_per_dff_ff);

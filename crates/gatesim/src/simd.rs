@@ -19,7 +19,9 @@
 //! `u64` itself as the 64-lane instance: the lockstep
 //! [`MultiLaneSim`] is one generic engine at every width, and the
 //! single-stream windowed kernel ([`crate::SimKernel::Simd`], for
-//! netlists without flops) runs at [`W256`]. Per-lane energy is still
+//! netlists without flops) runs at [`W256`]. Its Boolean half,
+//! [`Logic`], is also implemented by `bool`, so one gate evaluator
+//! serves every kernel. Per-lane energy is still
 //! folded in the scalar kernels' exact float order (clock tree, then
 //! toggled nets ascending by net id, then DFF edges ascending by gate
 //! order), so every lane of a wide run is bit-identical to a scalar run
@@ -33,17 +35,54 @@ use crate::power::{EnergyReport, PowerConfig};
 use crate::word::MultiLaneSim;
 use std::sync::Arc;
 
+/// The Boolean algebra a gate computes in: one `bool`, or a lane word
+/// of many independent lanes. The crate's one gate evaluator is generic
+/// over it, so the scalar kernels, the windowed kernel and the lockstep
+/// lanes share a single logic function per gate kind.
+pub trait Logic: Copy {
+    /// Every lane low.
+    const ZERO: Self;
+    /// Every lane high.
+    const ONES: Self;
+    /// Bitwise AND.
+    fn and(self, other: Self) -> Self;
+    /// Bitwise OR.
+    fn or(self, other: Self) -> Self;
+    /// Bitwise XOR.
+    fn xor(self, other: Self) -> Self;
+    /// Bitwise NOT.
+    fn not(self) -> Self;
+}
+
+impl Logic for bool {
+    const ZERO: Self = false;
+    const ONES: Self = true;
+
+    #[inline]
+    fn and(self, other: Self) -> Self {
+        self & other
+    }
+    #[inline]
+    fn or(self, other: Self) -> Self {
+        self | other
+    }
+    #[inline]
+    fn xor(self, other: Self) -> Self {
+        self ^ other
+    }
+    #[inline]
+    fn not(self) -> Self {
+        !self
+    }
+}
+
 /// A lane word: `BITS` independent boolean lanes evaluated by single
-/// word-level operations. Implemented by `u64` (64 lanes) and by
-/// [`Wide<W>`] (`64 × W` lanes); the gate-evaluation kernels are
+/// word-level operations ([`Logic`]). Implemented by `u64` (64 lanes)
+/// and by [`Wide<W>`] (`64 × W` lanes); the multi-lane kernels are
 /// generic over this trait.
-pub trait LaneWord: Copy + PartialEq + Eq + std::fmt::Debug + Send + Sync + 'static {
+pub trait LaneWord: Logic + PartialEq + Eq + std::fmt::Debug + Send + Sync + 'static {
     /// Lanes (bits) in this word.
     const BITS: u32;
-    /// The all-zeroes word.
-    const ZERO: Self;
-    /// The all-ones word.
-    const ONES: Self;
 
     /// A word with every lane holding `v` (broadcast).
     #[inline]
@@ -55,17 +94,8 @@ pub trait LaneWord: Copy + PartialEq + Eq + std::fmt::Debug + Send + Sync + 'sta
         }
     }
 
-    /// Bitwise AND.
-    fn and(self, other: Self) -> Self;
-    /// Bitwise OR.
-    fn or(self, other: Self) -> Self;
-    /// Bitwise XOR.
-    fn xor(self, other: Self) -> Self;
-    /// Bitwise NOT.
-    fn not(self) -> Self;
-
     /// A word with the `n` lowest lanes set (`n == BITS` gives
-    /// [`LaneWord::ONES`]).
+    /// [`Logic::ONES`]).
     fn low_mask(n: u32) -> Self;
     /// Lane `j` as a boolean.
     fn bit(self, j: u32) -> bool;
@@ -100,8 +130,7 @@ pub trait LaneWord: Copy + PartialEq + Eq + std::fmt::Debug + Send + Sync + 'sta
     fn for_each_word(self, f: impl FnMut(usize, u64));
 }
 
-impl LaneWord for u64 {
-    const BITS: u32 = 64;
+impl Logic for u64 {
     const ZERO: Self = 0;
     const ONES: Self = u64::MAX;
 
@@ -121,6 +150,11 @@ impl LaneWord for u64 {
     fn not(self) -> Self {
         !self
     }
+}
+
+impl LaneWord for u64 {
+    const BITS: u32 = 64;
+
     #[inline]
     fn low_mask(n: u32) -> Self {
         debug_assert!(n <= 64);
@@ -195,8 +229,7 @@ fn wide_shl1_carry<const W: usize>(a: [u64; W], carry_in: bool) -> [u64; W] {
     out
 }
 
-impl<const W: usize> LaneWord for Wide<W> {
-    const BITS: u32 = 64 * W as u32;
+impl<const W: usize> Logic for Wide<W> {
     const ZERO: Self = Wide([0u64; W]);
     const ONES: Self = Wide([u64::MAX; W]);
 
@@ -228,6 +261,11 @@ impl<const W: usize> LaneWord for Wide<W> {
         }
         self
     }
+}
+
+impl<const W: usize> LaneWord for Wide<W> {
+    const BITS: u32 = 64 * W as u32;
+
     #[inline]
     fn low_mask(n: u32) -> Self {
         Wide(wide_low_mask::<W>(n))
@@ -366,17 +404,6 @@ impl SimdLaneSim {
     /// Number of independent streams in flight.
     pub fn lanes(&self) -> usize {
         each_width!(self, s => s.lanes())
-    }
-
-    /// Lanes per word of the selected width (64/128/256/512) — how many
-    /// streams one word op covers, including any unoccupied tail lanes.
-    pub fn word_lanes(&self) -> usize {
-        match self {
-            SimdLaneSim::U64(_) => 64,
-            SimdLaneSim::W128(_) => 128,
-            SimdLaneSim::W256(_) => 256,
-            SimdLaneSim::W512(_) => 512,
-        }
     }
 
     /// Forces a primary input for one stream from the next cycle on
@@ -554,7 +581,13 @@ mod tests {
         for (lanes, words) in [(1, 64), (64, 64), (65, 128), (128, 128), (129, 256), (512, 512)] {
             let sim = SimdLaneSim::new(Arc::clone(&shared), cfg.clone(), lanes).expect("valid");
             assert_eq!(sim.lanes(), lanes);
-            assert_eq!(sim.word_lanes(), words, "lanes = {lanes}");
+            let got = match sim {
+                SimdLaneSim::U64(_) => 64,
+                SimdLaneSim::W128(_) => 128,
+                SimdLaneSim::W256(_) => 256,
+                SimdLaneSim::W512(_) => 512,
+            };
+            assert_eq!(got, words, "lanes = {lanes}");
         }
     }
 }

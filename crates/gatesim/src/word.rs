@@ -4,13 +4,16 @@
 //! (Coburn/Ravi/Raghunathan): a net's value across up to 64 independent
 //! stimulus streams is one `u64` *lane word*, and every gate evaluation
 //! is a single word operation (`&`, `|`, `^`, `!`, and
-//! `(s & a) | (!s & b)` for a mux). The [`crate::simd::LaneWord`] trait
+//! `b ^ (s & (a ^ b))` for a mux). The [`crate::simd::LaneWord`] trait
 //! widens the same scheme to 128/256/512 lanes per word op.
 //!
 //! [`MultiLaneSim`] packs *independent streams* into each lane word —
 //! one per lane — and steps them in lockstep; sequential feedback never
 //! limits the batch because the lanes share nothing, which is what makes
-//! word-level evaluation pay off on state-dense netlists. Each lane is
+//! word-level evaluation pay off on state-dense netlists. Each cycle
+//! walks the validated topological order of the netlist's gates and
+//! evaluates each through the crate's one gate evaluator, reading its
+//! fan-ins straight from the netlist's CSR. Each lane is
 //! bit-identical to a scalar [`crate::Simulator`] run of the same stream,
 //! including the per-cycle float accumulation order and the seed's
 //! constant-init quirk. [`LaneSim`] is its classic 64-stream `u64`
@@ -19,7 +22,7 @@
 //! packs consecutive cycles of one stream instead, and so runs only
 //! netlists without flops; see `gatesim::sim`.)
 
-use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
+use crate::netlist::{NetId, Netlist, ValidateNetlistError};
 use crate::power::{EnergyReport, NetEnergies, PowerConfig};
 use crate::sim::SimPlan;
 use crate::simd::LaneWord;
@@ -34,165 +37,14 @@ use std::sync::Arc;
 /// concentrates its traffic in the bottom row or two.
 const TOGGLE_PLANES: usize = 8;
 
-/// One compiled combinational word operation: evaluate `kind` over the
-/// argument slice and store the result lane at `out`.
-#[derive(Debug, Clone, Copy)]
-struct CompiledOp {
-    kind: GateKind,
-    out: u32,
-    args_start: u32,
-    args_len: u32,
-}
-
-/// A maximal consecutive range of compiled ops sharing one
-/// `(kind, args_len)` shape, so the evaluator can hoist the kind
-/// dispatch out of the per-op loop and run a tight specialized sweep
-/// over each run.
-#[derive(Debug, Clone, Copy)]
-struct EvalRun {
-    kind: GateKind,
-    args_len: u32,
-    start: u32,
-    end: u32,
-}
-
-/// The netlist's combinational logic flattened to a branch-light op
-/// stream in topological order — one pass is one full settle.
-#[derive(Debug, Clone)]
-struct CompiledOps {
-    ops: Vec<CompiledOp>,
-    args: Vec<u32>,
-    runs: Vec<EvalRun>,
-}
-
-/// Sort rank of a gate kind within one depth level (any fixed order
-/// works; the point is grouping equal kinds together).
-fn kind_rank(kind: GateKind) -> u8 {
-    match kind {
-        GateKind::Buf => 0,
-        GateKind::Not => 1,
-        GateKind::And => 2,
-        GateKind::Or => 3,
-        GateKind::Nand => 4,
-        GateKind::Nor => 5,
-        GateKind::Xor => 6,
-        GateKind::Xnor => 7,
-        GateKind::Mux => 8,
-        GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff(_) => 9,
-    }
-}
-
-fn compile(netlist: &Netlist, order: &[NetId]) -> CompiledOps {
-    // Logic depth per net: non-combinational sources stay 0, each gate
-    // sits one past its deepest input. Evaluating in ascending depth is
-    // topologically valid (a gate only reads strictly shallower nets),
-    // and inside a level no gate depends on another — so a stable sort
-    // by (depth, kind) is free to group equal kinds into long runs,
-    // keeping the evaluator's per-op kind dispatch predicted instead of
-    // mispredicting on every netlist-order kind change.
-    let mut depth = vec![0u32; netlist.gate_count()];
-    for &id in order {
-        let g = &netlist.gates()[id.0 as usize];
-        let deepest = g.inputs.iter().map(|i| depth[i.0 as usize]).max();
-        depth[id.0 as usize] = deepest.unwrap_or(0) + 1;
-    }
-    let mut sorted: Vec<NetId> = order.to_vec();
-    sorted.sort_by_key(|id| {
-        let g = &netlist.gates()[id.0 as usize];
-        (depth[id.0 as usize], kind_rank(g.kind), g.inputs.len())
-    });
-    let mut ops: Vec<CompiledOp> = Vec::with_capacity(sorted.len());
-    let mut args = Vec::new();
-    let mut runs: Vec<EvalRun> = Vec::new();
-    for &id in &sorted {
-        let g = &netlist.gates()[id.0 as usize];
-        let start = args.len() as u32;
-        args.extend(g.inputs.iter().map(|n| n.0));
-        let len = g.inputs.len() as u32;
-        match runs.last_mut() {
-            Some(r) if r.kind == g.kind && r.args_len == len => r.end += 1,
-            _ => runs.push(EvalRun {
-                kind: g.kind,
-                args_len: len,
-                start: ops.len() as u32,
-                end: ops.len() as u32 + 1,
-            }),
-        }
-        ops.push(CompiledOp {
-            kind: g.kind,
-            out: id.0,
-            args_start: start,
-            args_len: len,
-        });
-    }
-    CompiledOps { ops, args, runs }
-}
-
-/// Evaluates one compiled op over lane words of any width.
-#[inline]
-fn eval_op<W: LaneWord>(op: &CompiledOp, args: &[u32], values: &[W]) -> W {
-    let ins = &args[op.args_start as usize..(op.args_start + op.args_len) as usize];
-    match op.kind {
-        GateKind::Buf => values[ins[0] as usize],
-        GateKind::Not => values[ins[0] as usize].not(),
-        GateKind::And => ins
-            .iter()
-            .fold(W::ONES, |a, &i| a.and(values[i as usize])),
-        GateKind::Or => ins.iter().fold(W::ZERO, |a, &i| a.or(values[i as usize])),
-        GateKind::Nand => ins
-            .iter()
-            .fold(W::ONES, |a, &i| a.and(values[i as usize]))
-            .not(),
-        GateKind::Nor => ins
-            .iter()
-            .fold(W::ZERO, |a, &i| a.or(values[i as usize]))
-            .not(),
-        GateKind::Xor => ins.iter().fold(W::ZERO, |a, &i| a.xor(values[i as usize])),
-        GateKind::Xnor => ins
-            .iter()
-            .fold(W::ZERO, |a, &i| a.xor(values[i as usize]))
-            .not(),
-        GateKind::Mux => {
-            let s = values[ins[0] as usize];
-            s.and(values[ins[1] as usize])
-                .or(s.not().and(values[ins[2] as usize]))
-        }
-        GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff(_) => {
-            unreachable!("not a combinational gate")
-        }
-    }
-}
-
-/// One specialized evaluation sweep over a run of same-shape ops: for
-/// each op, `eval` computes the settled word, and the toggle against
-/// the overwritten previous value is recorded branchlessly into the
-/// mask/scratch pair. Monomorphized per gate shape so the kind dispatch
-/// lives outside the loop.
-#[inline]
-fn sweep_run<W: LaneWord>(
-    ops: &[CompiledOp],
-    values: &mut [W],
-    lane_mask: W,
-    toggled_mask: &mut [u64],
-    toggle_scratch: &mut [W],
-    eval: impl Fn(&CompiledOp, &[W]) -> W,
-) {
-    for op in ops {
-        let out = op.out as usize;
-        let v = eval(op, values);
-        let t = v.xor(values[out]).and(lane_mask);
-        values[out] = v;
-        toggled_mask[out / 64] |= (!t.is_zero() as u64) << (out % 64);
-        toggle_scratch[out] = t;
-    }
-}
-
 /// A lockstep simulator of *independent* stimulus streams over one
 /// shared netlist — one stream per lane of the lane word `W`, so a
 /// `u64` word carries 64 streams and a [`crate::simd::W256`] word 256.
 ///
-/// Every cycle runs one full compiled word pass (oblivious-style) and a
-/// full before/after diff, so the per-lane energy accumulation order —
+/// Every cycle evaluates every combinational gate once, as one word op
+/// in the plan's topological order (oblivious-style), and records each
+/// net's toggle word as it overwrites the net, so the per-lane energy
+/// accumulation order —
 /// clock tree, then toggled nets ascending by net id, then DFF edges
 /// ascending by gate order — is the scalar kernels' order exactly, and
 /// each lane's [`EnergyReport`] is bit-identical to a scalar run.
@@ -223,7 +75,6 @@ pub struct MultiLaneSim<W: LaneWord> {
     energies: NetEnergies,
     lanes: usize,
     lane_mask: W,
-    compiled: CompiledOps,
     /// One bit per net: is it a primary input? `set_input` validates
     /// against this instead of indexing the full gate array — the check
     /// runs per (lane, change) in the hot driving loop, and the bitmap
@@ -295,7 +146,6 @@ impl<W: LaneWord> MultiLaneSim<W> {
         );
         let plan = Arc::new(SimPlan::new(netlist)?);
         let energies = NetEnergies::new(plan.netlist(), &config);
-        let compiled = compile(plan.netlist(), plan.order());
         let n = plan.netlist().gate_count();
         let mut input_mask = vec![0u64; n.div_ceil(64)];
         for &i in plan.input_ids() {
@@ -309,7 +159,6 @@ impl<W: LaneWord> MultiLaneSim<W> {
             energies,
             lanes,
             lane_mask: W::low_mask(lanes as u32),
-            compiled,
             input_mask,
             values,
             inputs: vec![W::ZERO; n],
@@ -364,11 +213,6 @@ impl<W: LaneWord> MultiLaneSim<W> {
     pub fn value(&self, net: NetId, lane: usize) -> bool {
         assert!(lane < self.lanes, "lane {lane} out of range");
         self.values[net.0 as usize].bit(lane as u32)
-    }
-
-    /// The settled lane word of a net (lane `ℓ` is stream `ℓ`).
-    pub fn value_word(&self, net: NetId) -> W {
-        self.values[net.0 as usize].and(self.lane_mask)
     }
 
     /// Total toggle count of a net in one stream so far.
@@ -458,79 +302,27 @@ impl<W: LaneWord> MultiLaneSim<W> {
                 self.toggle_scratch[i] = t;
             }
         }
-        // 2. One word pass settles all streams at once. Each net is
-        //    written by exactly one op, so the value overwritten here
-        //    *is* the previous settled state — toggles are recorded in
-        //    the same pass, sparing a separate whole-array diff scan.
-        //    The toggle recording is branchless: whether a net toggles
-        //    is close to a coin flip at wide lane counts, so a
-        //    conditional store would mispredict constantly; the
-        //    unconditional scratch store is a cheap streaming write.
-        //    Runs of one (kind, arity) shape get a tight sweep with the
-        //    kind dispatch hoisted out of the per-op loop.
-        for run in &self.compiled.runs {
-            let ops = &self.compiled.ops[run.start as usize..run.end as usize];
-            let args = &self.compiled.args;
-            match (run.kind, run.args_len) {
-                (GateKind::And, 2) => sweep_run(
-                    ops,
-                    &mut self.values,
-                    self.lane_mask,
-                    &mut self.toggled_mask,
-                    &mut self.toggle_scratch,
-                    |op, values| {
-                        values[args[op.args_start as usize] as usize]
-                            .and(values[args[op.args_start as usize + 1] as usize])
-                    },
-                ),
-                (GateKind::Or, 2) => sweep_run(
-                    ops,
-                    &mut self.values,
-                    self.lane_mask,
-                    &mut self.toggled_mask,
-                    &mut self.toggle_scratch,
-                    |op, values| {
-                        values[args[op.args_start as usize] as usize]
-                            .or(values[args[op.args_start as usize + 1] as usize])
-                    },
-                ),
-                (GateKind::Xor, 2) => sweep_run(
-                    ops,
-                    &mut self.values,
-                    self.lane_mask,
-                    &mut self.toggled_mask,
-                    &mut self.toggle_scratch,
-                    |op, values| {
-                        values[args[op.args_start as usize] as usize]
-                            .xor(values[args[op.args_start as usize + 1] as usize])
-                    },
-                ),
-                (GateKind::Mux, _) => sweep_run(
-                    ops,
-                    &mut self.values,
-                    self.lane_mask,
-                    &mut self.toggled_mask,
-                    &mut self.toggle_scratch,
-                    |op, values| {
-                        let s = values[args[op.args_start as usize] as usize];
-                        let t1 = values[args[op.args_start as usize + 1] as usize];
-                        let t0 = values[args[op.args_start as usize + 2] as usize];
-                        // s ? t1 : t0 in three word ops instead of five.
-                        t0.xor(s.and(t0.xor(t1)))
-                    },
-                ),
-                _ => sweep_run(
-                    ops,
-                    &mut self.values,
-                    self.lane_mask,
-                    &mut self.toggled_mask,
-                    &mut self.toggle_scratch,
-                    |op, values| eval_op(op, args, values),
-                ),
-            }
+        // 2. One word pass in topological order settles all streams at
+        //    once. Each net is written by exactly one gate, so the value
+        //    overwritten here *is* the previous settled state — toggles
+        //    are recorded in the same pass, sparing a separate
+        //    whole-array diff scan. The toggle recording is branchless:
+        //    whether a net toggles is close to a coin flip at wide lane
+        //    counts, so a conditional store would mispredict constantly;
+        //    the unconditional scratch store is a cheap streaming write.
+        let (netlist, order) = (&**self.plan.netlist(), self.plan.order());
+        let (values, lane_mask) = (&mut self.values[..], self.lane_mask);
+        let (mask, scratch) = (&mut self.toggled_mask[..], &mut self.toggle_scratch[..]);
+        for &id in order {
+            let out = id.0 as usize;
+            let v = netlist.kind(id).eval(netlist.fanin(id), |i| values[i.0 as usize]);
+            let t = v.xor(values[out]).and(lane_mask);
+            values[out] = v;
+            mask[out / 64] |= u64::from(!t.is_zero()) << (out % 64);
+            scratch[out] = t;
         }
-        self.gate_evals += self.compiled.ops.len() as u64;
-        self.gate_eval_slots += self.compiled.ops.len() as u64 * self.lanes as u64;
+        self.gate_evals += order.len() as u64;
+        self.gate_eval_slots += order.len() as u64 * self.lanes as u64;
         // 3. Per-lane energy for the recorded toggles, drained in
         //    ascending net id — the scalar kernels' float accumulation
         //    order, regardless of which pass recorded each toggle. The
@@ -687,6 +479,7 @@ impl<W: LaneWord> MultiLaneSim<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netlist::GateKind;
     use crate::simd::W256;
 
     #[test]

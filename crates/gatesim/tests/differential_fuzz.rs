@@ -1,4 +1,5 @@
-//! Differential fuzzing of the three simulation kernels.
+//! Differential fuzzing of the three simulation kernels and the lockstep
+//! lanes.
 //!
 //! The event-driven and simd kernels' contract with the oblivious
 //! reference path is *bitwise* identity — same settled values
@@ -19,13 +20,19 @@
 //! kernel). The simd kernel runs only netlists without flops, so each
 //! case also draws a flop-free netlist for it; the event-driven kernel
 //! runs both. One netlist in three has 65–300 gates, so the dirty set
-//! spans several 64-bit words. `FUZZ_N` scales the random cases
+//! spans several 64-bit words. Every random-stimulus case also runs on
+//! a [`SimdLaneSim`] of 1–130 lanes: the case's stimulus and holds drive
+//! one lane, random streams drive the others, and that lane must equal
+//! the oblivious reference bit for bit (per-cycle energy, values after
+//! every step and stretch, toggles). `FUZZ_N` scales the random cases
 //! (default 120; CI runs 1000).
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use detrand::Rng;
-use gatesim::{GateKind, NetId, Netlist, PowerConfig, SimKernel, Simulator, ValidateNetlistError};
+use gatesim::{
+    GateKind, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator, ValidateNetlistError,
+};
 use std::sync::Arc;
 
 /// The kernels compared against the oblivious reference on `netlist`:
@@ -180,6 +187,57 @@ fn drive(
     (steps, stretches, toggles, report_bits)
 }
 
+/// The lane driver's record of one lane: its values after each step and
+/// each held-input stretch, its final toggle counts, and its per-cycle
+/// energy bits — the lane's share of a [`Drive`].
+type LaneDrive = (Vec<Vec<bool>>, Vec<Vec<bool>>, Vec<u64>, Vec<u64>);
+
+/// The part of a scalar [`Drive`] one lane of a lockstep run reproduces:
+/// values per step and stretch, toggles and per-cycle energy.
+fn lane_view(d: &Drive) -> LaneDrive {
+    let values = |obs: &[Obs]| obs.iter().map(|o| o.1.clone()).collect();
+    (values(&d.0), values(&d.1), d.2.clone(), d.3.clone())
+}
+
+/// Drives `stimulus` and `holds` into lane `lane` of a `lanes`-wide
+/// [`SimdLaneSim`] as [`drive`] drives a scalar simulator, with random
+/// forcings from `rng` in every other lane, and records that lane.
+fn drive_lane(
+    netlist: &Arc<Netlist>,
+    stimulus: &[Vec<(NetId, bool)>],
+    holds: &[Option<u64>],
+    (lanes, lane): (usize, usize),
+    rng: &mut Rng,
+) -> LaneDrive {
+    let mut sim = SimdLaneSim::new(Arc::clone(netlist), PowerConfig::date2000_defaults(), lanes)
+        .expect("random netlists are valid by construction");
+    let primary = netlist.primary_inputs();
+    let nets = || (0..netlist.gate_count() as u32).map(NetId);
+    let observe = |sim: &SimdLaneSim| nets().map(|i| sim.value(i, lane)).collect();
+    let (mut steps, mut stretches) = (Vec::new(), Vec::new());
+    for (inputs, hold) in stimulus.iter().zip(holds) {
+        for other in (0..lanes).filter(|&l| l != lane) {
+            for &p in &primary {
+                if rng.bool_with(0.6) {
+                    sim.set_input(other, p, rng.bool_with(0.5));
+                }
+            }
+        }
+        for &(net, v) in inputs {
+            sim.set_input(lane, net, v);
+        }
+        sim.step();
+        steps.push(observe(&sim));
+        if let Some(n) = *hold {
+            sim.run(n);
+            stretches.push(observe(&sim));
+        }
+    }
+    let toggles = nets().map(|i| sim.toggle_count(i, lane)).collect();
+    let report_bits = sim.report(lane).per_cycle_j.iter().map(|e| e.to_bits()).collect();
+    (steps, stretches, toggles, report_bits)
+}
+
 /// Drives the stimulus through `run_block` in segments (the simd kernel
 /// gets genuine multi-cycle windows), observing block energies, the
 /// full report, final values, toggles, and activity counters.
@@ -230,6 +288,7 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
     // tree alone) and that end busy (flops still oscillating), and
     // netlists whose dirty set spans four words.
     let (mut quiet, mut busy, mut windowed, mut four_words) = (0, 0, 0, 0);
+    let mut wide_lanes = 0;
     let cases = cases();
     for case in 0..cases {
         let mut rng = Rng::new(0x9E37_79B9_7F4A_7C15 ^ case);
@@ -240,9 +299,20 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
         let mut flat_rng = Rng::new(0xF10B_F7EE_0000_0000 ^ case);
         let flat = Arc::new(random_netlist(&mut flat_rng, false));
         let flat_stimulus = random_stimulus(&flat, cycles, 0.6, &mut flat_rng);
+        let mut lane_rng = Rng::new(0x1A9E_F022_0000_0000 ^ case);
         let mut check = |netlist: &Arc<Netlist>, stimulus: &[Vec<(NetId, bool)>]| {
             four_words += usize::from(netlist.validate().expect("valid").len() > 192);
             let reference = drive(netlist, SimKernel::Oblivious, stimulus, &holds);
+            let lanes = lane_rng.usize_in(1, 131);
+            let lane = lane_rng.usize_in(0, lanes);
+            assert_eq!(
+                drive_lane(netlist, stimulus, &holds, (lanes, lane), &mut lane_rng),
+                lane_view(&reference),
+                "lane {lane} of {lanes} diverged in case {case} ({} gates, {} cycles, holds {holds:?})",
+                netlist.gate_count(),
+                cycles
+            );
+            wide_lanes += usize::from(lanes > 64);
             for &kernel in kernels_for(netlist) {
                 windowed += usize::from(kernel == SimKernel::Simd);
                 let got = drive(netlist, kernel, stimulus, &holds);
@@ -288,6 +358,7 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
         "the windowed kernel ran {windowed} cases"
     );
     assert!(four_words > 0, "no netlist spans four dirty-set words");
+    assert!(wide_lanes > 0, "no case ran lanes past one u64 word");
 }
 
 #[test]

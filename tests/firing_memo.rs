@@ -6,8 +6,10 @@
 //! every memoized point to equal a standalone co-simulation of the same
 //! configuration — run outside any scope, so it simulates every firing —
 //! down to the golden snapshot, at several worker counts, under fault
-//! injection and on a corpus of generated systems, and require that the
-//! memo really answered firings.
+//! injection and on a corpus of generated systems. The equality tests
+//! hold under any kernel (`GATESIM_KERNEL=oblivious` memoizes nothing,
+//! so there they check the sweeps alone); the tests that require the
+//! memo to have answered firings run under the default kernel only.
 
 mod common;
 mod corpus;
@@ -34,9 +36,11 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-#[test]
-fn memoized_bus_sweep_points_equal_standalone_runs() {
-    let _serial = serial();
+/// Runs the tcpip bus sweep (6 orders x 3 DMA sizes), plain and under
+/// fault injection, at 1 and 3 workers; checks every point against a
+/// standalone run of its configuration and returns, per sweep, its
+/// label, the memo hits it scored and the memo bytes left after it.
+fn check_bus_sweeps() -> Vec<(String, u64, usize)> {
     let soc = fig7_soc();
     let procs = fig7_procs(&soc);
     let dmas = [1u32, 4, 32];
@@ -47,6 +51,7 @@ fn memoized_bus_sweep_points_equal_standalone_runs() {
             .stall_bus(2_000, 1_500)
             .corrupt_energy(1, "ip_check", 3.0),
     );
+    let mut sweeps = Vec::new();
     for (name, config) in [("plain", &plain), ("faulted", &faulted)] {
         let mut expected = Vec::new();
         for perm in permutations(&procs) {
@@ -87,13 +92,17 @@ fn memoized_bus_sweep_points_equal_standalone_runs() {
                     .iter()
                     .all(|p| p.report.anomalies.faults_injected() > 0));
             }
-            assert!(
-                after.hits > before.hits,
-                "{name}, workers = {workers}: the memo answered no firing"
-            );
-            assert_eq!(after.bytes, 0, "the sweep's end emptied the memo");
+            let label = format!("{name}, workers = {workers}");
+            sweeps.push((label, after.hits - before.hits, after.bytes));
         }
     }
+    sweeps
+}
+
+#[test]
+fn memoized_bus_sweep_points_equal_standalone_runs() {
+    let _serial = serial();
+    check_bus_sweeps();
 }
 
 /// Runs a stimulus sweep of `soc` at 1 and 3 workers and checks every
@@ -135,9 +144,10 @@ fn check_stimulus_sweep(name: &str, soc: &SocDescription, config: &CoSimConfig) 
     })
 }
 
-#[test]
-fn memoized_stimulus_sweep_points_equal_standalone_runs() {
-    let _serial = serial();
+/// Checks the producer_consumer stimulus sweeps, plain and under fault
+/// injection, and the generated corpus's; returns the memo hits of
+/// each named configuration's sweeps and the corpus's total.
+fn check_stimulus_sweeps() -> (Vec<(&'static str, [u64; 2])>, u64) {
     let soc = producer_consumer::build(&ProducerConsumerParams::default()).expect("valid params");
     let plain = CoSimConfig::date2000_defaults();
     let faulted = plain.with_faults(
@@ -146,24 +156,46 @@ fn memoized_stimulus_sweep_points_equal_standalone_runs() {
             .stall_bus(3_000, 1_500)
             .corrupt_energy(1, "consumer", 3.0),
     );
-    for (name, config) in [("plain", &plain), ("faulted", &faulted)] {
-        let hits = check_stimulus_sweep(name, &soc, config);
-        assert!(
-            hits.iter().all(|&h| h > 0),
-            "{name}: the memo answered no firing in some sweep ({hits:?})"
-        );
-    }
+    let named = [("plain", &plain), ("faulted", &faulted)]
+        .map(|(name, config)| (name, check_stimulus_sweep(name, &soc, config)))
+        .to_vec();
     // Generated systems, under budgets a live spec never hits.
     let guarded = plain.with_watchdog(WatchdogConfig {
         max_cycles: Some(50_000_000),
         max_events: Some(1_000_000),
         ..WatchdogConfig::unlimited()
     });
-    let hits: u64 = corpus::live_hw_systems()
+    let corpus: u64 = corpus::live_hw_systems()
         .iter()
         .map(|soc| check_stimulus_sweep(&soc.name, soc, &guarded).iter().sum::<u64>())
         .sum();
-    assert!(hits > 0, "the memo answered no firing across the generated corpus");
+    (named, corpus)
+}
+
+#[test]
+fn memoized_stimulus_sweep_points_equal_standalone_runs() {
+    let _serial = serial();
+    check_stimulus_sweeps();
+}
+
+#[test]
+fn default_kernel_sweeps_answer_firings_from_the_memo() {
+    // The two equality tests above also run under a forced kernel,
+    // which memoizes no firing; under the default kernel their sweeps
+    // must really be answered from the memo.
+    let _serial = serial();
+    for (sweep, hits, bytes) in check_bus_sweeps() {
+        assert!(hits > 0, "{sweep}: the memo answered no firing");
+        assert_eq!(bytes, 0, "{sweep}: the sweep's end emptied the memo");
+    }
+    let (named, corpus) = check_stimulus_sweeps();
+    for (name, hits) in named {
+        assert!(
+            hits.iter().all(|&h| h > 0),
+            "{name}: the memo answered no firing in some sweep ({hits:?})"
+        );
+    }
+    assert!(corpus > 0, "the memo answered no firing across the generated corpus");
 }
 
 #[test]

@@ -350,6 +350,77 @@ fn power_sweeps_are_bitwise_identical_serial_vs_parallel() {
 }
 
 #[test]
+fn every_power_technique_sweeps_exactly_and_two_save_energy() {
+    // Each technique alone on tcpip, then combined, all over a 2 mW
+    // per-component leakage floor. The savings counters track the same
+    // schedule all-Active online, so one run per policy suffices.
+    let soc = small_tcpip();
+    let base = CoSimConfig::date2000_defaults();
+    let leakage = LeakageModel::with_default_rate(2.0e-3);
+    let slow = OperatingPoint::new("0.8v_0.5f", 0.8, 0.5);
+    let menu = vec![
+        PowerPolicy::named("leak_only").with_leakage(leakage.clone()),
+        PowerPolicy::named("clock_gating")
+            .with_leakage(leakage.clone())
+            .gate("create_pack", GatingPolicy::clock(300))
+            .gate("packet_queue", GatingPolicy::clock(300)),
+        PowerPolicy::named("power_gating")
+            .with_leakage(leakage.clone())
+            .gate("create_pack", GatingPolicy::power(600, 5.0e-8, 20))
+            .gate("packet_queue", GatingPolicy::power(600, 5.0e-8, 20)),
+        PowerPolicy::named("dvfs")
+            .with_leakage(leakage.clone())
+            .with_operating_point(slow.clone())
+            .dvfs("create_pack", 0)
+            .dvfs("packet_queue", 0),
+        PowerPolicy::named("combined")
+            .with_leakage(leakage)
+            .with_operating_point(slow)
+            .dvfs("create_pack", 0)
+            .dvfs("packet_queue", 0)
+            .gate("create_pack", GatingPolicy::clock(300))
+            .gate("packet_queue", GatingPolicy::power(600, 5.0e-8, 20)),
+    ];
+    let points = explore_power_policies_parallel(
+        &soc,
+        &base,
+        &menu,
+        &ExploreOptions::with_workers(4),
+    )
+    .expect("policy sweep")
+    .points;
+    assert_eq!(points.len(), menu.len());
+    for (p, policy) in points.iter().zip(&menu) {
+        let solo = CoSimulator::new(soc.clone(), base.with_power_policy(policy.clone()))
+            .expect("system builds")
+            .run();
+        assert_eq!(
+            p.report.golden_snapshot(),
+            solo.golden_snapshot(),
+            "policy `{}`: the sweep point diverged from a standalone run",
+            p.policy_name
+        );
+        p.report
+            .verify_provenance()
+            .unwrap_or_else(|e| panic!("policy `{}`: {e}", p.policy_name));
+        assert!(
+            p.report.provenance.records_for(Provenance::Leakage) > 0,
+            "policy `{}` must book leakage spans",
+            p.policy_name
+        );
+    }
+    let saving: Vec<&str> = points
+        .iter()
+        .filter(|p| p.net_saved_j() > 0.0)
+        .map(|p| p.policy_name.as_str())
+        .collect();
+    assert!(
+        saving.len() >= 2,
+        "expected at least two techniques with positive net savings, got {saving:?}"
+    );
+}
+
+#[test]
 fn memoized_parallel_bus_sweep_points_equal_standalone_runs() {
     let soc = fig7_soc();
     let config = CoSimConfig::date2000_defaults();
