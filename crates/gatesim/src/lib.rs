@@ -62,6 +62,7 @@ mod synth;
 pub mod word;
 
 pub use characterize::macro_op_energies;
+pub use memo::FIRING_MEMO_CAP_BYTES;
 pub use netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
 pub use power::{CapacitanceMap, EnergyReport, PowerConfig};
 pub use sim::{ParseKernelError, SimKernel, Simulator};

@@ -581,10 +581,24 @@ impl Simulator {
         self.cycle == 0
     }
 
-    /// Appends the compact state the firing memo keys an event-driven
-    /// instance on: the [`PowerConfig`] bits, the fresh flag, every DFF
-    /// value, which DFFs changed at the last clock edge, and every
-    /// primary input's settled and forced value.
+    /// Whether firings of this instance can be memoized: it runs the
+    /// event-driven kernel, and its netlist numbers the primary inputs
+    /// `0..k` (synthesized netlists do), so the key and the post state
+    /// take the inputs as whole slices.
+    pub(crate) fn memoizable(&self) -> bool {
+        let inputs = &self.plan.input_ids;
+        self.kernel == SimKernel::EventDriven
+            && inputs
+                .last()
+                .is_none_or(|&i| i as usize + 1 == inputs.len())
+    }
+
+    /// Appends the compact state the firing memo keys a
+    /// [memoizable](Simulator::memoizable) instance on: the fresh flag,
+    /// every DFF value and whether it changed at the last clock edge (one
+    /// bit each, packed together), then every primary input's settled
+    /// value and its forced value, eight bits per step. The
+    /// [`PowerConfig`] is not in it: each memo serves one.
     ///
     /// Exact because after any cycle the combinational nets are a full
     /// settle of the pre-edge flops (the DFF values with the changed
@@ -593,17 +607,39 @@ impl Simulator {
     /// Together with the inputs a firing forces later, these bits
     /// determine the instance's whole future.
     pub(crate) fn pack_memo_key(&self, key: &mut Vec<u64>) {
-        debug_assert_eq!(self.kernel, SimKernel::EventDriven);
+        debug_assert!(self.memoizable());
         let plan = &*self.plan;
-        key.extend(self.energies.power_key);
-        key.push(u64::from(self.is_fresh()));
-        push_bits(key, plan.dffs.iter().map(|&(q, _)| self.values[q as usize]));
-        self.pack_edge(key);
-        push_bits(key, plan.input_ids.iter().map(|&i| self.values[i as usize]));
-        push_bits(key, plan.input_ids.iter().map(|&i| self.inputs[i as usize]));
+        let (d, k) = (plan.dffs.len(), plan.input_ids.len());
+        let at = key.len();
+        key.resize(at + (1 + 2 * d).div_ceil(64) + 2 * k.div_ceil(64), 0);
+        let (flops, inputs) = key[at..].split_at_mut((1 + 2 * d).div_ceil(64));
+        flops[0] = u64::from(self.is_fresh());
+        self.pack_flops(flops, 1 + d, Some(1));
+        let (settled, forced) = inputs.split_at_mut(k.div_ceil(64));
+        pack_bools(&self.values[..k], settled);
+        pack_bools(&self.inputs[..k], forced);
     }
 
-    /// Words [`Simulator::pack_memo_post`] appends.
+    /// Sets bit `edge_at + j` of `out` for each DFF `j` whose output
+    /// changed at the last clock edge (`pending_edge` lists those outputs
+    /// in DFF order) and, given `value_at`, bit `value_at + j` for each
+    /// DFF whose output is high.
+    fn pack_flops(&self, out: &mut [u64], edge_at: usize, value_at: Option<usize>) {
+        let mut changed = self.pending_edge.iter().peekable();
+        for (j, &(q, _)) in self.plan.dffs.iter().enumerate() {
+            if let Some(at) = value_at {
+                let v = at + j;
+                out[v / 64] |= u64::from(self.values[q as usize]) << (v % 64);
+            }
+            if changed.next_if_eq(&&q).is_some() {
+                let e = edge_at + j;
+                out[e / 64] |= 1 << (e % 64);
+            }
+        }
+        debug_assert!(changed.next().is_none(), "pending_edge not in DFF order");
+    }
+
+    /// Words [`Simulator::pack_memo_post`] writes.
     pub(crate) fn memo_post_words(&self) -> usize {
         let plan = &*self.plan;
         self.values.len().div_ceil(64)
@@ -611,15 +647,18 @@ impl Simulator {
             + plan.dffs.len().div_ceil(64)
     }
 
-    /// Appends the state a memo hit restores after a firing: every net
-    /// value, the forced inputs, and which DFFs changed at the last edge.
-    pub(crate) fn pack_memo_post(&self, out: &mut Vec<u64>) {
-        push_bits(out, self.values.iter().copied());
-        push_bits(
-            out,
-            self.plan.input_ids.iter().map(|&i| self.inputs[i as usize]),
-        );
-        self.pack_edge(out);
+    /// Writes the state a memo hit restores after a firing into `out`
+    /// ([`Simulator::memo_post_words`] words): every net value and the
+    /// forced inputs, eight bits per step, then which DFFs changed at the
+    /// last edge.
+    pub(crate) fn pack_memo_post(&self, out: &mut [u64]) {
+        let k = self.plan.input_ids.len();
+        let (values, rest) = out.split_at_mut(self.values.len().div_ceil(64));
+        let (inputs, edge) = rest.split_at_mut(k.div_ceil(64));
+        pack_bools(&self.values, values);
+        pack_bools(&self.inputs[..k], inputs);
+        edge.fill(0);
+        self.pack_flops(edge, 0, None);
     }
 
     /// Restores a state written by [`Simulator::pack_memo_post`] in place
@@ -628,44 +667,25 @@ impl Simulator {
     /// (none were performed), as do the per-net toggle counters and the
     /// per-cycle energy history.
     pub(crate) fn restore_memo_post(&mut self, post: &[u64], cycles: u64, events: u64) {
-        debug_assert_eq!(self.kernel, SimKernel::EventDriven);
+        debug_assert!(self.memoizable());
         if self.is_fresh() {
             // The restored state already includes the quirk's settle.
             self.dirty.fill(0);
         }
         let plan = &*self.plan;
+        let k = plan.input_ids.len();
         let (values, rest) = post.split_at(self.values.len().div_ceil(64));
-        let (inputs, edge) = rest.split_at(plan.input_ids.len().div_ceil(64));
-        for (chunk, &w) in self.values.chunks_mut(64).zip(values) {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (w >> j) & 1 == 1;
-            }
-        }
-        for (k, &i) in plan.input_ids.iter().enumerate() {
-            self.inputs[i as usize] = bit_at(inputs, k);
-        }
+        let (inputs, edge) = rest.split_at(k.div_ceil(64));
+        unpack_bools(values, &mut self.values);
+        unpack_bools(inputs, &mut self.inputs[..k]);
         self.pending_edge.clear();
-        for (k, &(q, _)) in plan.dffs.iter().enumerate() {
-            if bit_at(edge, k) {
+        for (j, &(q, _)) in plan.dffs.iter().enumerate() {
+            if bit_at(edge, j) {
                 self.pending_edge.push(q);
             }
         }
         self.cycle += cycles;
         self.gate_events += events;
-    }
-
-    /// Appends one bit per DFF: whether its output changed at the last
-    /// clock edge (`pending_edge` lists those outputs in DFF order).
-    fn pack_edge(&self, out: &mut Vec<u64>) {
-        let mut changed = self.pending_edge.iter().peekable();
-        push_bits(
-            out,
-            self.plan
-                .dffs
-                .iter()
-                .map(|&(q, _)| changed.next_if_eq(&&q).is_some()),
-        );
-        debug_assert!(changed.next().is_none(), "pending_edge not in DFF order");
     }
 
     /// Drops the per-cycle energy history, keeping its capacity. For
@@ -1115,28 +1135,55 @@ fn pop_lowest(bits: &mut [u64], word: &mut usize) -> Option<usize> {
     None
 }
 
-/// Appends `bits` packed 64 to a word: bit `k % 64` of word `k / 64`.
-fn push_bits(out: &mut Vec<u64>, bits: impl Iterator<Item = bool>) {
-    let mut word = 0u64;
-    let mut k = 0u32;
-    for b in bits {
-        word |= u64::from(b) << k;
-        k += 1;
-        if k == 64 {
-            out.push(word);
-            word = 0;
-            k = 0;
-        }
-    }
-    if k > 0 {
-        out.push(word);
-    }
-}
-
-/// Bit `k` of words packed by [`push_bits`].
+/// Bit `k` of a bit-packed word slice: bit `k % 64` of word `k / 64`.
 fn bit_at(words: &[u64], k: usize) -> bool {
     (words[k / 64] >> (k % 64)) & 1 == 1
 }
+
+/// Packs `bits` into `out` (`bits.len().div_ceil(64)` words), bit `k`
+/// at bit `k % 64` of word `k / 64`, eight at a time: eight `bool`s read
+/// as one little-endian word hold a 0 or 1 per byte, and multiplying by
+/// `0x0102_0408_1020_4080` gathers byte `i`'s bit into bit `56 + i`
+/// without a carry.
+fn pack_bools(bits: &[bool], out: &mut [u64]) {
+    for (word, chunk) in out.iter_mut().zip(bits.chunks(64)) {
+        let (bytes, rest) = chunk.as_chunks::<8>();
+        let tail = rest.iter().rev().fold(0, |w, &b| w << 1 | u64::from(b));
+        *word = bytes.iter().rev().fold(tail, |w, b| {
+            let x = u64::from_le_bytes(b.map(u8::from));
+            w << 8 | x.wrapping_mul(0x0102_0408_1020_4080) >> 56
+        });
+    }
+}
+
+/// Unpacks words written by [`pack_bools`] into `bits`, eight at a time.
+fn unpack_bools(words: &[u64], bits: &mut [bool]) {
+    for (chunk, &w) in bits.chunks_mut(64).zip(words) {
+        let (bytes, rest) = chunk.as_chunks_mut::<8>();
+        for (j, b) in bytes.iter_mut().enumerate() {
+            *b = SPREAD[usize::from((w >> (8 * j)) as u8)];
+        }
+        let base = 8 * bytes.len();
+        for (j, b) in rest.iter_mut().enumerate() {
+            *b = (w >> (base + j)) & 1 == 1;
+        }
+    }
+}
+
+/// `SPREAD[b][i]` is bit `i` of the byte `b`.
+static SPREAD: [[bool; 8]; 256] = {
+    let mut table = [[false; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[b][i] = (b >> i) & 1 == 1;
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// Reads net `i`'s lane word from the flat window lane buffer.
 #[inline]
@@ -1159,6 +1206,26 @@ mod tests {
 
     fn cfg() -> PowerConfig {
         PowerConfig::date2000_defaults()
+    }
+
+    #[test]
+    fn bools_pack_and_unpack_eight_at_a_time() {
+        // Every length across the byte and word seams, in the bit
+        // positions `bit_at` reads, with nothing set past the last.
+        for n in 0..=200usize {
+            let bits: Vec<bool> = (0..n).map(|i| (i * 0x9E37_79B9) >> 7 & 1 == 1).collect();
+            let mut words = vec![u64::MAX; n.div_ceil(64)];
+            pack_bools(&bits, &mut words);
+            for (k, &b) in bits.iter().enumerate() {
+                assert_eq!(bit_at(&words, k), b, "n = {n}, bit {k}");
+            }
+            if n % 64 != 0 {
+                assert_eq!(words[n / 64] >> (n % 64), 0, "n = {n}");
+            }
+            let mut back = vec![false; n];
+            unpack_bools(&words, &mut back);
+            assert_eq!(back, bits, "n = {n}");
+        }
     }
 
     #[test]

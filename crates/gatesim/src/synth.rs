@@ -33,7 +33,7 @@ use crate::bus::{
     adder, bitwise, bitwise_not, const_bus, equal, input_bus, less_than_signed, mask_to_width,
     multiplier, negate, nonzero, shift_left_const, shift_right_const, sign_extend, Bus,
 };
-use crate::memo::{hash_key, FiringMemo};
+use crate::memo::{hash_key, FiringMemo, BUDGET};
 use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
 use crate::power::{NetEnergies, PowerConfig};
 use crate::sim::{SimKernel, SimPlan, Simulator};
@@ -249,13 +249,12 @@ struct Ports {
 }
 
 /// The product of synthesizing one transition: the simulation plan (the
-/// netlist plus everything derived from it alone), the port map, the
-/// net-energy tables of the [`PowerConfig`]s its instances run under,
-/// and the transition's exact firing memo. Shared via the global
-/// synthesis memo, so every exploration point (and every simulator
-/// instance) evaluating the same behavioral spec at the same synthesis
-/// parameters holds one copy. Everything but the tables and the memo is
-/// immutable.
+/// netlist plus everything derived from it alone), the port map, and per
+/// [`PowerConfig`] its instances run under, a net-energy table and an
+/// exact firing memo. Shared via the global synthesis memo, so every
+/// exploration point (and every simulator instance) evaluating the same
+/// behavioral spec at the same synthesis parameters holds one copy.
+/// Everything but the per-configuration list is immutable.
 #[derive(Debug)]
 struct SynthesizedTransition {
     /// The synthesis-memo key it was built for: the body, the variable
@@ -267,8 +266,16 @@ struct SynthesizedTransition {
     ports: Ports,
     gate_count: usize,
     segment_count: usize,
-    /// One table per [`PowerConfig::key_bits`], built on first use.
-    energies: Mutex<Vec<Arc<NetEnergies>>>,
+    /// One entry per [`PowerConfig::key_bits`], built on first use.
+    powered: Mutex<Vec<Arc<Powered>>>,
+}
+
+/// What every instance of a transition under one [`PowerConfig`]
+/// shares: the net-energy table, and the firing memo, whose keys leave
+/// the configuration out.
+#[derive(Debug)]
+struct Powered {
+    energies: Arc<NetEnergies>,
     memo: Mutex<FiringMemo>,
 }
 
@@ -279,19 +286,26 @@ impl SynthesizedTransition {
         self.n_vars == n_vars && self.width == width && self.body == *body
     }
 
-    /// The net-energy table for `power`, built on its first request and
-    /// shared by every later one.
-    fn energies_for(&self, power: &PowerConfig) -> Arc<NetEnergies> {
+    /// The energy table and firing memo for `power`, built on its first
+    /// request and shared by every later one.
+    fn powered_for(&self, power: &PowerConfig) -> Arc<Powered> {
         let key = power.key_bits();
-        // A table is pushed only once complete, so a panicked holder
-        // leaves the list valid.
-        let mut tables = self.energies.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(table) = tables.iter().find(|t| t.power_key == key) {
-            return Arc::clone(table);
+        let mut list = self.lock_powered();
+        if let Some(p) = list.iter().find(|p| p.energies.power_key == key) {
+            return Arc::clone(p);
         }
-        let table = Arc::new(NetEnergies::new(self.plan.netlist(), power));
-        tables.push(Arc::clone(&table));
-        table
+        let p = Arc::new(Powered {
+            energies: Arc::new(NetEnergies::new(self.plan.netlist(), power)),
+            memo: Mutex::new(FiringMemo::new(&BUDGET)),
+        });
+        list.push(Arc::clone(&p));
+        p
+    }
+
+    fn lock_powered(&self) -> MutexGuard<'_, Vec<Arc<Powered>>> {
+        // An entry is pushed only once complete, so a panicked holder
+        // leaves the list valid.
+        self.powered.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -433,8 +447,7 @@ fn firing_memo_in_scope() -> bool {
 /// firings on threads without a scope keep simulating. Design-space
 /// sweeps hold one on each worker for their duration, since their points
 /// replay the same firings. When the last scope in the process drops,
-/// every memo is emptied in place, keeping its storage for the next
-/// sweep.
+/// every memo is emptied.
 #[derive(Debug)]
 #[must_use = "the firing memo is consulted only while the scope is alive"]
 pub struct FiringMemoScope {
@@ -459,7 +472,9 @@ impl Drop for FiringMemoScope {
         if FIRING_MEMO_SCOPES.fetch_sub(1, Ordering::SeqCst) == 1 {
             let cache = lock_synth_cache();
             for t in cache.transitions() {
-                lock_memo(&t.memo).empty();
+                for p in t.lock_powered().iter() {
+                    lock_memo(&p.memo).empty();
+                }
             }
         }
     }
@@ -473,25 +488,33 @@ pub struct FiringMemoStats {
     pub hits: u64,
     /// Memo lookups that found no entry, so the firing was simulated.
     pub misses: u64,
+    /// Misses whose firing was not stored: past its memo's allowance
+    /// the key had not been seen before while the memo's hits trailed
+    /// its entries, or the process-wide cap
+    /// ([`FIRING_MEMO_CAP_BYTES`](crate::FIRING_MEMO_CAP_BYTES)) left no
+    /// room.
+    pub declined: u64,
     /// Bytes of entries held now (zero while no [`FiringMemoScope`] is
     /// alive in the process).
     pub bytes: usize,
 }
 
-/// Hits and misses of the firing memos since process start (or the last
-/// [`clear_synth_cache`]), and the bytes their entries hold now.
+/// Hits, misses and declined admissions of the firing memos since
+/// process start (or the last [`clear_synth_cache`]), and the bytes
+/// their entries hold now.
 pub fn firing_memo_stats() -> FiringMemoStats {
     let cache = lock_synth_cache();
-    cache
-        .transitions()
-        .fold(FiringMemoStats::default(), |s, t| {
-            let m = lock_memo(&t.memo);
-            FiringMemoStats {
-                hits: s.hits + m.hits(),
-                misses: s.misses + m.misses(),
-                bytes: s.bytes + m.bytes(),
-            }
-        })
+    let mut s = FiringMemoStats::default();
+    for t in cache.transitions() {
+        for p in t.lock_powered().iter() {
+            let m = lock_memo(&p.memo);
+            s.hits += m.hits();
+            s.misses += m.misses();
+            s.declined += m.declined();
+            s.bytes += m.bytes();
+        }
+    }
+    s
 }
 
 /// One synthesized, simulatable transition.
@@ -507,6 +530,8 @@ pub fn firing_memo_stats() -> FiringMemoStats {
 #[derive(Debug)]
 pub struct HwTransition {
     shared: Arc<SynthesizedTransition>,
+    /// The energy table and firing memo of the instance's `PowerConfig`.
+    powered: Arc<Powered>,
     sim: Simulator,
     /// Scratch for the firing memo's key, reused across firings.
     memo_key: Vec<u64>,
@@ -546,10 +571,12 @@ impl HwTransition {
         power: &PowerConfig,
         forced: Option<SimKernel>,
     ) -> Result<Self, ValidateNetlistError> {
-        let energies = shared.energies_for(power);
+        let powered = shared.powered_for(power);
+        let energies = Arc::clone(&powered.energies);
         let sim = Simulator::from_plan(Arc::clone(&shared.plan), energies, forced)?;
         Ok(HwTransition {
             shared,
+            powered,
             sim,
             memo_key: Vec::new(),
             memo_hits: 0,
@@ -588,7 +615,7 @@ impl HwTransition {
             self.sim
                 .set_input_bus(bus.nets(), mask_to_width(event_value(e), w));
         }
-        let run = if self.sim.kernel() == SimKernel::EventDriven && firing_memo_in_scope() {
+        let run = if self.sim.memoizable() && firing_memo_in_scope() {
             self.run_memoized(mem_reads)
         } else {
             self.run_scalar(mem_reads)
@@ -599,34 +626,58 @@ impl HwTransition {
         run
     }
 
-    /// [`HwTransition::run_scalar`] behind the transition's firing memo:
-    /// the key is the simulator's compact state
+    /// [`HwTransition::run_scalar`] behind the firing memo of the
+    /// instance's `PowerConfig`: the key is the simulator's compact state
     /// ([`Simulator::pack_memo_key`], after the load-cycle inputs are
-    /// forced) plus the width-masked `mem_reads`.
+    /// forced) plus the width-masked `mem_reads`, whose number the key's
+    /// length gives (the state part's length is fixed per netlist).
     fn run_memoized(&mut self, mem_reads: &[i64]) -> HwRun {
         let w = self.shared.width;
         let mut key = std::mem::take(&mut self.memo_key);
         key.clear();
         self.sim.pack_memo_key(&mut key);
-        key.push(mem_reads.len() as u64);
         key.extend(mem_reads.iter().map(|&r| mask_to_width(r, w)));
         let hash = hash_key(&key);
-        let hit = lock_memo(&self.shared.memo).lookup(hash, &key, &mut self.sim);
+        let post_words = self.sim.memo_post_words();
+        let hit = {
+            let mut memo = lock_memo(&self.powered.memo);
+            memo.lookup(hash, &key, post_words).map(|hit| {
+                self.sim
+                    .restore_memo_post(hit.post, hit.run.cycles, hit.events);
+                hit.run
+            })
+        };
         let run = match hit {
-            Some(run) => {
+            Some(mut run) => {
                 self.memo_hits += 1;
+                run.vars_out = self.vars_out();
                 run
             }
             None => {
                 let events = self.sim.gate_events();
                 let run = self.run_scalar(mem_reads);
                 let events = self.sim.gate_events() - events;
-                lock_memo(&self.shared.memo).admit(hash, &key, &run, events, &self.sim);
+                let sim = &self.sim;
+                lock_memo(&self.powered.memo).admit(hash, &key, &run, events, post_words, |post| {
+                    sim.pack_memo_post(post)
+                });
                 run
             }
         };
         self.memo_key = key;
         run
+    }
+
+    /// The variable registers' values, sign-extended from the datapath
+    /// width: a firing's `vars_out`, read once it has ended.
+    fn vars_out(&self) -> Vec<i64> {
+        let w = self.shared.width;
+        self.shared
+            .ports
+            .var_q
+            .iter()
+            .map(|bus| sign_extend(self.sim.value_bus(bus.nets()), w))
+            .collect()
     }
 
     /// The scalar run protocol from the load cycle on, with the load
@@ -687,17 +738,10 @@ impl HwTransition {
                 break;
             }
         }
-        let vars_out = self
-            .shared
-            .ports
-            .var_q
-            .iter()
-            .map(|bus| sign_extend(sim.value_bus(bus.nets()), w))
-            .collect();
         HwRun {
             cycles,
             energy_j: energy,
-            vars_out,
+            vars_out: self.vars_out(),
             emitted,
             mem_ops,
         }
@@ -1348,8 +1392,7 @@ fn build_transition(
         },
         gate_count,
         segment_count: n_segs,
-        energies: Mutex::default(),
-        memo: Mutex::default(),
+        powered: Mutex::default(),
     })
 }
 
@@ -1407,9 +1450,9 @@ mod tests {
         (run.energy_j.to_bits(), run)
     }
 
-    /// `(hits, misses, bytes)` of one transition's firing memo.
+    /// `(hits, misses, bytes)` of one instance's firing memo.
     fn memo_of(t: &HwTransition) -> (u64, u64, usize) {
-        let m = lock_memo(&t.shared.memo);
+        let m = lock_memo(&t.powered.memo);
         (m.hits(), m.misses(), m.bytes())
     }
 
@@ -1966,12 +2009,18 @@ mod tests {
         for hw in [&bit, &read, &volts, &settled] {
             assert_eq!(hw.memo_hits(), 0);
         }
+        // The power parameters select a memo of their own.
+        let powered = |hw: &HwCfsm| Arc::clone(&hw.transition(t0).powered);
+        assert!(!Arc::ptr_eq(&powered(&volts), &powered(&base)));
+        assert!(Arc::ptr_eq(&powered(&same), &powered(&base)));
+        assert_eq!(memo_of(volts.transition(t0)).0, 0);
         let (hits_now, misses_now, _) = memo_of(base.transition(t0));
-        assert_eq!((hits_now, misses_now), (hits + 1, misses + 4));
+        assert_eq!((hits_now, misses_now), (hits + 1, misses + 3));
     }
 
     #[test]
     fn admission_stops_at_the_byte_budget() {
+        use crate::memo::ALLOWANCE_BYTES;
         let _memo = memo_lock();
         let body = stateful_body(33);
         let t0 = TransitionId(0);
@@ -1980,22 +2029,37 @@ mod tests {
             .map(|k| fire_bits(plain.transition_mut(t0), k, k ^ 0x3C).0)
             .collect();
         let _scope = FiringMemoScope::enter();
-        let mut hw = synth_single(body, 2);
-        let mut refused = 0;
-        let mut held = 0;
-        for (k, &bits) in (0..600).zip(&want) {
-            // Distinct inputs every time: every firing misses.
-            assert_eq!(fire_bits(hw.transition_mut(t0), k, k ^ 0x3C).0, bits);
-            let (_, _, bytes) = memo_of(hw.transition(t0));
-            let capacity = lock_memo(&hw.transition(t0).shared.memo).capacity_bytes();
-            assert!(bytes <= crate::memo::BUDGET_BYTES && capacity <= crate::memo::BUDGET_BYTES);
-            if bytes == held {
-                refused += 1;
+        let replay = |hw: &mut HwCfsm| {
+            for (k, &bits) in (0..600).zip(&want) {
+                assert_eq!(fire_bits(hw.transition_mut(t0), k, k ^ 0x3C).0, bits);
             }
-            held = bytes;
+        };
+        let stats = |hw: &HwCfsm| {
+            let m = lock_memo(&hw.transition(t0).powered.memo);
+            (m.declined(), m.bytes())
+        };
+        // Distinct inputs every time: every firing misses, and first
+        // sightings stop being admitted at the allowance.
+        let mut first = synth_single(body.clone(), 2);
+        for (k, &bits) in (0..600).zip(&want) {
+            assert_eq!(fire_bits(first.transition_mut(t0), k, k ^ 0x3C).0, bits);
+            assert!(stats(&first).1 <= ALLOWANCE_BYTES);
         }
-        assert_eq!(hw.memo_hits(), 0);
-        assert!(refused > 0, "the budget filled ({held} bytes held)");
+        assert_eq!(first.memo_hits(), 0);
+        let (refused, held) = stats(&first);
+        assert!(refused > 0, "the allowance filled ({held} bytes held)");
+        // A fresh instance replays the same states: the admitted firings
+        // hit, and the refused ones, seen again, are admitted...
+        let mut second = synth_single(body.clone(), 2);
+        replay(&mut second);
+        assert_eq!(second.memo_hits(), 600 - refused);
+        assert_eq!(stats(&second).0, refused, "no second sighting refused");
+        assert!(stats(&second).1 > ALLOWANCE_BYTES);
+        // ...so a third replay is answered from the memo throughout.
+        let mut third = synth_single(body, 2);
+        replay(&mut third);
+        assert_eq!(third.memo_hits(), 600);
+        assert!(firing_memo_stats().bytes <= crate::FIRING_MEMO_CAP_BYTES);
     }
 
     #[test]
@@ -2013,9 +2077,9 @@ mod tests {
         drop(inner);
         assert_eq!(memo_of(hw.transition(t0)).2, held, "a scope is still alive");
         drop(outer);
-        // Emptied in place: no entries, the storage kept, counters kept.
+        // Emptied: no entries and none of the cap held, counters kept.
         assert_eq!(memo_of(hw.transition(t0)), (0, misses, 0));
-        assert!(lock_memo(&hw.transition(t0).shared.memo).capacity_bytes() >= held);
+        assert_eq!(BUDGET.held(), 0);
         assert_eq!(firing_memo_stats().bytes, 0);
         assert!(firing_memo_stats().misses >= misses);
         let memo = Arc::downgrade(&hw.transition(t0).shared);

@@ -180,14 +180,30 @@ fn memoized_stimulus_sweep_points_equal_standalone_runs() {
 
 #[test]
 fn default_kernel_sweeps_answer_firings_from_the_memo() {
-    // The two equality tests above also run under a forced kernel,
-    // which memoizes no firing; under the default kernel their sweeps
-    // must really be answered from the memo.
+    // The two equality tests above, and the four-worker bus sweep of
+    // tests/observability.rs, also run under a forced kernel, which
+    // memoizes no firing; under the default kernel their sweeps must
+    // really be answered from the memo.
     let _serial = serial();
     for (sweep, hits, bytes) in check_bus_sweeps() {
         assert!(hits > 0, "{sweep}: the memo answered no firing");
         assert_eq!(bytes, 0, "{sweep}: the sweep's end emptied the memo");
     }
+    let soc = fig7_soc();
+    let before = gatesim::firing_memo_stats();
+    explore_bus_architecture_parallel(
+        &soc,
+        &CoSimConfig::date2000_defaults(),
+        &fig7_procs(&soc),
+        &[1, 8, 32, 128],
+        &ExploreOptions::with_workers(4),
+    )
+    .expect("parallel sweep");
+    let after = gatesim::firing_memo_stats();
+    assert!(
+        after.hits > before.hits,
+        "the four-worker bus sweep's memo served nothing"
+    );
     let (named, corpus) = check_stimulus_sweeps();
     for (name, hits) in named {
         assert!(
@@ -243,4 +259,61 @@ fn fig7_sweep_serves_most_firings_with_invariant_gate_events() {
     assert_eq!(memoized.gate_memo_hits, hits);
     assert!(memoized.gate_evals < standalone.gate_evals);
     assert_eq!(memoized.detailed_calls, standalone.detailed_calls);
+}
+
+#[test]
+fn fig1_sweep_answers_repeated_timer_firings_from_the_memo() {
+    // Fig. 1's timer fires the same 1 439 three-cycle firings at every
+    // stimulus point, more than its first-sighting allowance holds; the
+    // memo must grow on their reuse (under the default kernel) and every
+    // point must still equal its standalone run.
+    let _serial = serial();
+    let soc =
+        producer_consumer::build(&ProducerConsumerParams::fig1_defaults()).expect("valid params");
+    let config = CoSimConfig::date2000_defaults();
+    let jitter = StimulusJitter::default();
+    let seeds: Vec<u64> = (1..=8).collect();
+    let expected: Vec<String> = seeds
+        .iter()
+        .map(|&seed| {
+            CoSimulator::new(stimulus_variant(&soc, seed, &jitter), config.clone())
+                .expect("system builds")
+                .run()
+                .golden_snapshot()
+        })
+        .collect();
+    for workers in [1usize, 3] {
+        // A scope of our own keeps the memo filled past the sweep's end,
+        // so the bytes it held can be read.
+        let scope = gatesim::FiringMemoScope::enter();
+        let before = gatesim::firing_memo_stats();
+        let sweep = explore_stimulus_seeds_parallel(
+            &soc,
+            &config,
+            &seeds,
+            &jitter,
+            &ExploreOptions::with_workers(workers),
+        )
+        .expect("sweep");
+        let after = gatesim::firing_memo_stats();
+        drop(scope);
+        for (p, want) in sweep.points.iter().zip(&expected) {
+            if let Some(diff) = co_estimation::snapshot_diff(want, &p.report.golden_snapshot()) {
+                panic!("workers = {workers}: seed {} drifted:\n{diff}", p.seed);
+            }
+        }
+        assert!(
+            after.bytes <= gatesim::FIRING_MEMO_CAP_BYTES,
+            "{} bytes held past the cap",
+            after.bytes
+        );
+        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+        if workers == 1 {
+            assert!(
+                hits * 100 >= (hits + misses) * 70,
+                "the memo served {hits} of {} hardware firings",
+                hits + misses
+            );
+        }
+    }
 }

@@ -434,7 +434,8 @@ fn memoized_parallel_bus_sweep_points_equal_standalone_runs() {
         }
     }
 
-    let before = gatesim::firing_memo_stats();
+    // Equality only, so this holds under any kernel; that the memo
+    // answered firings here is checked in tests/firing_memo.rs.
     let sweep = explore_bus_architecture_parallel(
         &soc,
         &config,
@@ -443,7 +444,6 @@ fn memoized_parallel_bus_sweep_points_equal_standalone_runs() {
         &ExploreOptions::with_workers(4),
     )
     .expect("parallel sweep");
-    let after = gatesim::firing_memo_stats();
 
     assert_eq!(standalone.len(), sweep.points.len());
     for (i, (s, p)) in standalone.iter().zip(&sweep.points).enumerate() {
@@ -456,7 +456,4 @@ fn memoized_parallel_bus_sweep_points_equal_standalone_runs() {
             .verify_provenance()
             .unwrap_or_else(|e| panic!("point {i}: {e}"));
     }
-    // The standalone runs simulated every firing; the sweep answered
-    // repeated hardware firings from the memo.
-    assert!(after.hits > before.hits, "the sweep's firing memo served nothing");
 }
