@@ -1,7 +1,7 @@
 //! Gate-level lane scheduler: maps independent sweep units onto the
 //! lanes of a wide [`SimdLaneSim`] word.
 //!
-//! The simd kernel's lane words evaluate up to
+//! The lockstep lane words of [`gatesim::simd`] evaluate up to
 //! [`gatesim::simd::MAX_LANES`] independent Boolean streams per gate
 //! visit. This module spends those lanes on *sweeps*: each lane carries
 //! one independent sweep unit — a Monte-Carlo stimulus vector (seeded
@@ -71,7 +71,8 @@ pub struct LaneSweepConfig {
     pub cycles: usize,
     /// Per-cycle probability that a primary input is re-driven (the
     /// new value is a fair coin). Low probabilities yield long
-    /// quiescent stretches — the regime windowed kernels amortize.
+    /// quiescent stretches, in which the event-driven kernel evaluates
+    /// few gates.
     pub toggle_probability: f64,
     /// Maximum units batched into one [`SimdLaneSim`] instance; clamped
     /// to `1..=`[`gatesim::simd::MAX_LANES`]. Sweeps larger than this
@@ -122,7 +123,8 @@ pub struct LaneSweep {
     /// Kernel work units summed over all batches (one multi-lane eval
     /// covers every lane of the batch).
     pub gate_evals: u64,
-    /// Committed `(gate, lane, cycle)` evaluation slots over all batches.
+    /// Committed `(gate, lane, cycle)` evaluation slots over all batches
+    /// (a serial sweep's scalar evaluations fill one slot each).
     pub gate_eval_slots: u64,
     /// Committed per-lane net changes over all batches (the
     /// kernel-invariant activity metric).
@@ -274,7 +276,7 @@ pub fn run_lane_sweep_serial(
             sim.step();
         }
         sweep.gate_evals += sim.gate_evals();
-        sweep.gate_eval_slots += sim.gate_eval_slots();
+        sweep.gate_eval_slots += sim.gate_evals();
         sweep.gate_events += sim.gate_events();
         sweep.points.push(demux(
             netlist,

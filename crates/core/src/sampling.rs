@@ -20,7 +20,8 @@
 //! throughput lever — making each detailed gate-level run cover many
 //! stimulus variants at once, with *no* accuracy trade at all — is the
 //! lane scheduler (`lanes`), which packs Monte-Carlo seeds or
-//! fault variants into the simd kernel's lockstep lanes and demuxes
+//! fault variants into the lockstep lanes of a [`gatesim::SimdLaneSim`]
+//! and demuxes
 //! bit-identical per-unit results ([`crate::run_lane_sweep`]).
 
 use std::collections::HashMap;

@@ -6,17 +6,28 @@
 //! entry in the hardware parameter file. The energies depend only on the
 //! width and the [`PowerConfig`], so [`macro_op_energies`] characterizes
 //! them once per pair and keeps the table in the synthesis memo.
+//!
+//! A template without flops is priced in one word pass: its rounds are
+//! independent, so bit *j* of each net's `u64` lane word carries round
+//! *j* and one topological settle evaluates every round at once. The
+//! register templates step their rounds through the event-driven kernel.
 
 use crate::bus::{self, Bus};
-use crate::netlist::{GateKind, NetId, Netlist};
-use crate::power::PowerConfig;
-use crate::sim::Simulator;
+use crate::netlist::{GateKind, Netlist};
+use crate::power::{NetEnergies, PowerConfig};
+use crate::sim::{settle_full, SimKernel, SimPlan, Simulator};
+use crate::simd::{toggle_word_w, LaneWord};
 use crate::synth::{memoized_macro_op_energies, SynthConfig};
 use cfsm::{BinOp, MacroOp, UnOp, ALL_MACRO_OPS};
 use std::sync::Arc;
 
-/// Pseudo-random operand rounds averaged per macro-op.
+/// Pseudo-random operand rounds averaged per macro-op: one per lane of
+/// the word pass.
 const ROUNDS: usize = 64;
+const _: () = assert!(
+    ROUNDS <= u64::BITS as usize,
+    "the word pass holds one round per lane"
+);
 
 /// The mean switched energy per evaluation, in joules, of every
 /// macro-op's hardware block, in [`ALL_MACRO_OPS`] order, at the
@@ -24,10 +35,9 @@ const ROUNDS: usize = 64;
 ///
 /// The first call for a `(width, power)` pair characterizes the table;
 /// later calls share it from the synthesis memo until
-/// [`clear_synth_cache`](crate::clear_synth_cache) drops it. Each
-/// template runs the kernel its structure selects, whatever
-/// `GATESIM_KERNEL` says; the kernels agree bit for bit, so the values
-/// do not depend on the choice.
+/// [`clear_synth_cache`](crate::clear_synth_cache) drops it.
+/// `GATESIM_KERNEL` does not reach it: the word pass and the stepped
+/// event-driven rounds reproduce either kernel's sums bit for bit.
 ///
 /// # Panics
 ///
@@ -150,10 +160,8 @@ fn datapath(nl: &mut Netlist, op: MacroOp, x: &Bus, y: &Bus) {
 }
 
 /// Mean energy per cycle of `nl` over [`ROUNDS`] cycles, each forcing
-/// fresh random values onto `operands` (drawn in operand order). The
-/// rounds run as one [`Simulator::run_block`], so the windowed kernel,
-/// which the flop-free templates select, evaluates them in one lane
-/// window.
+/// fresh random values onto `operands` (drawn in operand order), summed
+/// from −0.0 in round order.
 fn mean_energy(
     nl: Netlist,
     operands: &[Bus],
@@ -161,28 +169,53 @@ fn mean_energy(
     power: &PowerConfig,
     rng: &mut dyn FnMut() -> u64,
 ) -> f64 {
-    // The structural kernel never fails on a valid netlist, and the
-    // templates are fixed.
-    let mut sim = Simulator::standalone(Arc::new(nl), power, None)
-        .unwrap_or_else(|e| panic!("malformed characterization template: {e}"));
     let mask = bus::mask_to_width(-1, w);
-    let rounds: Vec<Vec<(NetId, bool)>> = (0..ROUNDS)
-        .map(|_| {
-            let mut forced = Vec::with_capacity(operands.len() * w);
-            for operand in operands {
-                let v = rng() & mask;
-                forced.extend(
-                    operand
-                        .nets()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &n)| (n, (v >> i) & 1 == 1)),
-                );
-            }
-            forced
-        })
+    let rounds: Vec<Vec<u64>> = (0..ROUNDS)
+        .map(|_| operands.iter().map(|_| rng() & mask).collect())
         .collect();
-    sim.run_block(&rounds) / ROUNDS as f64
+    let total = if nl.dff_count() == 0 {
+        word_pass(nl, operands, &rounds, power)
+    } else {
+        // The templates are fixed, so a validation failure is a bug.
+        let mut sim = Simulator::with_kernel(Arc::new(nl), power.clone(), SimKernel::EventDriven)
+            .unwrap_or_else(|e| panic!("malformed characterization template: {e}"));
+        rounds.iter().fold(-0.0, |total, values| {
+            for (operand, &v) in operands.iter().zip(values) {
+                sim.set_input_bus(operand.nets(), v);
+            }
+            total + sim.step()
+        })
+    };
+    total / ROUNDS as f64
+}
+
+/// The summed energy of `rounds` on the flop-free template `nl`, every
+/// round in one settle of `u64` lane words, lane *j* = round *j*. Each
+/// round's energy folds its toggled nets in ascending net order onto
+/// the clock-tree charge, round 0 measured from the reset values and
+/// each later round from the one before: a scalar kernel's exact float
+/// order over the same rounds.
+fn word_pass(nl: Netlist, operands: &[Bus], rounds: &[Vec<u64>], power: &PowerConfig) -> f64 {
+    let plan = SimPlan::new(Arc::new(nl))
+        .unwrap_or_else(|e| panic!("malformed characterization template: {e}"));
+    let energies = NetEnergies::new(plan.netlist(), power);
+    let reset = plan.reset_values();
+    let mut lanes: Vec<u64> = reset.iter().map(|&v| u64::splat(v)).collect();
+    for (j, values) in rounds.iter().enumerate() {
+        for (operand, &v) in operands.iter().zip(values) {
+            for (i, &net) in operand.nets().iter().enumerate() {
+                lanes[net.0 as usize] |= ((v >> i) & 1) << j;
+            }
+        }
+    }
+    settle_full(plan.netlist(), plan.order(), &mut lanes);
+    let live = u64::low_mask(rounds.len() as u32);
+    let mut round_j = vec![energies.clock_j; rounds.len()];
+    for (i, (&lane, &was)) in lanes.iter().zip(reset).enumerate() {
+        (toggle_word_w(lane, was) & live)
+            .for_each_lane(|j| round_j[j as usize] += energies.switch_j[i]);
+    }
+    round_j.iter().sum()
 }
 
 #[cfg(test)]
@@ -202,9 +235,8 @@ mod tests {
         }
     }
 
-    /// The flow as it ran before batching: per op, one `set_input_bus`
-    /// per operand and one `step` per round, on an explicitly chosen
-    /// kernel.
+    /// The reference flow: per op, one `set_input_bus` per operand and
+    /// one `step` per round, on an explicitly chosen kernel.
     fn stepped(width: usize, power: &PowerConfig, kernel: SimKernel) -> Vec<f64> {
         let mut next = operand_rng();
         let mask = bus::mask_to_width(-1, width);
@@ -229,22 +261,24 @@ mod tests {
     }
 
     #[test]
-    fn batched_rounds_match_stepped_rounds_under_every_kernel() {
-        // The batched flow runs the structural kernels (the windowed one
-        // on the flop-free templates, event-driven on the registers);
-        // the stepped reference runs each scalar kernel on every template.
+    fn word_pass_matches_stepped_rounds_under_every_kernel() {
+        // The flow prices the flop-free templates in one word pass and
+        // steps the registers event-driven; the reference steps every
+        // template under each kernel, at both ends of the width range.
         for (width, power) in [
+            (1, PowerConfig::date2000_defaults()),
             (8, PowerConfig::date2000_defaults()),
             (16, PowerConfig::date2000_defaults()),
             (32, PowerConfig::date2000_defaults()),
+            (63, PowerConfig::date2000_defaults()),
             (16, scaled_vdd()),
         ] {
-            let batched = bits(&characterize(width, &power));
-            assert_eq!(batched.len(), ALL_MACRO_OPS.len());
+            let priced = bits(&characterize(width, &power));
+            assert_eq!(priced.len(), ALL_MACRO_OPS.len());
             for kernel in [SimKernel::EventDriven, SimKernel::Oblivious] {
                 assert_eq!(
                     bits(&stepped(width, &power, kernel)),
-                    batched,
+                    priced,
                     "width {width}, vdd {}, kernel {kernel:?}",
                     power.vdd
                 );

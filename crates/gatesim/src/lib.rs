@@ -14,9 +14,8 @@
 //! * [`bus`] — word-level datapath blocks (adders, multipliers,
 //!   comparators, registers);
 //! * [`Simulator`] — deterministic cycle-based logic simulation with
-//!   energy capture (three bit-identical kernels: event-driven,
-//!   oblivious, and simd, which runs only netlists without flops — see
-//!   [`SimKernel`]);
+//!   energy capture (two bit-identical kernels: event-driven and the
+//!   oblivious reference — see [`SimKernel`]);
 //! * [`word`] — the lockstep multi-stream [`MultiLaneSim`] (64-lane
 //!   [`LaneSim`] instance);
 //! * [`simd`] — lane words ([`LaneWord`], [`Wide`]) from 64 to
@@ -26,7 +25,9 @@
 //!   run protocol the co-simulation master uses, with an exact memo of
 //!   repeated firings for design-space sweeps ([`FiringMemoScope`]);
 //! * [`macro_op_energies`] — the hardware macro-op characterization
-//!   behind the macro-model's parameter file, memoized with synthesis.
+//!   behind the macro-model's parameter file, memoized with synthesis;
+//!   each flop-free template's 64 operand rounds settle in one `u64`
+//!   lane word.
 //!
 //! # Examples
 //!

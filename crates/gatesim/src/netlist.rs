@@ -89,8 +89,8 @@ impl GateKind {
 
     /// The logic function of a combinational kind: its output over the
     /// `fanin` nets, each read by `read`, as a `bool` for the scalar
-    /// kernels or a lane word for the windowed kernel and the lockstep
-    /// lanes. The crate's one gate evaluator.
+    /// kernels or a lane word for the lockstep lanes and the macro-op
+    /// characterization pass. The crate's one gate evaluator.
     ///
     /// # Panics
     ///
@@ -185,12 +185,6 @@ pub enum ValidateNetlistError {
     /// The `GATESIM_KERNEL` environment override named an unknown
     /// kernel, so a simulator honoring it cannot be constructed.
     Kernel(ParseKernelError),
-    /// The windowed kernel ([`crate::SimKernel::Simd`]) was forced onto
-    /// a netlist with flops; it runs only netlists without any.
-    WindowedWithFlops {
-        /// DFFs in the netlist.
-        dffs: usize,
-    },
 }
 
 impl From<ParseKernelError> for ValidateNetlistError {
@@ -212,11 +206,6 @@ impl fmt::Display for ValidateNetlistError {
                 write!(f, "combinational cycle through gate {g}")
             }
             ValidateNetlistError::Kernel(e) => e.fmt(f),
-            ValidateNetlistError::WindowedWithFlops { dffs } => write!(
-                f,
-                "the windowed (simd) gate kernel runs only netlists without \
-                 flops, and this one has {dffs}"
-            ),
         }
     }
 }

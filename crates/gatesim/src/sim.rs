@@ -3,9 +3,9 @@
 //! Every kernel walks the netlist's validated topological order and
 //! evaluates each gate through the crate's one gate evaluator, which is
 //! generic over the value computed (a `bool` here, a lane word in the
-//! windowed kernel) and reads fan-ins from the netlist's CSR arrays; the
-//! plan adds no copy of them. Three kernels produce bit-identical
-//! results:
+//! lockstep lanes and the macro-op characterization pass) and reads
+//! fan-ins from the netlist's CSR arrays; the plan adds no copy of them.
+//! Two kernels produce bit-identical results:
 //!
 //! * **Event-driven** (the default, [`SimKernel::EventDriven`]): each
 //!   net's combinational readers, as positions in the topological order,
@@ -18,25 +18,9 @@
 //!   every combinational gate is re-evaluated every cycle in
 //!   topological order and toggles are found by a full before/after
 //!   diff, the way the modified SIS power estimator of the paper works.
-//! * **Simd** ([`SimKernel::Simd`]): the windowed engine, for netlists
-//!   without flops only — up to 256 consecutive cycles are evaluated per
-//!   gate visit by packing each net's value over the window into one
-//!   [`crate::simd::W256`] *lane word* (lane *j* = cycle *j*) and
-//!   evaluating each gate as single word ops, reading a fan-in's lanes
-//!   lazily (`lane_of`). With no
-//!   sequential state nothing inside a window can change a later cycle,
-//!   so every window commits whole. Energy falls out of per-net toggle
-//!   words ([`crate::simd::toggle_word_w`]) popcounted over the window,
-//!   and stale lanes are invalidated lazily by epoch stamps. The wide
-//!   word is a `[u64; 4]` whose elementwise ops LLVM vectorizes.
 //!
-//! A simulator takes its kernel from the netlist: the windowed kernel
-//! when it has no flops, the event-driven one otherwise. On a single
-//! sequential stream some flop changes within a few cycles, so lane
-//! packing would not pay there. Forcing the windowed kernel onto a
-//! netlist with flops, through [`Simulator::with_kernel`] or the
-//! `GATESIM_KERNEL` hatch, is a
-//! [`ValidateNetlistError::WindowedWithFlops`].
+//! A simulator runs the event-driven kernel unless the `GATESIM_KERNEL`
+//! hatch or [`Simulator::with_kernel`] forces the oblivious one.
 //!
 //! Equivalence is contractual, not approximate: every kernel
 //! accumulates switch energy over the toggled nets in ascending net-id
@@ -60,15 +44,9 @@
 
 use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
 use crate::power::{EnergyReport, NetEnergies, PowerConfig};
-use crate::simd::{toggle_word_w, LaneWord, Logic, Wide};
-use std::collections::HashMap;
+use crate::simd::Logic;
 use std::fmt;
 use std::sync::Arc;
-
-/// `u64`s per net in the windowed engine's lane buffer.
-const WINDOW_WORDS: usize = 4;
-/// The windowed engine's lane word: one lane per cycle of a window.
-type WindowWord = Wide<WINDOW_WORDS>;
 
 /// Which inner loop a [`Simulator`] runs (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,10 +55,6 @@ pub enum SimKernel {
     EventDriven,
     /// Re-evaluate every combinational gate every cycle (reference path).
     Oblivious,
-    /// Evaluate up to 256 cycles per gate visit as one wide
-    /// ([`crate::simd::W256`]) word op. Netlists without flops only
-    /// (see the module docs).
-    Simd,
 }
 
 /// A kernel name that parses to no known [`SimKernel`] — raised by
@@ -104,7 +78,7 @@ impl fmt::Display for ParseKernelError {
         write!(
             f,
             "unknown gate-simulation kernel `{}` (expected one of: \
-             event, oblivious, simd — case-insensitive)",
+             event, oblivious — case-insensitive)",
             self.value
         )
     }
@@ -115,8 +89,8 @@ impl std::error::Error for ParseKernelError {}
 impl std::str::FromStr for SimKernel {
     type Err = ParseKernelError;
 
-    /// Parses a kernel name, case-insensitively: `event`, `oblivious`,
-    /// or `simd`. This is the single parser behind the
+    /// Parses a kernel name, case-insensitively: `event` or
+    /// `oblivious`. This is the single parser behind the
     /// `GATESIM_KERNEL` hatch — tests and tools should go through it
     /// rather than re-matching strings.
     fn from_str(s: &str) -> Result<Self, ParseKernelError> {
@@ -124,7 +98,6 @@ impl std::str::FromStr for SimKernel {
         for (name, kernel) in [
             ("event", SimKernel::EventDriven),
             ("oblivious", SimKernel::Oblivious),
-            ("simd", SimKernel::Simd),
         ] {
             if t.eq_ignore_ascii_case(name) {
                 return Ok(kernel);
@@ -137,43 +110,24 @@ impl std::str::FromStr for SimKernel {
 }
 
 impl SimKernel {
-    /// The kernel explicitly forced by the environment, if any:
-    /// `GATESIM_KERNEL={event,oblivious,simd}` (case-insensitive) picks
-    /// any kernel. Unset or empty forces nothing.
+    /// The kernel the environment selects: `GATESIM_KERNEL=event` or
+    /// `oblivious` (case-insensitive) forces that kernel; unset or empty
+    /// selects the event-driven default.
     ///
     /// # Errors
     ///
     /// Returns [`ParseKernelError`] if `GATESIM_KERNEL` is set to
     /// anything other than a known kernel name — a typo'd kernel must
     /// fail loudly, not silently fall back.
-    pub(crate) fn env_override() -> Result<Option<Self>, ParseKernelError> {
+    pub(crate) fn from_env() -> Result<Self, ParseKernelError> {
         match std::env::var_os("GATESIM_KERNEL") {
             Some(v) if !v.is_empty() => {
                 let s = v.to_str().ok_or_else(|| ParseKernelError {
                     value: v.to_string_lossy().into_owned(),
                 })?;
-                s.parse().map(Some)
+                s.parse()
             }
-            _ => Ok(None),
-        }
-    }
-
-    /// The kernel for a netlist with `dffs` flops: `forced` if given,
-    /// else the windowed kernel without flops and the event-driven one
-    /// with any (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateNetlistError::WindowedWithFlops`] if `forced`
-    /// is the windowed kernel and `dffs` is not zero.
-    fn select(forced: Option<SimKernel>, dffs: usize) -> Result<Self, ValidateNetlistError> {
-        match forced {
-            Some(SimKernel::Simd) if dffs > 0 => {
-                Err(ValidateNetlistError::WindowedWithFlops { dffs })
-            }
-            Some(kernel) => Ok(kernel),
-            None if dffs == 0 => Ok(SimKernel::Simd),
-            None => Ok(SimKernel::EventDriven),
+            _ => Ok(SimKernel::EventDriven),
         }
     }
 }
@@ -206,8 +160,8 @@ pub(crate) struct SimPlan {
     /// constants high, so gates downstream of a `Const1` hold stale
     /// values until the first cycle's settle — a quirk the oblivious
     /// diff charges as first-cycle toggles. These are the positions of
-    /// the `Const1` readers, which the event-driven and windowed kernels
-    /// mark dirty at construction to reproduce it.
+    /// the `Const1` readers, which the event-driven kernel marks dirty
+    /// at construction to reproduce it.
     const1_fanout: Vec<u32>,
 }
 
@@ -339,38 +293,16 @@ pub struct Simulator {
     /// DFF output nets that changed at the previous clock edge; their
     /// combinational fanout must re-evaluate at the next cycle's settle.
     pending_edge: Vec<u32>,
-    /// Scratch: one bit per net toggled in the current cycle or window.
+    /// One bit per net toggled in the current cycle, cleared as it is
+    /// charged.
     toggled: Vec<u64>,
     /// Scratch: D values sampled simultaneously at the clock edge.
     edge_sample: Vec<bool>,
-    // Windowed-kernel machinery (empty under the scalar kernels).
-    /// Per-net lane words for the current window, flat at stride
-    /// `WINDOW_WORDS`: bit `j % 64` of `lanes[i * WINDOW_WORDS + j / 64]`
-    /// is net `i`'s value at window cycle `j`. Valid only where
-    /// `lane_epoch` matches `epoch`; stale entries mean "held at
-    /// `values` all window".
-    lanes: Vec<u64>,
-    /// Window stamp per lane word (lazy invalidation — no per-window
-    /// clearing of the lane buffer).
-    lane_epoch: Vec<u64>,
-    /// Current window stamp (starts at 0 = nothing valid; bumped at
-    /// each window start).
-    epoch: u64,
-    /// Scratch: nets whose lane differs from their committed value
-    /// somewhere in the current window, ascending.
-    active: Vec<u32>,
-    /// Scratch: per-`active`-net toggle words over the window, flat at
-    /// stride `WINDOW_WORDS`.
-    active_toggle: Vec<u64>,
-    /// Committed `(gate, cycle)` evaluation slots (see
-    /// [`Simulator::gate_eval_slots`]).
-    gate_eval_slots: u64,
 }
 
 impl Simulator {
-    /// Builds a simulator, validating the netlist. The kernel is chosen
-    /// per netlist (see the module docs); the `GATESIM_KERNEL`
-    /// environment hatch keeps precedence.
+    /// Builds a simulator, validating the netlist. It runs the
+    /// event-driven kernel unless `GATESIM_KERNEL` forces another.
     ///
     /// All nets start at their reset values (DFF init values, inputs low,
     /// combinational logic settled accordingly).
@@ -378,11 +310,8 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns the netlist's [`ValidateNetlistError`] if it is
-    /// malformed, its [`ValidateNetlistError::Kernel`] variant if
-    /// `GATESIM_KERNEL` names an unknown kernel, or its
-    /// [`ValidateNetlistError::WindowedWithFlops`] variant if
-    /// `GATESIM_KERNEL` forces the windowed kernel onto a netlist with
-    /// flops.
+    /// malformed, or its [`ValidateNetlistError::Kernel`] variant if
+    /// `GATESIM_KERNEL` names an unknown kernel.
     pub fn new(netlist: &Netlist, config: PowerConfig) -> Result<Self, ValidateNetlistError> {
         Self::with_shared(Arc::new(netlist.clone()), config)
     }
@@ -399,8 +328,8 @@ impl Simulator {
         netlist: Arc<Netlist>,
         config: PowerConfig,
     ) -> Result<Self, ValidateNetlistError> {
-        let forced = SimKernel::env_override()?;
-        Self::standalone(netlist, &config, forced)
+        let kernel = SimKernel::from_env()?;
+        Self::with_kernel(netlist, config, kernel)
     }
 
     /// Builds a simulator with an explicitly chosen kernel (differential
@@ -409,56 +338,36 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns the netlist's [`ValidateNetlistError`] if it is
-    /// malformed, or its [`ValidateNetlistError::WindowedWithFlops`]
-    /// variant if `kernel` is [`SimKernel::Simd`] and the netlist has
-    /// flops.
+    /// malformed.
     pub fn with_kernel(
         netlist: Arc<Netlist>,
         config: PowerConfig,
         kernel: SimKernel,
     ) -> Result<Self, ValidateNetlistError> {
-        Self::standalone(netlist, &config, Some(kernel))
-    }
-
-    /// An instance with a plan and an energy table of its own, running
-    /// the `forced` kernel or else the netlist's structural one.
-    pub(crate) fn standalone(
-        netlist: Arc<Netlist>,
-        config: &PowerConfig,
-        forced: Option<SimKernel>,
-    ) -> Result<Self, ValidateNetlistError> {
         let plan = SimPlan::new(netlist)?;
-        let energies = NetEnergies::new(&plan.netlist, config);
-        Self::from_plan(Arc::new(plan), Arc::new(energies), forced)
+        let energies = NetEnergies::new(&plan.netlist, &config);
+        Ok(Self::from_plan(Arc::new(plan), Arc::new(energies), kernel))
     }
 
     /// Builds an instance over a shared plan and energy table — the one
     /// construction path behind every public constructor, and all a
     /// synthesis-memo hit pays: per-instance vectors (values copied from
-    /// the plan's reset state). `forced` is the kernel to run, or `None`
-    /// for the structural rule over the plan's DFF count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateNetlistError::WindowedWithFlops`] if `forced`
-    /// is the windowed kernel and the plan has flops.
+    /// the plan's reset state).
     pub(crate) fn from_plan(
         plan: Arc<SimPlan>,
         energies: Arc<NetEnergies>,
-        forced: Option<SimKernel>,
-    ) -> Result<Self, ValidateNetlistError> {
+        kernel: SimKernel,
+    ) -> Self {
         debug_assert_eq!(energies.switch_j.len(), plan.netlist.gate_count());
-        let kernel = SimKernel::select(forced, plan.dffs.len())?;
-        let windowed = kernel == SimKernel::Simd;
         let n = plan.netlist.gate_count();
         // Reproduce the constant-init quirk (see `SimPlan::const1_fanout`):
-        // the event-driven and windowed kernels drain these marks at their
-        // first settle; the oblivious kernel never reads them.
+        // the event-driven kernel drains these marks at its first settle;
+        // the oblivious kernel never reads them.
         let mut dirty = vec![0; plan.order.len().div_ceil(64)];
         for &p in &plan.const1_fanout {
             set_bit(&mut dirty, p as usize);
         }
-        Ok(Simulator {
+        Simulator {
             energies,
             kernel,
             values: plan.reset_values.clone(),
@@ -472,18 +381,8 @@ impl Simulator {
             pending_edge: Vec::new(),
             toggled: vec![0; n.div_ceil(64)],
             edge_sample: Vec::new(),
-            lanes: if windowed {
-                vec![0; n * WINDOW_WORDS]
-            } else {
-                Vec::new()
-            },
-            lane_epoch: if windowed { vec![0; n] } else { Vec::new() },
-            epoch: 0,
-            active: Vec::new(),
-            active_toggle: Vec::new(),
-            gate_eval_slots: 0,
             plan,
-        })
+        }
     }
 
     /// The shared netlist this simulator evaluates.
@@ -508,26 +407,11 @@ impl Simulator {
         self.kernel
     }
 
-    /// Combinational gate evaluations performed so far, counted in the
-    /// kernel's own *work units*: the scalar kernels count one per gate
-    /// visit per cycle, while the windowed kernel counts one per gate
-    /// visit per *window* (a single word op covering up to 256 cycles).
-    /// Use [`Simulator::gate_eval_slots`] for a cycle-equivalent
-    /// measure, and [`Simulator::gate_events`] for the kernel-invariant
-    /// activity count.
+    /// Combinational gate evaluations performed so far: one per gate
+    /// visit per cycle. Use [`Simulator::gate_events`] for the
+    /// kernel-invariant activity count.
     pub fn gate_evals(&self) -> u64 {
         self.gate_evals
-    }
-
-    /// Committed `(gate, cycle)` evaluation slots: each gate evaluation
-    /// weighted by the number of cycles it committed. Under the scalar
-    /// kernels this equals [`Simulator::gate_evals`] (every evaluation
-    /// covers exactly one cycle); under the windowed kernel it is
-    /// `Σ evals × committed window length` — the work a scalar sweep of
-    /// the same dirty gates would have performed, which is what makes
-    /// eval-reduction ratios comparable across kernels.
-    pub fn gate_eval_slots(&self) -> u64 {
-        self.gate_eval_slots
     }
 
     /// Net value changes observed so far (input, combinational, and DFF
@@ -704,7 +588,6 @@ impl Simulator {
         match self.kernel {
             SimKernel::EventDriven => self.step_event(),
             SimKernel::Oblivious => self.step_oblivious(),
-            SimKernel::Simd => self.run(1),
         }
     }
 
@@ -712,8 +595,6 @@ impl Simulator {
     /// them, in joules: bit for bit the sum of `n` [`Simulator::step`]
     /// calls, folded cycle by cycle from −0.0 as `Iterator::sum` folds.
     ///
-    /// * The windowed kernel batches the cycles into windows of up to
-    ///   256 cycles and re-folds the energy from the report.
     /// * The event-driven kernel steps until a cycle ends with no flop
     ///   changed at its edge, then fast-forwards the rest. That is exact:
     ///   after a stepped cycle the dirty set is drained and every
@@ -727,14 +608,6 @@ impl Simulator {
     /// * The oblivious kernel, the reference, steps every cycle.
     pub fn run(&mut self, n: u64) -> f64 {
         match self.kernel {
-            SimKernel::Simd => {
-                let start = self.report.per_cycle_j.len();
-                let mut left = n;
-                while left > 0 {
-                    left -= self.word_window(left, &[]);
-                }
-                self.report.per_cycle_j[start..].iter().sum()
-            }
             SimKernel::EventDriven => {
                 let mut energy = -0.0;
                 let mut left = n;
@@ -756,74 +629,6 @@ impl Simulator {
             }
             SimKernel::Oblivious => (0..n).map(|_| self.step_oblivious()).sum(),
         }
-    }
-
-    /// Runs one batched block: `changes[j]` is the set of input forcings
-    /// applied before cycle `j` (an empty set holds the inputs). Returns
-    /// the energy over `changes.len()` cycles, folded from −0.0 as
-    /// [`Simulator::run`] folds it, so an empty block returns −0.0 under
-    /// every kernel.
-    ///
-    /// This is the uniform batched driving surface across kernels: the
-    /// scalar kernels loop `set_input` + `step`, while the windowed
-    /// kernel packs each input's schedule into lane words so a whole
-    /// block of cycles is evaluated per gate visit. Results are
-    /// bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scheduled net is not an `Input` gate.
-    pub fn run_block(&mut self, changes: &[Vec<(NetId, bool)>]) -> f64 {
-        match self.kernel {
-            SimKernel::Simd => self.run_block_windowed(changes),
-            SimKernel::EventDriven | SimKernel::Oblivious => {
-                let mut energy = -0.0;
-                for cyc in changes {
-                    for &(net, v) in cyc {
-                        self.set_input(net, v);
-                    }
-                    energy += self.step();
-                }
-                energy
-            }
-        }
-    }
-
-    /// [`Simulator::run_block`] under the windowed kernel: one window
-    /// per 256 cycles.
-    fn run_block_windowed(&mut self, changes: &[Vec<(NetId, bool)>]) -> f64 {
-        let start = self.report.per_cycle_j.len();
-        for chunk in changes.chunks(WindowWord::BITS as usize) {
-            // Pack each changed input's schedule into a lane word: start
-            // from the currently forced value, overwrite from each
-            // change's offset onward (carry-forward to the top lane).
-            let mut sched: Vec<(u32, WindowWord)> = Vec::new();
-            let mut slot_of: HashMap<u32, usize> = HashMap::new();
-            for (off, cyc) in chunk.iter().enumerate() {
-                for &(net, v) in cyc {
-                    assert_eq!(
-                        self.plan.netlist.kind(net),
-                        GateKind::Input,
-                        "{net} is not a primary input"
-                    );
-                    let slot = *slot_of.entry(net.0).or_insert_with(|| {
-                        sched.push((net.0, WindowWord::splat(self.inputs[net.0 as usize])));
-                        sched.len() - 1
-                    });
-                    let keep = WindowWord::low_mask(off as u32);
-                    sched[slot].1 = sched[slot]
-                        .1
-                        .and(keep)
-                        .or(WindowWord::splat(v).and(keep.not()));
-                }
-            }
-            self.word_window(chunk.len() as u64, &sched);
-            // The top lane is the forced value going forward.
-            for &(i, w) in &sched {
-                self.inputs[i as usize] = w.bit(WindowWord::BITS - 1);
-            }
-        }
-        self.report.per_cycle_j[start..].iter().sum()
     }
 
     /// The accumulated cycle-by-cycle energy report.
@@ -893,7 +698,6 @@ impl Simulator {
             }
         }
         self.gate_evals += evals;
-        self.gate_eval_slots += evals;
 
         // Energy: clock tree first, then toggled nets ascending by net
         // id — the float order of the oblivious before/after diff.
@@ -941,7 +745,6 @@ impl Simulator {
         // 2. Settle combinational logic.
         settle_full(netlist, &self.plan.order, &mut self.values);
         self.gate_evals += self.plan.order.len() as u64;
-        self.gate_eval_slots += self.plan.order.len() as u64;
         // 3. Energy from toggles against the previous settled state.
         let switch_j = &self.energies.switch_j[..];
         let mut energy = self.energies.clock_j;
@@ -974,135 +777,20 @@ impl Simulator {
         self.report.per_cycle_j.push(energy);
         energy
     }
-
-    /// A net's lane word for the current window: the computed lanes if
-    /// the net changed this window, else its committed value broadcast
-    /// to every cycle slot.
-    #[inline]
-    fn lane_of(&self, net: NetId) -> WindowWord {
-        let i = net.0 as usize;
-        if self.lane_epoch[i] == self.epoch {
-            lane_get(&self.lanes, i)
-        } else {
-            WindowWord::splat(self.values[i])
-        }
-    }
-
-    /// One window: evaluates `budget` cycles (at most the lane word's
-    /// 256) at once and commits them all, returning how many. The
-    /// netlist has no flops, so no window cycle can change a later one.
-    /// It drains the event-driven kernel's dirty set, each dirty gate
-    /// once per window.
-    ///
-    /// Inputs are held at their forced values unless `sched` supplies
-    /// an explicit per-cycle lane word for them (bit `j` = the value
-    /// forced before window cycle `j`). Per-cycle energies are pushed
-    /// onto the report in the scalar kernels' exact float accumulation
-    /// order: clock tree, then toggled nets ascending by net id.
-    fn word_window(&mut self, budget: u64, sched: &[(u32, WindowWord)]) -> u64 {
-        debug_assert!(self.plan.dffs.is_empty(), "windowed kernel on flops");
-        // Slices and iterators over the plan, as in `step_event`.
-        let plan = &*self.plan;
-        let netlist = &*plan.netlist;
-        let (off, pos) = (&plan.fanout_off[..], &plan.fanout_pos[..]);
-        let m = budget.min(u64::from(WindowWord::BITS)) as u32;
-        let mask = WindowWord::low_mask(m);
-        self.epoch += 1;
-        // Scheduled inputs: an explicit per-cycle lane overrides the
-        // held value.
-        for &(i, w) in sched {
-            let iu = i as usize;
-            lane_set(&mut self.lanes, iu, w);
-            self.lane_epoch[iu] = self.epoch;
-            if w.and(mask) != WindowWord::splat(self.values[iu]).and(mask) {
-                set_bit(&mut self.toggled, iu);
-                mark_readers(&mut self.dirty, off, pos, iu);
-            }
-        }
-        // Held inputs that changed since the last committed cycle
-        // toggle at window cycle 0 and hold.
-        for &i in &plan.input_ids {
-            let i = i as usize;
-            if self.lane_epoch[i] == self.epoch {
-                continue; // scheduled above
-            }
-            if self.values[i] != self.inputs[i] {
-                lane_set(&mut self.lanes, i, WindowWord::splat(self.inputs[i]));
-                self.lane_epoch[i] = self.epoch;
-                set_bit(&mut self.toggled, i);
-                mark_readers(&mut self.dirty, off, pos, i);
-            }
-        }
-
-        // Topological word settle: each dirty gate (including the
-        // construction-time constant-quirk seeds) is evaluated exactly
-        // once, as one word op covering every cycle of the window.
-        let mut window_evals = 0u64;
-        let mut word = 0;
-        while let Some(p) = pop_lowest(&mut self.dirty, &mut word) {
-            let id = plan.order[p];
-            window_evals += 1;
-            let w = netlist.kind(id).eval(netlist.fanin(id), |i| self.lane_of(i));
-            let g = id.0 as usize;
-            if w.and(mask) != WindowWord::splat(self.values[g]).and(mask) {
-                lane_set(&mut self.lanes, g, w);
-                self.lane_epoch[g] = self.epoch;
-                set_bit(&mut self.toggled, g);
-                mark_readers(&mut self.dirty, off, pos, g);
-            }
-        }
-        self.gate_evals += window_evals;
-        self.gate_eval_slots += window_evals * u64::from(m);
-
-        // Commit: toggle words of the changed nets, ascending, then the
-        // per-cycle energy fold in the scalar kernels' order.
-        self.active.clear();
-        self.active_toggle.clear();
-        let mut word = 0;
-        while let Some(i) = pop_lowest(&mut self.toggled, &mut word) {
-            let t = toggle_word_w(lane_get(&self.lanes, i), self.values[i]).and(mask);
-            self.active.push(i as u32);
-            self.active_toggle.extend_from_slice(&t.0);
-        }
-        let (switch_j, clock) = (&self.energies.switch_j[..], self.energies.clock_j);
-        for j in 0..m {
-            let mut energy = clock;
-            let (jw, jb) = ((j / 64) as usize, j % 64);
-            for k in 0..self.active.len() {
-                if (self.active_toggle[k * WINDOW_WORDS + jw] >> jb) & 1 == 1 {
-                    energy += switch_j[self.active[k] as usize];
-                }
-            }
-            self.report.per_cycle_j.push(energy);
-        }
-        // Commit state and counters: active nets take their values at
-        // the window's last cycle.
-        for k in 0..self.active.len() {
-            let i = self.active[k] as usize;
-            let pc: u64 = self.active_toggle[k * WINDOW_WORDS..(k + 1) * WINDOW_WORDS]
-                .iter()
-                .map(|w| w.count_ones() as u64)
-                .sum();
-            self.toggles[i] += pc;
-            self.gate_events += pc;
-            self.values[i] = lane_get(&self.lanes, i).bit(m - 1);
-        }
-        self.cycle += u64::from(m);
-        u64::from(m)
-    }
 }
 
 /// Propagates values through all combinational gates (topological
 /// `order`), leaving DFF outputs and inputs untouched, then forces the
-/// constants to their values.
-fn settle_full(netlist: &Netlist, order: &[NetId], values: &mut [bool]) {
+/// constants to their values. Generic over [`Logic`]: a lane word
+/// settles every lane at once.
+pub(crate) fn settle_full<L: Logic>(netlist: &Netlist, order: &[NetId], values: &mut [L]) {
     for &id in order {
         values[id.0 as usize] = netlist.kind(id).eval(netlist.fanin(id), |i| values[i.0 as usize]);
     }
     for (i, kind) in netlist.kinds().iter().enumerate() {
         match kind {
-            GateKind::Const0 => values[i] = false,
-            GateKind::Const1 => values[i] = true,
+            GateKind::Const0 => values[i] = L::ZERO,
+            GateKind::Const1 => values[i] = L::ONES,
             _ => {}
         }
     }
@@ -1184,20 +872,6 @@ static SPREAD: [[bool; 8]; 256] = {
     }
     table
 };
-
-/// Reads net `i`'s lane word from the flat window lane buffer.
-#[inline]
-fn lane_get(lanes: &[u64], i: usize) -> WindowWord {
-    let mut a = [0u64; WINDOW_WORDS];
-    a.copy_from_slice(&lanes[i * WINDOW_WORDS..(i + 1) * WINDOW_WORDS]);
-    Wide(a)
-}
-
-/// Writes net `i`'s lane word into the flat window lane buffer.
-#[inline]
-fn lane_set(lanes: &mut [u64], i: usize, w: WindowWord) {
-    lanes[i * WINDOW_WORDS..(i + 1) * WINDOW_WORDS].copy_from_slice(&w.0);
-}
 
 #[cfg(test)]
 mod tests {
@@ -1286,7 +960,7 @@ mod tests {
             expected(*kind, &ins)
         };
         let shared = Arc::new(n);
-        for kernel in [SimKernel::EventDriven, SimKernel::Oblivious, SimKernel::Simd] {
+        for kernel in [SimKernel::EventDriven, SimKernel::Oblivious] {
             let mut sim =
                 Simulator::with_kernel(Arc::clone(&shared), cfg(), kernel).expect("valid");
             for m in 0..16 {
@@ -1467,83 +1141,6 @@ mod tests {
             (trace, toggles, sim.report().total_j().to_bits())
         };
         assert_eq!(run(SimKernel::EventDriven), run(SimKernel::Oblivious));
-    }
-
-    #[test]
-    fn run_block_matches_per_cycle_stepping_across_kernels() {
-        // Flop-free, so all three kernels run it; 130 cycles cross the
-        // 64-lane seams inside one 256-cycle window.
-        let mut n = Netlist::new();
-        let a = n.input();
-        let b = n.input();
-        let one = n.constant(true);
-        let x = n.gate(GateKind::Xor, vec![a, b]);
-        let y = n.gate(GateKind::And, vec![x, one]);
-        let z = n.gate(GateKind::Or, vec![y, a]);
-        n.mark_output("z", z);
-        let shared = Arc::new(n);
-        let changes: Vec<Vec<(NetId, bool)>> = (0..130u64)
-            .map(|i| {
-                let mut c = Vec::new();
-                if i % 7 == 0 {
-                    c.push((a, i % 14 == 0));
-                }
-                if i % 11 == 3 {
-                    c.push((b, i % 22 == 3));
-                }
-                c
-            })
-            .collect();
-        let drive = |kernel| {
-            let mut sim =
-                Simulator::with_kernel(Arc::clone(&shared), cfg(), kernel).expect("valid");
-            let e = sim.run_block(&changes);
-            let report: Vec<u64> = sim.report().per_cycle_j.iter().map(|x| x.to_bits()).collect();
-            let toggles: Vec<u64> = (0..shared.gate_count())
-                .map(|k| sim.toggle_count(NetId(k as u32)))
-                .collect();
-            (e.to_bits(), report, toggles, sim.gate_events())
-        };
-        let simd = drive(SimKernel::Simd);
-        assert_eq!(simd, drive(SimKernel::Oblivious));
-        assert_eq!(simd, drive(SimKernel::EventDriven));
-    }
-
-    #[test]
-    fn simd_kernel_commits_256_cycle_windows_when_quiescent() {
-        // Inputs held, no flops toggling: one window eval covers 256
-        // cycles, so eval counts collapse while slots stay honest.
-        let mut n = Netlist::new();
-        let a = n.input();
-        let mut prev = a;
-        for _ in 0..8 {
-            prev = n.gate(GateKind::Not, vec![prev]);
-        }
-        n.mark_output("out", prev);
-        let shared = Arc::new(n);
-        let mut sim =
-            Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::Simd).expect("valid");
-        sim.run(512);
-        assert_eq!(sim.gate_evals(), 0, "nothing dirty while inputs hold");
-        assert_eq!(sim.gate_eval_slots(), 0);
-        // One input flip wakes the chain once for the whole 256-cycle
-        // window: 8 wide evals commit 8 × 256 slots.
-        sim.set_input(a, true);
-        sim.run(256);
-        assert_eq!(sim.gate_evals(), 8);
-        assert_eq!(sim.gate_eval_slots(), 8 * 256);
-        // The scalar kernels keep evals == slots by definition, and the
-        // same drive charges identical energy.
-        let mut ev = Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::EventDriven)
-            .expect("valid");
-        ev.run(512);
-        ev.set_input(a, true);
-        ev.run(256);
-        assert_eq!(ev.gate_evals(), ev.gate_eval_slots());
-        assert_eq!(
-            sim.report().total_j().to_bits(),
-            ev.report().total_j().to_bits()
-        );
     }
 
     #[test]

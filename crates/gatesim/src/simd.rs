@@ -1,27 +1,26 @@
 //! SIMD lane words: the `u64` lane word widened to `[u64; N]` vectors,
 //! and the width-erased multi-stream simulator built on them.
 //!
-//! A lane word packs 64 lanes — 64 independent streams, or consecutive
-//! cycles of one stream — into one `u64` and pays one word op per gate
-//! visit. This module widens that word to [`Wide<W>`]: `W` consecutive
+//! A lane word packs 64 lanes — 64 independent streams, or the 64
+//! operand rounds of a macro-op characterization — into one `u64` and
+//! pays one word op per gate visit. This module widens that word to [`Wide<W>`]: `W` consecutive
 //! `u64`s treated as one `64 × W`-bit lane word, giving 128/256/512
 //! lanes per op. Everything that made the 64-lane engine bit-exact
 //! carries over unchanged, because every trick is a pure word-level
 //! identity:
 //!
-//! * masked comparisons (`w & mask != splat(v) & mask`) detect window
+//! * masked comparisons (`w & mask != splat(v) & mask`) detect lane
 //!   activity;
-//! * toggle words (`lane ^ ((lane << 1) | prev)`) count transitions,
-//!   with the shift carrying across the `u64` boundaries of the wide
-//!   word.
+//! * toggle words (`lane ^ ((lane << 1) | prev)`) count transitions
+//!   between consecutive lanes, with the shift carrying across the
+//!   `u64` boundaries of the wide word.
 //!
 //! The [`LaneWord`] trait abstracts exactly those operations, with
 //! `u64` itself as the 64-lane instance: the lockstep
-//! [`MultiLaneSim`] is one generic engine at every width, and the
-//! single-stream windowed kernel ([`crate::SimKernel::Simd`], for
-//! netlists without flops) runs at [`W256`]. Its Boolean half,
-//! [`Logic`], is also implemented by `bool`, so one gate evaluator
-//! serves every kernel. Per-lane energy is still
+//! [`MultiLaneSim`] is one generic engine at every width. Its Boolean
+//! half, [`Logic`], is also implemented by `bool`, so one gate
+//! evaluator serves the scalar kernels, the lanes and the macro-op
+//! characterization pass. Per-lane energy is still
 //! folded in the scalar kernels' exact float order (clock tree, then
 //! toggled nets ascending by net id, then DFF edges ascending by gate
 //! order), so every lane of a wide run is bit-identical to a scalar run
@@ -37,8 +36,8 @@ use std::sync::Arc;
 
 /// The Boolean algebra a gate computes in: one `bool`, or a lane word
 /// of many independent lanes. The crate's one gate evaluator is generic
-/// over it, so the scalar kernels, the windowed kernel and the lockstep
-/// lanes share a single logic function per gate kind.
+/// over it, so the scalar kernels, the lockstep lanes and the macro-op
+/// characterization pass share a single logic function per gate kind.
 pub trait Logic: Copy {
     /// Every lane low.
     const ZERO: Self;

@@ -265,7 +265,6 @@ struct SynthesizedTransition {
     plan: Arc<SimPlan>,
     ports: Ports,
     gate_count: usize,
-    segment_count: usize,
     /// One entry per [`PowerConfig::key_bits`], built on first use.
     powered: Mutex<Vec<Arc<Powered>>>,
 }
@@ -559,28 +558,22 @@ const MAX_RUN_CYCLES: u64 = 50_000_000;
 
 impl HwTransition {
     /// A fresh instance over a shared synthesized transition, running
-    /// the `forced` kernel or else the structural one (event-driven: the
-    /// controller always has flops).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateNetlistError::WindowedWithFlops`] if `forced`
-    /// is the windowed kernel.
+    /// `kernel`.
     fn instantiate(
         shared: Arc<SynthesizedTransition>,
         power: &PowerConfig,
-        forced: Option<SimKernel>,
-    ) -> Result<Self, ValidateNetlistError> {
+        kernel: SimKernel,
+    ) -> Self {
         let powered = shared.powered_for(power);
         let energies = Arc::clone(&powered.energies);
-        let sim = Simulator::from_plan(Arc::clone(&shared.plan), energies, forced)?;
-        Ok(HwTransition {
+        let sim = Simulator::from_plan(Arc::clone(&shared.plan), energies, kernel);
+        HwTransition {
             shared,
             powered,
             sim,
             memo_key: Vec::new(),
             memo_hits: 0,
-        })
+        }
     }
 
     /// Runs the transition: `vars_in` are the live variable values,
@@ -779,11 +772,6 @@ impl HwTransition {
         self.shared.gate_count
     }
 
-    /// Number of controller segments.
-    pub fn segment_count(&self) -> usize {
-        self.shared.segment_count
-    }
-
     /// The shared synthesized netlist this instance simulates.
     pub fn netlist(&self) -> &Arc<Netlist> {
         self.shared.plan.netlist()
@@ -868,11 +856,6 @@ impl HwCfsm {
     /// The machine name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The datapath width the machine was synthesized at, bits.
-    pub fn datapath_width(&self) -> usize {
-        self.width
     }
 
     /// Truncates a behavioral value to this machine's datapath width —
@@ -1111,8 +1094,8 @@ fn synthesize_transition(
             }
         }
     };
-    let forced = SimKernel::env_override().map_err(ValidateNetlistError::from)?;
-    Ok(HwTransition::instantiate(shared, power, forced)?)
+    let kernel = SimKernel::from_env().map_err(ValidateNetlistError::from)?;
+    Ok(HwTransition::instantiate(shared, power, kernel))
 }
 
 /// Structural synthesis proper: builds the netlist, its simulation plan,
@@ -1391,7 +1374,6 @@ fn build_transition(
             mem_wdata,
         },
         gate_count,
-        segment_count: n_segs,
         powered: Mutex::default(),
     })
 }
@@ -1819,7 +1801,7 @@ mod tests {
         }
         for width in [1, 16, 63] {
             let hw = HwCfsm::synthesize(&m, &SynthConfig { width }, &power());
-            assert_eq!(hw.expect("in range").datapath_width(), width);
+            assert_eq!(hw.expect("in range").mask_value(-1), (1 << width) - 1);
         }
     }
 
@@ -1883,7 +1865,7 @@ mod tests {
             let toggles: Vec<u64> = (0..sim.netlist().gate_count() as u32)
                 .map(|i| sim.toggle_count(NetId(i)))
                 .collect();
-            (toggles, sim.gate_evals(), sim.gate_eval_slots())
+            (toggles, sim.gate_evals())
         };
         for memoized in [false, true] {
             for n in [0u64, 1, 2, 7, 300] {
@@ -2125,9 +2107,7 @@ mod tests {
         let shared = Arc::clone(&event.transition(t0).shared);
         // The event-driven firing was admitted, so a consulting instance
         // would hit on this fresh firing.
-        let mut t =
-            HwTransition::instantiate(Arc::clone(&shared), &power(), Some(SimKernel::Oblivious))
-                .expect("the oblivious kernel runs any netlist");
+        let mut t = HwTransition::instantiate(Arc::clone(&shared), &power(), SimKernel::Oblivious);
         let before = memo_of(&t);
         assert_eq!(fire_bits(&mut t, 0x77, 0x33).0, want);
         assert_eq!(

@@ -18,9 +18,7 @@
 //! including the per-cycle float accumulation order and the seed's
 //! constant-init quirk. [`LaneSim`] is its classic 64-stream `u64`
 //! instance; [`crate::SimdLaneSim`] erases the width and scales to 512
-//! streams. (The single-stream windowed kernel, [`crate::SimKernel::Simd`],
-//! packs consecutive cycles of one stream instead, and so runs only
-//! netlists without flops; see `gatesim::sim`.)
+//! streams.
 
 use crate::netlist::{NetId, Netlist, ValidateNetlistError};
 use crate::power::{EnergyReport, NetEnergies, PowerConfig};
@@ -256,9 +254,9 @@ impl<W: LaneWord> MultiLaneSim<W> {
 
     /// Committed `(gate, stream, cycle)` evaluation slots:
     /// `gate_evals × lanes`, since every word evaluation settles one
-    /// cycle of every stream. Comparable across kernels — a scalar run
-    /// of the same streams would report this many `gate_eval_slots`
-    /// under the oblivious kernel.
+    /// cycle of every stream. Comparable across kernels — scalar runs
+    /// of the same streams under the oblivious kernel would report this
+    /// many `gate_evals` between them.
     pub fn gate_eval_slots(&self) -> u64 {
         self.gate_eval_slots
     }

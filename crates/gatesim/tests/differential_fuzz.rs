@@ -1,25 +1,18 @@
-//! Differential fuzzing of the three simulation kernels and the lockstep
+//! Differential fuzzing of the two simulation kernels and the lockstep
 //! lanes.
 //!
-//! The event-driven and simd kernels' contract with the oblivious
-//! reference path is *bitwise* identity — same settled values
-//! every cycle, same toggle counters, same per-cycle energy down to the
-//! last mantissa bit (the float accumulation order is part of the
-//! contract). This suite builds random netlists (including DFF-to-DFF
-//! chains, constants, flops fed back from nets built after them, and
-//! reconvergent logic) and drives the kernels with identical random
-//! input sequences: cycle by cycle with held-input [`Simulator::run`]
-//! stretches in between (0, 1, 2, 7 and 300 cycles — the event-driven
-//! kernel fast-forwards the quiescent part of a stretch, feedback flops
-//! keep some stretches from ever going quiet, and the simd kernel
-//! splits the longest into windows), and through the batched
-//! [`Simulator::run_block`] surface at block-boundary cycle counts (1,
-//! 63, 64, 65, 127, 128, 255, 256, 257 — the simd kernel's 256-cycle
-//! windows and the 64-lane `u64` seams inside them must be exact at and
-//! across every boundary), after an empty block (−0.0 under every
-//! kernel). The simd kernel runs only netlists without flops, so each
-//! case also draws a flop-free netlist for it; the event-driven kernel
-//! runs both. One netlist in three has 65–300 gates, so the dirty set
+//! The event-driven kernel's contract with the oblivious reference path
+//! is *bitwise* identity — same settled values every cycle, same toggle
+//! counters, same per-cycle energy down to the last mantissa bit (the
+//! float accumulation order is part of the contract). This suite builds
+//! random netlists (including DFF-to-DFF chains, constants, flops fed
+//! back from nets built after them, and reconvergent logic) and drives
+//! the kernels with identical random input sequences: cycle by cycle
+//! with held-input [`Simulator::run`] stretches in between (0, 1, 2, 7
+//! and 300 cycles — the event-driven kernel fast-forwards the quiescent
+//! part of a stretch, and feedback flops keep some stretches from ever
+//! going quiet). Each case draws one netlist with flops and one
+//! without. One netlist in three has 65–300 gates, so the dirty set
 //! spans several 64-bit words. Every random-stimulus case also runs on
 //! a [`SimdLaneSim`] of 1–130 lanes: the case's stimulus and holds drive
 //! one lane, random streams drive the others, and that lane must equal
@@ -34,16 +27,6 @@ use gatesim::{
     GateKind, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator, ValidateNetlistError,
 };
 use std::sync::Arc;
-
-/// The kernels compared against the oblivious reference on `netlist`:
-/// the windowed one only where it has no flops.
-fn kernels_for(netlist: &Netlist) -> &'static [SimKernel] {
-    if netlist.dff_count() == 0 {
-        &[SimKernel::EventDriven, SimKernel::Simd]
-    } else {
-        &[SimKernel::EventDriven]
-    }
-}
 
 /// Builds a random valid netlist: inputs and constants first, then a
 /// mix of 10–59 gates, or 65–300 in one case of three (fan-ins drawn
@@ -134,7 +117,7 @@ fn random_stimulus(
 }
 
 /// Held-input stretch lengths the random-stimulus driver runs: none, one
-/// and two cycles, a few, and more than a simd window.
+/// and two cycles, a few, and more than four 64-cycle words.
 const HOLDS: [u64; 5] = [0, 1, 2, 7, 300];
 
 /// Per stimulus cycle, the held-input [`Simulator::run`] stretch to
@@ -238,43 +221,8 @@ fn drive_lane(
     (steps, stretches, toggles, report_bits)
 }
 
-/// Drives the stimulus through `run_block` in segments (the simd kernel
-/// gets genuine multi-cycle windows), observing block energies, the
-/// full report, final values, toggles, and activity counters.
-fn drive_blocks(
-    netlist: &Arc<Netlist>,
-    kernel: SimKernel,
-    stimulus: &[Vec<(NetId, bool)>],
-    segments: &[usize],
-) -> (Vec<u64>, Vec<u64>, Vec<bool>, Vec<u64>, u64) {
-    let mut sim = Simulator::with_kernel(Arc::clone(netlist), PowerConfig::date2000_defaults(), kernel)
-        .expect("valid");
-    let mut block_energy = Vec::new();
-    let mut pos = 0usize;
-    for &seg in segments {
-        let end = (pos + seg).min(stimulus.len());
-        block_energy.push(sim.run_block(&stimulus[pos..end]).to_bits());
-        pos = end;
-        if pos == stimulus.len() {
-            break;
-        }
-    }
-    if pos < stimulus.len() {
-        block_energy.push(sim.run_block(&stimulus[pos..]).to_bits());
-    }
-    let report = sim.report().per_cycle_j.iter().map(|e| e.to_bits()).collect();
-    let values = (0..netlist.gate_count())
-        .map(|i| sim.value(NetId(i as u32)))
-        .collect();
-    let toggles = (0..netlist.gate_count())
-        .map(|i| sim.toggle_count(NetId(i as u32)))
-        .collect();
-    (block_energy, report, values, toggles, sim.gate_events())
-}
-
-/// Random netlists per differential test, and the least of them that
-/// must be flop-free and so also run the windowed kernel: `FUZZ_N`, or
-/// 120 when unset.
+/// Random cases per differential test, each with one netlist with flops
+/// and one without: `FUZZ_N`, or 120 when unset.
 fn cases() -> u64 {
     std::env::var("FUZZ_N")
         .ok()
@@ -285,9 +233,9 @@ fn cases() -> u64 {
 #[test]
 fn all_kernels_match_oblivious_over_120_random_cases() {
     // Long stretches that end quiet (the last cycle charged the clock
-    // tree alone) and that end busy (flops still oscillating), and
-    // netlists whose dirty set spans four words.
-    let (mut quiet, mut busy, mut windowed, mut four_words) = (0, 0, 0, 0);
+    // tree alone) and that end busy (flops still oscillating), flop-free
+    // netlists, and netlists whose dirty set spans four words.
+    let (mut quiet, mut busy, mut flop_free, mut four_words) = (0, 0, 0, 0);
     let mut wide_lanes = 0;
     let cases = cases();
     for case in 0..cases {
@@ -302,6 +250,7 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
         let mut lane_rng = Rng::new(0x1A9E_F022_0000_0000 ^ case);
         let mut check = |netlist: &Arc<Netlist>, stimulus: &[Vec<(NetId, bool)>]| {
             four_words += usize::from(netlist.validate().expect("valid").len() > 192);
+            flop_free += usize::from(netlist.dff_count() == 0);
             let reference = drive(netlist, SimKernel::Oblivious, stimulus, &holds);
             let lanes = lane_rng.usize_in(1, 131);
             let lane = lane_rng.usize_in(0, lanes);
@@ -313,17 +262,13 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
                 cycles
             );
             wide_lanes += usize::from(lanes > 64);
-            for &kernel in kernels_for(netlist) {
-                windowed += usize::from(kernel == SimKernel::Simd);
-                let got = drive(netlist, kernel, stimulus, &holds);
-                assert_eq!(
-                    got,
-                    reference,
-                    "{kernel:?} diverged in case {case} ({} gates, {} cycles, holds {holds:?})",
-                    netlist.gate_count(),
-                    cycles
-                );
-            }
+            assert_eq!(
+                drive(netlist, SimKernel::EventDriven, stimulus, &holds),
+                reference,
+                "event-driven diverged in case {case} ({} gates, {} cycles, holds {holds:?})",
+                netlist.gate_count(),
+                cycles
+            );
             reference
         };
         check(&flat, &flat_stimulus);
@@ -354,72 +299,18 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
         "{quiet} quiet and {busy} busy 300-cycle stretches"
     );
     assert!(
-        windowed >= cases as usize,
-        "the windowed kernel ran {windowed} cases"
+        flop_free >= cases as usize,
+        "{flop_free} flop-free netlists ran in {cases} cases"
     );
     assert!(four_words > 0, "no netlist spans four dirty-set words");
     assert!(wide_lanes > 0, "no case ran lanes past one u64 word");
 }
 
 #[test]
-fn batched_blocks_match_at_word_boundaries() {
-    // Cycle counts straddling the simd kernel's lane seams: a single
-    // cycle, one short of / exactly / one past each 64-lane `u64` word
-    // of the window, and the same lattice around the whole 256-cycle
-    // window. Segment sizes are randomized so chunk seams land
-    // everywhere, and the input change probability is low enough that
-    // windows actually span many cycles. The first block is empty, an
-    // empty sum: −0.0 under every kernel.
-    let cases = cases();
-    let per_length = cases.div_ceil(4);
-    let mut windowed = 0;
-    for &cycles in &[1usize, 63, 64, 65, 127, 128, 255, 256, 257] {
-        let mut windowed_here = 0;
-        for case in 0..per_length {
-            for flops in [true, false] {
-                let mut rng = Rng::new(
-                    0xB10C_0000_0000_0000 ^ (cycles as u64) << 32 ^ case ^ u64::from(!flops) << 16,
-                );
-                let netlist = Arc::new(random_netlist(&mut rng, flops));
-                let stimulus = random_stimulus(&netlist, cycles, 0.1, &mut rng);
-                let segments: Vec<usize> = {
-                    let mut segs = vec![0];
-                    let mut left = cycles;
-                    while left > 0 {
-                        let s = rng.usize_in(1, left.min(300) + 1);
-                        segs.push(s);
-                        left -= s;
-                    }
-                    segs
-                };
-                let reference = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &segments);
-                for &kernel in kernels_for(&netlist) {
-                    windowed_here += usize::from(kernel == SimKernel::Simd);
-                    let got = drive_blocks(&netlist, kernel, &stimulus, &segments);
-                    assert_eq!(
-                        got, reference,
-                        "{kernel:?} diverged at {cycles} cycles, case {case}, segments {segments:?}"
-                    );
-                }
-            }
-        }
-        assert!(
-            windowed_here >= per_length as usize,
-            "{windowed_here} windowed cases at {cycles} cycles"
-        );
-        windowed += windowed_here;
-    }
-    assert!(
-        windowed >= cases as usize,
-        "the windowed kernel ran {windowed} cases"
-    );
-}
-
-#[test]
 fn block_boundary_dff_edges_shift_exactly() {
     // A deterministic long shift register: after `len + k` cycles the
-    // head pulse sits `k` flops deep regardless of how the cycles were
-    // batched.
+    // head pulse sits `k` flops deep regardless of how the held cycles
+    // after it were cut into `run` blocks.
     let mut n = Netlist::new();
     let head = n.input();
     let mut q = n.dff(head, false);
@@ -430,38 +321,57 @@ fn block_boundary_dff_edges_shift_exactly() {
     }
     n.mark_output("tail", q);
     let netlist = Arc::new(n);
-    // Pulse the head for exactly one cycle, then hold low for 127 more.
-    let mut stimulus: Vec<Vec<(NetId, bool)>> = vec![vec![(head, true)]];
-    stimulus.push(vec![(head, false)]);
-    stimulus.extend(std::iter::repeat_with(Vec::new).take(126));
-    let whole = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &[128]);
-    for segments in [vec![128usize], vec![1, 63, 64], vec![65, 63], vec![64, 64]] {
-        // Kernels agree on everything including per-block energy totals
-        // when driven through the same segmentation...
-        let reference = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &segments);
-        let got = drive_blocks(&netlist, SimKernel::EventDriven, &stimulus, &segments);
-        assert_eq!(
-            got, reference,
-            "event-driven diverged with segments {segments:?}"
-        );
-        // ...and the per-cycle history (energy, values, toggles, events)
-        // is invariant under the batching itself: only the per-block
-        // energy grouping may differ from the single-block run.
-        assert_eq!(
-            (&reference.1, &reference.2, &reference.3, reference.4),
-            (&whole.1, &whole.2, &whole.3, whole.4),
-            "segmentation {segments:?} changed per-cycle behaviour"
-        );
+    // Pulses the head for exactly one cycle, then holds it low for 126
+    // more cycles in `run` blocks of `segments`; records the per-cycle
+    // energy bits, the final values and toggles, and the gate events.
+    let drive_blocks = |kernel, segments: &[u64]| {
+        let mut sim = Simulator::with_kernel(
+            Arc::clone(&netlist),
+            PowerConfig::date2000_defaults(),
+            kernel,
+        )
+        .expect("valid");
+        for v in [true, false] {
+            sim.set_input(head, v);
+            sim.step();
+        }
+        for &seg in segments {
+            sim.run(seg);
+        }
+        let nets = || (0..netlist.gate_count() as u32).map(NetId);
+        let report: Vec<u64> = sim
+            .report()
+            .per_cycle_j
+            .iter()
+            .map(|e| e.to_bits())
+            .collect();
+        let values: Vec<bool> = nets().map(|i| sim.value(i)).collect();
+        let toggles: Vec<u64> = nets().map(|i| sim.toggle_count(i)).collect();
+        (report, values, toggles, sim.gate_events())
+    };
+    let whole = drive_blocks(SimKernel::Oblivious, &[126]);
+    for segments in [vec![126u64], vec![62, 64], vec![63, 63], vec![1, 61, 64]] {
+        for kernel in [SimKernel::Oblivious, SimKernel::EventDriven] {
+            assert_eq!(
+                drive_blocks(kernel, &segments),
+                whole,
+                "{kernel:?} with blocks {segments:?} changed per-cycle behaviour"
+            );
+        }
     }
     // And the pulse really is where it should be: 128 cycles deep into
-    // a 70-flop chain, long gone off the end; re-run to mid-flight.
+    // a 70-flop chain, long gone off the end; re-run to mid-flight by
+    // stepping.
     let mut sim = Simulator::with_kernel(
         Arc::clone(&netlist),
         PowerConfig::date2000_defaults(),
         SimKernel::EventDriven,
     )
     .expect("valid");
-    sim.run_block(&stimulus[..40]);
+    for cycle in 0..40 {
+        sim.set_input(head, cycle == 0);
+        sim.step();
+    }
     // The pulse is latched into taps[0] at the first cycle's edge and
     // advances one flop per cycle: after 40 cycles it sits at taps[39].
     for (i, &tap) in taps.iter().enumerate() {
@@ -499,43 +409,6 @@ fn event_driven_never_evaluates_more_gates_than_oblivious() {
 }
 
 #[test]
-fn eval_slots_are_comparable_across_kernels() {
-    // `gate_evals` counts kernel work units (one word op can cover 256
-    // cycles), `gate_eval_slots` counts committed (gate, cycle) slots.
-    // The scalar kernels keep the two equal by definition; the simd
-    // kernel's slots can exceed its evals but never its own
-    // cycle-equivalent sweep of the same dirty gates. Flop-free, so
-    // every kernel runs each netlist.
-    for case in 0..20u64 {
-        let mut rng = Rng::new(0x5107_5000_0000_0000 | case);
-        let netlist = Arc::new(random_netlist(&mut rng, false));
-        let stimulus = random_stimulus(&netlist, 100, 0.05, &mut rng);
-        let power = PowerConfig::date2000_defaults();
-        let kernels = [
-            SimKernel::Oblivious,
-            SimKernel::EventDriven,
-            SimKernel::Simd,
-        ];
-        let mut sims: Vec<Simulator> = kernels
-            .iter()
-            .map(|&k| Simulator::with_kernel(Arc::clone(&netlist), power.clone(), k).expect("valid"))
-            .collect();
-        for sim in &mut sims {
-            sim.run_block(&stimulus);
-        }
-        let [ob, ev, simd] = &sims[..] else {
-            unreachable!("three kernels")
-        };
-        assert_eq!(ob.gate_evals(), ob.gate_eval_slots());
-        assert_eq!(ev.gate_evals(), ev.gate_eval_slots());
-        assert!(simd.gate_evals() <= simd.gate_eval_slots());
-        // Kernel-invariant activity: the cross-kernel comparison metric.
-        assert_eq!(ev.gate_events(), ob.gate_events(), "case {case}");
-        assert_eq!(simd.gate_events(), ob.gate_events(), "case {case}");
-    }
-}
-
-#[test]
 fn env_escape_hatches_select_kernels() {
     // Own-process integration test: safe to touch the environment (the
     // sibling tests in this binary pin kernels explicitly and never
@@ -553,29 +426,28 @@ fn env_escape_hatches_select_kernels() {
                 .map(|sim| sim.kernel())
         })
     };
-    // Empty means unset: the structural rule.
-    assert_eq!(
-        kernels(""),
-        [Ok(SimKernel::Simd), Ok(SimKernel::EventDriven)]
-    );
+    // Empty means unset: the event-driven default, with or without flops.
+    let event = Ok(SimKernel::EventDriven);
+    assert_eq!(kernels(""), [event.clone(), event.clone()]);
     // Case-insensitive and whitespace-tolerant.
     let oblivious = Ok(SimKernel::Oblivious);
     assert_eq!(kernels(" Oblivious "), [oblivious.clone(), oblivious]);
-    let event = Ok(SimKernel::EventDriven);
     assert_eq!(kernels("event"), [event.clone(), event]);
-    // The windowed kernel runs only netlists without flops: forcing it
-    // onto one with flops is a typed error, not a fallback.
-    let flops = Err(ValidateNetlistError::WindowedWithFlops { dffs: 1 });
-    assert_eq!(kernels("SIMD"), [Ok(SimKernel::Simd), flops]);
-    // Unknown values fail loudly instead of silently falling back, with
-    // an error that lists every valid kernel name.
-    let [Err(ValidateNetlistError::Kernel(err)), _] = kernels("turbo") else {
-        panic!("an unknown kernel must be a typed error");
-    };
-    assert_eq!(err.value(), "turbo");
-    let msg = err.to_string();
-    for option in ["event", "oblivious", "simd"] {
-        assert!(msg.contains(option), "{msg:?} must list {option:?}");
+    // Unknown values, the removed `simd` kernel among them, fail loudly
+    // instead of silently falling back, with an error that lists exactly
+    // the valid kernel names.
+    for value in ["turbo", "SIMD"] {
+        let [Err(ValidateNetlistError::Kernel(err)), Err(ValidateNetlistError::Kernel(_))] =
+            kernels(value)
+        else {
+            panic!("GATESIM_KERNEL={value} must be a typed error");
+        };
+        assert_eq!(err.value(), value);
+        let msg = err.to_string();
+        for option in ["event", "oblivious"] {
+            assert!(msg.contains(option), "{msg:?} must list {option:?}");
+        }
+        assert!(!msg.contains("simd"), "{msg:?} lists a removed kernel");
     }
     std::env::remove_var("GATESIM_KERNEL");
 }

@@ -91,8 +91,9 @@ fn popcount_energy_accumulation_is_bit_exact() {
                 e
             })
             .collect();
-        // Word: identical double loop driven by the packed masks —
-        // the shape `word_window`'s commit loop uses.
+        // Word: identical double loop driven by the packed masks, each
+        // cycle's terms in ascending net order, as the macro-op
+        // characterization's word pass folds its rounds.
         let word: Vec<f64> = (0..cycles)
             .map(|j| {
                 masks

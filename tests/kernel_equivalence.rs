@@ -1,13 +1,11 @@
-//! System-level kernel equivalence: the gate-simulation kernels that
-//! run synthesized hardware — event-driven (the default) and oblivious
-//! (the reference) — must reproduce the exact same co-simulation
-//! report, golden snapshots compared down to float bit patterns, on
-//! every reference system and a corpus of generated systems, with trace
-//! sinks attached, and under fault injection. The windowed (simd)
-//! kernel runs only netlists without flops, and every synthesized
-//! transition has a controller flop, so forcing it system-wide is a
-//! typed build error; it still characterizes the flop-free hardware
-//! cost tables, which must not depend on the hatch at all.
+//! System-level kernel equivalence: the two gate-simulation kernels —
+//! event-driven (the default) and oblivious (the reference) — must
+//! reproduce the exact same co-simulation report, golden snapshots
+//! compared down to float bit patterns, on every reference system and a
+//! corpus of generated systems, with trace sinks attached, and under
+//! fault injection. The hardware cost tables must not depend on the
+//! hatch at all, and a kernel name the hatch does not know, such as the
+//! removed `simd`, is a typed build error.
 //!
 //! This is the system-level counterpart of the gatesim differential
 //! fuzz suite: it runs the whole co-estimation stack (master, bus,
@@ -267,10 +265,10 @@ fn every_kernel_characterizes_the_same_cost_tables() {
 
 #[test]
 fn the_hardware_cost_table_ignores_the_kernel_hatch() {
-    // Each characterization template runs its structural kernel, so no
-    // `GATESIM_KERNEL` value, not even an unknown one or the windowed
-    // kernel the register templates cannot run, may price an op
-    // differently from the committed table.
+    // Characterization never reads the hatch (the flop-free templates
+    // are priced in one word pass, the registers stepped event-driven),
+    // so no `GATESIM_KERNEL` value, not even an unknown one, may price
+    // an op differently from the committed table.
     for kernel in [None, Some("event"), Some("oblivious"), Some("simd"), Some("turbo")] {
         let text = with_kernel(kernel, || {
             gatesim::clear_synth_cache();
@@ -284,27 +282,19 @@ fn the_hardware_cost_table_ignores_the_kernel_hatch() {
 }
 
 #[test]
-fn forcing_the_windowed_kernel_onto_flops_is_a_typed_error() {
-    let netlist = checksum_netlist();
-    let dffs = netlist.dff_count();
-    let direct = Simulator::with_kernel(netlist, PowerConfig::date2000_defaults(), SimKernel::Simd);
-    assert_eq!(
-        direct.map(|sim| sim.kernel()),
-        Err(ValidateNetlistError::WindowedWithFlops { dffs })
-    );
+fn forcing_the_removed_simd_kernel_is_a_typed_build_error() {
+    // `simd` named the windowed kernel, which is gone: it is now an
+    // unknown kernel like any other, rejected when synthesis builds the
+    // first hardware simulator.
     let system = with_kernel(Some("simd"), || {
         CoSimulator::new(small_tcpip(), CoSimConfig::date2000_defaults()).map(|_| ())
     });
-    assert!(
-        matches!(
-            system,
-            Err(BuildEstimatorError::Synth(
-                _,
-                SynthError::Netlist(ValidateNetlistError::WindowedWithFlops { .. })
-            ))
-        ),
-        "{system:?}"
-    );
+    let Err(BuildEstimatorError::Synth(_, SynthError::Netlist(ValidateNetlistError::Kernel(e)))) =
+        &system
+    else {
+        panic!("GATESIM_KERNEL=simd must be a typed build error: {system:?}");
+    };
+    assert_eq!(e.value(), "simd");
 }
 
 /// Per-input probability of a new value each cycle in the checksum
