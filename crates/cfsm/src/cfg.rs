@@ -223,11 +223,6 @@ impl Cfg {
         }
         Err(ValidateCfgError::NoReachableReturn)
     }
-
-    /// Total statement count over all blocks.
-    pub fn stmt_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.stmts.len()).sum()
-    }
 }
 
 /// Identifier of one *execution path* (the sequence of blocks and branch

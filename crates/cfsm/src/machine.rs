@@ -309,11 +309,6 @@ impl CfsmRuntime {
     pub fn firings(&self) -> u64 {
         self.firings
     }
-
-    /// Forces the control state (used by reset logic and tests).
-    pub fn set_state(&mut self, s: StateId) {
-        self.state = s;
-    }
 }
 
 /// The outcome of firing one transition.

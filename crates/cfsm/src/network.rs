@@ -226,19 +226,9 @@ impl NetworkState {
         &self.runtimes[p.0 as usize]
     }
 
-    /// Mutable runtime of one process.
-    pub fn runtime_mut(&mut self, p: ProcId) -> &mut CfsmRuntime {
-        &mut self.runtimes[p.0 as usize]
-    }
-
     /// The functional shared memory.
     pub fn memory(&self) -> &SharedMemory {
         &self.memory
-    }
-
-    /// Mutable functional shared memory.
-    pub fn memory_mut(&mut self) -> &mut SharedMemory {
-        &mut self.memory
     }
 }
 

@@ -48,8 +48,8 @@ impl CostSource {
     }
 
     /// The [`Provenance`] of an energy obtained from this source.
-    /// `detailed` is the backend's own provenance, used when the firing
-    /// fell through the whole acceleration stack.
+    /// `detailed` is the detailed path's provenance (gate-level or ISS),
+    /// used when the firing fell through the whole acceleration stack.
     pub fn provenance(&self, detailed: Provenance) -> Provenance {
         match self {
             CostSource::Detailed => detailed,

@@ -72,22 +72,6 @@ impl Acceleration {
     }
 }
 
-/// Which family of per-component power estimators the master builds —
-/// the backend selector for the [`PowerEstimator`](crate::PowerEstimator)
-/// seam.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EstimatorBackend {
-    /// The paper's detailed backends: gate-level simulation for HW
-    /// processes, the enhanced ISS for SW processes.
-    #[default]
-    Detailed,
-    /// The table-driven
-    /// [`LinearModelEstimator`](crate::LinearModelEstimator) for every
-    /// process: characterized per-macro-op cost tables, no cycle-level
-    /// simulation.
-    Linear,
-}
-
 /// The RTOS scheduling policy for software tasks on the shared CPU
 /// ("the user is allowed to … set RTOS parameters such as scheduling
 /// policy and priorities", §3). Scheduling is non-preemptive: the policy
@@ -118,8 +102,6 @@ pub struct CoSimConfig {
     pub synth: gatesim::SynthConfig,
     /// Which software power model variant to use.
     pub sw_power: iss::PowerModelKind,
-    /// Which family of per-component estimators to build.
-    pub backend: EstimatorBackend,
     /// Bus / integration-architecture parameters.
     pub bus: busmodel::BusConfig,
     /// Instruction-cache configuration (`None` disables cache modeling).
@@ -154,7 +136,6 @@ impl CoSimConfig {
             hw_power: gatesim::PowerConfig::date2000_defaults(),
             synth: gatesim::SynthConfig::new(),
             sw_power: iss::PowerModelKind::SparcLite,
-            backend: EstimatorBackend::Detailed,
             bus: busmodel::BusConfig::date2000_defaults(),
             icache: Some(cachesim::CacheConfig::sparclite_icache()),
             accel: Acceleration::none(),
@@ -170,14 +151,6 @@ impl CoSimConfig {
     pub fn with_accel(&self, accel: Acceleration) -> Self {
         CoSimConfig {
             accel,
-            ..self.clone()
-        }
-    }
-
-    /// Returns a copy with a different estimator backend family.
-    pub fn with_backend(&self, backend: EstimatorBackend) -> Self {
-        CoSimConfig {
-            backend,
             ..self.clone()
         }
     }

@@ -1,19 +1,16 @@
 //! Component power estimators — the pluggable lower-level simulators.
 //!
 //! Each process of the network gets one estimator according to its
-//! mapping and the configured [`EstimatorBackend`]: a gate-level
-//! [`HwCfsm`](gatesim::HwCfsm) wrapped in [`HwEstimator`] for hardware,
-//! an enhanced ISS [`SwCfsm`](iss::SwCfsm) wrapped in [`SwEstimator`]
-//! for software, or the table-driven [`LinearModelEstimator`] for
-//! either. The co-simulation master drives them through the object-safe
+//! mapping: a gate-level [`HwCfsm`](gatesim::HwCfsm) wrapped in
+//! [`HwEstimator`] for hardware, an enhanced ISS
+//! [`SwCfsm`](iss::SwCfsm) wrapped in [`SwEstimator`] for software. The
+//! co-simulation master drives them through the object-safe
 //! [`PowerEstimator`] trait — the seam third-party backends plug into —
 //! and, in debug builds, the detailed backends cross-check their
 //! functional results against the behavioral execution: the two engines
 //! must agree on the path taken.
 
-use crate::config::{CoSimConfig, EstimatorBackend};
-use crate::macromodel::{characterize_hw, characterize_sw, ParameterFile};
-use crate::report::Provenance;
+use crate::config::CoSimConfig;
 use cfsm::{EventId, Execution, Implementation, Network, ProcId, TransitionId};
 use gatesim::{HwCfsm, SynthError};
 use iss::codegen::CodegenError;
@@ -111,13 +108,9 @@ impl fmt::Debug for FiringInputs<'_> {
 ///
 /// The master owns one `Box<dyn PowerEstimator>` per process and knows
 /// nothing about how costs are produced: gate-level simulation
-/// ([`HwEstimator`]), instruction-set simulation ([`SwEstimator`]), a
-/// characterized linear model ([`LinearModelEstimator`]), or anything a
-/// downstream crate implements.
+/// ([`HwEstimator`]), instruction-set simulation ([`SwEstimator`]), or
+/// anything a downstream crate implements.
 pub trait PowerEstimator: fmt::Debug {
-    /// The backend's short identifying name (e.g. `"gate-level"`).
-    fn backend_name(&self) -> &'static str;
-
     /// Whether this estimator models a hardware-mapped component.
     fn is_hw(&self) -> bool;
 
@@ -169,19 +162,6 @@ pub trait PowerEstimator: fmt::Debug {
     fn gate_memo_hits(&self) -> u64 {
         0
     }
-
-    /// Provenance of the energies this backend produces when it answers
-    /// a firing in detail. Defaults to the detailed-path provenance of
-    /// the mapping ([`Provenance::GateLevel`] for hardware,
-    /// [`Provenance::MeasuredIss`] for software); analytic backends
-    /// override.
-    fn provenance(&self) -> Provenance {
-        if self.is_hw() {
-            Provenance::GateLevel
-        } else {
-            Provenance::MeasuredIss
-        }
-    }
 }
 
 /// Gate-level simulation of the synthesized FSMD.
@@ -210,10 +190,6 @@ impl HwEstimator {
 }
 
 impl PowerEstimator for HwEstimator {
-    fn backend_name(&self) -> &'static str {
-        "gate-level"
-    }
-
     fn is_hw(&self) -> bool {
         true
     }
@@ -304,10 +280,6 @@ impl SwEstimator {
 }
 
 impl PowerEstimator for SwEstimator {
-    fn backend_name(&self) -> &'static str {
-        "iss"
-    }
-
     fn is_hw(&self) -> bool {
         false
     }
@@ -346,91 +318,7 @@ impl PowerEstimator for SwEstimator {
     }
 }
 
-/// A table-driven linear (counter-based) power model: each firing is
-/// priced by summing a characterized per-macro-op cost table over the
-/// behavioral execution's macro-op trace — no gate-level or
-/// instruction-level simulation at all.
-///
-/// This is the third backend behind the [`PowerEstimator`] seam,
-/// selected with [`EstimatorBackend::Linear`]. It reuses the §4.1
-/// characterization machinery ([`characterize_sw`] /
-/// [`characterize_hw`]) but lives *below* the acceleration pipeline, so
-/// caching/sampling still compose on top of it. Trade-offs versus the
-/// detailed backends: no instruction-fetch stream (the cache simulator
-/// sees no traffic), and bus waits are charged at a flat per-cycle rate
-/// (the processor's stall energy for SW; zero for HW, whose idle clock
-/// charge is a netlist property the table does not capture).
-#[derive(Debug)]
-pub struct LinearModelEstimator {
-    params: ParameterFile,
-    is_hw: bool,
-    wait_energy_per_cycle_j: f64,
-}
-
-impl LinearModelEstimator {
-    /// Characterizes a cost table for the process's mapping.
-    pub fn characterize(network: &Network, proc: ProcId, config: &CoSimConfig) -> Self {
-        match network.mapping(proc) {
-            Implementation::Hw => LinearModelEstimator {
-                params: characterize_hw(&config.synth, &config.hw_power),
-                is_hw: true,
-                wait_energy_per_cycle_j: 0.0,
-            },
-            Implementation::Sw => LinearModelEstimator {
-                params: characterize_sw(&PowerModel::of_kind(config.sw_power)),
-                is_hw: false,
-                wait_energy_per_cycle_j: PowerModel::of_kind(config.sw_power).stall_energy_j(),
-            },
-        }
-    }
-
-    /// Builds from an explicit cost table (e.g. loaded from a parameter
-    /// file) instead of characterizing one.
-    pub fn from_table(params: ParameterFile, is_hw: bool, wait_energy_per_cycle_j: f64) -> Self {
-        LinearModelEstimator {
-            params,
-            is_hw,
-            wait_energy_per_cycle_j,
-        }
-    }
-
-    /// The cost table this backend prices firings with.
-    pub fn table(&self) -> &ParameterFile {
-        &self.params
-    }
-}
-
-impl PowerEstimator for LinearModelEstimator {
-    fn backend_name(&self) -> &'static str {
-        "linear-model"
-    }
-
-    fn is_hw(&self) -> bool {
-        self.is_hw
-    }
-
-    fn run_firing(&mut self, inputs: &FiringInputs<'_>) -> DetailedCost {
-        let (cycles, energy_j) = self.params.estimate(&inputs.exec.macro_ops);
-        DetailedCost {
-            // Every firing takes at least one cycle, as in the detailed
-            // backends (an empty macro-op trace still latches state).
-            cycles: cycles.max(1),
-            energy_j,
-        }
-    }
-
-    fn wait_energy(&mut self, _transition: TransitionId, cycles: u64, _detailed: bool) -> f64 {
-        self.wait_energy_per_cycle_j * cycles as f64
-    }
-
-    fn provenance(&self) -> Provenance {
-        // Analytic cost table, not a measured detailed path.
-        Provenance::MacroModel
-    }
-}
-
-/// Builds the estimator matching the process's mapping and the
-/// configured [`EstimatorBackend`].
+/// Builds the estimator matching the process's mapping.
 ///
 /// # Errors
 ///
@@ -440,14 +328,9 @@ pub fn build_estimator(
     proc: ProcId,
     config: &CoSimConfig,
 ) -> Result<Box<dyn PowerEstimator>, BuildEstimatorError> {
-    match config.backend {
-        EstimatorBackend::Detailed => match network.mapping(proc) {
-            Implementation::Hw => Ok(Box::new(HwEstimator::build(network, proc, config)?)),
-            Implementation::Sw => Ok(Box::new(SwEstimator::build(network, proc, config)?)),
-        },
-        EstimatorBackend::Linear => Ok(Box::new(LinearModelEstimator::characterize(
-            network, proc, config,
-        ))),
+    match network.mapping(proc) {
+        Implementation::Hw => Ok(Box::new(HwEstimator::build(network, proc, config)?)),
+        Implementation::Sw => Ok(Box::new(SwEstimator::build(network, proc, config)?)),
     }
 }
 
@@ -519,55 +402,6 @@ mod tests {
             assert!(cost.cycles > 0, "{mapping} cycles");
             assert!(cost.energy_j > 0.0, "{mapping} energy");
         }
-    }
-
-    #[test]
-    fn linear_backend_builds_and_runs() {
-        let cfg = CoSimConfig {
-            backend: EstimatorBackend::Linear,
-            ..CoSimConfig::date2000_defaults()
-        };
-        for mapping in [Implementation::Hw, Implementation::Sw] {
-            let (net, p) = simple_network(mapping);
-            let mut est = build_estimator(&net, p, &cfg).expect("builds");
-            assert_eq!(est.backend_name(), "linear-model");
-            assert_eq!(est.is_hw(), mapping == Implementation::Hw);
-            let (vars_in, exec) = fire_once(&net, p);
-            let cost = est.run_firing(&FiringInputs {
-                transition: TransitionId(0),
-                vars_in: &vars_in,
-                event_value: &|_| 0,
-                exec: &exec,
-            });
-            assert!(cost.cycles > 0, "{mapping} cycles");
-            assert!(cost.energy_j > 0.0, "{mapping} energy");
-            // No program layout → no fetch stream.
-            assert!(est.ifetch_addrs(TransitionId(0), &exec).is_none());
-        }
-    }
-
-    #[test]
-    fn linear_backend_matches_macromodel_table() {
-        // The Linear backend's per-firing answer must equal the §4.1
-        // macro-model applied to the same macro-op trace (plus the
-        // ≥1-cycle floor) — it is the same table, moved below the seam.
-        let cfg = CoSimConfig {
-            backend: EstimatorBackend::Linear,
-            ..CoSimConfig::date2000_defaults()
-        };
-        let (net, p) = simple_network(Implementation::Sw);
-        let mut est = build_estimator(&net, p, &cfg).expect("builds");
-        let (vars_in, exec) = fire_once(&net, p);
-        let cost = est.run_firing(&FiringInputs {
-            transition: TransitionId(0),
-            vars_in: &vars_in,
-            event_value: &|_| 0,
-            exec: &exec,
-        });
-        let table = characterize_sw(&PowerModel::of_kind(cfg.sw_power));
-        let (cycles, energy_j) = table.estimate(&exec.macro_ops);
-        assert_eq!(cost.cycles, cycles.max(1));
-        assert_eq!(cost.energy_j.to_bits(), energy_j.to_bits());
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! behavioral model while concurrently and synchronously driving the
 //! per-component power estimators — *power co-estimation*. The
 //! estimators sit behind the object-safe [`PowerEstimator`] trait
-//! ([`build_estimator`] picks one per process from the configured
-//! [`EstimatorBackend`]): gate-level simulation for hardware
-//! ([`HwEstimator`]), an enhanced ISS for software ([`SwEstimator`]), or
-//! a characterized table-driven model ([`LinearModelEstimator`]); the
-//! behavioral bus model prices the integration architecture and a cache
-//! simulator is attached to the master. The baseline the paper argues
-//! against, independent per-component estimation from behavioral traces,
-//! is provided by [`estimate_separately`].
+//! ([`build_estimator`] picks one per process from its mapping):
+//! gate-level simulation for hardware ([`HwEstimator`]) and an enhanced
+//! ISS for software ([`SwEstimator`]); the behavioral bus model prices
+//! the integration architecture and a cache simulator is attached to
+//! the master. The baseline the paper argues against, independent
+//! per-component estimation from behavioral traces, is provided by
+//! [`estimate_separately`].
 //!
 //! Three acceleration techniques (§4) can be switched on through
 //! [`Acceleration`]; the master assembles them into an [`AccelPipeline`]
@@ -30,8 +29,8 @@
 //!
 //! The whole stack is observable through the `soctrace` crate:
 //! [`CoSimulator::attach_trace`] threads a zero-cost-when-disabled
-//! [`soctrace::TraceSink`] through the desim kernel, the master, the
-//! acceleration layers and the bus/cache models, emitting structured
+//! [`soctrace::TraceSink`] through the master, the acceleration layers
+//! and the bus/cache models, emitting structured
 //! [`soctrace::TraceRecord`]s (firings, layer decisions, ledger charges,
 //! bus grants, cache batches, fault injections, watchdog trips) without
 //! perturbing the simulated schedule.
@@ -125,10 +124,10 @@ pub use accel::{
     AccelLayer, AccelPipeline, CacheLayer, CostSource, FiringCtx, MacroModelLayer, SamplingLayer,
 };
 pub use caching::{CachedCost, CachingConfig, EnergyCache, PathStats};
-pub use config::{Acceleration, CoSimConfig, EstimatorBackend, RtosPolicy, SocDescription};
+pub use config::{Acceleration, CoSimConfig, RtosPolicy, SocDescription};
 pub use estimator::{
-    build_estimator, BuildEstimatorError, DetailedCost, FiringInputs, HwEstimator,
-    LinearModelEstimator, PowerEstimator, SwEstimator,
+    build_estimator, BuildEstimatorError, DetailedCost, FiringInputs, HwEstimator, PowerEstimator,
+    SwEstimator,
 };
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use report::{

@@ -10,9 +10,10 @@
 //! either answers from its own state or delegates down, and a full
 //! fall-through runs the component's pluggable
 //! [`PowerEstimator`](crate::PowerEstimator) backend (gate-level
-//! simulation, enhanced ISS, or a linear model). The returned
-//! `(cycles, energy)` is folded back into the global schedule: software
-//! transitions are serialized on the embedded CPU by priority (the RTOS
+//! simulation or the enhanced ISS). The returned `(cycles, energy)` is
+//! folded back into the global schedule: software transitions are
+//! serialized on the embedded CPU under the configured
+//! [`RtosPolicy`](crate::RtosPolicy), fixed priority or FIFO (the RTOS
 //! model), shared-memory traffic is serialized and priced by the bus
 //! model, instruction fetches drive the cache simulator (whose reference
 //! stream comes from the *behavioral* model, as in the paper), and
@@ -796,7 +797,12 @@ impl CoSimulator {
         // window is one charge, booked under the provenance of whatever
         // produced the firing's cost.
         let detailed = source == CostSource::Detailed;
-        let provenance = source.provenance(self.estimators[p.0 as usize].provenance());
+        let is_sw = !self.estimators[p.0 as usize].is_hw();
+        let provenance = source.provenance(if is_sw {
+            Provenance::MeasuredIss
+        } else {
+            Provenance::GateLevel
+        });
         let stall_energy =
             self.estimators[p.0 as usize].wait_energy(fr.transition, stall_cycles, detailed);
         let exec_end = t + cost.cycles + stall_cycles;
@@ -809,7 +815,6 @@ impl CoSimulator {
         );
         self.end_time = self.end_time.max(exec_end);
 
-        let is_sw = !self.estimators[p.0 as usize].is_hw();
         let wait = FiringWait {
             proc: p,
             transition: fr.transition,

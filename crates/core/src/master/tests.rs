@@ -360,18 +360,3 @@ fn faults_and_watchdog_trips_are_traced() {
         assert_eq!(m.of_kind("watchdog_trip").len(), 1);
     });
 }
-
-#[test]
-fn linear_backend_runs_end_to_end() {
-    // The third PowerEstimator backend drives a whole co-simulation:
-    // every firing is priced by the characterized table.
-    let cfg = CoSimConfig::date2000_defaults()
-        .with_backend(crate::EstimatorBackend::Linear);
-    let mut sim = CoSimulator::new(two_proc_soc(6), cfg).expect("builds");
-    let r = sim.run();
-    assert_eq!(r.outcome, RunOutcome::Completed);
-    assert_eq!(r.firings, 12);
-    assert_eq!(r.detailed_calls, 12, "linear backend sits below the pipeline");
-    assert!(r.total_energy_j() > 0.0);
-    assert_eq!(r.cache.accesses, 0, "no program layout → no fetch stream");
-}

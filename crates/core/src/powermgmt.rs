@@ -145,7 +145,10 @@ pub struct GatingPolicy {
     pub wake_energy_j: f64,
     /// Cycles of latency before a power-gated component may resume
     /// (ignored for clock gating); visible to the scheduler and the
-    /// bus.
+    /// bus. At most
+    /// [`MAX_WAKE_LATENCY_CYCLES`](Self::MAX_WAKE_LATENCY_CYCLES);
+    /// building a co-simulator with a larger one fails with
+    /// [`BuildEstimatorError::InvalidParams`].
     pub wake_latency_cycles: u64,
 }
 
@@ -154,6 +157,12 @@ impl GatingPolicy {
     /// power gate, and small enough that even `u64::MAX` wakes sum to
     /// about 1.8e19 J, so a report's total stays finite.
     pub const MAX_WAKE_ENERGY_J: f64 = 1.0;
+
+    /// Largest accepted wake latency, cycles: about 42 ms at the 25 MHz
+    /// default clock, far above any on-chip power-gate wake, and short
+    /// enough that the leakage settled across one wake spans a bounded
+    /// number of waveform buckets.
+    pub const MAX_WAKE_LATENCY_CYCLES: u64 = 1 << 20;
 
     /// Clock gating after `idle_timeout_cycles` idle cycles.
     pub fn clock(idle_timeout_cycles: u64) -> Self {
@@ -514,6 +523,7 @@ impl PowerRt {
     /// out-of-range operating point, has an operating-point scale
     /// outside [`OperatingPoint::MIN_SCALE`]`..=`[`OperatingPoint::MAX_SCALE`],
     /// a wake energy outside `0..=`[`GatingPolicy::MAX_WAKE_ENERGY_J`],
+    /// a wake latency above [`GatingPolicy::MAX_WAKE_LATENCY_CYCLES`],
     /// or has a degenerate rate or timeout.
     pub(crate) fn build(
         policy: &PowerPolicy,
@@ -615,6 +625,13 @@ impl PowerRt {
                         "component `{name}`: wake energy must be in [0, {}] J, got {}",
                         wake.end(),
                         g.wake_energy_j
+                    ));
+                }
+                if g.wake_latency_cycles > GatingPolicy::MAX_WAKE_LATENCY_CYCLES {
+                    return invalid(format!(
+                        "component `{name}`: wake latency must be at most {} cycles, got {}",
+                        GatingPolicy::MAX_WAKE_LATENCY_CYCLES,
+                        g.wake_latency_cycles
                     ));
                 }
                 let factor = match g.mode {

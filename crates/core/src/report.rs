@@ -21,8 +21,7 @@ pub enum Provenance {
     /// Energy replayed from the per-path energy cache (§4.2) instead of
     /// re-running the ISS.
     CacheReuse,
-    /// Energy from an analytic macro-model (linear model backend or the
-    /// macro-model acceleration layer).
+    /// Energy from the analytic macro-model acceleration layer (§4.1).
     MacroModel,
     /// Energy extrapolated by periodic sampling: one detailed sample
     /// scaled over the skipped firings (§4.3).

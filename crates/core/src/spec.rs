@@ -52,9 +52,11 @@
 //! unknown state is a [`SpecError`]. The policy's values are checked
 //! when a co-simulator is built from it: a `dvfs` scale outside
 //! [`OperatingPoint::MIN_SCALE`](crate::OperatingPoint::MIN_SCALE)`..=`
-//! [`MAX_SCALE`](crate::OperatingPoint::MAX_SCALE), or a `power_gate`
+//! [`MAX_SCALE`](crate::OperatingPoint::MAX_SCALE), a `power_gate`
 //! wake energy above
 //! [`GatingPolicy::MAX_WAKE_ENERGY_J`](crate::GatingPolicy::MAX_WAKE_ENERGY_J),
+//! or a `power_gate` wake latency above
+//! [`GatingPolicy::MAX_WAKE_LATENCY_CYCLES`](crate::GatingPolicy::MAX_WAKE_LATENCY_CYCLES),
 //! fails there with `InvalidParams`.
 //!
 //! Statements: `x = EXPR` · `emit EV [EXPR]` · `x = mem[EXPR]` ·

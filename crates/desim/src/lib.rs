@@ -1,23 +1,22 @@
-//! `desim` — a deterministic discrete-event simulation kernel.
+//! `desim` — the event queue, simulated time and watchdog budgets of a
+//! deterministic discrete-event simulation.
 //!
-//! This crate is the PTOLEMY analogue of the SOC power co-estimation
+//! This crate holds the time-keeping parts of the SOC power co-estimation
 //! framework from *"Efficient Power Co-Estimation Techniques for
-//! System-on-Chip Design"* (Lajolo, Raghunathan, Dey, Lavagno — DATE 2000):
-//! a single simulation master with a global view of simulated time that the
-//! higher-level `co-estimation` crate uses to synchronize the hardware and
-//! software power estimators.
+//! System-on-Chip Design"* (Lajolo, Raghunathan, Dey, Lavagno — DATE 2000).
+//! The paper's single simulation master, with its global view of simulated
+//! time, is `co_estimation::CoSimulator`: it pops this crate's
+//! [`EventQueue`], checks each event against a [`Watchdog`], and schedules
+//! the software tasks on the shared processor itself.
 //!
 //! The crate provides:
 //!
-//! * [`SimTime`] / [`SimDuration`] — simulated time in master clock cycles;
+//! * [`SimTime`] — simulated time in master clock cycles;
 //! * [`EventQueue`] — a timestamp-ordered pending-event set with FIFO
 //!   tie-breaking (bit-for-bit reproducible schedules);
-//! * [`Kernel`] / [`Process`] — a generic event-dispatch loop;
 //! * [`Watchdog`] / [`WatchdogConfig`] — execution budgets (wall clock,
 //!   simulated cycles, event count, livelock detection) that let a guarded
-//!   run terminate with a partial result instead of hanging;
-//! * [`RtosScheduler`] — a behavioral model of the RTOS that serializes
-//!   software tasks on the shared embedded processor.
+//!   run terminate with a partial result instead of hanging.
 //!
 //! # Examples
 //!
@@ -33,14 +32,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod kernel;
 mod queue;
-mod rtos;
 mod time;
 mod watchdog;
 
-pub use kernel::{Context, Kernel, Process, ProcessId};
 pub use queue::EventQueue;
-pub use rtos::{Grant, Policy, Priority, RtosScheduler, TaskId};
-pub use time::{SimDuration, SimTime};
+pub use time::SimTime;
 pub use watchdog::{Watchdog, WatchdogConfig, WatchdogTrip};

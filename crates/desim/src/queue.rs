@@ -1,6 +1,6 @@
 //! Deterministic pending-event set.
 //!
-//! The event queue is the heart of the discrete-event kernel: a priority
+//! The event queue is the heart of the simulation master: a priority
 //! queue ordered by timestamp, with FIFO tie-breaking so that two events
 //! scheduled for the same instant are delivered in the order they were
 //! scheduled. Determinism matters because the co-estimation experiments must
@@ -94,41 +94,15 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.time)
     }
 
-    /// The number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<E> Extend<(SimTime, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        for (t, e) in iter {
-            self.push(t, e);
-        }
-    }
-}
-
-impl<E> FromIterator<(SimTime, E)> for EventQueue<E> {
-    fn from_iter<I: IntoIterator<Item = (SimTime, E)>>(iter: I) -> Self {
-        let mut q = EventQueue::new();
-        q.extend(iter);
-        q
     }
 }
 
@@ -140,7 +114,6 @@ mod tests {
     fn empty_queue_behaviour() {
         let mut q: EventQueue<u32> = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
     }
@@ -178,25 +151,5 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_cycles(2)));
         let (t, _) = q.pop().expect("nonempty");
         assert_eq!(t, SimTime::from_cycles(2));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, ());
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn collect_from_iterator() {
-        let q: EventQueue<u8> = vec![
-            (SimTime::from_cycles(2), 2u8),
-            (SimTime::from_cycles(1), 1u8),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_cycles(1)));
     }
 }

@@ -1,27 +1,22 @@
-//! Simulation time and durations.
+//! Simulation time.
 //!
-//! The kernel measures time in *master clock cycles*. All component
+//! The master measures time in *master clock cycles*. All component
 //! simulators report their costs in cycles of the master clock; physical
 //! time is derived by dividing by the clock frequency supplied in the
 //! technology parameters of the enclosing framework.
 
-use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
-
 /// An absolute point in simulated time, in master clock cycles.
 ///
-/// `SimTime` is a monotone, totally ordered quantity. Subtraction of two
-/// `SimTime`s yields a [`SimDuration`]; adding a [`SimDuration`] to a
-/// `SimTime` yields a later `SimTime`.
+/// `SimTime` is a monotone, totally ordered quantity.
 ///
 /// # Examples
 ///
 /// ```
-/// use desim::{SimTime, SimDuration};
+/// use desim::SimTime;
 ///
 /// let t0 = SimTime::ZERO;
-/// let t1 = t0 + SimDuration::from_cycles(10);
-/// assert_eq!(t1 - t0, SimDuration::from_cycles(10));
+/// let t1 = SimTime::from_cycles(10);
+/// assert_eq!(t1.cycles() - t0.cycles(), 10);
 /// assert!(t1 > t0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -30,8 +25,6 @@ pub struct SimTime(u64);
 impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
-    /// The greatest representable time (used as an "infinity" sentinel).
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates a time at the given absolute cycle count.
     ///
@@ -47,119 +40,6 @@ impl SimTime {
     pub const fn cycles(self) -> u64 {
         self.0
     }
-
-    /// Converts to seconds at the given clock frequency in Hz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_hz` is not strictly positive.
-    pub fn as_seconds(self, freq_hz: f64) -> f64 {
-        assert!(freq_hz > 0.0, "clock frequency must be positive");
-        self.0 as f64 / freq_hz
-    }
-
-    /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}cy", self.0)
-    }
-}
-
-/// A span of simulated time, in master clock cycles.
-///
-/// # Examples
-///
-/// ```
-/// use desim::SimDuration;
-/// let d = SimDuration::from_cycles(3) + SimDuration::from_cycles(4);
-/// assert_eq!(d.cycles(), 7);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimDuration(u64);
-
-impl SimDuration {
-    /// The empty duration.
-    pub const ZERO: SimDuration = SimDuration(0);
-
-    /// Creates a duration spanning `cycles` master clock cycles.
-    pub const fn from_cycles(cycles: u64) -> Self {
-        SimDuration(cycles)
-    }
-
-    /// The number of cycles this duration spans.
-    pub const fn cycles(self) -> u64 {
-        self.0
-    }
-
-    /// Whether this duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Converts to seconds at the given clock frequency in Hz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_hz` is not strictly positive.
-    pub fn as_seconds(self, freq_hz: f64) -> f64 {
-        assert!(freq_hz > 0.0, "clock frequency must be positive");
-        self.0 as f64 / freq_hz
-    }
-}
-
-impl fmt::Display for SimDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}cy", self.0)
-    }
-}
-
-impl Add<SimDuration> for SimTime {
-    type Output = SimTime;
-    /// Saturates at [`SimTime::MAX`] (an unreachable instant some 10¹⁹
-    /// cycles out) instead of overflowing.
-    fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.0))
-    }
-}
-
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    /// Saturates at zero when `rhs` is later than `self`.
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-}
-
-impl Add for SimDuration {
-    type Output = SimDuration;
-    /// Saturates at the maximum representable duration instead of
-    /// overflowing.
-    fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(rhs.0))
-    }
-}
-
-impl AddAssign for SimDuration {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        *self = *self + rhs;
-    }
-}
-
-impl From<u64> for SimDuration {
-    fn from(cycles: u64) -> Self {
-        SimDuration(cycles)
-    }
 }
 
 #[cfg(test)]
@@ -173,50 +53,7 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_roundtrip() {
-        let t = SimTime::from_cycles(100);
-        let d = SimDuration::from_cycles(42);
-        assert_eq!((t + d) - t, d);
-    }
-
-    #[test]
     fn ordering() {
         assert!(SimTime::from_cycles(1) < SimTime::from_cycles(2));
-        assert!(SimDuration::from_cycles(1) < SimDuration::from_cycles(2));
-        assert!(SimTime::MAX > SimTime::from_cycles(u64::MAX - 1));
-    }
-
-    #[test]
-    fn seconds_conversion() {
-        let t = SimTime::from_cycles(50_000_000);
-        assert!((t.as_seconds(50e6) - 1.0).abs() < 1e-12);
-        let d = SimDuration::from_cycles(25_000_000);
-        assert!((d.as_seconds(50e6) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sub_saturates_at_zero() {
-        assert_eq!(
-            SimTime::from_cycles(1) - SimTime::from_cycles(2),
-            SimDuration::from_cycles(0)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn seconds_requires_positive_freq() {
-        let _ = SimTime::from_cycles(1).as_seconds(0.0);
-    }
-
-    #[test]
-    fn saturating_add_caps_at_max() {
-        let t = SimTime::MAX.saturating_add(SimDuration::from_cycles(5));
-        assert_eq!(t, SimTime::MAX);
-    }
-
-    #[test]
-    fn display_format() {
-        assert_eq!(SimTime::from_cycles(7).to_string(), "7cy");
-        assert_eq!(SimDuration::from_cycles(7).to_string(), "7cy");
     }
 }

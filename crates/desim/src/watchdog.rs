@@ -69,14 +69,6 @@ impl WatchdogConfig {
             ..WatchdogConfig::default()
         }
     }
-
-    /// `true` when no budget is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.wall_clock.is_none()
-            && self.max_cycles.is_none()
-            && self.max_events.is_none()
-            && self.max_stagnant_events.is_none()
-    }
 }
 
 /// Why a [`Watchdog`] terminated a run.
@@ -155,16 +147,6 @@ impl Watchdog {
         }
     }
 
-    /// The configuration this watchdog enforces.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.config
-    }
-
-    /// Number of events observed so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
     /// Records one dispatched event at simulated time `now` and returns the
     /// budget it exhausted, if any. Call once per event, *before* handling
     /// it, so an event scheduled past a deadline is never processed.
@@ -209,11 +191,9 @@ mod tests {
     #[test]
     fn unlimited_watchdog_never_trips() {
         let mut dog = Watchdog::new(WatchdogConfig::unlimited());
-        assert!(dog.config().is_unlimited());
         for t in 0..10_000u64 {
             assert_eq!(dog.observe(SimTime::from_cycles(t / 3)), None);
         }
-        assert_eq!(dog.events(), 10_000);
     }
 
     #[test]
@@ -222,7 +202,6 @@ mod tests {
         assert_eq!(cfg.max_cycles, Some(500));
         assert!(cfg.wall_clock.is_none() && cfg.max_events.is_none());
         assert!(cfg.max_stagnant_events.is_none());
-        assert!(!cfg.is_unlimited());
     }
 
     #[test]
@@ -267,7 +246,6 @@ mod tests {
         for t in 0..5u64 {
             assert_eq!(dog.observe(SimTime::from_cycles(t)), None, "t={t}");
         }
-        assert_eq!(dog.events(), 5);
     }
 
     #[test]

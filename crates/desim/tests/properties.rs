@@ -1,10 +1,10 @@
-//! Randomized (seeded, deterministic) tests for the discrete-event kernel.
+//! Randomized (seeded, deterministic) tests for the event queue.
 //!
 //! These were property-based tests; they now drive the same invariants
 //! from a deterministic in-repo PRNG so the suite builds offline and
 //! every failure reproduces exactly.
 
-use desim::{EventQueue, Policy, Priority, RtosScheduler, SimDuration, SimTime};
+use desim::{EventQueue, SimTime};
 use detrand::Rng;
 
 /// Popping the queue yields a non-decreasing sequence of timestamps,
@@ -56,76 +56,5 @@ fn queue_is_fifo_stable() {
             popped.push((t.cycles(), i));
         }
         assert_eq!(popped, order, "case {case}");
-    }
-}
-
-/// RTOS grants never overlap, cover exactly the requested durations,
-/// and never start before a request is ready — for every policy.
-#[test]
-fn rtos_schedule_is_feasible() {
-    let mut rng = Rng::new(0x0DE5_0003);
-    for case in 0..96 {
-        let policy = match case % 3 {
-            0 => Policy::Fifo,
-            1 => Policy::FixedPriority,
-            _ => Policy::RoundRobin(SimDuration::from_cycles(5)),
-        };
-        let reqs: Vec<(u32, u64, u64)> = (0..rng.usize_in(1, 40))
-            .map(|_| (rng.u64_in(0, 4) as u32, rng.u64_in(0, 100), rng.u64_in(1, 50)))
-            .collect();
-        let mut r = RtosScheduler::new(policy);
-        let tasks: Vec<_> = (0..4)
-            .map(|i| r.register_task(format!("t{i}"), Priority(i as u8)))
-            .collect();
-        let mut ready_of = std::collections::HashMap::new();
-        let mut want: u64 = 0;
-        for &(t, ready, dur) in &reqs {
-            let id = r.submit(
-                tasks[t as usize],
-                SimTime::from_cycles(ready),
-                SimDuration::from_cycles(dur),
-            );
-            ready_of.insert(id, ready);
-            want += dur;
-        }
-        let grants = r.drain();
-        let mut served: u64 = 0;
-        let mut last_end = SimTime::ZERO;
-        for g in &grants {
-            assert!(g.start >= last_end, "case {case}: grants overlap");
-            assert!(
-                g.start.cycles() >= ready_of[&g.request],
-                "case {case}: ran before ready"
-            );
-            served += g.duration().cycles();
-            last_end = g.end;
-        }
-        assert_eq!(served, want, "case {case}");
-        assert_eq!(r.busy_time().cycles(), want, "case {case}");
-        assert!(!r.has_pending(), "case {case}");
-    }
-}
-
-/// Each request's grants are temporally ordered and exactly one grant
-/// completes it.
-#[test]
-fn rtos_requests_complete_exactly_once() {
-    let mut rng = Rng::new(0x0DE5_0004);
-    for case in 0..64 {
-        let durs: Vec<u64> = (0..rng.usize_in(1, 20)).map(|_| rng.u64_in(1, 30)).collect();
-        let mut r = RtosScheduler::new(Policy::RoundRobin(SimDuration::from_cycles(3)));
-        let t = r.register_task("t", Priority(0));
-        for &d in &durs {
-            r.submit(t, SimTime::ZERO, SimDuration::from_cycles(d));
-        }
-        let grants = r.drain();
-        for (rid, _) in durs.iter().enumerate() {
-            let mine: Vec<_> = grants.iter().filter(|g| g.request == rid as u64).collect();
-            assert!(!mine.is_empty(), "case {case}: request {rid} unserved");
-            assert_eq!(mine.iter().filter(|g| g.completes).count(), 1, "case {case}");
-            assert!(mine.last().expect("nonempty").completes, "case {case}");
-            let total: u64 = mine.iter().map(|g| g.duration().cycles()).sum();
-            assert_eq!(total, durs[rid], "case {case}");
-        }
     }
 }

@@ -110,7 +110,13 @@ fn random_stimulus(
         .map(|_| {
             primary
                 .iter()
-                .filter_map(|&p| rng.bool_with(change_p).then(|| (p, rng.bool_with(0.5))))
+                .filter_map(|&p| {
+                    if rng.bool_with(change_p) {
+                        Some((p, rng.bool_with(0.5)))
+                    } else {
+                        None
+                    }
+                })
                 .collect()
         })
         .collect()

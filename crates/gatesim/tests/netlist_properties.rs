@@ -52,7 +52,7 @@ fn gen_netlist(rng: &mut Rng) -> (Netlist, u32) {
                 nl.gate(GateKind::Mux, vec![pick(a), pick(b), pick(c)]);
             }
             _ => {
-                nl.dff(pick(a), a % 2 == 0);
+                nl.dff(pick(a), a.is_multiple_of(2));
             }
         }
     }

@@ -167,7 +167,11 @@ fn every_lane_matches_a_scalar_run() {
                         primary
                             .iter()
                             .filter_map(|&p| {
-                                rng.bool_with(0.4).then(|| (p, rng.bool_with(0.5)))
+                                if rng.bool_with(0.4) {
+                                    Some((p, rng.bool_with(0.5)))
+                                } else {
+                                    None
+                                }
                             })
                             .collect()
                     })
@@ -247,7 +251,11 @@ fn simd_lane_counts_match_scalar_runs_at_width_boundaries() {
                         primary
                             .iter()
                             .filter_map(|&p| {
-                                rng.bool_with(0.4).then(|| (p, rng.bool_with(0.5)))
+                                if rng.bool_with(0.4) {
+                                    Some((p, rng.bool_with(0.5)))
+                                } else {
+                                    None
+                                }
                             })
                             .collect()
                     })

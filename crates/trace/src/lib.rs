@@ -1,12 +1,12 @@
 //! `soctrace` — the structured trace-sink observability layer of the
 //! co-estimation stack.
 //!
-//! Every layer of the simulator (desim kernel, co-simulation master,
-//! acceleration pipeline, bus, cache) can emit structured
-//! [`TraceRecord`]s into a user-supplied [`TraceSink`]. The hook is
-//! **zero-cost when disabled**: emission goes through a [`Tracer`]
-//! handle whose [`emit`](Tracer::emit) takes a closure, so a disabled
-//! tracer costs one `Option` check and never constructs the record.
+//! Every layer of the simulator (co-simulation master, acceleration
+//! pipeline, bus, cache) can emit structured [`TraceRecord`]s into a
+//! user-supplied [`TraceSink`]. The hook is **zero-cost when disabled**:
+//! emission goes through a [`Tracer`] handle whose
+//! [`emit`](Tracer::emit) takes a closure, so a disabled tracer costs
+//! one `Option` check and never constructs the record.
 //! Attaching a sink is strictly observational — a traced run is
 //! bit-for-bit identical to an untraced one (the golden-report suite
 //! enforces this in CI with `TRACE=ndjson`).
@@ -188,13 +188,6 @@ pub enum TraceRecord {
         /// Trip reason.
         reason: String,
     },
-    /// The discrete-event kernel delivered one event.
-    KernelEvent {
-        /// Delivery time, cycles.
-        at: u64,
-        /// Target process index.
-        process: u32,
-    },
     /// Gate-level simulation activity behind one detailed firing: how
     /// many combinational gates the power simulator evaluated, how many
     /// net-value events it observed, and how many firings the exact
@@ -232,19 +225,6 @@ pub enum TraceRecord {
         /// State entered.
         to: &'static str,
     },
-    /// The RTOS scheduler granted CPU time to a task.
-    RtosGrant {
-        /// Grant start, cycles.
-        at: u64,
-        /// Task index.
-        task: u32,
-        /// Registered task name.
-        name: String,
-        /// One past the last granted cycle.
-        end: u64,
-        /// Whether the request is fully served.
-        completes: bool,
-    },
 }
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -277,10 +257,8 @@ impl TraceRecord {
             TraceRecord::IcacheBatch { .. } => "icache_batch",
             TraceRecord::FaultInjected { .. } => "fault_injected",
             TraceRecord::WatchdogTrip { .. } => "watchdog_trip",
-            TraceRecord::KernelEvent { .. } => "kernel_event",
             TraceRecord::GateActivity { .. } => "gate_activity",
             TraceRecord::PowerTransition { .. } => "power_transition",
-            TraceRecord::RtosGrant { .. } => "rtos_grant",
         }
     }
 
@@ -328,9 +306,6 @@ impl TraceRecord {
                 "{{\"kind\":\"{kind}\",\"at\":{at},\"reason\":\"{}\"}}",
                 json_escape(reason)
             ),
-            TraceRecord::KernelEvent { at, process } => {
-                format!("{{\"kind\":\"{kind}\",\"at\":{at},\"process\":{process}}}")
-            }
             TraceRecord::GateActivity { at, process, evals, events, memo_hits } => format!(
                 "{{\"kind\":\"{kind}\",\"at\":{at},\"process\":{process},\"evals\":{evals},\
                  \"events\":{events},\"memo_hits\":{memo_hits}}}"
@@ -338,11 +313,6 @@ impl TraceRecord {
             TraceRecord::PowerTransition { at, process, from, to } => format!(
                 "{{\"kind\":\"{kind}\",\"at\":{at},\"process\":{process},\"from\":\"{from}\",\
                  \"to\":\"{to}\"}}"
-            ),
-            TraceRecord::RtosGrant { at, task, name, end, completes } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{at},\"task\":{task},\"name\":\"{}\",\"end\":{end},\
-                 \"completes\":{completes}}}",
-                json_escape(name)
             ),
         }
     }
@@ -445,10 +415,6 @@ pub struct MetricsSink {
     pub faults_injected: u64,
     /// Watchdog trips.
     pub watchdog_trips: u64,
-    /// Kernel event deliveries.
-    pub kernel_events: u64,
-    /// RTOS grants.
-    pub rtos_grants: u64,
     /// Combinational gate evaluations behind observed detailed
     /// firings. Kernel work units: the oblivious kernel evaluates
     /// every gate every cycle, so this aggregate depends on the
@@ -511,16 +477,6 @@ impl MetricsSink {
             None => 0,
         }
     }
-
-    /// Energy-cache hit rate over observed lookups (0 when none).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 impl TraceSink for MetricsSink {
@@ -558,7 +514,6 @@ impl TraceSink for MetricsSink {
             }
             TraceRecord::FaultInjected { .. } => self.faults_injected += 1,
             TraceRecord::WatchdogTrip { .. } => self.watchdog_trips += 1,
-            TraceRecord::KernelEvent { .. } => self.kernel_events += 1,
             TraceRecord::GateActivity {
                 evals,
                 events,
@@ -579,7 +534,6 @@ impl TraceSink for MetricsSink {
                     at.saturating_sub(since);
                 self.open_states.insert(*process, (*at, to));
             }
-            TraceRecord::RtosGrant { .. } => self.rtos_grants += 1,
         }
     }
 }
@@ -723,6 +677,15 @@ impl<T: TraceSink> TraceSink for SharedSink<T> {
 mod tests {
     use super::*;
 
+    /// A filler record for the tests that only count records.
+    fn filler(at: u64) -> TraceRecord {
+        TraceRecord::FiringStart {
+            at,
+            process: 0,
+            transition: 0,
+        }
+    }
+
     fn sample_records() -> Vec<TraceRecord> {
         vec![
             TraceRecord::FiringStart { at: 1, process: 0, transition: 0 },
@@ -783,7 +746,7 @@ mod tests {
         let mut built = false;
         t.emit(|| {
             built = true;
-            TraceRecord::KernelEvent { at: 0, process: 0 }
+            filler(0)
         });
         assert!(!built);
         assert!(!t.enabled());
@@ -845,9 +808,9 @@ mod tests {
     fn shared_sink_observes_through_clone() {
         let shared = SharedSink::new(MetricsSink::new());
         let mut tracer = Tracer::new(Box::new(shared.clone()));
-        tracer.emit(|| TraceRecord::KernelEvent { at: 3, process: 0 });
-        tracer.emit(|| TraceRecord::KernelEvent { at: 4, process: 1 });
-        assert_eq!(shared.with(|m| m.kernel_events), 2);
+        tracer.emit(|| filler(3));
+        tracer.emit(|| filler(4));
+        assert_eq!(shared.with(|m| m.firings), 2);
         let inner = shared.into_inner();
         assert_eq!(inner.records, 2);
     }
@@ -857,7 +820,7 @@ mod tests {
         let mut t = Tracer::disabled();
         t.attach(Box::new(MemorySink::new()));
         assert!(t.enabled());
-        t.emit(|| TraceRecord::KernelEvent { at: 0, process: 0 });
+        t.emit(|| filler(0));
         let sink = t.detach();
         assert!(sink.is_some());
         assert!(!t.enabled());
@@ -970,25 +933,25 @@ mod tests {
         // newline), so a budget of 4 admits exactly two records.
         let mut sink = NdjsonSink::new(FailingWriter { ok_writes: 4, fail_flush: false });
         for _ in 0..5 {
-            sink.record(&TraceRecord::KernelEvent { at: 0, process: 0 });
+            sink.record(&filler(0));
         }
         assert_eq!(sink.written(), 2);
         assert_eq!(sink.error(), Some(std::io::ErrorKind::WriteZero));
         // Recording after the first error is a silent no-op.
-        sink.record(&TraceRecord::KernelEvent { at: 9, process: 0 });
+        sink.record(&filler(9));
         assert_eq!(sink.written(), 2);
     }
 
     #[test]
     fn ndjson_sink_flush_records_flush_errors() {
         let mut sink = NdjsonSink::new(FailingWriter { ok_writes: 10, fail_flush: true });
-        sink.record(&TraceRecord::KernelEvent { at: 0, process: 0 });
+        sink.record(&filler(0));
         assert!(sink.error().is_none());
         sink.flush();
         assert_eq!(sink.error(), Some(std::io::ErrorKind::BrokenPipe));
         // A later write error must not overwrite the first failure.
         let mut sink = NdjsonSink::new(FailingWriter { ok_writes: 0, fail_flush: true });
-        sink.record(&TraceRecord::KernelEvent { at: 0, process: 0 });
+        sink.record(&filler(0));
         sink.flush();
         assert_eq!(sink.error(), Some(std::io::ErrorKind::WriteZero));
     }
@@ -996,7 +959,7 @@ mod tests {
     #[test]
     fn ndjson_sink_flush_is_clean_on_healthy_writer() {
         let mut sink = NdjsonSink::new(Vec::new());
-        sink.record(&TraceRecord::KernelEvent { at: 0, process: 0 });
+        sink.record(&filler(0));
         sink.flush();
         assert!(sink.error().is_none());
         assert_eq!(sink.written(), 1);

@@ -179,14 +179,6 @@ impl PowerTimelineSink {
         self.comps.get(comp).map_or(0.0, |c| c.total_j)
     }
 
-    /// The reassociated sum of component `comp`'s window buckets,
-    /// joules (equal to the mirror up to reassociation noise).
-    pub fn component_window_sum_j(&self, comp: usize) -> f64 {
-        self.comps
-            .get(comp)
-            .map_or(0.0, |c| c.windows.values().sum())
-    }
-
     /// Highest cycle observed in any record.
     pub fn max_cycle(&self) -> u64 {
         self.max_cycle

@@ -7,7 +7,8 @@
 //! usable individually:
 //!
 //! * [`cfsm`] — the CFSM behavioral model (the POLIS analogue);
-//! * [`desim`] — the deterministic discrete-event kernel (PTOLEMY);
+//! * [`desim`] — the event queue, simulated time and watchdog budgets
+//!   the simulation master runs on (PTOLEMY);
 //! * [`gatesim`] — gate-level synthesis + power simulation (SIS);
 //! * [`iss`] — the SPARClite-style ISS with instruction-level power
 //!   models (SPARCsim + Tiwari);

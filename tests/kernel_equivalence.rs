@@ -10,8 +10,7 @@
 //! This is the system-level counterpart of the gatesim differential
 //! fuzz suite: it runs the whole co-estimation stack (master, bus,
 //! cache, synthesized hardware, and the hardware cost tables the
-//! macro-model and the linear backend characterize) under the
-//! `GATESIM_KERNEL` escape hatch. The suite owns its process (integration tests link
+//! macro-model characterizes) under the `GATESIM_KERNEL` escape hatch. The suite owns its process (integration tests link
 //! separately), but its `#[test]` fns share that process, so every
 //! environment mutation, and every synthesis that reads it, is
 //! serialized behind one lock.
@@ -32,8 +31,7 @@ use std::sync::{Arc, Mutex};
 use cfsm::TransitionId;
 use co_estimation::{
     characterize_hw, run_lane_sweep, run_lane_sweep_serial, Acceleration, BuildEstimatorError,
-    CoSimConfig, CoSimulator, EstimatorBackend, FaultPlan, LaneSweepConfig, LaneUnit,
-    SocDescription,
+    CoSimConfig, CoSimulator, FaultPlan, LaneSweepConfig, LaneUnit, SocDescription,
 };
 use desim::WatchdogConfig;
 use detrand::Rng;
@@ -233,32 +231,26 @@ fn kernels_agree_under_a_nonempty_fault_plan() {
 
 #[test]
 fn every_kernel_characterizes_the_same_cost_tables() {
-    // The macro-model layer and the linear backend price firings from
-    // hardware tables characterized by gate-level simulation. Clearing
-    // the synthesis memo inside each kernel's run makes the tables be
-    // characterized again under that kernel's hatch rather than read
-    // from the memo.
-    let defaults = CoSimConfig::date2000_defaults();
-    for (mode, config) in [
-        ("macromodel", defaults.with_accel(Acceleration::macromodel())),
-        ("linear", defaults.with_backend(EstimatorBackend::Linear)),
-    ] {
-        let mut baseline: Option<String> = None;
-        for (name, kernel) in KERNELS {
-            let snapshot = with_kernel(kernel, || {
-                gatesim::clear_synth_cache();
-                CoSimulator::new(small_tcpip(), config.clone())
-                    .expect("system builds")
-                    .run()
-                    .golden_snapshot()
-            });
-            match &baseline {
-                None => baseline = Some(snapshot),
-                Some(want) => assert_eq!(
-                    &snapshot, want,
-                    "{mode}: kernel {name} diverged from the default report"
-                ),
-            }
+    // The macro-model layer prices firings from hardware tables
+    // characterized by gate-level simulation. Clearing the synthesis
+    // memo inside each kernel's run makes the tables be characterized
+    // again under that kernel's hatch rather than read from the memo.
+    let config = CoSimConfig::date2000_defaults().with_accel(Acceleration::macromodel());
+    let mut baseline: Option<String> = None;
+    for (name, kernel) in KERNELS {
+        let snapshot = with_kernel(kernel, || {
+            gatesim::clear_synth_cache();
+            CoSimulator::new(small_tcpip(), config.clone())
+                .expect("system builds")
+                .run()
+                .golden_snapshot()
+        });
+        match &baseline {
+            None => baseline = Some(snapshot),
+            Some(want) => assert_eq!(
+                &snapshot, want,
+                "macromodel: kernel {name} diverged from the default report"
+            ),
         }
     }
 }

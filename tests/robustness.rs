@@ -8,7 +8,7 @@ use cfsm::{
 };
 use co_estimation::spec::parse_system_with_power;
 use co_estimation::{
-    BuildEstimatorError, CoSimConfig, CoSimulator, EstimatorBackend, GatingPolicy, OperatingPoint,
+    Acceleration, BuildEstimatorError, CoSimConfig, CoSimulator, GatingPolicy, OperatingPoint,
     PowerPolicy, RunOutcome, SocDescription,
 };
 use desim::WatchdogConfig;
@@ -187,7 +187,8 @@ fn zero_length_packet_class_is_rejected_by_the_system_builder() {
 fn out_of_range_datapath_widths_are_typed_build_errors() {
     // `SynthConfig::width` is a public field, so a struct literal skips
     // the check in `SynthConfig::with_width`; the master rejects the
-    // width before building any estimator, under either backend.
+    // width before building any estimator or cost table, with or
+    // without the macro-model (which characterizes a hardware table).
     let soc = tcpip::build(&tcpip::TcpIpParams {
         num_packets: 2,
         len_range: (8, 12),
@@ -195,9 +196,9 @@ fn out_of_range_datapath_widths_are_typed_build_errors() {
         seed: 3,
     })
     .expect("valid params");
-    for backend in [EstimatorBackend::Detailed, EstimatorBackend::Linear] {
+    for accel in [Acceleration::none(), Acceleration::macromodel()] {
         let config = |width| {
-            let mut cfg = CoSimConfig::date2000_defaults().with_backend(backend);
+            let mut cfg = CoSimConfig::date2000_defaults().with_accel(accel.clone());
             cfg.synth = gatesim::SynthConfig { width };
             cfg
         };
@@ -205,12 +206,12 @@ fn out_of_range_datapath_widths_are_typed_build_errors() {
             let err = CoSimulator::new(soc.clone(), config(width));
             assert!(
                 matches!(&err, Err(BuildEstimatorError::InvalidParams(msg)) if msg.contains("width")),
-                "{backend:?}, width {width}: {err:?}"
+                "{accel:?}, width {width}: {err:?}"
             );
         }
         for width in [16, 63] {
             CoSimulator::new(soc.clone(), config(width))
-                .unwrap_or_else(|e| panic!("{backend:?}, width {width}: {e}"));
+                .unwrap_or_else(|e| panic!("{accel:?}, width {width}: {e}"));
         }
     }
 }
@@ -413,6 +414,63 @@ fn wake_energies_past_the_bound_are_typed_build_errors() {
     assert!(
         power.components.iter().any(|c| c.wakes > 0),
         "the gate never woke"
+    );
+    assert!(report.total_energy_j().is_finite());
+}
+
+#[test]
+fn wake_latencies_past_the_bound_are_typed_build_errors() {
+    // A power gate's wake latency stretches the run, and the leakage
+    // settled across it is deposited into the ledger's waveform, one
+    // bucket per 1 000 cycles: a spec's `i64::MAX` latency asked for
+    // some 7e16 bytes there and aborted the process. It must be
+    // rejected in `new`, before the run, from the API or from a spec.
+    let spec = |latency: u64| {
+        format!(
+            "system gate\nevent GO\nprocess worker hw priority 1\n  var n = 0\n  state s\n  \
+             power power_gate 1000 0.00000002 {latency}\n  transition s -> s on GO\n    \
+             n = (+ n 1)\n  end\nstimulus 10 GO\nstimulus 5000 GO\n"
+        )
+    };
+    let config = |policy| CoSimConfig::date2000_defaults().with_power_policy(policy);
+    let rejected = |err: Result<CoSimulator, BuildEstimatorError>, what: &str| {
+        assert!(
+            matches!(&err, Err(BuildEstimatorError::InvalidParams(m)) if m.contains("wake latency")),
+            "{what}: {:?}",
+            err.map(|_| "built")
+        );
+    };
+    let max = GatingPolicy::MAX_WAKE_LATENCY_CYCLES;
+    let (soc, policy) = parse_system_with_power(&spec(max)).expect("parses");
+    for latency in [max + 1, i64::MAX as u64, u64::MAX] {
+        let gate = GatingPolicy::power(1000, 2e-8, latency);
+        let api = PowerPolicy::named("gate").gate("worker", gate);
+        rejected(
+            CoSimulator::new(soc.clone(), config(api)),
+            &format!("api {latency}"),
+        );
+        let (soc, policy) =
+            parse_system_with_power(&spec(latency)).expect("the grammar accepts it");
+        rejected(
+            CoSimulator::new(soc, config(policy)),
+            &format!("spec {latency}"),
+        );
+    }
+    // The bound is inclusive: a run at it wakes once, waits out the
+    // whole latency and stays finite.
+    let report = CoSimulator::new(soc, config(policy))
+        .expect("the bound is inclusive")
+        .run();
+    assert_eq!(report.outcome, RunOutcome::Completed);
+    let power = report.power.as_ref().expect("a managed run reports power");
+    assert!(
+        power.components.iter().any(|c| c.wakes > 0),
+        "the gate never woke"
+    );
+    assert!(
+        report.total_cycles >= 5_000 + max,
+        "{} cycles",
+        report.total_cycles
     );
     assert!(report.total_energy_j().is_finite());
 }
