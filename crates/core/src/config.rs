@@ -22,6 +22,17 @@ pub struct SocDescription {
 }
 
 impl SocDescription {
+    /// Latest accepted stimulus delivery cycle: 2^48, about 130 days of
+    /// simulated time at the 25 MHz default clock. That is far past any
+    /// workload, and low enough that a firing's end cycle (its start
+    /// plus its cycle cost and cache stalls) cannot overflow `u64`.
+    /// [`CoSimulator::new`](crate::CoSimulator::new) rejects a later
+    /// stimulus with
+    /// [`BuildEstimatorError::InvalidParams`](crate::BuildEstimatorError::InvalidParams),
+    /// and the spec parser with a line-numbered
+    /// [`SpecError`](crate::spec::SpecError).
+    pub const MAX_STIMULUS_CYCLE: u64 = 1 << 48;
+
     /// Sets one process's priority (design-space exploration knob).
     pub fn set_priority(&mut self, p: cfsm::ProcId, priority: u8) {
         self.priorities[p.0 as usize] = priority;

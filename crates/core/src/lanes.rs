@@ -17,13 +17,20 @@
 //! first, then toggled nets ascending by net id, then flop edges), so a
 //! lane never observes a different accumulation order than a solo run.
 //!
+//! The per-lane work around the simulator is done a word at a time.
+//! Each unit's stimulus is drawn one cycle at a time from its own
+//! `detrand` stream straight into per-input lane words
+//! ([`SimdLaneSim::set_input_lanes`]), so no unit's stimulus is ever
+//! buffered, and a finished batch is demuxed net-major in one pass over
+//! the counter planes ([`SimdLaneSim::demux`]).
+//!
 //! The co-simulation-level counterparts — fault-matrix and stimulus-seed
 //! sweeps that demux into full per-point [`crate::CoSimReport`]s with
 //! the provenance partition intact — live in [`crate::explore`] and
 //! [`crate::explore_parallel`]; this module is the gate-level engine the
 //! bench compares against serial scalar sweeps.
 
-use detrand::Rng;
+use detrand::{Coin, Rng};
 use gatesim::{
     EnergyReport, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator,
     ValidateNetlistError,
@@ -60,6 +67,14 @@ impl LaneUnit {
     pub fn seed(&self) -> u64 {
         match *self {
             LaneUnit::MonteCarlo { seed } | LaneUnit::StuckAt { seed, .. } => seed,
+        }
+    }
+
+    /// The faulted input and its stuck value, for a stuck-at unit.
+    fn fault(&self) -> Option<(NetId, bool)> {
+        match *self {
+            LaneUnit::MonteCarlo { .. } => None,
+            LaneUnit::StuckAt { net, stuck, .. } => Some((net, stuck)),
         }
     }
 }
@@ -131,58 +146,61 @@ pub struct LaneSweep {
     pub gate_events: u64,
 }
 
-/// The deterministic stimulus stream of one unit: per cycle, the
-/// `(input, value)` forcings to apply before stepping. Pure in the unit
-/// and config, so the lane-scheduled and solo-scalar paths replay the
-/// identical stream.
-fn unit_stimulus(
-    netlist: &Netlist,
-    unit: &LaneUnit,
-    config: &LaneSweepConfig,
-) -> Vec<Vec<(NetId, bool)>> {
-    let primary = netlist.primary_inputs();
-    let mut rng = Rng::new(unit.seed());
-    let mut stream: Vec<Vec<(NetId, bool)>> = (0..config.cycles)
-        .map(|_| {
-            let mut forcings = Vec::new();
-            for &p in &primary {
-                if rng.bool_with(config.toggle_probability) {
-                    forcings.push((p, rng.bool_with(0.5)));
-                }
-            }
-            forcings
-        })
-        .collect();
-    if let LaneUnit::StuckAt { net, stuck, .. } = *unit {
-        // Same random consumption as the fault-free sibling; only the
-        // faulted input's forcings are overridden.
-        for cycle in &mut stream {
-            cycle.retain(|&(p, _)| p != net);
-        }
-        if let Some(first) = stream.first_mut() {
-            first.push((net, stuck));
-        }
-    }
-    stream
+/// The sweep's one stimulus generator: both sweep paths replay it, so a
+/// lane and a solo run of the same unit see the identical stream.
+///
+/// Each unit draws from its own `detrand` stream, seeded by
+/// [`LaneUnit::seed`] and advanced one cycle at a time: per primary
+/// input, in [`Netlist::primary_inputs`] order, one
+/// Bernoulli(`toggle_probability`) draw and, on a hit, one fair-coin draw
+/// for the input's new value. A stuck-at unit makes the same draws as
+/// its fault-free sibling but never re-drives its faulted input; its
+/// stuck value is forced after cycle 0's other forcings.
+struct Stimulus {
+    /// The primary inputs, listed once per sweep.
+    inputs: Vec<NetId>,
+    toggle: Coin,
+    fair: Coin,
 }
 
-/// Demuxes one simulated lane (or solo scalar run) into a [`LanePoint`].
-fn demux<F, G>(netlist: &Netlist, unit: &LaneUnit, report: EnergyReport, toggle: F, value: G) -> LanePoint
-where
-    F: Fn(NetId) -> u64,
-    G: Fn(NetId) -> bool,
-{
-    let toggles = (0..netlist.gate_count())
-        .map(|i| toggle(NetId(i as u32)))
-        .collect();
-    let values = (0..netlist.gate_count())
-        .map(|i| value(NetId(i as u32)))
-        .collect();
-    LanePoint {
-        unit: unit.clone(),
-        report,
-        toggles,
-        values,
+/// One unit's place in its stimulus stream.
+struct UnitStream {
+    rng: Rng,
+    /// Position of a stuck-at unit's faulted input in
+    /// [`Stimulus::inputs`]: drawn for, never forced.
+    skip: Option<usize>,
+}
+
+impl Stimulus {
+    fn new(netlist: &Netlist, config: &LaneSweepConfig) -> Self {
+        Stimulus {
+            inputs: netlist.primary_inputs(),
+            toggle: Coin::new(config.toggle_probability),
+            fair: Coin::new(0.5),
+        }
+    }
+
+    fn stream(&self, unit: &LaneUnit) -> UnitStream {
+        UnitStream {
+            rng: Rng::new(unit.seed()),
+            skip: unit
+                .fault()
+                .and_then(|(net, _)| self.inputs.iter().position(|&p| p == net)),
+        }
+    }
+
+    /// Draws the next cycle of `stream`, calling `force(k, v)` for each
+    /// input `inputs[k]` it re-drives to `v`, in input order.
+    #[inline]
+    fn cycle(&self, stream: &mut UnitStream, mut force: impl FnMut(usize, bool)) {
+        for k in 0..self.inputs.len() {
+            if stream.rng.flip(self.toggle) {
+                let v = stream.rng.flip(self.fair);
+                if stream.skip != Some(k) {
+                    force(k, v);
+                }
+            }
+        }
     }
 }
 
@@ -204,6 +222,7 @@ pub fn run_lane_sweep(
     config: &LaneSweepConfig,
 ) -> Result<LaneSweep, ValidateNetlistError> {
     let max = config.max_lanes.clamp(1, gatesim::simd::MAX_LANES);
+    let stimulus = Stimulus::new(netlist, config);
     let mut sweep = LaneSweep {
         points: Vec::with_capacity(units.len()),
         batches: 0,
@@ -213,26 +232,44 @@ pub fn run_lane_sweep(
     };
     for chunk in units.chunks(max) {
         let mut sim = SimdLaneSim::new(Arc::clone(netlist), power.clone(), chunk.len())?;
-        let stimuli: Vec<Vec<Vec<(NetId, bool)>>> = chunk
-            .iter()
-            .map(|u| unit_stimulus(netlist, u, config))
-            .collect();
-        for j in 0..config.cycles {
-            for (lane, stim) in stimuli.iter().enumerate() {
-                for &(net, v) in &stim[j] {
-                    sim.set_input(lane, net, v);
+        // Each cycle's draws land straight in per-input lane words:
+        // `mask` marks the lanes re-driving an input, `value` their
+        // new values, one `words`-long row per input.
+        let words = chunk.len().div_ceil(64);
+        let mut streams: Vec<UnitStream> = chunk.iter().map(|u| stimulus.stream(u)).collect();
+        let mut mask = vec![0u64; stimulus.inputs.len() * words];
+        let mut value = vec![0u64; stimulus.inputs.len() * words];
+        for cycle in 0..config.cycles {
+            mask.fill(0);
+            value.fill(0);
+            for (lane, stream) in streams.iter_mut().enumerate() {
+                let (w, bit) = (lane / 64, lane % 64);
+                stimulus.cycle(stream, |k, v| {
+                    mask[k * words + w] |= 1 << bit;
+                    value[k * words + w] |= u64::from(v) << bit;
+                });
+            }
+            for (k, &net) in stimulus.inputs.iter().enumerate() {
+                let row = k * words..(k + 1) * words;
+                sim.set_input_lanes(net, &mask[row.clone()], &value[row]);
+            }
+            if cycle == 0 {
+                for (lane, unit) in chunk.iter().enumerate() {
+                    if let Some((net, stuck)) = unit.fault() {
+                        sim.set_input(lane, net, stuck);
+                    }
                 }
             }
             sim.step();
         }
-        for (lane, unit) in chunk.iter().enumerate() {
-            sweep.points.push(demux(
-                netlist,
-                unit,
-                sim.report(lane).clone(),
-                |net| sim.toggle_count(net, lane),
-                |net| sim.value(net, lane),
-            ));
+        let (toggles, values) = sim.demux();
+        for (lane, ((unit, toggles), values)) in chunk.iter().zip(toggles).zip(values).enumerate() {
+            sweep.points.push(LanePoint {
+                unit: unit.clone(),
+                report: sim.report(lane).clone(),
+                toggles,
+                values,
+            });
         }
         sweep.batches += 1;
         sweep.gate_evals += sim.gate_evals();
@@ -256,6 +293,7 @@ pub fn run_lane_sweep_serial(
     units: &[LaneUnit],
     config: &LaneSweepConfig,
 ) -> Result<LaneSweep, ValidateNetlistError> {
+    let stimulus = Stimulus::new(netlist, config);
     let mut sweep = LaneSweep {
         points: Vec::with_capacity(units.len()),
         batches: units.len(),
@@ -269,22 +307,26 @@ pub fn run_lane_sweep_serial(
             power.clone(),
             SimKernel::EventDriven,
         )?;
-        for cycle in &unit_stimulus(netlist, unit, config) {
-            for &(net, v) in cycle {
-                sim.set_input(net, v);
+        let mut stream = stimulus.stream(unit);
+        for cycle in 0..config.cycles {
+            stimulus.cycle(&mut stream, |k, v| sim.set_input(stimulus.inputs[k], v));
+            if cycle == 0 {
+                if let Some((net, stuck)) = unit.fault() {
+                    sim.set_input(net, stuck);
+                }
             }
             sim.step();
         }
         sweep.gate_evals += sim.gate_evals();
         sweep.gate_eval_slots += sim.gate_evals();
         sweep.gate_events += sim.gate_events();
-        sweep.points.push(demux(
-            netlist,
-            unit,
-            sim.report().clone(),
-            |net| sim.toggle_count(net),
-            |net| sim.value(net),
-        ));
+        let nets = (0..netlist.gate_count()).map(|i| NetId(i as u32));
+        sweep.points.push(LanePoint {
+            unit: unit.clone(),
+            report: sim.report().clone(),
+            toggles: nets.clone().map(|net| sim.toggle_count(net)).collect(),
+            values: nets.map(|net| sim.value(net)).collect(),
+        });
     }
     Ok(sweep)
 }

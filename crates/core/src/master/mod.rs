@@ -180,7 +180,8 @@ impl CoSimulator {
     ///
     /// Returns a [`BuildEstimatorError`] if any component fails to build,
     /// if the priority vector does not have one entry per process, if
-    /// the synthesis datapath width is outside `1..=63`
+    /// the synthesis datapath width is outside `1..=63` or a stimulus
+    /// arrives after [`SocDescription::MAX_STIMULUS_CYCLE`]
     /// ([`BuildEstimatorError::InvalidParams`]), or if the fault plan
     /// names an unknown process/event or has degenerate parameters.
     pub fn new(soc: SocDescription, config: CoSimConfig) -> Result<Self, BuildEstimatorError> {
@@ -189,6 +190,13 @@ impl CoSimulator {
                 expected: soc.network.process_count(),
                 got: soc.priorities.len(),
             });
+        }
+        let last = soc.stimulus.iter().map(|&(t, _)| t).max().unwrap_or(0);
+        if last > SocDescription::MAX_STIMULUS_CYCLE {
+            return Err(BuildEstimatorError::InvalidParams(format!(
+                "stimulus at cycle {last} is past the last accepted cycle {}",
+                SocDescription::MAX_STIMULUS_CYCLE
+            )));
         }
         config
             .synth

@@ -57,7 +57,9 @@
 //! [`GatingPolicy::MAX_WAKE_ENERGY_J`](crate::GatingPolicy::MAX_WAKE_ENERGY_J),
 //! or a `power_gate` wake latency above
 //! [`GatingPolicy::MAX_WAKE_LATENCY_CYCLES`](crate::GatingPolicy::MAX_WAKE_LATENCY_CYCLES),
-//! fails there with `InvalidParams`.
+//! fails there with `InvalidParams`. A `stimulus` cycle past
+//! [`SocDescription::MAX_STIMULUS_CYCLE`] is a [`SpecError`] on its
+//! line.
 //!
 //! Statements: `x = EXPR` · `emit EV [EXPR]` · `x = mem[EXPR]` ·
 //! `mem[EXPR] = EXPR` · `while EXPR … end` · `if EXPR … [else …] end`.
@@ -435,6 +437,15 @@ pub fn parse_system_with_power(
                     .ok_or_else(|| SpecError::new(ln, "stimulus needs a cycle"))?
                     .parse()
                     .map_err(|_| SpecError::new(ln, "bad stimulus cycle"))?;
+                if t > SocDescription::MAX_STIMULUS_CYCLE {
+                    return Err(SpecError::new(
+                        ln,
+                        format!(
+                            "stimulus cycle {t} is past the last accepted cycle {}",
+                            SocDescription::MAX_STIMULUS_CYCLE
+                        ),
+                    ));
+                }
                 let ev = w
                     .next()
                     .ok_or_else(|| SpecError::new(ln, "stimulus needs an event"))?

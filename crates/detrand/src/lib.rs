@@ -106,6 +106,13 @@ impl Rng {
         self.f64() < p
     }
 
+    /// Flips `coin`: exactly what [`Rng::bool_with`] returns for the
+    /// coin's probability, from the same one draw, without converting
+    /// the draw to a float.
+    pub fn flip(&mut self, coin: Coin) -> bool {
+        (self.next_u64() >> 11) < coin.0
+    }
+
     /// A uniformly chosen element of a non-empty slice.
     ///
     /// # Panics
@@ -114,6 +121,24 @@ impl Rng {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");
         &items[self.usize_in(0, items.len())]
+    }
+}
+
+/// A Bernoulli coin for [`Rng::flip`], precomputed once for a loop
+/// that flips it many times.
+///
+/// [`Rng::bool_with`]`(p)` is true iff `m · 2⁻⁵³ < p` for the draw's
+/// top 53 bits `m`. That product is exact, so for the integer `m` the
+/// test is `m < ⌈p · 2⁵³⌉`, and the coin stores that threshold (`p ≤ 0`
+/// and NaN give 0, never true; `p ≥ 1` gives at least `2⁵³`, always
+/// true).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Coin(u64);
+
+impl Coin {
+    /// The coin [`Rng::bool_with`]`(p)` flips.
+    pub fn new(p: f64) -> Self {
+        Coin((p * (1u64 << 53) as f64).ceil() as u64)
     }
 }
 
@@ -180,6 +205,62 @@ mod tests {
         let mut r = Rng::new(11);
         for _ in 0..50 {
             assert!(items.contains(r.choose(&items)));
+        }
+    }
+
+    /// Probabilities at and around every boundary of the threshold
+    /// conversion: signed zeros, subnormals, one unit of the 53-bit
+    /// draw, values just below and above 1, infinities and NaN.
+    const EDGE_P: [f64; 21] = [
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        1.0 / (1u64 << 54) as f64,
+        1.0 / (1u64 << 53) as f64,
+        3.0 / (1u64 << 53) as f64,
+        0.1,
+        0.2,
+        0.25,
+        1.0 / 3.0,
+        0.5,
+        0.5 + f64::EPSILON,
+        1.0 - f64::EPSILON / 2.0,
+        1.0,
+        1.0 + f64::EPSILON,
+        2.0,
+        -1.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    #[test]
+    fn flip_equals_bool_with_draw_for_draw() {
+        for (i, &p) in EDGE_P.iter().enumerate() {
+            let coin = Coin::new(p);
+            let (mut a, mut b) = (Rng::new(i as u64), Rng::new(i as u64));
+            for n in 0..20_000 {
+                assert_eq!(a.flip(coin), b.bool_with(p), "p = {p:e}, draw {n}");
+            }
+            // One draw per flip: both streams stand at the same state.
+            assert_eq!(a, b, "p = {p:e}: draws consumed");
+        }
+    }
+
+    #[test]
+    fn coin_threshold_is_exact_at_its_boundary() {
+        // A random stream almost never lands next to the threshold, so
+        // test the draws on either side of it directly, with the same
+        // float expression `Rng::f64` evaluates.
+        let scale = 1.0 / (1u64 << 53) as f64;
+        for &p in &EDGE_P {
+            let t = Coin::new(p).0;
+            for m in [t.wrapping_sub(1), t, t.wrapping_add(1)] {
+                if m < 1u64 << 53 {
+                    assert_eq!(m < t, (m as f64) * scale < p, "p = {p:e}, m = {m}");
+                }
+            }
         }
     }
 

@@ -127,6 +127,9 @@ pub trait LaneWord: Logic + PartialEq + Eq + std::fmt::Debug + Send + Sync + 'st
     /// granularity — e.g. charging energy into one 64-slot chunk per
     /// word without per-lane bounds checks.
     fn for_each_word(self, f: impl FnMut(usize, u64));
+    /// The word whose constituent `u64` `k` is `f(k)`, `k` ascending —
+    /// the inverse of [`Self::for_each_word`].
+    fn from_fn(f: impl FnMut(usize) -> u64) -> Self;
 }
 
 impl Logic for u64 {
@@ -186,6 +189,10 @@ impl LaneWord for u64 {
     #[inline]
     fn for_each_word(self, mut f: impl FnMut(usize, u64)) {
         f(0, self);
+    }
+    #[inline]
+    fn from_fn(mut f: impl FnMut(usize) -> u64) -> Self {
+        f(0)
     }
 }
 
@@ -296,6 +303,10 @@ impl<const W: usize> LaneWord for Wide<W> {
         for (k, &word) in self.0.iter().enumerate() {
             f(k, word);
         }
+    }
+    #[inline]
+    fn from_fn(f: impl FnMut(usize) -> u64) -> Self {
+        Wide(std::array::from_fn(f))
     }
 }
 
@@ -416,6 +427,17 @@ impl SimdLaneSim {
         each_width!(self, s => s.set_input(lane, net, value));
     }
 
+    /// Forces a primary input in many streams at once, from the next
+    /// cycle on (see [`MultiLaneSim::set_input_lanes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not an `Input` gate.
+    #[inline]
+    pub fn set_input_lanes(&mut self, net: NetId, mask: &[u64], value: &[u64]) {
+        each_width!(self, s => s.set_input_lanes(net, mask, value));
+    }
+
     /// The settled value of a net in one stream.
     ///
     /// # Panics
@@ -432,6 +454,12 @@ impl SimdLaneSim {
     /// Panics if `lane` is out of range.
     pub fn toggle_count(&self, net: NetId, lane: usize) -> u64 {
         each_width!(self, s => s.toggle_count(net, lane))
+    }
+
+    /// Every stream's per-net toggle counts and settled values, in one
+    /// pass over the nets (see [`MultiLaneSim::demux`]).
+    pub fn demux(&self) -> (Vec<Vec<u64>>, Vec<Vec<bool>>) {
+        each_width!(self, s => s.demux())
     }
 
     /// One stream's accumulated cycle-by-cycle energy report.
@@ -518,6 +546,9 @@ mod tests {
                 a.count_ones(),
                 a_bits.iter().filter(|&&x| x).count() as u32
             );
+            let mut words = Vec::new();
+            a.for_each_word(|k, w| words.push((k, w)));
+            assert_eq!(W::from_fn(|k| words[k].1), a);
             let mut set = Vec::new();
             a.for_each_lane(|j| set.push(j));
             let want: Vec<u32> = (0..W::BITS).filter(|&j| a_bits[j as usize]).collect();

@@ -29,10 +29,12 @@ use std::sync::Arc;
 /// Bit-planes of the bit-sliced per-lane toggle counters in
 /// [`MultiLaneSim`]: plane `k` holds bit `k` of every lane's running
 /// count, so counts up to `2^TOGGLE_PLANES - 1` live entirely in word
-/// ops; wraps past the top plane spill into a per-lane overflow array.
-/// Eight planes keep a wrap (a whole cache line of spill traffic) down
-/// to once per 256 toggles of a net, while the plane-major carry pass
-/// concentrates its traffic in the bottom row or two.
+/// ops; wraps past the top plane spill into a per-lane overflow array,
+/// allocated at the first wrap. Eight planes keep a wrap (a whole cache
+/// line of spill traffic) down to once per 256 toggles of a net, so a
+/// run shorter than 256 cycles never allocates the spill, while the
+/// plane-major carry pass concentrates its traffic in the bottom row or
+/// two.
 const TOGGLE_PLANES: usize = 8;
 
 /// A lockstep simulator of *independent* stimulus streams over one
@@ -73,10 +75,10 @@ pub struct MultiLaneSim<W: LaneWord> {
     energies: NetEnergies,
     lanes: usize,
     lane_mask: W,
-    /// One bit per net: is it a primary input? `set_input` validates
-    /// against this instead of indexing the full gate array — the check
-    /// runs per (lane, change) in the hot driving loop, and the bitmap
-    /// stays cache-resident where the gate records do not.
+    /// One bit per net: is it a primary input? `set_input` and
+    /// `set_input_lanes` validate against this instead of indexing the
+    /// full gate array — the check runs on every forcing, and the
+    /// bitmap stays cache-resident where the gate records do not.
     input_mask: Vec<u64>,
     values: Vec<W>,
     inputs: Vec<W>,
@@ -105,9 +107,12 @@ pub struct MultiLaneSim<W: LaneWord> {
     /// in word ops rather than a per-lane read-modify-write over a
     /// `nets × lanes` array.
     toggle_planes: Vec<W>,
-    /// Overflow spill: whole-plane wraps land here as `2^TOGGLE_PLANES`
-    /// per-lane increments (touched once every `2^TOGGLE_PLANES`
-    /// toggles of a net, so its cache traffic is negligible).
+    /// Overflow spill, `nets × lanes`: whole-plane wraps land here as
+    /// `2^TOGGLE_PLANES` per-lane increments (touched once every
+    /// `2^TOGGLE_PLANES` toggles of a net, so its cache traffic is
+    /// negligible). Wide words allocate it at their first wrap and it
+    /// stays empty until then; at `u64` width it is the whole counter
+    /// and is allocated up front.
     toggle_wraps: Vec<u64>,
     reports: Vec<EnergyReport>,
     cycle: u64,
@@ -164,12 +169,17 @@ impl<W: LaneWord> MultiLaneSim<W> {
             toggle_scratch: vec![W::ZERO; n],
             edge_sample: Vec::new(),
             energy: vec![0.0; W::BITS as usize],
+            // The narrow charge path counts directly in `toggle_wraps`.
             toggle_planes: if W::BITS == 64 {
-                Vec::new() // narrow charge path counts directly in `toggle_wraps`
+                Vec::new()
             } else {
                 vec![W::ZERO; n * TOGGLE_PLANES]
             },
-            toggle_wraps: vec![0; n * lanes],
+            toggle_wraps: if W::BITS == 64 {
+                vec![0; n * lanes]
+            } else {
+                Vec::new()
+            },
             reports: vec![EnergyReport::default(); lanes],
             cycle: 0,
             gate_evals: 0,
@@ -203,6 +213,28 @@ impl<W: LaneWord> MultiLaneSim<W> {
         *w = w.with_bit(lane as u32, value);
     }
 
+    /// Forces a primary input in many streams at once, from the next
+    /// cycle on: every lane set in `mask` takes its bit of `value`, and
+    /// the other lanes hold. Both slices hold the lane word's
+    /// constituent `u64`s (lane `j` is bit `j % 64` of element
+    /// `j / 64`); elements past a slice's end read as zero, and lanes
+    /// past [`Self::lanes`] are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not an `Input` gate.
+    pub fn set_input_lanes(&mut self, net: NetId, mask: &[u64], value: &[u64]) {
+        let i = net.0 as usize;
+        assert!(
+            self.input_mask[i / 64] >> (i % 64) & 1 == 1,
+            "{net} is not a primary input"
+        );
+        let word = |s: &[u64]| W::from_fn(|k| s.get(k).copied().unwrap_or(0));
+        let m = word(mask).and(self.lane_mask);
+        let w = &mut self.inputs[i];
+        *w = w.and(m.not()).or(word(value).and(m));
+    }
+
     /// The settled value of a net in one stream.
     ///
     /// # Panics
@@ -220,7 +252,8 @@ impl<W: LaneWord> MultiLaneSim<W> {
     /// Panics if `lane` is out of range.
     pub fn toggle_count(&self, net: NetId, lane: usize) -> u64 {
         assert!(lane < self.lanes, "lane {lane} out of range");
-        let mut count = self.toggle_wraps[net.0 as usize * self.lanes + lane];
+        let spill = self.toggle_wraps.get(net.0 as usize * self.lanes + lane);
+        let mut count = spill.copied().unwrap_or(0);
         if W::BITS != 64 {
             let n = self.plan.netlist().gate_count();
             for k in 0..TOGGLE_PLANES {
@@ -229,6 +262,36 @@ impl<W: LaneWord> MultiLaneSim<W> {
             }
         }
         count
+    }
+
+    /// Every stream's per-net toggle counts and settled values:
+    /// `toggles[lane][net]` is [`Self::toggle_count`]`(net, lane)` and
+    /// `values[lane][net]` is [`Self::value`]`(net, lane)`.
+    ///
+    /// One pass over the nets reads each net's counter planes, spill row
+    /// and value word once and scatters them to every lane, where the
+    /// per-lane accessors would read all eight planes for every
+    /// `(net, lane)` bit.
+    pub fn demux(&self) -> (Vec<Vec<u64>>, Vec<Vec<bool>>) {
+        let n = self.plan.netlist().gate_count();
+        let lanes = self.lanes;
+        let mut toggles: Vec<Vec<u64>> = (0..lanes).map(|_| vec![0; n]).collect();
+        let mut values: Vec<Vec<bool>> = (0..lanes).map(|_| vec![false; n]).collect();
+        let planes = if W::BITS == 64 { 0 } else { TOGGLE_PLANES };
+        for i in 0..n {
+            self.values[i]
+                .and(self.lane_mask)
+                .for_each_lane(|l| values[l as usize][i] = true);
+            for k in 0..planes {
+                self.toggle_planes[k * n + i].for_each_lane(|l| toggles[l as usize][i] += 1 << k);
+            }
+            if let Some(spill) = self.toggle_wraps.get(i * lanes..(i + 1) * lanes) {
+                for (t, &s) in toggles.iter_mut().zip(spill) {
+                    t[i] += s;
+                }
+            }
+        }
+        (toggles, values)
     }
 
     /// One stream's accumulated cycle-by-cycle energy report.
@@ -458,6 +521,9 @@ impl<W: LaneWord> MultiLaneSim<W> {
         // Whole-plane wrap: spill `2^TOGGLE_PLANES` per-lane increments
         // (reached once every 256 toggles of a net, so the scattered
         // traffic into the wide overflow array is negligible).
+        if self.toggle_wraps.is_empty() {
+            self.toggle_wraps = vec![0; n * lanes];
+        }
         for wi in 0..self.toggled_mask.len() {
             let mut m = self.toggled_mask[wi];
             self.toggled_mask[wi] = 0;

@@ -30,14 +30,15 @@ use std::sync::{Arc, Mutex};
 
 use cfsm::TransitionId;
 use co_estimation::{
-    characterize_hw, run_lane_sweep, run_lane_sweep_serial, Acceleration, BuildEstimatorError,
-    CoSimConfig, CoSimulator, FaultPlan, LaneSweepConfig, LaneUnit, SocDescription,
+    characterize_hw, fault_matrix_units, run_lane_sweep, run_lane_sweep_serial, Acceleration,
+    BuildEstimatorError, CoSimConfig, CoSimulator, FaultPlan, LaneSweepConfig, LaneUnit,
+    SocDescription,
 };
 use desim::WatchdogConfig;
 use detrand::Rng;
 use gatesim::{
-    EnergyReport, HwCfsm, LaneSim, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator,
-    SynthConfig, SynthError, ValidateNetlistError,
+    EnergyReport, GateKind, HwCfsm, LaneSim, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim,
+    Simulator, SynthConfig, SynthError, ValidateNetlistError,
 };
 use soctrace::{MetricsSink, SharedSink};
 use systems::automotive::{self, AutomotiveParams};
@@ -397,6 +398,8 @@ trait Lockstep {
     fn report(&self, lane: usize) -> &EnergyReport;
     fn value(&self, net: NetId, lane: usize) -> bool;
     fn toggle_count(&self, net: NetId, lane: usize) -> u64;
+    fn demux(&self) -> (Vec<Vec<u64>>, Vec<Vec<bool>>);
+    fn gate_events(&self) -> u64;
 }
 
 macro_rules! lockstep {
@@ -417,6 +420,12 @@ macro_rules! lockstep {
             fn toggle_count(&self, net: NetId, lane: usize) -> u64 {
                 <$sim>::toggle_count(self, net, lane)
             }
+            fn demux(&self) -> (Vec<Vec<u64>>, Vec<Vec<bool>>) {
+                <$sim>::demux(self)
+            }
+            fn gate_events(&self) -> u64 {
+                <$sim>::gate_events(self)
+            }
         }
     )*};
 }
@@ -425,11 +434,13 @@ lockstep!(LaneSim, SimdLaneSim);
 
 /// Steps `sim` with one independent seeded stream per lane, then
 /// requires every lane to match a scalar event-driven run of its
-/// stream: per-cycle energy bits, every net's value and toggle count.
+/// stream: per-cycle energy bits, every net's value and toggle count,
+/// read per `(net, lane)` and through the net-major demux, and the
+/// summed `gate_events`.
 fn assert_lanes_match_scalar_runs(
     name: &str,
     netlist: &Arc<Netlist>,
-    mut sim: impl Lockstep,
+    sim: &mut impl Lockstep,
     lanes: usize,
     cycles: usize,
     seed: u64,
@@ -445,6 +456,13 @@ fn assert_lanes_match_scalar_runs(
         }
         sim.step();
     }
+    let (toggles, values) = sim.demux();
+    assert_eq!(
+        (toggles.len(), values.len()),
+        (lanes, lanes),
+        "{name}: demuxed lanes"
+    );
+    let mut events = 0;
     for (l, stream) in streams.iter().enumerate() {
         let mut reference = scalar(netlist, SimKernel::EventDriven);
         for inputs in stream {
@@ -453,6 +471,7 @@ fn assert_lanes_match_scalar_runs(
             }
             reference.step();
         }
+        events += reference.gate_events();
         assert!(
             energy_bits(sim.report(l)) == energy_bits(reference.report()),
             "{name} lane {l}: per-cycle energy diverged from its scalar run"
@@ -465,19 +484,50 @@ fn assert_lanes_match_scalar_runs(
                 reference.toggle_count(net),
                 "{name} lane {l}: toggles of net {i}"
             );
+            assert_eq!(
+                (toggles[l][i], values[l][i]),
+                (reference.toggle_count(net), reference.value(net)),
+                "{name} lane {l}: demuxed net {i}"
+            );
         }
     }
+    assert_eq!(sim.gate_events(), events, "{name}: gate_events");
 }
 
 #[test]
 fn every_lockstep_lane_matches_a_scalar_run_on_the_checksum_netlist() {
     let netlist = checksum_netlist();
     let power = PowerConfig::date2000_defaults();
-    let lanes = LaneSim::new(Arc::clone(&netlist), power.clone(), 8).expect("valid netlist");
-    assert_lanes_match_scalar_runs("LaneSim", &netlist, lanes, 8, 300, 0xC9EC);
+    let mut lanes = LaneSim::new(Arc::clone(&netlist), power.clone(), 8).expect("valid netlist");
+    assert_lanes_match_scalar_runs("LaneSim", &netlist, &mut lanes, 8, 300, 0xC9EC);
     // Past one `u64` word, so the wide words and their seams are checked.
-    let wide = SimdLaneSim::new(Arc::clone(&netlist), power, 80).expect("valid netlist");
-    assert_lanes_match_scalar_runs("SimdLaneSim", &netlist, wide, 80, 200, 0x51D0);
+    let mut wide = SimdLaneSim::new(Arc::clone(&netlist), power, 80).expect("valid netlist");
+    assert_lanes_match_scalar_runs("SimdLaneSim", &netlist, &mut wide, 80, 200, 0x51D0);
+}
+
+#[test]
+fn wide_lane_toggle_counters_spill_exactly_past_255_toggles() {
+    // A wide word's eight counter planes hold 255 toggles per lane; the
+    // 256th wraps the planes into the per-lane spill, which is
+    // allocated at the first wrap. A DFF fed by its own inverter
+    // toggles every cycle, so 640 cycles wrap it twice in every lane,
+    // and an AND with a random input gives each lane its own count on
+    // a third net.
+    let mut n = Netlist::new();
+    let a = n.input();
+    let d = n.wire();
+    let q = n.dff(d, false);
+    let not_q = n.gate(GateKind::Not, vec![q]);
+    n.drive(d, not_q);
+    let y = n.gate(GateKind::And, vec![a, q]);
+    n.mark_output("y", y);
+    let netlist = Arc::new(n);
+    let power = PowerConfig::date2000_defaults();
+    let mut sim = SimdLaneSim::new(Arc::clone(&netlist), power, 200).expect("valid netlist");
+    assert_lanes_match_scalar_runs("SimdLaneSim", &netlist, &mut sim, 200, 640, 0x3A7);
+    for lane in 0..200 {
+        assert_eq!(sim.toggle_count(q, lane), 640, "lane {lane}: two wraps");
+    }
 }
 
 #[test]
@@ -503,5 +553,89 @@ fn lane_scheduled_monte_carlo_sweep_equals_serial_runs_in_fewer_evaluations() {
         "lane sweep {} gate evaluations vs serial {}",
         lanes.gate_evals,
         serial.gate_evals
+    );
+}
+
+#[test]
+fn multi_batch_lane_sweeps_equal_the_serial_sweep() {
+    // 300 units, stuck-at variants among them: at 256 lanes one W256
+    // batch, then a 44-lane u64 batch; at 100 lanes three W128
+    // batches; at 150 lanes two W256 batches driven through three of
+    // their four words.
+    let netlist = checksum_netlist();
+    let units = fault_matrix_and_monte_carlo(&netlist, 0xBA7C, 71);
+    assert_eq!(units.len(), 300);
+    let power = PowerConfig::date2000_defaults();
+    let config = LaneSweepConfig {
+        cycles: 24,
+        toggle_probability: 0.25,
+        max_lanes: 256,
+    };
+    let serial = run_lane_sweep_serial(&netlist, &power, &units, &config).expect("valid netlist");
+    for (max_lanes, batches) in [(256, 2), (100, 3), (150, 2)] {
+        let config = LaneSweepConfig {
+            max_lanes,
+            ..config.clone()
+        };
+        let lanes = run_lane_sweep(&netlist, &power, &units, &config).expect("valid netlist");
+        assert_eq!(lanes.batches, batches, "max_lanes {max_lanes}");
+        assert!(
+            lanes.points == serial.points,
+            "max_lanes {max_lanes}: lane sweep points diverged from serial runs"
+        );
+        assert_eq!(
+            lanes.gate_events, serial.gate_events,
+            "max_lanes {max_lanes}"
+        );
+    }
+}
+
+/// 64-bit FNV-1a digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The fault matrix of one seed plus a few Monte-Carlo seeds, as the
+/// checksum-netlist lane tests sweep them.
+fn fault_matrix_and_monte_carlo(netlist: &Netlist, seed: u64, mc: u64) -> Vec<LaneUnit> {
+    let mut units = fault_matrix_units(netlist, seed);
+    units.extend((0..mc).map(|i| LaneUnit::MonteCarlo {
+        seed: seed ^ ((i + 1) << 20),
+    }));
+    units
+}
+
+#[test]
+fn the_serial_sweep_stimulus_stream_is_pinned() {
+    // Both sweep paths draw their stimulus from one generator, so a
+    // generator change that both inherit passes every equivalence test.
+    // This digest of the serial sweep (energy bits, toggles and values
+    // of every unit, stuck-at variants included) pins the stream itself.
+    let netlist = checksum_netlist();
+    let units = fault_matrix_and_monte_carlo(&netlist, 0x5714, 4);
+    let config = LaneSweepConfig {
+        cycles: 40,
+        toggle_probability: 0.25,
+        max_lanes: 256,
+    };
+    let power = PowerConfig::date2000_defaults();
+    let serial = run_lane_sweep_serial(&netlist, &power, &units, &config).expect("valid netlist");
+    let mut bytes = Vec::new();
+    for p in &serial.points {
+        for e in &p.report.per_cycle_j {
+            bytes.extend_from_slice(&e.to_bits().to_le_bytes());
+        }
+        for t in &p.toggles {
+            bytes.extend_from_slice(&t.to_le_bytes());
+        }
+        bytes.extend(p.values.iter().map(|&v| u8::from(v)));
+    }
+    assert_eq!(units.len(), 233, "114 primary inputs, each stuck both ways");
+    assert_eq!(
+        fnv1a(&bytes),
+        0x4D37_603A_7494_AE56,
+        "the stimulus stream moved"
     );
 }

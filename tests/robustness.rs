@@ -6,7 +6,7 @@
 use cfsm::{
     Cfg, Cfsm, EventDef, EventOccurrence, Expr, Implementation, Network, Stmt, VarId,
 };
-use co_estimation::spec::parse_system_with_power;
+use co_estimation::spec::{parse_system, parse_system_with_power};
 use co_estimation::{
     Acceleration, BuildEstimatorError, CoSimConfig, CoSimulator, GatingPolicy, OperatingPoint,
     PowerPolicy, RunOutcome, SocDescription,
@@ -473,4 +473,40 @@ fn wake_latencies_past_the_bound_are_typed_build_errors() {
         report.total_cycles
     );
     assert!(report.total_energy_j().is_finite());
+}
+
+#[test]
+fn stimulus_cycles_past_the_bound_are_typed_errors() {
+    // A stimulus near `u64::MAX` would overflow its firing's end cycle
+    // (and, for a software process, its i-cache charge), so it must be
+    // rejected before the run: on its spec line by the parser, and in
+    // `new` for a description built through the API or jittered by a
+    // stimulus sweep.
+    let spec = |mapping: &str, cycle: u64| {
+        format!(
+            "system late\nevent GO\nprocess worker {mapping} priority 1\n  var n = 0\n  \
+             state s\n  transition s -> s on GO\n    n = (+ n 1)\n  end\nstimulus 10 GO\n\
+             stimulus {cycle} GO\n"
+        )
+    };
+    let max = SocDescription::MAX_STIMULUS_CYCLE;
+    for mapping in ["hw", "sw"] {
+        // Built at the bound, never run there: the ledger's waveform is
+        // dense from cycle 0, so such a run would exhaust memory.
+        let soc = parse_system(&spec(mapping, max)).expect("the bound is inclusive");
+        assert!(CoSimulator::new(soc.clone(), CoSimConfig::date2000_defaults()).is_ok());
+        for cycle in [max + 1, u64::MAX] {
+            let err = parse_system(&spec(mapping, cycle)).expect_err("past the bound");
+            assert_eq!(err.line, 10, "{mapping} {cycle}: {err}");
+            assert!(err.message.contains("stimulus cycle"), "{err}");
+            let mut api = soc.clone();
+            api.stimulus[1].0 = cycle;
+            let built = CoSimulator::new(api, CoSimConfig::date2000_defaults());
+            assert!(
+                matches!(&built, Err(BuildEstimatorError::InvalidParams(m)) if m.contains("stimulus")),
+                "{mapping} {cycle}: {:?}",
+                built.map(|_| "built")
+            );
+        }
+    }
 }
