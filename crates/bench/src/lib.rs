@@ -10,7 +10,7 @@
 //! | Table 1 | [`table1`] | `table1` |
 //! | Table 2 | [`table2`] | `table2` |
 //! | Fig. 6 | [`fig6`] | `fig6` |
-//! | Fig. 7 | [`fig7`] | `fig7` |
+//! | Fig. 7 | [`fig7_parallel`] | `fig7` |
 //! | §5.2 (DSP caching error) | [`caching_dsp_ablation`] | `ablation_caching_dsp` |
 //! | §4.3 (compaction) | [`sampling_ablation`] | `ablation_sampling` |
 
@@ -328,12 +328,6 @@ pub fn fig7_parallel(
     .expect("exploration builds")
 }
 
-/// Reproduces Fig. 7 with all the parallelism the host offers, returning
-/// just the 48 points (identical at any worker count).
-pub fn fig7(params: &TcpIpParams) -> Vec<ExplorationPoint> {
-    fig7_parallel(params, &ExploreOptions::default()).points
-}
-
 /// Renders sweep metrics as a one-line summary for the bench binaries.
 pub fn render_sweep_stats(stats: &SweepStats) -> String {
     format!(
@@ -533,7 +527,8 @@ mod tests {
 
     #[test]
     fn fig7_covers_48_points_and_finds_minimum() {
-        let points = fig7(&TcpIpParams::fig7_defaults());
+        let options = ExploreOptions::default();
+        let points = fig7_parallel(&TcpIpParams::fig7_defaults(), &options).points;
         assert_eq!(points.len(), 6 * 8);
         let min = co_estimation::minimum_energy(&points).expect("nonempty");
         assert!(min.energy_j() > 0.0);

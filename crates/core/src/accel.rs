@@ -1,27 +1,22 @@
-//! The composable acceleration pipeline (§4).
+//! The acceleration cascade (§4).
 //!
-//! The master used to hold the three speedup techniques as ad-hoc
-//! fields and route every firing through a hand-written `if` cascade.
-//! They are now [`AccelLayer`]s stacked in an [`AccelPipeline`]: each
-//! layer either *answers* a firing from its own state or *delegates*
-//! down, and every layer observes the detailed cost whenever the stack
-//! falls all the way through. The assembled order — macro-model, then
-//! energy cache, then firing-level sampling, then the detailed backend —
-//! reproduces the original dispatch exactly, but each technique is now
-//! testable in isolation and new techniques slot in without touching
-//! the master.
+//! The paper stacks its three speedup techniques in one fixed
+//! precedence, and [`AccelPipeline`] holds each one that is configured:
+//! the macro-model prices every firing it sees; otherwise the energy
+//! cache answers a `(process, path)` pair once its statistics qualify;
+//! otherwise firing-level sampling reuses a recent sample; otherwise the
+//! detailed estimator runs, and its cost feeds the cache and the
+//! sampler.
 
 use crate::caching::EnergyCache;
 use crate::config::{Acceleration, CoSimConfig};
 use crate::estimator::DetailedCost;
 use crate::macromodel::{characterize_hw, characterize_sw, ParameterFile};
 use crate::report::Provenance;
-use crate::sampling::SamplingConfig;
 use cfsm::{MacroOp, PathId, ProcId};
 use iss::PowerModel;
 use soctrace::{TraceRecord, Tracer};
 use std::collections::HashMap;
-use std::fmt;
 
 /// How a firing's cost was obtained (speedup accounting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +55,7 @@ impl CostSource {
     }
 }
 
-/// The per-firing facts an acceleration layer may key on.
+/// The per-firing facts the acceleration techniques key on.
 #[derive(Debug, Clone, Copy)]
 pub struct FiringCtx<'a> {
     /// The firing process.
@@ -75,149 +70,21 @@ pub struct FiringCtx<'a> {
     pub now: u64,
 }
 
-/// One acceleration technique in the pipeline.
-///
-/// A layer either answers a firing from its own state
-/// ([`try_answer`](AccelLayer::try_answer) returns `Some`) or delegates
-/// to the layers below it; whenever the whole stack delegates to the
-/// detailed backend, every layer gets to
-/// [`observe_detailed`](AccelLayer::observe_detailed) the true cost.
-pub trait AccelLayer: fmt::Debug {
-    /// The layer's identifying name, used for [`CostSource`] mapping and
-    /// trace records.
-    fn name(&self) -> &'static str;
-
-    /// Which [`CostSource`] an answer from this layer counts as.
-    fn source(&self) -> CostSource;
-
-    /// Tries to serve the firing from this layer's state.
-    fn try_answer(&mut self, ctx: &FiringCtx<'_>, tracer: &mut Tracer) -> Option<DetailedCost>;
-
-    /// Observes the detailed cost of a firing no layer answered.
-    fn observe_detailed(&mut self, ctx: &FiringCtx<'_>, cost: DetailedCost) {
-        let _ = (ctx, cost);
-    }
-
-    /// The energy cache, when this layer is [`CacheLayer`] (introspection
-    /// for the Fig. 4 histograms).
-    fn energy_cache(&self) -> Option<&EnergyCache> {
-        None
-    }
-
-    /// The characterized software parameter file, when this layer is
-    /// [`MacroModelLayer`].
-    fn sw_parameter_file(&self) -> Option<&ParameterFile> {
-        None
-    }
-
-    /// Sampling counters `(period, served, samples)`, when this layer
-    /// is [`SamplingLayer`] (for the compaction-ratio report).
-    fn sampling_stats(&self) -> Option<(u32, u64, u64)> {
-        None
-    }
-}
-
-/// Software/hardware power macro-modeling (§4.1): replaces the detailed
-/// estimators entirely with characterized additive cost tables.
+/// Software/hardware power macro-modeling (§4.1): characterized additive
+/// cost tables that replace the detailed estimators entirely.
 #[derive(Debug)]
-pub struct MacroModelLayer {
+struct MacroModel {
     sw: ParameterFile,
     hw: ParameterFile,
-}
-
-impl MacroModelLayer {
-    /// Characterizes both tables from the configured power models.
-    pub fn characterize(config: &CoSimConfig) -> Self {
-        MacroModelLayer {
-            sw: characterize_sw(&PowerModel::of_kind(config.sw_power)),
-            hw: characterize_hw(&config.synth, &config.hw_power),
-        }
-    }
-
-    /// Builds from explicit tables.
-    pub fn from_tables(sw: ParameterFile, hw: ParameterFile) -> Self {
-        MacroModelLayer { sw, hw }
-    }
-}
-
-impl AccelLayer for MacroModelLayer {
-    fn name(&self) -> &'static str {
-        "macromodel"
-    }
-
-    fn source(&self) -> CostSource {
-        CostSource::MacroModel
-    }
-
-    fn try_answer(&mut self, ctx: &FiringCtx<'_>, _tracer: &mut Tracer) -> Option<DetailedCost> {
-        let params = if ctx.is_hw { &self.hw } else { &self.sw };
-        let (cycles, energy_j) = params.estimate(ctx.macro_ops);
-        Some(DetailedCost {
-            cycles: cycles.max(1),
-            energy_j,
-        })
-    }
-
-    fn sw_parameter_file(&self) -> Option<&ParameterFile> {
-        Some(&self.sw)
-    }
-}
-
-/// Energy and delay caching (§4.2): serves a `(process, path)` pair from
-/// accumulated statistics once enough consistent samples exist.
-#[derive(Debug)]
-pub struct CacheLayer {
-    cache: EnergyCache,
-}
-
-impl CacheLayer {
-    /// Builds an empty cache with the given thresholds.
-    pub fn new(config: crate::caching::CachingConfig) -> Self {
-        CacheLayer {
-            cache: EnergyCache::new(config),
-        }
-    }
-}
-
-impl AccelLayer for CacheLayer {
-    fn name(&self) -> &'static str {
-        "cache"
-    }
-
-    fn source(&self) -> CostSource {
-        CostSource::Cache
-    }
-
-    fn try_answer(&mut self, ctx: &FiringCtx<'_>, tracer: &mut Tracer) -> Option<DetailedCost> {
-        let key = (ctx.proc, ctx.path);
-        let hit = self.cache.lookup(key);
-        tracer.emit(|| TraceRecord::EnergyCacheLookup {
-            at: ctx.now,
-            process: ctx.proc.0,
-            path: ctx.path.0,
-            hit: hit.is_some(),
-        });
-        hit.map(|h| DetailedCost {
-            cycles: h.cycles,
-            energy_j: h.energy_j,
-        })
-    }
-
-    fn observe_detailed(&mut self, ctx: &FiringCtx<'_>, cost: DetailedCost) {
-        self.cache
-            .record((ctx.proc, ctx.path), cost.energy_j, cost.cycles);
-    }
-
-    fn energy_cache(&self) -> Option<&EnergyCache> {
-        Some(&self.cache)
-    }
+    /// Firings priced.
+    answered: u64,
 }
 
 /// Firing-level statistical sampling (§4.3): after a detailed sample of
 /// a `(process, path)` pair, its cost is reused for the next
 /// `period - 1` firings of that pair.
 #[derive(Debug)]
-pub struct SamplingLayer {
+struct Sampler {
     period: u32,
     state: HashMap<(ProcId, PathId), (u32, DetailedCost)>,
     /// Firings answered by reusing the last sample.
@@ -226,172 +93,175 @@ pub struct SamplingLayer {
     samples: u64,
 }
 
-impl SamplingLayer {
-    /// Builds an empty sampler with the given period.
-    pub fn new(config: SamplingConfig) -> Self {
-        SamplingLayer {
-            period: config.period,
-            state: HashMap::new(),
-            served: 0,
-            samples: 0,
+impl Sampler {
+    /// Reuses the pair's last sample while its window is open. When the
+    /// window has closed it is re-armed and `None` returned, so the next
+    /// detailed cost refreshes the sample.
+    fn reuse(&mut self, key: (ProcId, PathId)) -> Option<DetailedCost> {
+        let (countdown, last) = self.state.get_mut(&key)?;
+        if *countdown > 0 {
+            *countdown -= 1;
+            self.served += 1;
+            return Some(*last);
         }
-    }
-}
-
-impl AccelLayer for SamplingLayer {
-    fn name(&self) -> &'static str {
-        "sampling"
-    }
-
-    fn source(&self) -> CostSource {
-        CostSource::Sampled
-    }
-
-    fn try_answer(&mut self, ctx: &FiringCtx<'_>, _tracer: &mut Tracer) -> Option<DetailedCost> {
-        let key = (ctx.proc, ctx.path);
-        if let Some((countdown, last)) = self.state.get_mut(&key) {
-            if *countdown > 0 {
-                *countdown -= 1;
-                self.served += 1;
-                return Some(*last);
-            }
-            // The reuse window closed: re-arm it and delegate so the
-            // next detailed cost refreshes the sample.
-            *countdown = self.period.saturating_sub(1);
-        }
+        *countdown = self.period.saturating_sub(1);
         None
     }
 
-    fn observe_detailed(&mut self, ctx: &FiringCtx<'_>, cost: DetailedCost) {
+    fn observe(&mut self, key: (ProcId, PathId), cost: DetailedCost) {
         self.samples += 1;
         let entry = self
             .state
-            .entry((ctx.proc, ctx.path))
+            .entry(key)
             .or_insert((self.period.saturating_sub(1), cost));
         entry.1 = cost;
     }
-
-    fn sampling_stats(&self) -> Option<(u32, u64, u64)> {
-        Some((self.period, self.served, self.samples))
-    }
 }
 
-/// The assembled stack of acceleration layers.
+/// The paper's three acceleration techniques (§4), each present when
+/// configured, stacked in one fixed order: macro-model, then energy
+/// cache, then firing-level sampling, then the detailed estimator.
 ///
-/// [`estimate`](AccelPipeline::estimate) walks the layers top-down; the
-/// first answer wins, and a full fall-through runs the supplied detailed
-/// closure and fans the true cost back out to every layer.
-#[derive(Debug, Default)]
+/// [`estimate`](AccelPipeline::estimate) asks them top-down; the first
+/// answer wins, and a firing none answers runs the supplied detailed
+/// closure and feeds its true cost to the cache's statistics and the
+/// sampler's reuse window.
+#[derive(Debug)]
 pub struct AccelPipeline {
-    layers: Vec<Box<dyn AccelLayer>>,
-    /// Firings answered per layer, parallel to `layers`.
-    answered: Vec<u64>,
+    macromodel: Option<MacroModel>,
+    cache: Option<EnergyCache>,
+    sampling: Option<Sampler>,
 }
 
 impl AccelPipeline {
-    /// An empty pipeline: every firing goes to the detailed backend.
-    pub fn none() -> Self {
-        AccelPipeline::default()
-    }
-
-    /// Assembles the paper's layer order from an [`Acceleration`]
-    /// config: macro-model, then energy cache, then sampling.
+    /// Stacks the techniques an [`Acceleration`] config switches on,
+    /// characterizing the macro-model's cost tables from the configured
+    /// power models.
     pub fn from_config(accel: &Acceleration, config: &CoSimConfig) -> Self {
-        let mut p = AccelPipeline::none();
-        if accel.macromodel {
-            p.push(Box::new(MacroModelLayer::characterize(config)));
+        AccelPipeline {
+            macromodel: accel.macromodel.then(|| MacroModel {
+                sw: characterize_sw(&PowerModel::of_kind(config.sw_power)),
+                hw: characterize_hw(&config.synth, &config.hw_power),
+                answered: 0,
+            }),
+            cache: accel.caching.clone().map(EnergyCache::new),
+            sampling: accel.sampling.map(|s| Sampler {
+                period: s.period,
+                state: HashMap::new(),
+                served: 0,
+                samples: 0,
+            }),
         }
-        if let Some(c) = &accel.caching {
-            p.push(Box::new(CacheLayer::new(c.clone())));
-        }
-        if let Some(s) = &accel.sampling {
-            p.push(Box::new(SamplingLayer::new(*s)));
-        }
-        p
-    }
-
-    /// Appends a layer at the bottom of the stack.
-    pub fn push(&mut self, layer: Box<dyn AccelLayer>) {
-        self.layers.push(layer);
-        self.answered.push(0);
-    }
-
-    /// Number of stacked layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// `true` when no layer is stacked (pure detailed simulation).
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// The stacked layer names, top-down.
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
     }
 
     /// Routes one firing through the stack (see type docs). `detailed`
-    /// is only invoked on a full fall-through.
+    /// is only invoked when no technique answers.
     pub fn estimate(
         &mut self,
         ctx: &FiringCtx<'_>,
         tracer: &mut Tracer,
         detailed: &mut dyn FnMut() -> DetailedCost,
     ) -> (DetailedCost, CostSource) {
-        let answered = &mut self.answered;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            if let Some(cost) = layer.try_answer(ctx, tracer) {
-                answered[i] += 1;
-                let name = layer.name();
-                tracer.emit(|| TraceRecord::LayerAnswered {
-                    at: ctx.now,
-                    process: ctx.proc.0,
-                    layer: name,
-                    cycles: cost.cycles,
-                    energy_j: cost.energy_j,
-                });
-                return (cost, layer.source());
+        let key = (ctx.proc, ctx.path);
+        if let Some(m) = &mut self.macromodel {
+            m.answered += 1;
+            let params = if ctx.is_hw { &m.hw } else { &m.sw };
+            let (cycles, energy_j) = params.estimate(ctx.macro_ops);
+            let cost = DetailedCost {
+                cycles: cycles.max(1),
+                energy_j,
+            };
+            return answered(ctx, tracer, cost, CostSource::MacroModel);
+        }
+        if let Some(cache) = &mut self.cache {
+            let hit = cache.lookup(key);
+            tracer.emit(|| TraceRecord::EnergyCacheLookup {
+                at: ctx.now,
+                process: ctx.proc.0,
+                path: ctx.path.0,
+                hit: hit.is_some(),
+            });
+            if let Some(h) = hit {
+                let cost = DetailedCost {
+                    cycles: h.cycles,
+                    energy_j: h.energy_j,
+                };
+                return answered(ctx, tracer, cost, CostSource::Cache);
             }
         }
+        if let Some(cost) = self.sampling.as_mut().and_then(|s| s.reuse(key)) {
+            return answered(ctx, tracer, cost, CostSource::Sampled);
+        }
         let cost = detailed();
-        for layer in &mut self.layers {
-            layer.observe_detailed(ctx, cost);
+        if let Some(cache) = &mut self.cache {
+            cache.record(key, cost.energy_j, cost.cycles);
+        }
+        if let Some(s) = &mut self.sampling {
+            s.observe(key, cost);
         }
         (cost, CostSource::Detailed)
     }
 
-    /// The energy cache, when a [`CacheLayer`] is stacked.
+    /// The energy cache, when caching is configured (introspection for
+    /// the Fig. 4 histograms).
     pub fn energy_cache(&self) -> Option<&EnergyCache> {
-        self.layers.iter().find_map(|l| l.energy_cache())
+        self.cache.as_ref()
     }
 
-    /// The characterized software parameter file, when a
-    /// [`MacroModelLayer`] is stacked.
-    pub fn sw_parameter_file(&self) -> Option<&ParameterFile> {
-        self.layers.iter().find_map(|l| l.sw_parameter_file())
-    }
-
-    /// Firings answered per layer, top-down: `(layer name, count)`.
+    /// Firings answered per configured technique, in cascade order:
+    /// `(technique, count)`, named by [`CostSource::as_str`], zeros
+    /// included.
     pub fn answered_counts(&self) -> Vec<(&'static str, u64)> {
-        self.layers
-            .iter()
-            .zip(&self.answered)
-            .map(|(l, &n)| (l.name(), n))
+        let macromodel = self
+            .macromodel
+            .as_ref()
+            .map(|m| (CostSource::MacroModel, m.answered));
+        let cache = self
+            .cache
+            .as_ref()
+            .map(|c| (CostSource::Cache, c.hit_miss().0));
+        let sampling = self
+            .sampling
+            .as_ref()
+            .map(|s| (CostSource::Sampled, s.served));
+        [macromodel, cache, sampling]
+            .into_iter()
+            .flatten()
+            .map(|(source, n)| (source.as_str(), n))
             .collect()
     }
 
-    /// Sampling counters `(period, served, samples)`, when a
-    /// [`SamplingLayer`] is stacked.
+    /// Sampling counters `(period, served, samples)`, when sampling is
+    /// configured (for the compaction-ratio report).
     pub fn sampling_stats(&self) -> Option<(u32, u64, u64)> {
-        self.layers.iter().find_map(|l| l.sampling_stats())
+        self.sampling
+            .as_ref()
+            .map(|s| (s.period, s.served, s.samples))
     }
+}
+
+/// Traces a technique's answer and hands it back.
+fn answered(
+    ctx: &FiringCtx<'_>,
+    tracer: &mut Tracer,
+    cost: DetailedCost,
+    source: CostSource,
+) -> (DetailedCost, CostSource) {
+    tracer.emit(|| TraceRecord::LayerAnswered {
+        at: ctx.now,
+        process: ctx.proc.0,
+        layer: source.as_str(),
+        cycles: cost.cycles,
+        energy_j: cost.energy_j,
+    });
+    (cost, source)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::caching::CachingConfig;
+    use crate::sampling::SamplingConfig;
     use soctrace::{MemorySink, SharedSink};
 
     fn ctx(now: u64) -> FiringCtx<'static> {
@@ -402,6 +272,18 @@ mod tests {
             macro_ops: &[],
             now,
         }
+    }
+
+    fn pipeline(accel: Acceleration) -> AccelPipeline {
+        AccelPipeline::from_config(&accel, &CoSimConfig::date2000_defaults())
+    }
+
+    fn caching(thresh_variance: f64, thresh_iss_calls: u32) -> Acceleration {
+        Acceleration::caching(CachingConfig {
+            thresh_variance,
+            thresh_iss_calls,
+            keep_samples: false,
+        })
     }
 
     /// A stub detailed estimator: counts calls, returns a scripted cost.
@@ -435,8 +317,7 @@ mod tests {
 
     #[test]
     fn empty_pipeline_always_runs_detailed() {
-        let mut pipe = AccelPipeline::none();
-        assert!(pipe.is_empty());
+        let mut pipe = pipeline(Acceleration::none());
         let mut stub = Stub::new(10, 1.0);
         for i in 0..5 {
             let (cost, source) = stub.run(&mut pipe, &ctx(i));
@@ -444,37 +325,33 @@ mod tests {
             assert_eq!(cost.cycles, 10);
         }
         assert_eq!(stub.calls, 5);
+        assert!(pipe.answered_counts().is_empty());
     }
 
     #[test]
-    fn cache_layer_serves_after_iss_call_threshold() {
+    fn cache_serves_after_iss_call_threshold() {
         // thresh_iss_calls = 2: the first two firings of a path are
         // detailed (building statistics), the third is served.
-        let mut pipe = AccelPipeline::none();
-        pipe.push(Box::new(CacheLayer::new(CachingConfig {
-            thresh_variance: 0.20,
-            thresh_iss_calls: 2,
-            keep_samples: false,
-        })));
+        let mut pipe = pipeline(caching(0.20, 2));
         let mut stub = Stub::new(7, 2.5);
-        for want in [CostSource::Detailed, CostSource::Detailed, CostSource::Cache] {
+        for want in [
+            CostSource::Detailed,
+            CostSource::Detailed,
+            CostSource::Cache,
+        ] {
             let (cost, source) = stub.run(&mut pipe, &ctx(0));
             assert_eq!(source, want);
             assert_eq!(cost.cycles, 7);
         }
         assert_eq!(stub.calls, 2);
+        assert_eq!(pipe.answered_counts(), vec![("cache", 1)]);
     }
 
     #[test]
-    fn cache_layer_respects_variance_threshold() {
+    fn cache_respects_variance_threshold() {
         // Costs alternate 1.0 / 3.0 → coefficient of variation 0.5,
         // above the 0.2 threshold: the cache must never serve.
-        let mut pipe = AccelPipeline::none();
-        pipe.push(Box::new(CacheLayer::new(CachingConfig {
-            thresh_variance: 0.20,
-            thresh_iss_calls: 2,
-            keep_samples: false,
-        })));
+        let mut pipe = pipeline(caching(0.20, 2));
         let mut stub = Stub::new(5, 1.0);
         for i in 0..6 {
             stub.cost.energy_j = if i % 2 == 0 { 1.0 } else { 3.0 };
@@ -488,12 +365,7 @@ mod tests {
     fn cache_boundary_exact_variance_is_eligible() {
         // Eligibility is `cv <= thresh`: a path whose samples are all
         // identical (cv = 0) qualifies even at thresh_variance = 0.0.
-        let mut pipe = AccelPipeline::none();
-        pipe.push(Box::new(CacheLayer::new(CachingConfig {
-            thresh_variance: 0.0,
-            thresh_iss_calls: 1,
-            keep_samples: false,
-        })));
+        let mut pipe = pipeline(caching(0.0, 1));
         let mut stub = Stub::new(3, 4.0);
         let (_, s1) = stub.run(&mut pipe, &ctx(0));
         let (_, s2) = stub.run(&mut pipe, &ctx(0));
@@ -502,12 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn sampling_layer_reuses_for_period_minus_one_firings() {
-        let mut pipe = AccelPipeline::none();
-        pipe.push(Box::new(SamplingLayer::new(SamplingConfig { period: 3 })));
+    fn sampling_reuses_for_period_minus_one_firings() {
+        let mut pipe = pipeline(Acceleration::sampling(SamplingConfig { period: 3 }));
         let mut stub = Stub::new(9, 1.5);
-        let sources: Vec<CostSource> =
-            (0..7).map(|i| stub.run(&mut pipe, &ctx(i)).1).collect();
+        let sources: Vec<CostSource> = (0..7).map(|i| stub.run(&mut pipe, &ctx(i)).1).collect();
         assert_eq!(
             sources,
             vec![
@@ -521,12 +391,12 @@ mod tests {
             ]
         );
         assert_eq!(stub.calls, 3);
+        assert_eq!(pipe.sampling_stats(), Some((3, 4, 3)));
     }
 
     #[test]
     fn sampling_period_one_never_reuses() {
-        let mut pipe = AccelPipeline::none();
-        pipe.push(Box::new(SamplingLayer::new(SamplingConfig { period: 1 })));
+        let mut pipe = pipeline(Acceleration::sampling(SamplingConfig { period: 1 }));
         let mut stub = Stub::new(2, 0.5);
         for i in 0..4 {
             let (_, source) = stub.run(&mut pipe, &ctx(i));
@@ -536,57 +406,65 @@ mod tests {
     }
 
     #[test]
-    fn macromodel_layer_shadows_everything_below() {
-        let mut pipe = AccelPipeline::none();
-        // Empty tables suffice: the test contexts carry empty macro-op
-        // traces, which price to the 1-cycle floor.
-        pipe.push(Box::new(MacroModelLayer::from_tables(
-            ParameterFile::new(),
-            ParameterFile::new(),
-        )));
-        pipe.push(Box::new(SamplingLayer::new(SamplingConfig { period: 2 })));
+    fn macromodel_shadows_everything_below() {
+        let mut pipe = pipeline(Acceleration {
+            macromodel: true,
+            caching: None,
+            sampling: Some(SamplingConfig { period: 2 }),
+        });
+        // The test contexts carry empty software macro-op traces, which
+        // price to the characterized activation cost alone.
+        let sw = characterize_sw(&PowerModel::of_kind(
+            CoSimConfig::date2000_defaults().sw_power,
+        ));
+        let (cycles, energy_j) = sw.estimate(&[]);
         let mut stub = Stub::new(99, 9.9);
         for i in 0..3 {
             let (cost, source) = stub.run(&mut pipe, &ctx(i));
             assert_eq!(source, CostSource::MacroModel);
-            assert_eq!(cost.cycles, 1, "empty macro-op trace floors at 1 cycle");
+            assert_eq!(cost.cycles, cycles.max(1));
+            assert_eq!(cost.energy_j.to_bits(), energy_j.to_bits());
         }
         assert_eq!(stub.calls, 0, "macro-model never delegates");
+        assert_eq!(
+            pipe.answered_counts(),
+            vec![("macromodel", 3), ("sampling", 0)]
+        );
     }
 
     #[test]
-    fn fall_through_updates_every_layer() {
+    fn fall_through_updates_cache_and_sampler() {
         // Cache above sampling: the first firing falls through both, and
         // both observe it — the cache accumulates a sample and the
         // sampler opens a reuse window.
-        let mut pipe = AccelPipeline::none();
-        pipe.push(Box::new(CacheLayer::new(CachingConfig {
-            thresh_variance: 0.20,
-            thresh_iss_calls: 3,
-            keep_samples: false,
-        })));
-        pipe.push(Box::new(SamplingLayer::new(SamplingConfig { period: 4 })));
+        let mut pipe = pipeline(Acceleration {
+            macromodel: false,
+            caching: Some(CachingConfig {
+                thresh_variance: 0.20,
+                thresh_iss_calls: 3,
+                keep_samples: false,
+            }),
+            sampling: Some(SamplingConfig { period: 4 }),
+        });
         let mut stub = Stub::new(6, 2.0);
         let (_, s1) = stub.run(&mut pipe, &ctx(0));
         assert_eq!(s1, CostSource::Detailed);
-        let cache = pipe.energy_cache().expect("cache layer stacked");
+        let cache = pipe.energy_cache().expect("caching configured");
         assert_eq!(
-            cache.path_stats((ProcId(0), PathId(0))).map(|s| s.energy.count()),
+            cache
+                .path_stats((ProcId(0), PathId(0)))
+                .map(|s| s.energy.count()),
             Some(1),
             "cache observed the fall-through"
         );
         let (_, s2) = stub.run(&mut pipe, &ctx(1));
         assert_eq!(s2, CostSource::Sampled, "sampler observed it too");
+        assert_eq!(pipe.answered_counts(), vec![("cache", 0), ("sampling", 1)]);
     }
 
     #[test]
     fn pipeline_emits_layer_answered_records() {
-        let mut pipe = AccelPipeline::none();
-        pipe.push(Box::new(CacheLayer::new(CachingConfig {
-            thresh_variance: 0.20,
-            thresh_iss_calls: 1,
-            keep_samples: false,
-        })));
+        let mut pipe = pipeline(caching(0.20, 1));
         let shared = SharedSink::new(MemorySink::new());
         let mut tracer = Tracer::new(Box::new(shared.clone()));
         let mut run = |tracer: &mut Tracer| {
@@ -606,16 +484,16 @@ mod tests {
 
     #[test]
     fn from_config_orders_macromodel_cache_sampling() {
-        let accel = Acceleration {
+        let pipe = pipeline(Acceleration {
             macromodel: true,
             caching: Some(CachingConfig::new()),
             sampling: Some(SamplingConfig { period: 4 }),
-        };
-        let pipe = AccelPipeline::from_config(&accel, &CoSimConfig::date2000_defaults());
-        assert_eq!(pipe.layer_names(), vec!["macromodel", "cache", "sampling"]);
+        });
+        assert_eq!(
+            pipe.answered_counts(),
+            vec![("macromodel", 0), ("cache", 0), ("sampling", 0)]
+        );
         assert!(pipe.energy_cache().is_some());
-        assert!(pipe.sw_parameter_file().is_some());
-        let empty = AccelPipeline::from_config(&Acceleration::none(), &CoSimConfig::default());
-        assert!(empty.is_empty());
+        assert_eq!(pipe.sampling_stats(), Some((4, 0, 0)));
     }
 }

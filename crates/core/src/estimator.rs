@@ -1,12 +1,10 @@
-//! Component power estimators — the pluggable lower-level simulators.
+//! Component power estimators — the lower-level simulators.
 //!
-//! Each process of the network gets one estimator according to its
-//! mapping: a gate-level [`HwCfsm`](gatesim::HwCfsm) wrapped in
-//! [`HwEstimator`] for hardware, an enhanced ISS
-//! [`SwCfsm`](iss::SwCfsm) wrapped in [`SwEstimator`] for software. The
-//! co-simulation master drives them through the object-safe
-//! [`PowerEstimator`] trait — the seam third-party backends plug into —
-//! and, in debug builds, the detailed backends cross-check their
+//! Each process of the network gets one [`Estimator`] according to its
+//! mapping: gate-level simulation of a synthesized
+//! [`HwCfsm`](gatesim::HwCfsm) for hardware, an enhanced ISS running a
+//! compiled [`SwCfsm`](iss::SwCfsm) for software — the two kinds the
+//! paper's master drives (§3). In debug builds both cross-check their
 //! functional results against the behavioral execution: the two engines
 //! must agree on the path taken.
 
@@ -104,210 +102,107 @@ impl fmt::Debug for FiringInputs<'_> {
     }
 }
 
-/// A component's power estimator — the pluggable backend seam.
-///
-/// The master owns one `Box<dyn PowerEstimator>` per process and knows
-/// nothing about how costs are produced: gate-level simulation
-/// ([`HwEstimator`]), instruction-set simulation ([`SwEstimator`]), or
-/// anything a downstream crate implements.
-pub trait PowerEstimator: fmt::Debug {
+/// A component's power estimator: gate-level simulation of the
+/// synthesized FSMD for a hardware-mapped process, enhanced
+/// instruction-set simulation of the compiled program for a
+/// software-mapped one. The master owns one per process and prices
+/// every firing no acceleration technique answered through it.
+#[derive(Debug)]
+pub enum Estimator {
+    /// Gate-level simulation of the synthesized FSMD.
+    Hw(HwCfsm),
+    /// Enhanced instruction-set simulation of the compiled program
+    /// (boxed: the simulator's state is some 1.7 KB).
+    Sw(Box<SwCfsm>),
+}
+
+impl Estimator {
     /// Whether this estimator models a hardware-mapped component.
-    fn is_hw(&self) -> bool;
+    pub fn is_hw(&self) -> bool {
+        matches!(self, Estimator::Hw(_))
+    }
 
     /// Prices one firing: `(cycles, energy)` of the transition's
     /// execution phase.
-    fn run_firing(&mut self, inputs: &FiringInputs<'_>) -> DetailedCost;
+    pub fn run_firing(&mut self, inputs: &FiringInputs<'_>) -> DetailedCost {
+        let reads = inputs.exec.read_values();
+        match self {
+            Estimator::Hw(hw) => {
+                let run = hw.transition_mut(inputs.transition).run(
+                    inputs.vars_in,
+                    inputs.event_value,
+                    &reads,
+                );
+                debug_assert_eq!(
+                    run.emitted.len(),
+                    inputs.exec.emitted.len(),
+                    "gate-level and behavioral emission counts diverged"
+                );
+                debug_assert_eq!(
+                    run.mem_ops.len(),
+                    inputs.exec.mem_accesses.len(),
+                    "gate-level and behavioral memory traffic diverged"
+                );
+                DetailedCost {
+                    cycles: run.cycles,
+                    energy_j: run.energy_j,
+                }
+            }
+            Estimator::Sw(sw) => {
+                let run = sw.run_transition(
+                    inputs.transition,
+                    inputs.vars_in,
+                    inputs.event_value,
+                    &reads,
+                );
+                debug_assert_eq!(
+                    run.emitted, inputs.exec.emitted,
+                    "ISS and behavioral emissions diverged"
+                );
+                DetailedCost {
+                    cycles: run.cycles + run.stalls,
+                    energy_j: run.energy_j,
+                }
+            }
+        }
+    }
 
     /// Energy of `cycles` of bus-wait idling, joules.
     ///
-    /// In `detailed` mode a backend may actually step its model through
-    /// the wait (the gate-level backend steps its netlist); when an
-    /// acceleration technique served the firing, an analytic charge is
-    /// used instead (the gate-level backend: the clock tree per cycle).
-    fn wait_energy(&mut self, transition: TransitionId, cycles: u64, detailed: bool) -> f64;
-
-    /// For backends with a program layout: the instruction-fetch
-    /// addresses of one behavioral execution, used by the master to
-    /// drive the cache simulator. Defaults to `None` (no fetch stream).
-    fn ifetch_addrs(&self, transition: TransitionId, exec: &Execution) -> Option<Vec<u64>> {
-        let _ = (transition, exec);
-        None
-    }
-
-    /// Functional cross-check helper: whether `got` variables match the
-    /// behavioral `want`, modulo the backend's value representation.
-    /// Defaults to exact equality.
-    fn vars_agree(&self, got: &[i64], want: &[i64]) -> bool {
-        got == want
-    }
-
-    /// Cumulative gate-level activity counters
-    /// `(gate_evals, gate_events)` of the backend's simulator, when it
-    /// has one. The master diffs this around each detailed firing to
-    /// surface the gate kernel's work through the trace layer.
-    /// `gate_evals` counts kernel work units actually performed: it
-    /// varies by selected kernel (the oblivious one evaluates every
-    /// gate every cycle), and a firing the exact firing memo answered adds
-    /// none. `gate_events` counts committed per-cycle output changes
-    /// and is kernel- and memo-invariant (a memo hit adds the stored
-    /// firing's count). Defaults to `None` (no gate-level model).
-    fn gate_stats(&self) -> Option<(u64, u64)> {
-        None
-    }
-
-    /// Cumulative count of firings the backend's exact firing memo
-    /// answered without simulating (see [`gatesim::FiringMemoScope`]),
-    /// diffed by the master like [`PowerEstimator::gate_stats`].
-    /// Defaults to 0 (no memo).
-    fn gate_memo_hits(&self) -> u64 {
-        0
-    }
-}
-
-/// Gate-level simulation of the synthesized FSMD.
-#[derive(Debug)]
-pub struct HwEstimator {
-    hw: Box<HwCfsm>,
-}
-
-impl HwEstimator {
-    /// Synthesizes the process's CFSM into a gate-level estimator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildEstimatorError::Synth`] when an operator has no
-    /// structural implementation.
-    pub fn build(
-        network: &Network,
-        proc: ProcId,
-        config: &CoSimConfig,
-    ) -> Result<Self, BuildEstimatorError> {
-        let machine = network.cfsm(proc);
-        let hw = HwCfsm::synthesize(machine, &config.synth, &config.hw_power)
-            .map_err(|e| BuildEstimatorError::Synth(machine.name().to_string(), e))?;
-        Ok(HwEstimator { hw: Box::new(hw) })
-    }
-}
-
-impl PowerEstimator for HwEstimator {
-    fn is_hw(&self) -> bool {
-        true
-    }
-
-    fn run_firing(&mut self, inputs: &FiringInputs<'_>) -> DetailedCost {
-        let reads = inputs.exec.read_values();
-        let run = self
-            .hw
-            .transition_mut(inputs.transition)
-            .run(inputs.vars_in, inputs.event_value, &reads);
-        debug_assert_eq!(
-            run.emitted.len(),
-            inputs.exec.emitted.len(),
-            "gate-level and behavioral emission counts diverged"
-        );
-        debug_assert_eq!(
-            run.mem_ops.len(),
-            inputs.exec.mem_accesses.len(),
-            "gate-level and behavioral memory traffic diverged"
-        );
-        DetailedCost {
-            cycles: run.cycles,
-            energy_j: run.energy_j,
-        }
-    }
-
-    fn wait_energy(&mut self, transition: TransitionId, cycles: u64, detailed: bool) -> f64 {
+    /// The processor stalls at its stall power. A hardware component
+    /// that ran in `detailed` mode steps its netlist through the wait;
+    /// when an acceleration technique served the firing, the clock tree
+    /// is charged analytically per cycle instead.
+    pub fn wait_energy(&mut self, transition: TransitionId, cycles: u64, detailed: bool) -> f64 {
         if cycles == 0 {
             return 0.0;
         }
-        let t = self.hw.transition_mut(transition);
-        if detailed {
-            // Step the netlist through the wait. The first held cycle
-            // after a firing still toggles nets (the controller leaves
-            // `done`), so this exceeds the analytic clock-tree charge
-            // below by those toggles; the rest of the wait charges the
-            // clock tree alone.
-            t.idle_step(cycles)
-        } else {
-            t.idle_energy_per_cycle_j() * cycles as f64
+        match self {
+            Estimator::Hw(hw) => {
+                let t = hw.transition_mut(transition);
+                if detailed {
+                    // The first held cycle after a firing still toggles
+                    // nets (the controller leaves `done`), so this
+                    // exceeds the analytic clock-tree charge below by
+                    // those toggles; the rest of the wait charges the
+                    // clock tree alone.
+                    t.idle_step(cycles)
+                } else {
+                    t.idle_energy_per_cycle_j() * cycles as f64
+                }
+            }
+            Estimator::Sw(sw) => sw.cpu_mut().power_model().stall_energy_j() * cycles as f64,
         }
     }
 
-    fn vars_agree(&self, got: &[i64], want: &[i64]) -> bool {
-        got.iter()
-            .zip(want)
-            .all(|(&g, &w)| self.hw.mask_value(g) == self.hw.mask_value(w))
-    }
-
-    fn gate_stats(&self) -> Option<(u64, u64)> {
-        Some(self.hw.gate_stats())
-    }
-
-    fn gate_memo_hits(&self) -> u64 {
-        self.hw.memo_hits()
-    }
-}
-
-/// Enhanced instruction-set simulation of the compiled program.
-#[derive(Debug)]
-pub struct SwEstimator {
-    sw: Box<SwCfsm>,
-}
-
-impl SwEstimator {
-    /// Compiles the process's CFSM for the instruction-set simulator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildEstimatorError::Codegen`] when compilation fails.
-    pub fn build(
-        network: &Network,
-        proc: ProcId,
-        config: &CoSimConfig,
-    ) -> Result<Self, BuildEstimatorError> {
-        let machine = network.cfsm(proc);
-        let power = PowerModel::of_kind(config.sw_power);
-        let sw = SwCfsm::new(machine, power, &|e| {
-            network
-                .events()
-                .get(e.0 as usize)
-                .map(|d| d.carries_value)
-                .unwrap_or(false)
-        })
-        .map_err(|e| BuildEstimatorError::Codegen(machine.name().to_string(), e))?;
-        Ok(SwEstimator { sw: Box::new(sw) })
-    }
-}
-
-impl PowerEstimator for SwEstimator {
-    fn is_hw(&self) -> bool {
-        false
-    }
-
-    fn run_firing(&mut self, inputs: &FiringInputs<'_>) -> DetailedCost {
-        let reads = inputs.exec.read_values();
-        let run =
-            self.sw
-                .run_transition(inputs.transition, inputs.vars_in, inputs.event_value, &reads);
-        debug_assert_eq!(
-            run.emitted, inputs.exec.emitted,
-            "ISS and behavioral emissions diverged"
-        );
-        DetailedCost {
-            cycles: run.cycles + run.stalls,
-            energy_j: run.energy_j,
-        }
-    }
-
-    fn wait_energy(&mut self, _transition: TransitionId, cycles: u64, _detailed: bool) -> f64 {
-        if cycles == 0 {
-            return 0.0;
-        }
-        self.sw.cpu_mut().power_model().stall_energy_j() * cycles as f64
-    }
-
-    fn ifetch_addrs(&self, transition: TransitionId, exec: &Execution) -> Option<Vec<u64>> {
-        let p = self.sw.program();
+    /// The instruction-fetch addresses of one behavioral execution of a
+    /// software component, which drive the master's cache simulator;
+    /// `None` for hardware.
+    pub fn ifetch_addrs(&self, transition: TransitionId, exec: &Execution) -> Option<Vec<u64>> {
+        let Estimator::Sw(sw) = self else {
+            return None;
+        };
+        let p = sw.program();
         let tc = &p.transitions[transition.0 as usize];
         let mut addrs: Vec<u64> = p.slot_addrs(tc.prologue_slots).collect();
         for b in &exec.trace {
@@ -316,21 +211,72 @@ impl PowerEstimator for SwEstimator {
         addrs.extend(p.slot_addrs(tc.epilogue_slots));
         Some(addrs)
     }
+
+    /// Cumulative gate-level activity counters
+    /// `(gate_evals, gate_events)` of a hardware component's simulator;
+    /// `None` for software. The master diffs this around each detailed
+    /// firing to surface the gate kernel's work through the trace layer.
+    /// `gate_evals` counts kernel work units actually performed: it
+    /// varies by selected kernel (the oblivious one evaluates every
+    /// gate every cycle), and a firing the exact firing memo answered adds
+    /// none. `gate_events` counts committed per-cycle output changes
+    /// and is kernel- and memo-invariant (a memo hit adds the stored
+    /// firing's count).
+    pub fn gate_stats(&self) -> Option<(u64, u64)> {
+        match self {
+            Estimator::Hw(hw) => Some(hw.gate_stats()),
+            Estimator::Sw(_) => None,
+        }
+    }
+
+    /// Cumulative count of firings a hardware component's exact firing
+    /// memo answered without simulating (see
+    /// [`gatesim::FiringMemoScope`]), diffed by the master like
+    /// [`Estimator::gate_stats`]; 0 for software.
+    pub fn gate_memo_hits(&self) -> u64 {
+        match self {
+            Estimator::Hw(hw) => hw.memo_hits(),
+            Estimator::Sw(_) => 0,
+        }
+    }
 }
 
-/// Builds the estimator matching the process's mapping.
+/// Builds the estimator matching the process's mapping: synthesizes a
+/// hardware process's CFSM to gates, compiles a software process's CFSM
+/// for the instruction-set simulator.
 ///
 /// # Errors
 ///
-/// Returns a [`BuildEstimatorError`] naming the process on failure.
+/// Returns [`BuildEstimatorError::Synth`] when an operator has no
+/// structural implementation, or [`BuildEstimatorError::Codegen`] when
+/// compilation fails; both name the process.
 pub fn build_estimator(
     network: &Network,
     proc: ProcId,
     config: &CoSimConfig,
-) -> Result<Box<dyn PowerEstimator>, BuildEstimatorError> {
+) -> Result<Estimator, BuildEstimatorError> {
+    let machine = network.cfsm(proc);
+    let name = || machine.name().to_string();
     match network.mapping(proc) {
-        Implementation::Hw => Ok(Box::new(HwEstimator::build(network, proc, config)?)),
-        Implementation::Sw => Ok(Box::new(SwEstimator::build(network, proc, config)?)),
+        Implementation::Hw => HwCfsm::synthesize(machine, &config.synth, &config.hw_power)
+            .map(Estimator::Hw)
+            .map_err(|e| BuildEstimatorError::Synth(name(), e)),
+        Implementation::Sw => {
+            let carries_value = |e: EventId| {
+                network
+                    .events()
+                    .get(e.0 as usize)
+                    .map(|d| d.carries_value)
+                    .unwrap_or(false)
+            };
+            SwCfsm::new(
+                machine,
+                PowerModel::of_kind(config.sw_power),
+                &carries_value,
+            )
+            .map(|sw| Estimator::Sw(Box::new(sw)))
+            .map_err(|e| BuildEstimatorError::Codegen(name(), e))
+        }
     }
 }
 
@@ -417,19 +363,6 @@ mod tests {
         let (net, p) = simple_network(Implementation::Hw);
         let est = build_estimator(&net, p, &cfg).expect("builds");
         assert!(est.ifetch_addrs(TransitionId(0), &exec).is_none());
-    }
-
-    #[test]
-    fn vars_agree_masks_hw_width() {
-        let cfg = CoSimConfig::date2000_defaults();
-        assert_eq!(cfg.synth.width, 16, "default datapath width");
-        let (net, p) = simple_network(Implementation::Hw);
-        let est = build_estimator(&net, p, &cfg).expect("builds");
-        // 0x1_0005 masked to 16 bits equals 0x0005.
-        assert!(est.vars_agree(&[0x0005], &[0x1_0005]));
-        let (net, p) = simple_network(Implementation::Sw);
-        let est = build_estimator(&net, p, &cfg).expect("builds");
-        assert!(!est.vars_agree(&[0x0005], &[0x1_0005]));
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //! buffered, and a finished batch is demuxed net-major in one pass over
 //! the counter planes ([`SimdLaneSim::demux`]).
 //!
-//! The co-simulation-level counterparts — fault-matrix and stimulus-seed
-//! sweeps that demux into full per-point [`crate::CoSimReport`]s with
-//! the provenance partition intact — live in [`crate::explore`] and
-//! [`crate::explore_parallel`]; this module is the gate-level engine the
-//! bench compares against serial scalar sweeps.
+//! The co-simulation-level counterpart, the stimulus-seed sweep
+//! [`crate::explore_stimulus_seeds_parallel`], yields full per-point
+//! [`crate::CoSimReport`]s with the provenance partition intact; this
+//! module is the gate-level engine the bench compares against serial
+//! scalar sweeps.
 
 use detrand::{Coin, Rng};
 use gatesim::{

@@ -5,27 +5,27 @@
 //! A system is described as a CFSM network with a HW/SW mapping
 //! ([`SocDescription`]); the [`CoSimulator`] simulates its discrete-event
 //! behavioral model while concurrently and synchronously driving the
-//! per-component power estimators — *power co-estimation*. The
-//! estimators sit behind the object-safe [`PowerEstimator`] trait
-//! ([`build_estimator`] picks one per process from its mapping):
-//! gate-level simulation for hardware ([`HwEstimator`]) and an enhanced
-//! ISS for software ([`SwEstimator`]); the behavioral bus model prices
-//! the integration architecture and a cache simulator is attached to
-//! the master. The baseline the paper argues against, independent
-//! per-component estimation from behavioral traces, is provided by
+//! per-component power estimators — *power co-estimation*. Each
+//! process gets one [`Estimator`] ([`build_estimator`] picks it from
+//! the process's mapping): gate-level simulation for hardware
+//! ([`Estimator::Hw`]) and an enhanced ISS for software
+//! ([`Estimator::Sw`]); the behavioral bus model prices the integration
+//! architecture and a cache simulator is attached to the master. The
+//! baseline the paper argues against, independent per-component
+//! estimation from behavioral traces, is provided by
 //! [`estimate_separately`].
 //!
 //! Three acceleration techniques (§4) can be switched on through
-//! [`Acceleration`]; the master assembles them into an [`AccelPipeline`]
-//! of composable [`AccelLayer`]s, each of which either answers a firing
-//! from its own state or delegates down to the detailed backend:
+//! [`Acceleration`]; the master stacks the configured ones in an
+//! [`AccelPipeline`] in the paper's fixed order, each either answering a
+//! firing from its own state or leaving it to the next, and the last
+//! to the detailed estimator:
 //!
-//! * **energy & delay caching** ([`CacheLayer`] over [`EnergyCache`],
-//!   §4.2),
-//! * **software/hardware power macro-modeling** ([`MacroModelLayer`]
-//!   over [`ParameterFile`], §4.1),
-//! * **statistical sampling / sequence compaction** ([`SamplingLayer`],
-//!   [`KMemoryCompactor`], §4.3).
+//! * **software/hardware power macro-modeling** (over [`ParameterFile`],
+//!   §4.1),
+//! * **energy & delay caching** (over [`EnergyCache`], §4.2),
+//! * **statistical sampling / sequence compaction** (firing-level
+//!   sampling, and [`KMemoryCompactor`] over raw streams, §4.3).
 //!
 //! The whole stack is observable through the `soctrace` crate:
 //! [`CoSimulator::attach_trace`] threads a zero-cost-when-disabled
@@ -51,7 +51,8 @@
 //! ([`ExploreOptions`], one worker with [`ExploreOptions::serial`]) with
 //! **bit-for-bit identical** results at every worker count and
 //! throughput metrics ([`SweepStats`]); [`explore_power_policies_parallel`]
-//! widens the sweep to operating points × gating policies.
+//! widens the sweep to operating points × gating policies, and
+//! [`explore_stimulus_seeds_parallel`] to Monte-Carlo stimulus variants.
 //!
 //! The framework is fault-aware: a [`FaultPlan`] schedules declarative
 //! fault injections (dropped/duplicated/delayed events, frozen processes,
@@ -103,7 +104,6 @@ mod caching;
 mod config;
 mod estimator;
 mod explore;
-mod explore_parallel;
 mod faults;
 mod lanes;
 mod macromodel;
@@ -120,27 +120,19 @@ mod verify;
 pub use account::{
     Anomaly, AnomalyKind, AnomalyLedger, ComponentId, ComponentTotals, EnergyAccount, Waveform,
 };
-pub use accel::{
-    AccelLayer, AccelPipeline, CacheLayer, CostSource, FiringCtx, MacroModelLayer, SamplingLayer,
-};
+pub use accel::{AccelPipeline, CostSource, FiringCtx};
 pub use caching::{CachedCost, CachingConfig, EnergyCache, PathStats};
 pub use config::{Acceleration, CoSimConfig, RtosPolicy, SocDescription};
-pub use estimator::{
-    build_estimator, BuildEstimatorError, DetailedCost, FiringInputs, HwEstimator, PowerEstimator,
-    SwEstimator,
-};
+pub use estimator::{build_estimator, BuildEstimatorError, DetailedCost, Estimator, FiringInputs};
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use report::{
     AccelEffectiveness, CacheEffectiveness, Provenance, ProvenanceBreakdown, SamplingEffectiveness,
 };
 pub use explore::{
-    minimum_energy, permutations, stimulus_variant, ExplorationPoint, FaultPoint, PartitionPoint,
-    PowerPoint, StimulusJitter, StimulusPoint,
-};
-pub use explore_parallel::{
-    explore_bus_architecture_parallel, explore_fault_matrix_parallel,
-    explore_partitions_parallel, explore_power_policies_parallel,
-    explore_stimulus_seeds_parallel, ExploreOptions, SweepReport, SweepStats, TimelineOptions,
+    explore_bus_architecture_parallel, explore_partitions_parallel,
+    explore_power_policies_parallel, explore_stimulus_seeds_parallel, minimum_energy,
+    permutations, stimulus_variant, ExplorationPoint, ExploreOptions, PartitionPoint, PowerPoint,
+    StimulusJitter, StimulusPoint, SweepReport, SweepStats,
 };
 pub use lanes::{
     fault_matrix_units, run_lane_sweep, run_lane_sweep_serial, toggle_statistics, LanePoint,

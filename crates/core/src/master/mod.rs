@@ -5,11 +5,11 @@
 //! per-component power estimators with it: whenever a CFSM transition
 //! fires (the unit of synchronization), the master captures the
 //! component's pre-firing state and asks the
-//! [`AccelPipeline`](crate::AccelPipeline) for its cost — each stacked
-//! acceleration layer (macro-model, energy cache, firing-level sampling)
-//! either answers from its own state or delegates down, and a full
-//! fall-through runs the component's pluggable
-//! [`PowerEstimator`](crate::PowerEstimator) backend (gate-level
+//! [`AccelPipeline`](crate::AccelPipeline) for its cost — each
+//! configured acceleration technique (macro-model, energy cache,
+//! firing-level sampling, in that order) either answers from its own
+//! state or leaves the firing to the next, and a firing none answers
+//! runs the component's [`Estimator`](crate::Estimator) (gate-level
 //! simulation or the enhanced ISS). The returned `(cycles, energy)` is
 //! folded back into the global schedule: software transitions are
 //! serialized on the embedded CPU under the configured
@@ -37,11 +37,8 @@ use crate::accel::{AccelPipeline, CostSource, FiringCtx};
 use crate::account::{AnomalyKind, AnomalyLedger, ComponentId, EnergyAccount};
 use crate::caching::EnergyCache;
 use crate::config::{CoSimConfig, SocDescription};
-use crate::estimator::{
-    build_estimator, BuildEstimatorError, DetailedCost, FiringInputs, PowerEstimator,
-};
+use crate::estimator::{build_estimator, BuildEstimatorError, DetailedCost, Estimator, FiringInputs};
 use crate::faults::{self, ResolvedFault};
-use crate::macromodel::ParameterFile;
 use crate::powermgmt::{PowerRt, PowerState, Settlement};
 use crate::report::{
     AccelEffectiveness, CacheEffectiveness, CoSimReport, ProcessReport, Provenance,
@@ -124,7 +121,7 @@ pub struct CoSimulator {
     soc: SocDescription,
     config: CoSimConfig,
     state: NetworkState,
-    estimators: Vec<Box<dyn PowerEstimator>>,
+    estimators: Vec<Estimator>,
     accel: AccelPipeline,
     tracer: Tracer,
     /// Mirror of every ledger charge, tagged with its energy source
@@ -180,8 +177,9 @@ impl CoSimulator {
     ///
     /// Returns a [`BuildEstimatorError`] if any component fails to build,
     /// if the priority vector does not have one entry per process, if
-    /// the synthesis datapath width is outside `1..=63` or a stimulus
-    /// arrives after [`SocDescription::MAX_STIMULUS_CYCLE`]
+    /// the synthesis datapath width is outside `1..=63`, the waveform
+    /// bucket is zero cycles wide or a stimulus arrives after
+    /// [`SocDescription::MAX_STIMULUS_CYCLE`]
     /// ([`BuildEstimatorError::InvalidParams`]), or if the fault plan
     /// names an unknown process/event or has degenerate parameters.
     pub fn new(soc: SocDescription, config: CoSimConfig) -> Result<Self, BuildEstimatorError> {
@@ -202,6 +200,11 @@ impl CoSimulator {
             .synth
             .validate()
             .map_err(|e| BuildEstimatorError::InvalidParams(e.to_string()))?;
+        if config.waveform_bucket_cycles == 0 {
+            return Err(BuildEstimatorError::InvalidParams(
+                "waveform bucket width must be at least one cycle".into(),
+            ));
+        }
         let faults = faults::resolve(&config.faults, &soc.network)?;
         let n = soc.network.process_count();
         let mut estimators = Vec::with_capacity(n);
@@ -596,25 +599,9 @@ impl CoSimulator {
         }
     }
 
-    /// Current simulation time, cycles.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// The acceleration pipeline (introspection: stacked layer names).
-    pub fn accel_pipeline(&self) -> &AccelPipeline {
-        &self.accel
-    }
-
     /// The energy cache (for histogram extraction — Fig. 4b).
     pub fn energy_cache(&self) -> Option<&EnergyCache> {
         self.accel.energy_cache()
-    }
-
-    /// The characterized software parameter file, when macro-modeling is
-    /// active.
-    pub fn sw_parameter_file(&self) -> Option<&ParameterFile> {
-        self.accel.sw_parameter_file()
     }
 
     /// Schedules every process that can run at the current time.

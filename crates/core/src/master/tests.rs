@@ -279,19 +279,26 @@ fn empty_fault_plan_is_bit_for_bit_free() {
 
 #[test]
 fn pipeline_reflects_configured_acceleration() {
-    let cfg = CoSimConfig::date2000_defaults().with_accel(Acceleration {
-        macromodel: true,
-        caching: Some(CachingConfig::new()),
-        sampling: Some(crate::SamplingConfig { period: 4 }),
-    });
-    let sim = CoSimulator::new(two_proc_soc(1), cfg).expect("builds");
-    assert_eq!(
-        sim.accel_pipeline().layer_names(),
-        vec!["macromodel", "cache", "sampling"]
+    // Every configured technique is listed in cascade order, zeros
+    // included; an unaccelerated run lists none.
+    let r = run_with(
+        Acceleration {
+            macromodel: true,
+            caching: Some(CachingConfig::new()),
+            sampling: Some(crate::SamplingConfig { period: 4 }),
+        },
+        1,
     );
-    let bare = CoSimulator::new(two_proc_soc(1), CoSimConfig::date2000_defaults())
-        .expect("builds");
-    assert!(bare.accel_pipeline().is_empty());
+    assert_eq!(
+        r.effectiveness.answered_by_layer,
+        vec![
+            ("macromodel".to_string(), r.firings),
+            ("cache".to_string(), 0),
+            ("sampling".to_string(), 0),
+        ]
+    );
+    let bare = run_with(Acceleration::none(), 1);
+    assert!(bare.effectiveness.answered_by_layer.is_empty());
 }
 
 #[test]

@@ -216,16 +216,17 @@ impl SamplingEffectiveness {
 }
 
 /// Per-technique effectiveness counters for one run: how many detailed
-/// simulator calls each acceleration layer avoided, and the state that
-/// bounds the error it introduced.
+/// simulator calls each acceleration technique avoided, and the state
+/// that bounds the error it introduced.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccelEffectiveness {
-    /// Firings answered per acceleration layer, in pipeline order
-    /// (layer name, count).
+    /// Firings answered per configured acceleration technique, in
+    /// cascade order, zeros included: `(name, count)`, named by
+    /// [`CostSource::as_str`](crate::CostSource::as_str).
     pub answered_by_layer: Vec<(String, u64)>,
-    /// Energy-cache state, when a cache layer was configured.
+    /// Energy-cache state, when caching was configured.
     pub cache: Option<CacheEffectiveness>,
-    /// Sampling state, when a sampling layer was configured.
+    /// Sampling state, when sampling was configured.
     pub sampling: Option<SamplingEffectiveness>,
 }
 

@@ -823,7 +823,6 @@ impl HwTransition {
 #[derive(Debug)]
 pub struct HwCfsm {
     name: String,
-    width: usize,
     transitions: Vec<HwTransition>,
 }
 
@@ -848,7 +847,6 @@ impl HwCfsm {
         }
         Ok(HwCfsm {
             name: machine.name().to_string(),
-            width: config.width,
             transitions,
         })
     }
@@ -856,13 +854,6 @@ impl HwCfsm {
     /// The machine name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Truncates a behavioral value to this machine's datapath width —
-    /// the functional equivalence relation between behavioral (i64)
-    /// results and the synthesized datapath's registers.
-    pub fn mask_value(&self, v: i64) -> u64 {
-        mask_to_width(v, self.width)
     }
 
     /// Mutable access to one synthesized transition.
@@ -1801,7 +1792,7 @@ mod tests {
         }
         for width in [1, 16, 63] {
             let hw = HwCfsm::synthesize(&m, &SynthConfig { width }, &power());
-            assert_eq!(hw.expect("in range").mask_value(-1), (1 << width) - 1);
+            assert!(hw.is_ok(), "width {width} is in range");
         }
     }
 

@@ -184,6 +184,26 @@ fn tcpip_sampling_golden_report() {
     );
 }
 
+/// Caching stacked above sampling: the one stack in which a firing that
+/// falls through must feed two techniques (the cache's statistics and
+/// the sampler's reuse window).
+#[test]
+fn tcpip_caching_sampling_golden_report() {
+    check_golden_with(
+        "tcpip_caching_sampling",
+        small_tcpip(),
+        CoSimConfig::date2000_defaults().with_accel(Acceleration {
+            macromodel: false,
+            caching: Some(CachingConfig {
+                thresh_variance: 0.20,
+                thresh_iss_calls: 2,
+                keep_samples: false,
+            }),
+            sampling: Some(SamplingConfig { period: 4 }),
+        }),
+    );
+}
+
 /// Generated systems `generated_corpus.txt` pins; `UPDATE_GOLDENS=1`
 /// rewrites all of them whatever `CORPUS_N` is.
 const PINNED_CORPUS: usize = 200;

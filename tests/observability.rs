@@ -53,13 +53,26 @@ fn all_modes() -> Vec<(&'static str, Acceleration)> {
         thresh_iss_calls: 2,
         keep_samples: false,
     };
+    let sampling = SamplingConfig { period: 4 };
     vec![
         ("baseline", Acceleration::none()),
         ("caching", Acceleration::caching(CachingConfig::new())),
-        ("caching_table1", Acceleration::caching(table1_caching)),
+        ("caching_table1", Acceleration::caching(table1_caching.clone())),
         ("macromodel", Acceleration::macromodel()),
-        ("sampling", Acceleration::sampling(SamplingConfig { period: 4 })),
+        ("sampling", Acceleration::sampling(sampling)),
+        ("caching_sampling", stack(false, &table1_caching, sampling)),
+        ("all_three", stack(true, &table1_caching, sampling)),
     ]
+}
+
+/// Caching stacked above sampling, and under the macro-model when
+/// `macromodel` is set.
+fn stack(macromodel: bool, caching: &CachingConfig, sampling: SamplingConfig) -> Acceleration {
+    Acceleration {
+        macromodel,
+        caching: Some(caching.clone()),
+        sampling: Some(sampling),
+    }
 }
 
 /// Runs with a metrics sink attached; returns the report and the
@@ -195,6 +208,50 @@ fn effectiveness_counters_reconcile_with_the_report() {
         "served + sampled firings must cover every firing"
     );
     assert!(sampling.compaction_ratio() > 1.0);
+}
+
+#[test]
+fn answered_by_layer_lists_every_stacked_technique_in_cascade_order() {
+    // The golden reports' tcpip: 49 firings.
+    let soc = tcpip::build(&TcpIpParams {
+        num_packets: 8,
+        len_range: (8, 24),
+        pkt_period: 4_000,
+        seed: 11,
+    })
+    .expect("valid params");
+    let caching = CachingConfig {
+        thresh_variance: 0.20,
+        thresh_iss_calls: 2,
+        keep_samples: false,
+    };
+    let sampling = SamplingConfig { period: 4 };
+    let answered = |accel: Acceleration| {
+        let config = CoSimConfig::date2000_defaults().with_accel(accel);
+        let (report, metrics) = run_observed(soc.clone(), config);
+        // The trace's per-layer tally agrees with the report's nonzero
+        // entries.
+        for (layer, n) in &report.effectiveness.answered_by_layer {
+            let traced = metrics.answered_by_layer.get(layer.as_str()).copied().unwrap_or(0);
+            assert_eq!(traced, *n, "{layer}");
+        }
+        report.effectiveness.answered_by_layer
+    };
+    let named = |pairs: &[(&str, u64)]| -> Vec<(String, u64)> {
+        pairs.iter().map(|&(l, n)| (l.to_string(), n)).collect()
+    };
+    assert_eq!(answered(Acceleration::none()), named(&[]));
+    // A firing the cache cannot serve falls through to the sampler.
+    assert_eq!(
+        answered(stack(false, &caching, sampling)),
+        named(&[("cache", 3), ("sampling", 31)])
+    );
+    // The macro-model answers every firing; the techniques below it
+    // stay listed with zero answers.
+    assert_eq!(
+        answered(stack(true, &caching, sampling)),
+        named(&[("macromodel", 49), ("cache", 0), ("sampling", 0)])
+    );
 }
 
 /// A non-noop policy for any system: leakage on every component, the

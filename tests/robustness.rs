@@ -510,3 +510,27 @@ fn stimulus_cycles_past_the_bound_are_typed_errors() {
         }
     }
 }
+
+#[test]
+fn a_zero_waveform_bucket_is_a_typed_build_error() {
+    // The ledger bins energy into waveform buckets of this many cycles,
+    // so zero has no meaning; `new` rejects it before building the
+    // ledger.
+    let (network, tick) = counter_network(Implementation::Hw, Cfg::straight_line(Vec::new()));
+    let soc = SocDescription {
+        name: "bucket".into(),
+        network,
+        stimulus: vec![(0, EventOccurrence::pure(tick))],
+        priorities: vec![1],
+    };
+    let mut config = CoSimConfig::date2000_defaults();
+    config.waveform_bucket_cycles = 0;
+    let built = CoSimulator::new(soc.clone(), config.clone());
+    assert!(
+        matches!(&built, Err(BuildEstimatorError::InvalidParams(m)) if m.contains("waveform")),
+        "{:?}",
+        built.map(|_| "built")
+    );
+    config.waveform_bucket_cycles = 1;
+    assert!(CoSimulator::new(soc, config).is_ok());
+}
