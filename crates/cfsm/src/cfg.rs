@@ -13,6 +13,8 @@ use crate::expr::VarId;
 use crate::macro_op::MacroOp;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Identifier of a basic block inside a [`Cfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -86,9 +88,109 @@ pub struct BasicBlock {
 }
 
 /// A control-flow graph; block 0 is the entry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Equality, hashing and `Debug` see the blocks alone: the interpreter's
+/// derived state (see [`Cfg::execute`]) is not part of the graph.
+#[derive(Clone)]
 pub struct Cfg {
     blocks: Vec<BasicBlock>,
+    /// Derived from `blocks` by [`Cfg::new`]; clones share it.
+    plan: Arc<ExecPlan>,
+}
+
+impl PartialEq for Cfg {
+    fn eq(&self, other: &Self) -> bool {
+        self.blocks == other.blocks
+    }
+}
+
+impl Eq for Cfg {}
+
+impl Hash for Cfg {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.blocks.hash(state);
+    }
+}
+
+impl std::fmt::Debug for Cfg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Cfg").field("blocks", &self.blocks).finish()
+    }
+}
+
+/// What [`Cfg::execute`] needs besides the blocks: each block's static
+/// macro-op run, and the vector lengths of the body's previous execution.
+struct ExecPlan {
+    /// Per block, the macro-ops every visit pushes, in order: each
+    /// statement's operators and its AVV/AEMIT/MEMRD/MEMWR marker, then
+    /// the branch condition's operators. Only TIVART/TIVARF depends on
+    /// the data.
+    runs: Vec<Box<[MacroOp]>>,
+    /// Lengths of `trace`, `emitted`, `macro_ops` and `mem_accesses` of
+    /// the previous execution, the next one's initial capacities. Relaxed:
+    /// they publish no other data, and a stale value only sizes a vector.
+    last_lens: [AtomicUsize; 4],
+}
+
+impl ExecPlan {
+    fn new(blocks: &[BasicBlock]) -> Self {
+        ExecPlan {
+            runs: blocks.iter().map(static_run).collect(),
+            last_lens: Default::default(),
+        }
+    }
+
+    fn last_lens(&self) -> [usize; 4] {
+        self.last_lens
+            .each_ref()
+            .map(|len| len.load(Ordering::Relaxed))
+    }
+
+    fn record_lens(&self, lens: [usize; 4]) {
+        for (slot, len) in self.last_lens.iter().zip(lens) {
+            // Skip unchanged lengths so that workers firing the same
+            // body do not keep writing one shared cache line.
+            if slot.load(Ordering::Relaxed) != len {
+                slot.store(len, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// The macro-ops a visit of `block` pushes whatever the data (see
+/// [`ExecPlan::runs`]).
+fn static_run(block: &BasicBlock) -> Box<[MacroOp]> {
+    fn push_ops(run: &mut Vec<MacroOp>, e: &Expr) {
+        e.visit_ops(&mut |k| run.push(MacroOp::from_op(k)));
+    }
+    let mut run = Vec::new();
+    for stmt in &block.stmts {
+        match stmt {
+            Stmt::Assign { expr, .. } => {
+                push_ops(&mut run, expr);
+                run.push(MacroOp::Avv);
+            }
+            Stmt::Emit { value, .. } => {
+                if let Some(e) = value {
+                    push_ops(&mut run, e);
+                }
+                run.push(MacroOp::Aemit);
+            }
+            Stmt::MemRead { addr, .. } => {
+                push_ops(&mut run, addr);
+                run.push(MacroOp::MemRead);
+            }
+            Stmt::MemWrite { addr, value } => {
+                push_ops(&mut run, addr);
+                push_ops(&mut run, value);
+                run.push(MacroOp::MemWrite);
+            }
+        }
+    }
+    if let Terminator::Branch { cond, .. } = &block.term {
+        push_ops(&mut run, cond);
+    }
+    run.into_boxed_slice()
 }
 
 /// Errors detected by [`Cfg::validate`].
@@ -128,17 +230,16 @@ impl Cfg {
     ///
     /// Use [`CfgBuilder`] for incremental construction.
     pub fn new(blocks: Vec<BasicBlock>) -> Self {
-        Cfg { blocks }
+        let plan = Arc::new(ExecPlan::new(&blocks));
+        Cfg { blocks, plan }
     }
 
     /// A single-block body with the given statements.
     pub fn straight_line(stmts: Vec<Stmt>) -> Self {
-        Cfg {
-            blocks: vec![BasicBlock {
-                stmts,
-                term: Terminator::Return,
-            }],
-        }
+        Cfg::new(vec![BasicBlock {
+            stmts,
+            term: Terminator::Return,
+        }])
     }
 
     /// An empty (immediately returning) body.
@@ -310,16 +411,23 @@ impl Cfg {
     /// Interprets the graph, mutating `vars`, and returns the taken
     /// [`Execution`].
     ///
+    /// Each visited block appends its static macro-op run, computed once
+    /// by [`Cfg::new`], and a branch adds its `TIVART`/`TIVARF`. The
+    /// returned vectors start at the lengths of this body's previous
+    /// execution (by any clone), so a body that repeats its path
+    /// allocates each once.
+    ///
     /// # Panics
     ///
     /// Panics if the graph is structurally invalid (call
     /// [`validate`](Cfg::validate) first) or if execution exceeds an
     /// internal block budget (runaway loop).
     pub fn execute(&self, vars: &mut [i64], env: &mut dyn ExecEnv) -> Execution {
-        let mut trace = Vec::new();
-        let mut emitted = Vec::new();
-        let mut macro_ops = Vec::new();
-        let mut mem_accesses = Vec::new();
+        let [trace_len, emitted_len, ops_len, mem_len] = self.plan.last_lens();
+        let mut trace = Vec::with_capacity(trace_len);
+        let mut emitted = Vec::with_capacity(emitted_len);
+        let mut macro_ops = Vec::with_capacity(ops_len);
+        let mut mem_accesses = Vec::with_capacity(mem_len);
         let mut hasher = DefaultHasher::new();
         let mut cur = BlockId(0);
         loop {
@@ -330,24 +438,19 @@ impl Cfg {
             trace.push(cur);
             cur.0.hash(&mut hasher);
             let block = &self.blocks[cur.0 as usize];
+            macro_ops.extend_from_slice(&self.plan.runs[cur.0 as usize]);
             for stmt in &block.stmts {
                 match stmt {
                     Stmt::Assign { var, expr } => {
-                        expr.visit_ops(&mut |k| macro_ops.push(MacroOp::from_op(k)));
-                        let v = expr.eval(vars, &|e| env.event_value(e));
-                        vars[var.0 as usize] = v;
-                        macro_ops.push(MacroOp::Avv);
+                        vars[var.0 as usize] = expr.eval(vars, &|e| env.event_value(e));
                     }
                     Stmt::Emit { event, value } => {
-                        let v = value.as_ref().map(|e| {
-                            e.visit_ops(&mut |k| macro_ops.push(MacroOp::from_op(k)));
-                            e.eval(vars, &|ev| env.event_value(ev))
-                        });
+                        let v = value
+                            .as_ref()
+                            .map(|e| e.eval(vars, &|ev| env.event_value(ev)));
                         emitted.push((*event, v));
-                        macro_ops.push(MacroOp::Aemit);
                     }
                     Stmt::MemRead { var, addr } => {
-                        addr.visit_ops(&mut |k| macro_ops.push(MacroOp::from_op(k)));
                         let a = addr.eval(vars, &|e| env.event_value(e)) as u64;
                         let v = env.mem_read(a);
                         vars[var.0 as usize] = v;
@@ -356,11 +459,8 @@ impl Cfg {
                             write: false,
                             value: v,
                         });
-                        macro_ops.push(MacroOp::MemRead);
                     }
                     Stmt::MemWrite { addr, value } => {
-                        addr.visit_ops(&mut |k| macro_ops.push(MacroOp::from_op(k)));
-                        value.visit_ops(&mut |k| macro_ops.push(MacroOp::from_op(k)));
                         let a = addr.eval(vars, &|e| env.event_value(e)) as u64;
                         let v = value.eval(vars, &|e| env.event_value(e));
                         env.mem_write(a, v);
@@ -369,7 +469,6 @@ impl Cfg {
                             write: true,
                             value: v,
                         });
-                        macro_ops.push(MacroOp::MemWrite);
                     }
                 }
             }
@@ -381,7 +480,6 @@ impl Cfg {
                     then_block,
                     else_block,
                 } => {
-                    cond.visit_ops(&mut |k| macro_ops.push(MacroOp::from_op(k)));
                     let taken = cond.eval(vars, &|e| env.event_value(e)) != 0;
                     macro_ops.push(if taken {
                         MacroOp::TivarT
@@ -393,6 +491,12 @@ impl Cfg {
                 }
             }
         }
+        self.plan.record_lens([
+            trace.len(),
+            emitted.len(),
+            macro_ops.len(),
+            mem_accesses.len(),
+        ]);
         Execution {
             trace,
             path: PathId(hasher.finish()),

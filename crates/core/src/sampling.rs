@@ -24,7 +24,7 @@
 //! and demuxes
 //! bit-identical per-unit results ([`crate::run_lane_sweep`]).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::hash::Hash;
 
 /// Firing-level sampling knob.
@@ -48,25 +48,28 @@ impl Default for SamplingConfig {
 }
 
 /// Statistics of a symbol stream used to judge compaction quality.
+///
+/// Ordered maps fix the order in which the distances sum their terms,
+/// so equal statistics give bit-identical distances in every run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamStats<S: Eq + Hash + Clone> {
+pub struct StreamStats<S: Ord + Clone> {
     /// Relative frequency of each symbol (single-step statistics).
-    pub freq: HashMap<S, f64>,
+    pub freq: BTreeMap<S, f64>,
     /// Relative frequency of each ordered pair (lag-one statistics).
-    pub pair_freq: HashMap<(S, S), f64>,
+    pub pair_freq: BTreeMap<(S, S), f64>,
 }
 
-impl<S: Eq + Hash + Clone> StreamStats<S> {
+impl<S: Ord + Clone> StreamStats<S> {
     /// Measures a stream.
     pub fn measure(stream: &[S]) -> Self {
-        let mut freq = HashMap::new();
+        let mut freq = BTreeMap::new();
         for s in stream {
             *freq.entry(s.clone()).or_insert(0.0) += 1.0;
         }
         for v in freq.values_mut() {
             *v /= stream.len().max(1) as f64;
         }
-        let mut pair_freq = HashMap::new();
+        let mut pair_freq = BTreeMap::new();
         for w in stream.windows(2) {
             *pair_freq
                 .entry((w[0].clone(), w[1].clone()))
@@ -351,6 +354,26 @@ mod tests {
         let b = StreamStats::measure(&[1, 2, 3, 1, 2, 3]);
         assert_eq!(a.freq_distance(&b), 0.0);
         assert_eq!(a.pair_distance(&b), 0.0);
+    }
+
+    #[test]
+    fn rebuilt_stats_give_bit_identical_distances() {
+        // Dozens of symbols and pairs with uneven frequencies, so the
+        // sums of |Δ| round differently in different term orders.
+        let a: Vec<u32> = (0..997).map(|i| i * i % 61).collect();
+        let b: Vec<u32> = (0..503).map(|i| (i * 7 + i / 3) % 67).collect();
+        let distances = || {
+            let (sa, sb) = (StreamStats::measure(&a), StreamStats::measure(&b));
+            (
+                sa.freq_distance(&sb).to_bits(),
+                sa.pair_distance(&sb).to_bits(),
+                sb.freq_distance(&sa).to_bits(),
+            )
+        };
+        let first = distances();
+        for _ in 0..32 {
+            assert_eq!(distances(), first);
+        }
     }
 
     #[test]

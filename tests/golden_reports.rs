@@ -46,7 +46,8 @@ fn check_golden(name: &str, soc: SocDescription) {
 
 /// Runs `soc` under `config` and returns its golden snapshot; under
 /// `TRACE=ndjson` with an NDJSON sink attached, written to
-/// `target/traces/<trace>.ndjson`.
+/// `target/traces/<trace>.ndjson` (each corpus system has its own
+/// file, `generated_corpus_<index>`).
 fn run_snapshot(trace: &str, soc: SocDescription, config: CoSimConfig) -> String {
     let mut sim = CoSimulator::new(soc, config).expect("system builds");
     let trace_path = if std::env::var("TRACE").as_deref() == Ok("ndjson") {
@@ -225,9 +226,14 @@ fn generated_corpus_digests() {
     };
     let lines: Vec<String> = systems
         .into_iter()
-        .map(|soc| {
+        .enumerate()
+        .map(|(i, soc)| {
             let name = soc.name.clone();
-            let snapshot = run_snapshot("generated_corpus", soc, CoSimConfig::date2000_defaults());
+            let snapshot = run_snapshot(
+                &format!("generated_corpus_{i:03}"),
+                soc,
+                CoSimConfig::date2000_defaults(),
+            );
             format!("{name} {:016x}", fnv1a(snapshot.as_bytes()))
         })
         .collect();
