@@ -221,7 +221,21 @@ impl SpeedupRow {
     }
 }
 
+/// Timed runs of each configuration in [`speedup_sweep`]. An
+/// accelerated tcpip run takes a few milliseconds, so one run's wall time
+/// is mostly host noise; a row reports the median of these.
+const SPEEDUP_REPEATS: usize = 5;
+
 /// Sweeps DMA sizes with one acceleration setting against the baseline.
+/// Per DMA size the baseline and the accelerated configuration run five
+/// times each, alternating, and the row keeps each side's median wall
+/// time.
+///
+/// # Panics
+///
+/// Panics if a repeat's total energy differs in any bit from the first
+/// run of its configuration: runs are deterministic, so a repeat must
+/// reproduce it.
 pub fn speedup_sweep(
     params: &TcpIpParams,
     accel: Acceleration,
@@ -230,19 +244,41 @@ pub fn speedup_sweep(
     dma_sizes
         .iter()
         .map(|&dma| {
-            let config = CoSimConfig::date2000_defaults().with_dma_block_size(dma);
-            let (orig, orig_secs) = timed_run(tcpip::build(params).expect("valid params"), config.clone());
-            let (fast, accel_secs) =
-                timed_run(tcpip::build(params).expect("valid params"), config.with_accel(accel.clone()));
+            let orig = CoSimConfig::date2000_defaults().with_dma_block_size(dma);
+            let fast = orig.clone().with_accel(accel.clone());
+            let (mut orig_secs, mut accel_secs) = (Vec::new(), Vec::new());
+            let (mut orig_energy_j, mut accel_energy_j) = (None, None);
+            for _ in 0..SPEEDUP_REPEATS {
+                for (config, secs, energy) in [
+                    (&orig, &mut orig_secs, &mut orig_energy_j),
+                    (&fast, &mut accel_secs, &mut accel_energy_j),
+                ] {
+                    let (report, s) =
+                        timed_run(tcpip::build(params).expect("valid params"), config.clone());
+                    let e = *energy.get_or_insert(report.total_energy_j());
+                    assert_eq!(
+                        e.to_bits(),
+                        report.total_energy_j().to_bits(),
+                        "a repeated run at DMA {dma} changed its energy"
+                    );
+                    secs.push(s);
+                }
+            }
             SpeedupRow {
                 dma,
-                orig_energy_j: orig.total_energy_j(),
-                orig_secs,
-                accel_energy_j: fast.total_energy_j(),
-                accel_secs,
+                orig_energy_j: orig_energy_j.expect("at least one repeat"),
+                orig_secs: median(&mut orig_secs),
+                accel_energy_j: accel_energy_j.expect("at least one repeat"),
+                accel_secs: median(&mut accel_secs),
             }
         })
         .collect()
+}
+
+/// The median of an odd number of wall times.
+fn median(secs: &mut [f64]) -> f64 {
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
 }
 
 /// Table 1: energy caching speedup/accuracy over the DMA sweep.

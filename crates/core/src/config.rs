@@ -13,7 +13,8 @@ pub struct SocDescription {
     pub name: String,
     /// The CFSM network (processes + events + mapping).
     pub network: Network,
-    /// Environment events: `(delivery cycle, occurrence)`.
+    /// Environment events: `(delivery cycle, occurrence)`, in any order;
+    /// occurrences at one cycle are delivered in the order listed.
     pub stimulus: Vec<(u64, EventOccurrence)>,
     /// Per-process priority (larger = more urgent), indexed by
     /// [`ProcId`](cfsm::ProcId). Used both by the RTOS (for SW tasks) and

@@ -131,7 +131,13 @@ pub struct CoSimulator {
     /// `None` under the default noop policy — the master then skips the
     /// layer entirely, keeping the default path bit-identical.
     power: Option<PowerRt>,
+    /// Dynamic events: completions, bus kicks, emissions, delayed
+    /// deliveries. The stimulus is not in it (see `next_stimulus`).
     queue: EventQueue<Ev>,
+    /// Index of the next `soc.stimulus` entry to deliver. `new` sorts the
+    /// stimulus by time (stably), and [`CoSimulator::pop_event`] merges
+    /// it with `queue`, the stimulus first on a tie.
+    next_stimulus: usize,
     bus: Bus,
     bus_master: Vec<MasterId>,
     icache: Option<Cache>,
@@ -166,12 +172,20 @@ pub struct CoSimulator {
     watchdog: Watchdog,
     /// Set when a budget trips; `step` refuses further work once set.
     degraded: Option<String>,
+    /// Per-firing scratch, reused: the firing process's variables and
+    /// the value of every event in its input buffer, indexed by
+    /// [`EventId`] (0 when absent or pure), before the firing.
+    vars_in: Vec<i64>,
+    event_values: Vec<i64>,
+    /// Scratch for the hardware processes `dispatch_ready` starts.
+    ready: Vec<ProcId>,
 }
 
 impl CoSimulator {
     /// Builds the master: synthesizes/compiles every component, wires the
     /// bus, cache and ledger, assembles the acceleration pipeline, and
-    /// queues the stimulus.
+    /// sorts the stimulus by time, keeping the given order among
+    /// occurrences at one cycle.
     ///
     /// # Errors
     ///
@@ -182,7 +196,7 @@ impl CoSimulator {
     /// [`SocDescription::MAX_STIMULUS_CYCLE`]
     /// ([`BuildEstimatorError::InvalidParams`]), or if the fault plan
     /// names an unknown process/event or has degenerate parameters.
-    pub fn new(soc: SocDescription, config: CoSimConfig) -> Result<Self, BuildEstimatorError> {
+    pub fn new(mut soc: SocDescription, config: CoSimConfig) -> Result<Self, BuildEstimatorError> {
         if soc.priorities.len() != soc.network.process_count() {
             return Err(BuildEstimatorError::PriorityCount {
                 expected: soc.network.process_count(),
@@ -227,10 +241,7 @@ impl CoSimulator {
             .collect();
         let bus_comp = account.add_component("bus");
         let cache_comp = account.add_component("icache");
-        let mut queue = EventQueue::new();
-        for &(t, occ) in &soc.stimulus {
-            queue.push(SimTime::from_cycles(t), Ev::Deliver(occ));
-        }
+        soc.stimulus.sort_by_key(|&(t, _)| t);
         let accel = AccelPipeline::from_config(&config.accel, &config);
         let state = soc.network.spawn();
         let icache = config.icache.clone().map(Cache::new);
@@ -248,7 +259,8 @@ impl CoSimulator {
             // Ledger registration order: processes, then bus, then icache.
             provenance: ProvenanceBreakdown::new(n + 2),
             power,
-            queue,
+            queue: EventQueue::new(),
+            next_stimulus: 0,
             bus,
             bus_master,
             icache,
@@ -273,6 +285,9 @@ impl CoSimulator {
             anomalies: AnomalyLedger::new(),
             watchdog: Watchdog::new(config.watchdog.clone()),
             degraded: None,
+            vars_in: Vec::new(),
+            event_values: vec![0; soc.network.events().len()],
+            ready: Vec::with_capacity(n),
             soc,
             config,
         })
@@ -375,7 +390,7 @@ impl CoSimulator {
         if self.firings >= self.config.max_firings {
             // The firing bound is one instance of the watchdog budget
             // mechanism: report Degraded only when work actually remains.
-            if !self.queue.is_empty() {
+            if !self.queue.is_empty() || self.next_stimulus < self.soc.stimulus.len() {
                 self.degrade(format!(
                     "firing budget of {} exhausted with events pending",
                     self.config.max_firings
@@ -383,7 +398,7 @@ impl CoSimulator {
             }
             return false;
         }
-        let Some((t, ev)) = self.queue.pop() else {
+        let Some((t, ev)) = self.pop_event() else {
             return false;
         };
         self.now = t.cycles();
@@ -408,6 +423,22 @@ impl CoSimulator {
         }
         self.dispatch_ready();
         true
+    }
+
+    /// Removes and returns the earliest pending event: the next stimulus
+    /// occurrence unless a dynamic event is due strictly earlier. This is
+    /// the order one queue holding both would give, since every stimulus
+    /// occurrence would have been scheduled before any dynamic event and
+    /// ties pop in scheduling order.
+    fn pop_event(&mut self) -> Option<(SimTime, Ev)> {
+        if let Some(&(t, occ)) = self.soc.stimulus.get(self.next_stimulus) {
+            let t = SimTime::from_cycles(t);
+            if self.queue.peek_time().is_none_or(|q| t <= q) {
+                self.next_stimulus += 1;
+                return Some((t, Ev::Deliver(occ)));
+            }
+        }
+        self.queue.pop()
     }
 
     /// Records a watchdog trip and marks the run degraded.
@@ -609,23 +640,25 @@ impl CoSimulator {
         let t = self.now;
         // Hardware processes run concurrently; order simultaneous starts
         // by bus priority (descending), then process id.
-        let mut hw_ready: Vec<ProcId> = self
-            .soc
-            .network
-            .process_ids()
-            .filter(|&p| {
-                self.soc.network.mapping(p) == Implementation::Hw
-                    && !self.busy[p.0 as usize]
-                    && self.frozen_until[p.0 as usize] <= t
-                    && self.soc.network.cfsm(p).enabled(self.state.runtime(p)).is_some()
-            })
-            .collect();
-        hw_ready
-            .sort_by_key(|&p| (std::cmp::Reverse(self.soc.priorities[p.0 as usize]), p.0));
-        for p in hw_ready {
+        let mut hw_ready = std::mem::take(&mut self.ready);
+        hw_ready.clear();
+        hw_ready.extend(self.soc.network.process_ids().filter(|&p| {
+            self.soc.network.mapping(p) == Implementation::Hw
+                && !self.busy[p.0 as usize]
+                && self.frozen_until[p.0 as usize] <= t
+                && self
+                    .soc
+                    .network
+                    .cfsm(p)
+                    .enabled(self.state.runtime(p))
+                    .is_some()
+        }));
+        hw_ready.sort_by_key(|&p| (std::cmp::Reverse(self.soc.priorities[p.0 as usize]), p.0));
+        for &p in &hw_ready {
             self.busy[p.0 as usize] = true;
             self.fire(p, t);
         }
+        self.ready = hw_ready;
         // Software: one task at a time on the shared CPU, arbitrated by
         // the configured RTOS policy, dispatched when the CPU is free.
         if self.cpu_free_at <= t {
@@ -666,14 +699,14 @@ impl CoSimulator {
     /// the shared-memory phase.
     fn fire(&mut self, p: ProcId, t: u64) {
         // Pre-firing snapshot (what the estimators replay).
-        let vars_in = self.state.runtime(p).vars().to_vec();
-        let ev_snapshot: HashMap<EventId, i64> = {
-            let buf = self.state.runtime(p).buffer();
-            buf.present()
-                .map(|e| (e, buf.value(e).unwrap_or(0)))
-                .collect()
-        };
-        let Some(fr) = self.soc.network.fire(&mut self.state, p) else {
+        let runtime = self.state.runtime(p);
+        self.vars_in.clear();
+        self.vars_in.extend_from_slice(runtime.vars());
+        let buf = runtime.buffer();
+        for (e, v) in self.event_values.iter_mut().enumerate() {
+            *v = buf.value(EventId(e as u32)).unwrap_or(0);
+        }
+        let Some(mut fr) = self.soc.network.fire(&mut self.state, p) else {
             // dispatch_ready only fires enabled processes, so this is an
             // internal inconsistency — record it and release the slot
             // instead of panicking mid-run.
@@ -712,7 +745,7 @@ impl CoSimulator {
         });
 
         // Component cost, through the acceleration pipeline.
-        let (mut cost, source) = self.estimate(p, &fr, &vars_in, &ev_snapshot, t);
+        let (mut cost, source) = self.estimate(p, &fr, t);
         if !self.faults.is_empty() {
             cost = self.corrupt_cost(p, cost);
         }
@@ -817,7 +850,7 @@ impl CoSimulator {
             detailed,
             is_sw,
             provenance,
-            emissions: fr.execution.emitted.clone(),
+            emissions: std::mem::take(&mut fr.execution.emitted),
         };
 
         // Shared-memory phase: the transactions are granted DMA block by
@@ -853,15 +886,9 @@ impl CoSimulator {
     }
 
     /// Routes one firing through the acceleration pipeline; a full
-    /// fall-through runs the component's detailed backend.
-    fn estimate(
-        &mut self,
-        p: ProcId,
-        fr: &cfsm::FireResult,
-        vars_in: &[i64],
-        ev_snapshot: &HashMap<EventId, i64>,
-        t: u64,
-    ) -> (DetailedCost, CostSource) {
+    /// fall-through runs the component's detailed backend from the
+    /// pre-firing state `fire` left in `vars_in` and `event_values`.
+    fn estimate(&mut self, p: ProcId, fr: &cfsm::FireResult, t: u64) -> (DetailedCost, CostSource) {
         let idx = p.0 as usize;
         let ctx = FiringCtx {
             proc: p,
@@ -873,10 +900,11 @@ impl CoSimulator {
         let stats_before = self.estimators[idx].gate_stats();
         let hits_before = self.estimators[idx].gate_memo_hits();
         let est = &mut self.estimators[idx];
+        let event_values = &self.event_values;
         let inputs = FiringInputs {
             transition: fr.transition,
-            vars_in,
-            event_value: &|e| ev_snapshot.get(&e).copied().unwrap_or(0),
+            vars_in: &self.vars_in,
+            event_value: &|e| event_values.get(e.0 as usize).copied().unwrap_or(0),
             exec: &fr.execution,
         };
         let (cost, source) =

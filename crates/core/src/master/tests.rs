@@ -1,6 +1,7 @@
 use super::*;
 use crate::caching::CachingConfig;
 use crate::config::Acceleration;
+use crate::snapshot_diff;
 use cfsm::{Cfg, Cfsm, EventDef, Expr, Network, Stmt};
 use soctrace::{MemorySink, MetricsSink, SharedSink};
 
@@ -217,6 +218,15 @@ fn max_firings_bounds_run() {
     let r = sim.run();
     assert!(r.firings <= 5, "bounded by max_firings");
     assert!(r.outcome.is_degraded(), "cut short with work pending");
+    // With no firing allowed, the undelivered stimulus is the only
+    // pending work, and it still counts.
+    let cfg = CoSimConfig {
+        max_firings: 0,
+        ..CoSimConfig::date2000_defaults()
+    };
+    let r = CoSimulator::new(two_proc_soc(1), cfg).expect("builds").run();
+    assert_eq!(r.firings, 0);
+    assert!(r.outcome.is_degraded(), "stimulus left undelivered");
 }
 
 #[test]
@@ -366,4 +376,83 @@ fn faults_and_watchdog_trips_are_traced() {
         assert_eq!(m.of_kind("fault_injected").len(), 1);
         assert_eq!(m.of_kind("watchdog_trip").len(), 1);
     });
+}
+
+/// The golden snapshot of one default-configured run.
+fn snapshot_of(soc: SocDescription, cfg: CoSimConfig) -> String {
+    CoSimulator::new(soc, cfg)
+        .expect("builds")
+        .run()
+        .golden_snapshot()
+}
+
+/// `two_proc_soc` with DATA values offered straight to the consumer:
+/// a DATA arriving while the consumer is busy waits in its one-place
+/// buffer, where a later one overwrites it, so the order of deliveries
+/// at one cycle decides what the consumer accumulates.
+fn data_stimulus_soc(stimulus: &[(u64, Option<i64>)]) -> SocDescription {
+    let mut soc = two_proc_soc(0);
+    let go = soc.network.event_by_name("GO").expect("GO");
+    let data = soc.network.event_by_name("DATA").expect("DATA");
+    soc.stimulus = stimulus
+        .iter()
+        .map(|&(t, v)| match v {
+            Some(v) => (t, EventOccurrence::valued(data, v)),
+            None => (t, EventOccurrence::pure(go)),
+        })
+        .collect();
+    soc
+}
+
+#[test]
+fn unsorted_stimulus_reports_as_its_stable_sort() {
+    let cfg = CoSimConfig::date2000_defaults;
+    let unsorted = data_stimulus_soc(&[
+        (20_000, None),
+        (5_000, Some(7)),
+        (5_000, Some(11)),
+        (0, None),
+        (10_000, None),
+        (5_000, Some(2)),
+        (15_000, Some(40)),
+        (10_000, Some(-3)),
+    ]);
+    let mut sorted = unsorted.clone();
+    sorted.stimulus.sort_by_key(|&(t, _)| t);
+    assert_ne!(unsorted.stimulus, sorted.stimulus);
+    let expected = snapshot_of(sorted.clone(), cfg());
+    if let Some(diff) = snapshot_diff(&expected, &snapshot_of(unsorted, cfg())) {
+        panic!("an unsorted stimulus ran differently from its stable sort:\n{diff}");
+    }
+    // The order among occurrences at one cycle is visible in the report,
+    // so the comparison above would catch a sort that reordered them.
+    let mut ties_swapped = sorted;
+    ties_swapped.stimulus.swap(1, 2);
+    assert_ne!(snapshot_of(ties_swapped, cfg()), expected);
+}
+
+#[test]
+fn a_delayed_delivery_follows_the_stimulus_due_at_its_cycle() {
+    // DATA(5) at cycle 1 000, delayed by 1 000 cycles, is rescheduled
+    // onto cycle 2 000, where the stimulus offers DATA(9) and DATA(1):
+    // both stimulus occurrences are delivered first, as if they preceded
+    // the delayed one in the stimulus itself. The consumer fires on the
+    // first delivery and keeps the last one for its next firing.
+    let consumer_energy = |cfg: CoSimConfig, stimulus: &[(u64, Option<i64>)]| {
+        let r = CoSimulator::new(data_stimulus_soc(stimulus), cfg)
+            .expect("builds")
+            .run();
+        r.process_energy_j("consumer").to_bits()
+    };
+    let delayed = consumer_energy(
+        CoSimConfig::date2000_defaults()
+            .with_faults(crate::FaultPlan::new().delay_event(0, "DATA", 1_000)),
+        &[(1_000, Some(5)), (2_000, Some(9)), (2_000, Some(1))],
+    );
+    let plain = |values: [i64; 3]| {
+        let stimulus = values.map(|v| (2_000, Some(v)));
+        consumer_energy(CoSimConfig::date2000_defaults(), &stimulus)
+    };
+    assert_eq!(delayed, plain([9, 1, 5]));
+    assert_ne!(delayed, plain([5, 9, 1]), "the delayed delivery went first");
 }

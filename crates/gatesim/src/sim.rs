@@ -685,16 +685,35 @@ impl Simulator {
 
         // Topological settle: a gate only ever marks readers at later
         // positions, so one ascending drain evaluates everything dirty.
-        let (mut evals, mut word) = (0, 0);
-        while let Some(p) = pop_lowest(dirty, &mut word) {
-            evals += 1;
-            let id = order[p];
-            let v = netlist.kind(id).eval(netlist.fanin(id), |i| values[i.0 as usize]);
-            let g = id.0 as usize;
-            if v != values[g] {
-                values[g] = v;
-                set_bit(toggled, g);
-                mark_readers(dirty, off, pos, g);
+        // Each word is drained from a local copy: a reader in the same
+        // word lands above the bit just popped, so it is ORed into the
+        // copy and popped in turn; a reader in a later word goes to the
+        // array, which the drain has not reached yet.
+        let mut evals = 0;
+        for w in 0..dirty.len() {
+            let mut bits = std::mem::take(&mut dirty[w]);
+            while bits != 0 {
+                let p = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                evals += 1;
+                let id = order[p];
+                let v = netlist
+                    .kind(id)
+                    .eval(netlist.fanin(id), |i| values[i.0 as usize]);
+                let g = id.0 as usize;
+                if v != values[g] {
+                    values[g] = v;
+                    set_bit(toggled, g);
+                    for &r in &pos[off[g] as usize..off[g + 1] as usize] {
+                        let r = r as usize;
+                        debug_assert!(r > p, "reader at {r} does not follow {p}");
+                        if r / 64 == w {
+                            bits |= 1 << (r % 64);
+                        } else {
+                            set_bit(dirty, r);
+                        }
+                    }
+                }
             }
         }
         self.gate_evals += evals;
@@ -702,11 +721,16 @@ impl Simulator {
         // Energy: clock tree first, then toggled nets ascending by net
         // id — the float order of the oblivious before/after diff.
         let mut energy = self.energies.clock_j;
-        let (mut events, mut word) = (0, 0);
-        while let Some(i) = pop_lowest(toggled, &mut word) {
-            toggles[i] += 1;
-            events += 1;
-            energy += switch_j[i];
+        let mut events = 0;
+        for (w, word) in toggled.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                toggles[i] += 1;
+                events += 1;
+                energy += switch_j[i];
+            }
         }
         self.gate_events += events;
 
@@ -807,20 +831,6 @@ fn mark_readers(dirty: &mut [u64], off: &[u32], pos: &[u32], net: usize) {
     for &p in &pos[off[net] as usize..off[net + 1] as usize] {
         set_bit(dirty, p as usize);
     }
-}
-
-/// Clears and returns the lowest set bit at or after word `*word`,
-/// advancing `*word` past empty words. Between calls the caller may set
-/// bits after the returned one; they are drained in turn.
-fn pop_lowest(bits: &mut [u64], word: &mut usize) -> Option<usize> {
-    while let Some(&w) = bits.get(*word) {
-        if w != 0 {
-            bits[*word] = w & (w - 1);
-            return Some(*word * 64 + w.trailing_zeros() as usize);
-        }
-        *word += 1;
-    }
-    None
 }
 
 /// Bit `k` of a bit-packed word slice: bit `k % 64` of word `k / 64`.

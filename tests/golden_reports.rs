@@ -28,8 +28,8 @@
 mod corpus;
 
 use co_estimation::{
-    snapshot_diff, Acceleration, CachingConfig, CoSimConfig, CoSimulator, SamplingConfig,
-    SocDescription,
+    snapshot_diff, Acceleration, CachingConfig, CoSimConfig, CoSimulator, FaultPlan,
+    SamplingConfig, SocDescription,
 };
 use std::path::PathBuf;
 use systems::{automotive, producer_consumer, tcpip};
@@ -114,18 +114,35 @@ fn tcpip_golden_report() {
     );
 }
 
+fn small_producer_consumer() -> SocDescription {
+    producer_consumer::build(&producer_consumer::ProducerConsumerParams {
+        num_pkts: 5,
+        pkt_bytes: 24,
+        start_period: 600,
+        tick_period: 150,
+        num_starts: 25,
+    })
+    .expect("valid params")
+}
+
 #[test]
 fn producer_consumer_golden_report() {
-    check_golden(
-        "producer_consumer",
-        producer_consumer::build(&producer_consumer::ProducerConsumerParams {
-            num_pkts: 5,
-            pkt_bytes: 24,
-            start_period: 600,
-            tick_period: 150,
-            num_starts: 25,
-        })
-        .expect("valid params"),
+    check_golden("producer_consumer", small_producer_consumer());
+}
+
+/// Deliveries off the stimulus's own schedule: the tick due at cycle
+/// 1 050 is delayed onto cycle 1 200, where the stimulus delivers a tick
+/// and a `START` too, and the `START` at cycle 1 800 is delivered twice.
+#[test]
+fn producer_consumer_delayed_tick_and_duplicated_start_golden_report() {
+    check_golden_with(
+        "producer_consumer_faults",
+        small_producer_consumer(),
+        CoSimConfig::date2000_defaults().with_faults(
+            FaultPlan::new()
+                .delay_event(1_000, "TIMER_TICK", 150)
+                .duplicate_event(1_700, "START"),
+        ),
     );
 }
 

@@ -389,6 +389,58 @@ fn event_driven_gate_counts_are_pinned_on_a_standalone_run() {
         run_with_metrics(soc, CoSimConfig::date2000_defaults())
     });
     assert_eq!((m.gate_evals, m.gate_events), (462_983, 232_799));
+
+    // The consumer's netlist alone, outside any memo scope: the same
+    // firings under the oblivious kernel give the same cycles, energy
+    // bits and variables, and the event-driven evaluation set is pinned.
+    let (event, event_counts) = consumer_firings(None);
+    let (oblivious, _) = consumer_firings(Some("oblivious"));
+    assert!(
+        event == oblivious,
+        "consumer firings diverged across kernels"
+    );
+    assert_eq!(event_counts, (93_406, 48_067));
+}
+
+/// One consumer firing's cycles, energy bits and variables out.
+type ConsumerFiring = (u64, u64, Vec<i64>);
+
+/// Runs the largest transition of Fig. 1's consumer (2 795 gates), whose
+/// gate-level firings dominate a `fig1_jitter` point, through a fixed
+/// sequence of firings under `kernel`: each firing's `TIME` advances by
+/// the next step (a zero step runs no loop iteration) and its variables
+/// are the previous firing's. Returns every firing, then the
+/// transition's `(gate_evals, gate_events)`.
+fn consumer_firings(kernel: Option<&str>) -> (Vec<ConsumerFiring>, (u64, u64)) {
+    let soc =
+        producer_consumer::build(&ProducerConsumerParams::fig1_defaults()).expect("valid params");
+    let config = CoSimConfig::date2000_defaults();
+    let p = soc
+        .network
+        .process_by_name("consumer")
+        .expect("Fig. 1 has a consumer");
+    let time = soc.network.event_by_name("TIME").expect("Fig. 1 has TIME");
+    let machine = soc.network.cfsm(p);
+    let mut hw = with_kernel(kernel, || {
+        HwCfsm::synthesize(machine, &config.synth, &config.hw_power)
+    })
+    .expect("consumer synthesizes");
+    let largest = (0..hw.transition_count() as u32)
+        .map(TransitionId)
+        .max_by_key(|&t| hw.transition(t).gate_count())
+        .expect("at least one transition");
+    let transition = hw.transition_mut(largest);
+    assert_eq!(transition.gate_count(), 2_795);
+    let mut vars: Vec<i64> = machine.vars().iter().map(|(_, v)| *v).collect();
+    let mut now = 0;
+    let mut firings = Vec::new();
+    for step in [11, 10, 1, 0, 13, 9, 10, 2, 24, 10, 11, 10] {
+        now += step;
+        let run = transition.run(&vars, &|e| if e == time { now } else { 0 }, &[]);
+        vars.clone_from(&run.vars_out);
+        firings.push((run.cycles, run.energy_j.to_bits(), run.vars_out));
+    }
+    (firings, transition.gate_stats())
 }
 
 /// The lockstep lane simulators' shared surface.
