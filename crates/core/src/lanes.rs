@@ -17,12 +17,16 @@
 //! first, then toggled nets ascending by net id, then flop edges), so a
 //! lane never observes a different accumulation order than a solo run.
 //!
-//! The per-lane work around the simulator is done a word at a time.
-//! Each unit's stimulus is drawn one cycle at a time from its own
-//! `detrand` stream straight into per-input lane words
+//! The per-lane work around the simulator is done in dense passes.
+//! Each unit keeps its own `detrand` stream, and a batch draws its
+//! stimulus one cycle at a time, input-major, for 64 units at once: per
+//! primary input, the toggle coin on every generator of the group in one
+//! pass ([`Rng::flip_each`]), then the value coin on the lanes that hit.
+//! The draws land straight in per-input lane words
 //! ([`SimdLaneSim::set_input_lanes`]), so no unit's stimulus is ever
-//! buffered, and a finished batch is demuxed net-major in one pass over
-//! the counter planes ([`SimdLaneSim::demux`]).
+//! buffered. Inside each step the simulator charges and counts every
+//! toggled net in one drain, and a finished batch is demuxed net-major
+//! in one pass over the counter planes ([`SimdLaneSim::demux`]).
 //!
 //! The co-simulation-level counterpart, the stimulus-seed sweep
 //! [`crate::explore_stimulus_seeds_parallel`], yields full per-point
@@ -35,6 +39,7 @@ use gatesim::{
     EnergyReport, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator,
     ValidateNetlistError,
 };
+use std::fmt;
 use std::sync::Arc;
 
 /// One independent gate-level sweep unit, scheduled onto one lane.
@@ -146,16 +151,64 @@ pub struct LaneSweep {
     pub gate_events: u64,
 }
 
+/// Why a lane sweep could not run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LaneSweepError {
+    /// The netlist failed validation.
+    Netlist(ValidateNetlistError),
+    /// A stuck-at unit faults a net that is not a primary input of the
+    /// netlist, or no net of it at all.
+    StuckAtNonInput {
+        /// The unit's position in the sweep's unit list.
+        unit: usize,
+        /// The net the unit names.
+        net: NetId,
+    },
+}
+
+impl From<ValidateNetlistError> for LaneSweepError {
+    fn from(e: ValidateNetlistError) -> Self {
+        LaneSweepError::Netlist(e)
+    }
+}
+
+impl fmt::Display for LaneSweepError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LaneSweepError::Netlist(e) => write!(f, "invalid netlist: {e}"),
+            LaneSweepError::StuckAtNonInput { unit, net } => {
+                write!(
+                    f,
+                    "unit {unit} is stuck at {net}, which is not a primary input"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for LaneSweepError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            LaneSweepError::Netlist(e) => Some(e),
+            LaneSweepError::StuckAtNonInput { .. } => None,
+        }
+    }
+}
+
 /// The sweep's one stimulus generator: both sweep paths replay it, so a
 /// lane and a solo run of the same unit see the identical stream.
 ///
 /// Each unit draws from its own `detrand` stream, seeded by
-/// [`LaneUnit::seed`] and advanced one cycle at a time: per primary
-/// input, in [`Netlist::primary_inputs`] order, one
-/// Bernoulli(`toggle_probability`) draw and, on a hit, one fair-coin draw
-/// for the input's new value. A stuck-at unit makes the same draws as
-/// its fault-free sibling but never re-drives its faulted input; its
-/// stuck value is forced after cycle 0's other forcings.
+/// [`LaneUnit::seed`]: per cycle and per primary input, in
+/// [`Netlist::primary_inputs`] order, one Bernoulli(`toggle_probability`)
+/// draw and, on a hit, one fair-coin draw for the input's new value.
+/// Up to 64 units draw together, input-major: the toggle coin on every
+/// generator of the group ([`Rng::flip_each`]), then the value coin on
+/// the lanes that hit. That leaves each unit's own draws in the order
+/// above, so the serial path draws one-unit groups. A stuck-at unit
+/// makes the same draws as its fault-free sibling but never re-drives
+/// its faulted input; its stuck value is forced after cycle 0's other
+/// forcings.
 struct Stimulus {
     /// The primary inputs, listed once per sweep.
     inputs: Vec<NetId>,
@@ -163,12 +216,11 @@ struct Stimulus {
     fair: Coin,
 }
 
-/// One unit's place in its stimulus stream.
-struct UnitStream {
-    rng: Rng,
-    /// Position of a stuck-at unit's faulted input in
-    /// [`Stimulus::inputs`]: drawn for, never forced.
-    skip: Option<usize>,
+/// Up to 64 units drawing together, unit `j` in lane bit `j`.
+struct Group {
+    rngs: Vec<Rng>,
+    /// Per input, the lanes stuck at it: drawn for, never re-driven.
+    stuck: Vec<u64>,
 }
 
 impl Stimulus {
@@ -180,26 +232,60 @@ impl Stimulus {
         }
     }
 
-    fn stream(&self, unit: &LaneUnit) -> UnitStream {
-        UnitStream {
-            rng: Rng::new(unit.seed()),
-            skip: unit
-                .fault()
-                .and_then(|(net, _)| self.inputs.iter().position(|&p| p == net)),
+    /// Each unit's faulted input as a position in [`Self::inputs`]
+    /// (`None` for a Monte-Carlo unit).
+    fn faults(&self, units: &[LaneUnit]) -> Result<Vec<Option<usize>>, LaneSweepError> {
+        units
+            .iter()
+            .enumerate()
+            .map(|(unit, u)| match u.fault() {
+                None => Ok(None),
+                Some((net, _)) => self
+                    .inputs
+                    .iter()
+                    .position(|&p| p == net)
+                    .map(Some)
+                    .ok_or(LaneSweepError::StuckAtNonInput { unit, net }),
+            })
+            .collect()
+    }
+
+    /// The group of `units` (at most 64), whose faulted inputs are
+    /// `faults`.
+    fn group(&self, units: &[LaneUnit], faults: &[Option<usize>]) -> Group {
+        let mut stuck = vec![0u64; self.inputs.len()];
+        for (j, k) in faults.iter().enumerate() {
+            if let Some(k) = *k {
+                stuck[k] |= 1 << j;
+            }
+        }
+        Group {
+            rngs: units.iter().map(|u| Rng::new(u.seed())).collect(),
+            stuck,
         }
     }
 
-    /// Draws the next cycle of `stream`, calling `force(k, v)` for each
-    /// input `inputs[k]` it re-drives to `v`, in input order.
-    #[inline]
-    fn cycle(&self, stream: &mut UnitStream, mut force: impl FnMut(usize, bool)) {
-        for k in 0..self.inputs.len() {
-            if stream.rng.flip(self.toggle) {
-                let v = stream.rng.flip(self.fair);
-                if stream.skip != Some(k) {
-                    force(k, v);
-                }
+    /// Draws the next cycle of `group`, lane word `g` of `words`: bit
+    /// `j` of `mask[k * words + g]` is set if lane `j` re-drives
+    /// `inputs[k]`, and the same bit of `value[k * words + g]` holds its
+    /// new value.
+    fn cycle(
+        &self,
+        group: &mut Group,
+        (g, words): (usize, usize),
+        mask: &mut [u64],
+        value: &mut [u64],
+    ) {
+        for (k, &stuck) in group.stuck.iter().enumerate() {
+            let hits = Rng::flip_each(&mut group.rngs, self.toggle);
+            let (mut v, mut h) = (0u64, hits);
+            while h != 0 {
+                let j = h.trailing_zeros();
+                h &= h.wrapping_sub(1);
+                v |= u64::from(group.rngs[j as usize].flip(self.fair)) << j;
             }
+            mask[k * words + g] = hits & !stuck;
+            value[k * words + g] = v;
         }
     }
 }
@@ -214,15 +300,19 @@ impl Stimulus {
 ///
 /// # Errors
 ///
-/// Returns [`ValidateNetlistError`] if the netlist fails validation.
+/// Returns [`LaneSweepError::StuckAtNonInput`] if a stuck-at unit names
+/// a net that is not a primary input (checked for every unit before
+/// anything is simulated), and [`LaneSweepError::Netlist`] if the
+/// netlist fails validation.
 pub fn run_lane_sweep(
     netlist: &Arc<Netlist>,
     power: &PowerConfig,
     units: &[LaneUnit],
     config: &LaneSweepConfig,
-) -> Result<LaneSweep, ValidateNetlistError> {
+) -> Result<LaneSweep, LaneSweepError> {
     let max = config.max_lanes.clamp(1, gatesim::simd::MAX_LANES);
     let stimulus = Stimulus::new(netlist, config);
+    let faults = stimulus.faults(units)?;
     let mut sweep = LaneSweep {
         points: Vec::with_capacity(units.len()),
         batches: 0,
@@ -230,24 +320,22 @@ pub fn run_lane_sweep(
         gate_eval_slots: 0,
         gate_events: 0,
     };
-    for chunk in units.chunks(max) {
+    for (chunk, faults) in units.chunks(max).zip(faults.chunks(max)) {
         let mut sim = SimdLaneSim::new(Arc::clone(netlist), power.clone(), chunk.len())?;
         // Each cycle's draws land straight in per-input lane words:
         // `mask` marks the lanes re-driving an input, `value` their
         // new values, one `words`-long row per input.
-        let words = chunk.len().div_ceil(64);
-        let mut streams: Vec<UnitStream> = chunk.iter().map(|u| stimulus.stream(u)).collect();
+        let mut groups: Vec<Group> = chunk
+            .chunks(64)
+            .zip(faults.chunks(64))
+            .map(|(units, faults)| stimulus.group(units, faults))
+            .collect();
+        let words = groups.len();
         let mut mask = vec![0u64; stimulus.inputs.len() * words];
         let mut value = vec![0u64; stimulus.inputs.len() * words];
         for cycle in 0..config.cycles {
-            mask.fill(0);
-            value.fill(0);
-            for (lane, stream) in streams.iter_mut().enumerate() {
-                let (w, bit) = (lane / 64, lane % 64);
-                stimulus.cycle(stream, |k, v| {
-                    mask[k * words + w] |= 1 << bit;
-                    value[k * words + w] |= u64::from(v) << bit;
-                });
+            for (g, group) in groups.iter_mut().enumerate() {
+                stimulus.cycle(group, (g, words), &mut mask, &mut value);
             }
             for (k, &net) in stimulus.inputs.iter().enumerate() {
                 let row = k * words..(k + 1) * words;
@@ -286,14 +374,18 @@ pub fn run_lane_sweep(
 ///
 /// # Errors
 ///
-/// Returns [`ValidateNetlistError`] if the netlist fails validation.
+/// As [`run_lane_sweep`]: [`LaneSweepError::StuckAtNonInput`] for a
+/// stuck-at unit on a net that is not a primary input, checked for
+/// every unit first, and [`LaneSweepError::Netlist`] if the netlist
+/// fails validation.
 pub fn run_lane_sweep_serial(
     netlist: &Arc<Netlist>,
     power: &PowerConfig,
     units: &[LaneUnit],
     config: &LaneSweepConfig,
-) -> Result<LaneSweep, ValidateNetlistError> {
+) -> Result<LaneSweep, LaneSweepError> {
     let stimulus = Stimulus::new(netlist, config);
+    let faults = stimulus.faults(units)?;
     let mut sweep = LaneSweep {
         points: Vec::with_capacity(units.len()),
         batches: units.len(),
@@ -301,15 +393,22 @@ pub fn run_lane_sweep_serial(
         gate_eval_slots: 0,
         gate_events: 0,
     };
-    for unit in units {
+    let mut mask = vec![0u64; stimulus.inputs.len()];
+    let mut value = vec![0u64; stimulus.inputs.len()];
+    for (index, unit) in units.iter().enumerate() {
         let mut sim = Simulator::with_kernel(
             Arc::clone(netlist),
             power.clone(),
             SimKernel::EventDriven,
         )?;
-        let mut stream = stimulus.stream(unit);
+        let mut group = stimulus.group(std::slice::from_ref(unit), &faults[index..=index]);
         for cycle in 0..config.cycles {
-            stimulus.cycle(&mut stream, |k, v| sim.set_input(stimulus.inputs[k], v));
+            stimulus.cycle(&mut group, (0, 1), &mut mask, &mut value);
+            for ((&net, &m), &v) in stimulus.inputs.iter().zip(&mask).zip(&value) {
+                if m & 1 == 1 {
+                    sim.set_input(net, v & 1 == 1);
+                }
+            }
             if cycle == 0 {
                 if let Some((net, stuck)) = unit.fault() {
                     sim.set_input(net, stuck);
@@ -343,49 +442,6 @@ pub fn fault_matrix_units(netlist: &Netlist, seed: u64) -> Vec<LaneUnit> {
         }
     }
     units
-}
-
-/// Per-net toggle statistics over the Monte-Carlo lanes of a sweep
-/// (stuck-at variants are excluded — their activity is biased by the
-/// fault): the toggle-count mean and maximum per net, in deterministic
-/// (lane-order) accumulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ToggleStats {
-    /// Monte-Carlo lanes aggregated.
-    pub lanes: usize,
-    /// Mean toggle count per net, indexed by net id.
-    pub per_net_mean: Vec<f64>,
-    /// Maximum toggle count per net, indexed by net id.
-    pub per_net_max: Vec<u64>,
-}
-
-/// Aggregates the Monte-Carlo points of a sweep into per-net toggle
-/// statistics — the quantity the paper's gate-level estimator exists to
-/// measure, now estimated over many stimulus vectors at once.
-pub fn toggle_statistics(points: &[LanePoint]) -> ToggleStats {
-    let mc: Vec<&LanePoint> = points
-        .iter()
-        .filter(|p| matches!(p.unit, LaneUnit::MonteCarlo { .. }))
-        .collect();
-    let nets = mc.first().map_or(0, |p| p.toggles.len());
-    let mut per_net_mean = vec![0.0f64; nets];
-    let mut per_net_max = vec![0u64; nets];
-    for p in &mc {
-        for (i, &t) in p.toggles.iter().enumerate() {
-            per_net_mean[i] += t as f64;
-            per_net_max[i] = per_net_max[i].max(t);
-        }
-    }
-    if !mc.is_empty() {
-        for m in &mut per_net_mean {
-            *m /= mc.len() as f64;
-        }
-    }
-    ToggleStats {
-        lanes: mc.len(),
-        per_net_mean,
-        per_net_max,
-    }
 }
 
 #[cfg(test)]
@@ -474,23 +530,32 @@ mod tests {
     }
 
     #[test]
-    fn toggle_statistics_cover_only_monte_carlo_lanes() {
+    fn a_stuck_at_unit_off_the_primary_inputs_is_a_typed_error_on_both_paths() {
         let n = netlist();
-        let mut units: Vec<LaneUnit> = (0..8).map(|s| LaneUnit::MonteCarlo { seed: s }).collect();
-        units.push(LaneUnit::StuckAt {
-            seed: 0,
-            net: n.primary_inputs()[0],
-            stuck: true,
-        });
-        let sweep =
-            run_lane_sweep(&n, &power(), &units, &LaneSweepConfig::default()).expect("valid");
-        let stats = toggle_statistics(&sweep.points);
-        assert_eq!(stats.lanes, 8);
-        assert_eq!(stats.per_net_mean.len(), n.gate_count());
-        for i in 0..n.gate_count() {
-            let max = sweep.points[..8].iter().map(|p| p.toggles[i]).max().unwrap();
-            assert_eq!(stats.per_net_max[i], max);
-            assert!(stats.per_net_mean[i] <= max as f64);
+        let gate = NetId(3); // the XOR, not an input
+        assert!(!n.primary_inputs().contains(&gate));
+        let config = LaneSweepConfig {
+            cycles: 8,
+            max_lanes: 1,
+            ..LaneSweepConfig::default()
+        };
+        for net in [gate, NetId(n.gate_count() as u32 + 7)] {
+            // The bad unit sits in the second one-lane batch, after a
+            // valid unit the sweep would otherwise run first.
+            let units = [
+                LaneUnit::MonteCarlo { seed: 1 },
+                LaneUnit::StuckAt {
+                    seed: 1,
+                    net,
+                    stuck: true,
+                },
+            ];
+            let want = LaneSweepError::StuckAtNonInput { unit: 1, net };
+            let lanes = run_lane_sweep(&n, &power(), &units, &config).map(|_| ());
+            let serial = run_lane_sweep_serial(&n, &power(), &units, &config).map(|_| ());
+            assert_eq!(lanes, Err(want.clone()), "lane path, {net}");
+            assert_eq!(serial, Err(want.clone()), "serial path, {net}");
+            assert!(want.to_string().contains("not a primary input"), "{want}");
         }
     }
 }

@@ -135,8 +135,8 @@ pub use explore::{
     StimulusJitter, StimulusPoint, SweepReport, SweepStats,
 };
 pub use lanes::{
-    fault_matrix_units, run_lane_sweep, run_lane_sweep_serial, toggle_statistics, LanePoint,
-    LaneSweep, LaneSweepConfig, LaneUnit, ToggleStats,
+    fault_matrix_units, run_lane_sweep, run_lane_sweep_serial, LanePoint, LaneSweep,
+    LaneSweepConfig, LaneSweepError, LaneUnit,
 };
 pub use powermgmt::{
     ComponentPolicy, ComponentPowerReport, GateMode, GatingPolicy, LeakageModel, OperatingPoint,

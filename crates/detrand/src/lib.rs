@@ -113,6 +113,32 @@ impl Rng {
         (self.next_u64() >> 11) < coin.0
     }
 
+    /// Flips `coin` once on each generator of a group of at most 64:
+    /// bit `j` of the result is what `rngs[j].flip(coin)` returns, from
+    /// the same one draw, and bits past the group are clear.
+    ///
+    /// One branch-free pass, last generator first, shifting each flip
+    /// in at the bottom. The generators are independent, so their mixes
+    /// overlap; and the shift-in keeps the loop scalar. Drawing into a
+    /// buffer and comparing afterwards lets LLVM vectorize the mixes
+    /// for baseline x86-64, whose SSE2 builds each 64-bit multiply from
+    /// three 32-bit ones: 2.4–3.1 ns per flip against 1.3–1.6 ns here
+    /// (Xeon, 2 vCPUs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rngs` holds more than 64 generators.
+    pub fn flip_each(rngs: &mut [Rng], coin: Coin) -> u64 {
+        assert!(
+            rngs.len() <= 64,
+            "flip_each takes at most 64 generators, got {}",
+            rngs.len()
+        );
+        rngs.iter_mut()
+            .rev()
+            .fold(0, |hits, rng| hits << 1 | u64::from(rng.flip(coin)))
+    }
+
     /// A uniformly chosen element of a non-empty slice.
     ///
     /// # Panics
@@ -262,6 +288,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn flip_each_equals_flip_per_generator_draw_for_draw() {
+        for p in [0.0, 0.2, 0.5, 1.0] {
+            let coin = Coin::new(p);
+            for len in 0..=64u64 {
+                let seeds = (0..len).map(|j| (len << 8) ^ j);
+                let mut group: Vec<Rng> = seeds.clone().map(Rng::new).collect();
+                let mut solo: Vec<Rng> = seeds.map(Rng::new).collect();
+                for round in 0..16 {
+                    let hits = Rng::flip_each(&mut group, coin);
+                    let want = solo
+                        .iter_mut()
+                        .enumerate()
+                        .fold(0u64, |h, (j, r)| h | u64::from(r.flip(coin)) << j);
+                    assert_eq!(hits, want, "p = {p}, {len} generators, round {round}");
+                    // One draw per generator: every stream stands where
+                    // its solo twin does.
+                    assert_eq!(group, solo, "p = {p}, {len} generators, round {round}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 generators")]
+    fn flip_each_rejects_groups_past_64() {
+        let mut rngs = vec![Rng::new(0); 65];
+        Rng::flip_each(&mut rngs, Coin::new(0.5));
     }
 
     #[test]

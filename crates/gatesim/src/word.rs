@@ -32,9 +32,7 @@ use std::sync::Arc;
 /// ops; wraps past the top plane spill into a per-lane overflow array,
 /// allocated at the first wrap. Eight planes keep a wrap (a whole cache
 /// line of spill traffic) down to once per 256 toggles of a net, so a
-/// run shorter than 256 cycles never allocates the spill, while the
-/// plane-major carry pass concentrates its traffic in the bottom row or
-/// two.
+/// run shorter than 256 cycles never allocates the spill.
 const TOGGLE_PLANES: usize = 8;
 
 /// A lockstep simulator of *independent* stimulus streams over one
@@ -85,9 +83,9 @@ pub struct MultiLaneSim<W: LaneWord> {
     /// One bit per net: toggled this step. The input-apply and eval
     /// sweeps record toggles here as they overwrite each net's settled
     /// value (the old word is already in hand at that moment), and the
-    /// charge pass drains set bits in ascending net order — the scalar
-    /// kernels' float accumulation order — without a separate
-    /// whole-array `prev` diff scan.
+    /// charge-and-count drain clears set bits in ascending net order —
+    /// the scalar kernels' float accumulation order — without a
+    /// separate whole-array `prev` diff scan.
     toggled_mask: Vec<u64>,
     /// The toggle word recorded for each net set in `toggled_mask`
     /// (stale entries for unset nets are never read).
@@ -99,10 +97,9 @@ pub struct MultiLaneSim<W: LaneWord> {
     /// toggle word and stay at the clock-fill value).
     energy: Vec<f64>,
     /// Bit-sliced per-lane toggle counters, plane-major: plane `k` of
-    /// net `i` lives at `k * nets + i`, so the end-of-step carry pass
-    /// sweeps one dense row per plane (and plane `k`'s row is touched
-    /// only by nets still carrying after `k` halvings — the hot
-    /// footprint is ~2 rows, not the whole array). Each lane's count
+    /// net `i` lives at `k * nets + i`, so the drain, visiting nets in
+    /// ascending order, walks each plane's dense row forward instead of
+    /// striding a `TOGGLE_PLANES`-word block per net. Each lane's count
     /// has bit `k` in plane `k`; a toggle is a ripple-carry increment
     /// in word ops rather than a per-lane read-modify-write over a
     /// `nets × lanes` array.
@@ -384,27 +381,25 @@ impl<W: LaneWord> MultiLaneSim<W> {
         }
         self.gate_evals += order.len() as u64;
         self.gate_eval_slots += order.len() as u64 * self.lanes as u64;
-        // 3. Per-lane energy for the recorded toggles, drained in
+        // 3. One drain charges and counts each recorded toggle, in
         //    ascending net id — the scalar kernels' float accumulation
-        //    order, regardless of which pass recorded each toggle. The
-        //    mask and scratch words are left in place: the counter pass
-        //    below consumes them after the clock edge adds its own.
+        //    order, regardless of which pass recorded it — and clears
+        //    the mask as it goes.
         let clock = self.energies.clock_j;
         for e in &mut self.energy {
             *e = clock;
         }
         for wi in 0..self.toggled_mask.len() {
-            let mut m = self.toggled_mask[wi];
+            let mut m = std::mem::take(&mut self.toggled_mask[wi]);
             while m != 0 {
                 let i = wi * 64 + m.trailing_zeros() as usize;
                 m &= m.wrapping_sub(1);
-                let se = self.energies.switch_j[i];
-                self.charge_energy(self.toggle_scratch[i], se);
+                self.charge_and_count(i, self.toggle_scratch[i]);
             }
         }
         // 4. Clock edge: all D words sampled simultaneously, then
-        //    committed in ascending gate order, charging each edge as
-        //    it commits and recording the toggle for the counter pass.
+        //    committed in ascending gate order, each edge charged and
+        //    counted as it commits.
         self.edge_sample.clear();
         for &(_, d) in self.plan.dffs() {
             self.edge_sample.push(self.values[d as usize]);
@@ -414,16 +409,10 @@ impl<W: LaneWord> MultiLaneSim<W> {
             let v = self.edge_sample[k];
             let t = v.xor(self.values[q]).and(self.lane_mask);
             if !t.is_zero() {
-                let se = self.energies.switch_j[q];
-                self.charge_energy(t, se);
-                self.toggled_mask[q / 64] |= 1u64 << (q % 64);
-                self.toggle_scratch[q] = t;
+                self.charge_and_count(q, t);
             }
             self.values[q] = v;
         }
-        // 5. One unified toggle-counter pass over everything this step
-        //    recorded (inputs, gates, DFF edges); clears the mask.
-        self.bump_counters();
         for (l, r) in self.reports.iter_mut().enumerate() {
             r.per_cycle_j.push(self.energy[l]);
         }
@@ -437,106 +426,66 @@ impl<W: LaneWord> MultiLaneSim<W> {
         }
     }
 
-    /// Adds switch energy `se` to every lane set in toggle word `t`.
+    /// Charges net `i`'s switch energy to every lane set in its toggle
+    /// word `t`, then adds one to each such lane's toggle count.
     ///
-    /// One 64-slot chunk per constituent word: the chunk bound is
-    /// checked once per word and `tz & 63` keeps the per-lane indexing
-    /// provably in range, so the inner loop is pure load/add/store.
+    /// The charge takes one 64-slot chunk per constituent word: the
+    /// chunk bound is checked once per word and `tz & 63` keeps the
+    /// per-lane indexing provably in range, so the inner loop is pure
+    /// load/add/store.
+    ///
+    /// Wide words count by rippling `t` up all of net `i`'s counter
+    /// planes (plane `k` at `k * nets + i`), without a branch: a
+    /// toggled net of a 256-lane batch usually toggles in dozens of
+    /// lanes, so its carry dies at plane 2, 3 or 4 as often as not
+    /// (mc_lanes: 21 %, 42 %, 23 %), and a loop that stopped there
+    /// mispredicted its exit. A carry out of the top plane spills at
+    /// once.
     #[inline]
-    fn charge_energy(&mut self, t: W, se: f64) {
+    fn charge_and_count(&mut self, i: usize, t: W) {
+        let se = self.energies.switch_j[i];
         let energy = &mut self.energy;
         t.for_each_word(|k, mut w| {
-            if w == 0 {
-                return;
-            }
             let chunk = &mut energy[k * 64..k * 64 + 64];
             while w != 0 {
                 chunk[(w.trailing_zeros() & 63) as usize] += se;
                 w &= w.wrapping_sub(1);
             }
         });
-    }
-
-    /// Drains `toggled_mask`/`toggle_scratch` into the per-lane toggle
-    /// counters and clears the mask.
-    ///
-    /// Wide words propagate the increment one *plane at a time* across
-    /// every recorded net: plane `k`'s dense row absorbs all of this
-    /// step's carries at once, and the live set roughly halves each
-    /// plane, so the sweep stays inside the bottom row or two instead
-    /// of striding a `TOGGLE_PLANES`-word block per net across the
-    /// whole array (which overflows L2 and eats a cache miss per
-    /// toggled net). The scratch words are consumed as carry storage —
-    /// legal because every masked net's scratch is rewritten before the
-    /// next step reads it.
-    fn bump_counters(&mut self) {
         let lanes = self.lanes;
         if W::BITS == 64 {
             // Narrow words see few set lanes per step, so a direct
             // per-lane bump (into the overflow array, which doubles as
             // the whole counter at this width) beats plane slicing.
-            for wi in 0..self.toggled_mask.len() {
-                let mut m = self.toggled_mask[wi];
-                self.toggled_mask[wi] = 0;
-                while m != 0 {
-                    let i = wi * 64 + m.trailing_zeros() as usize;
-                    m &= m.wrapping_sub(1);
-                    let t = self.toggle_scratch[i];
-                    let wraps = &mut self.toggle_wraps;
-                    t.for_each_lane(|l| {
-                        wraps[i * lanes + l as usize] += 1;
-                    });
-                }
-            }
+            let row = &mut self.toggle_wraps[i * lanes..(i + 1) * lanes];
+            t.for_each_lane(|l| row[l as usize] += 1);
             return;
         }
-        let n = self.plan.netlist().gate_count();
+        let n = self.values.len();
+        let mut carry = t;
         for k in 0..TOGGLE_PLANES {
-            let row = &mut self.toggle_planes[k * n..(k + 1) * n];
-            let mut live = 0u64;
-            for wi in 0..self.toggled_mask.len() {
-                let mut m = self.toggled_mask[wi];
-                if m == 0 {
-                    continue;
-                }
-                let mut still = 0u64;
-                while m != 0 {
-                    let b = m.trailing_zeros();
-                    let i = wi * 64 + b as usize;
-                    m &= m.wrapping_sub(1);
-                    let c = self.toggle_scratch[i];
-                    let p = row[i];
-                    row[i] = p.xor(c);
-                    let carry = p.and(c);
-                    self.toggle_scratch[i] = carry;
-                    still |= ((!carry.is_zero()) as u64) << b;
-                }
-                self.toggled_mask[wi] = still;
-                live |= still;
-            }
-            if live == 0 {
-                return; // every carry died; the mask is already clear
-            }
+            let plane = &mut self.toggle_planes[k * n + i];
+            let p = *plane;
+            *plane = p.xor(carry);
+            carry = p.and(carry);
         }
-        // Whole-plane wrap: spill `2^TOGGLE_PLANES` per-lane increments
-        // (reached once every 256 toggles of a net, so the scattered
-        // traffic into the wide overflow array is negligible).
+        if !carry.is_zero() {
+            self.spill(i, carry);
+        }
+    }
+
+    /// Spills a whole-plane wrap of net `i`: `2^TOGGLE_PLANES` more
+    /// toggles for every lane set in `carry` (once every 256 toggles of
+    /// a net, so the scattered traffic into the wide overflow array is
+    /// negligible). Allocates the spill at the first wrap.
+    #[cold]
+    fn spill(&mut self, i: usize, carry: W) {
+        let (n, lanes) = (self.values.len(), self.lanes);
         if self.toggle_wraps.is_empty() {
             self.toggle_wraps = vec![0; n * lanes];
         }
-        for wi in 0..self.toggled_mask.len() {
-            let mut m = self.toggled_mask[wi];
-            self.toggled_mask[wi] = 0;
-            while m != 0 {
-                let i = wi * 64 + m.trailing_zeros() as usize;
-                m &= m.wrapping_sub(1);
-                let t = self.toggle_scratch[i];
-                let wraps = &mut self.toggle_wraps;
-                t.for_each_lane(|l| {
-                    wraps[i * lanes + l as usize] += 1 << TOGGLE_PLANES;
-                });
-            }
-        }
+        let row = &mut self.toggle_wraps[i * lanes..(i + 1) * lanes];
+        carry.for_each_lane(|l| row[l as usize] += 1 << TOGGLE_PLANES);
     }
 }
 

@@ -27,6 +27,7 @@
 
 mod corpus;
 
+use co_estimation::spec::parse_system;
 use co_estimation::{
     snapshot_diff, Acceleration, CachingConfig, CoSimConfig, CoSimulator, FaultPlan,
     SamplingConfig, SocDescription,
@@ -143,6 +144,54 @@ fn producer_consumer_delayed_tick_and_duplicated_start_golden_report() {
                 .delay_event(1_000, "TIMER_TICK", 150)
                 .duplicate_event(1_700, "START"),
         ),
+    );
+}
+
+/// A tie between the stimulus and a dynamic event: hardware `source`
+/// fires on `GO` at cycle 100 for three cycles and emits `X(1)` at
+/// cycle 103, where the stimulus delivers `X(9)`. The stimulus goes
+/// first on a tie, so `sink` fires on 9 and runs its loop, then on 1,
+/// which is not above 9, and skips it; delivering the emission first
+/// would run the loop on both firings.
+const STIMULUS_TIE: &str = "\
+system stimulus_tie
+
+event GO
+event X value
+
+process source hw priority 2
+  var n = 0
+  state run
+  transition run -> run on GO
+    n = (+ n 1)
+    emit X 1
+  end
+
+process sink hw priority 1
+  var last = 0
+  var acc = 0
+  var i = 0
+  state run
+  transition run -> run on X
+    if (> $X last)
+      i = $X
+      while (> i 0)
+        acc = (+ acc i)
+        i = (- i 1)
+      end
+    end
+    last = $X
+  end
+
+stimulus 100 GO
+stimulus 103 X 9
+";
+
+#[test]
+fn stimulus_and_dynamic_event_tie_golden_report() {
+    check_golden(
+        "stimulus_tie",
+        parse_system(STIMULUS_TIE).expect("valid spec"),
     );
 }
 
